@@ -1,10 +1,12 @@
 """Barotropic stiffened-gas two-fluid EOS and the pressure-equilibrium closure.
 
-Each fluid obeys p_k(rho_k) = p_k0 + c_k^2 (rho_k - rho_k0).  Given the
-mixture density rho and mass fraction Y of fluid 1, the volume fraction
-alpha is the unique root in (0,1) of p1(rho*Y/alpha) = p2(rho*(1-Y)/(1-alpha)),
-which reduces to a quadratic after clearing denominators.  All functions
-broadcast over numpy arrays and accept plain scalars.
+Each fluid obeys p_k(rho_k) = p_k0 + c_k^2 (rho_k - rho_k0) = A_k + c_k^2 rho_k.
+Given the mixture density rho and mass fraction Y of fluid 1, pressure
+equilibrium p1(rho1) = p2(rho2) with rho*Y/rho1 + rho*(1-Y)/rho2 = 1 is a
+quadratic in the pressure, whose one admissible root has a closed form; the
+volume fraction is alpha = rho*Y/rho1.  The free energy integrates in closed
+form at the same phase densities.  All functions broadcast over numpy arrays
+and accept plain scalars.
 """
 from __future__ import annotations
 
@@ -88,83 +90,43 @@ def _clamp_Y(Y):
     return np.clip(Y, EPS_Y, 1.0 - EPS_Y)
 
 
-def _equilibrium_gap(alpha, m1, m2, fp):
-    """p1 branch minus p2 branch; strictly decreasing in alpha.
+def _closure(rho, Y, fp: FluidPair):
+    """Clamped Y and c1^2 rho1, c2^2 rho2 at pressure equilibrium.
 
-    Grouped as (p1_0 - p2_0) + c1^2 (m1/a - rho1_0) - c2^2 (m2/(1-a) - rho2_0)
-    so nearly-equal reference pressures cancel exactly instead of eating the
-    precision of the c^2-scaled terms.
+    With x_k = p - A_k = c_k^2 rho_k, volume fractions summing to one read
+    Y c1^2/x1 + (1-Y) c2^2/x2 = 1/rho.  It is solved for s = p - max(A1, A2)
+    with D = |A1 - A2| as u s^2 + b s - Y_s c_s^2 D = 0, u = 1/rho.  The
+    constant term is <= 0, so the roots have opposite signs, the discriminant
+    adds two non-negative terms, and the one positive root comes from the
+    cancellation-free root pair.  The other x_k is s + D, also without
+    cancellation.
     """
-    return (
-        (fp.p1_0 - fp.p2_0)
-        + fp.c1**2 * (m1 / alpha - fp.rho1_0)
-        - fp.c2**2 * (m2 / (1.0 - alpha) - fp.rho2_0)
-    )
+    rho = np.asarray(rho, dtype=np.float64)
+    if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
+        raise EosError("non-positive or non-finite density")
+    Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
+    # s belongs to the fluid with the larger A_k, o to the other one
+    k1, k2 = (fp.p1_0, fp.rho1_0, fp.c1, Yc), (fp.p2_0, fp.rho2_0, fp.c2, 1.0 - Yc)
+    one_first = fp.A1 >= fp.A2
+    (ps, rs, cs, Ys), (po, ro, co, Yo) = (k1, k2) if one_first else (k2, k1)
+    u = 1.0 / rho
+    # reference pressures expanded term by term so nearly equal ones cancel
+    # exactly instead of eating the precision of the c^2-scaled terms
+    e = (ps - po) - cs**2 * rs
+    D = e + co**2 * ro
+    b = u * (e + co**2 * (ro - rho * Yo)) - Ys * cs**2
+    c = -Ys * cs**2 * D
+    sq = np.sqrt(b * b - 4.0 * u * c)
+    q = -0.5 * (b + np.where(b >= 0, sq, -sq))
+    s = np.maximum(q / u, c / q)
+    return (Yc, s, s + D) if one_first else (Yc, s + D, s)
 
 
 def solve_alpha(rho, Y, fp: FluidPair):
     """Volume fraction of fluid 1 from the pressure-equilibrium closure."""
-    rho = np.asarray(rho, dtype=np.float64)
-    scalar = rho.ndim == 0 and np.ndim(Y) == 0
-    rho, Y = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(np.asarray(Y, dtype=np.float64)))
-    if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
-        raise EosError("non-positive or non-finite density")
-    Yc = _clamp_Y(Y)
-    m1 = rho * Yc
-    m2 = rho * (1.0 - Yc)
-    c1sq = fp.c1**2
-    c2sq = fp.c2**2
-    # (A2-A1) a^2 + (A1-A2 - c1^2 m1 - c2^2 m2) a + c1^2 m1 = 0 with
-    # A_k = p_k0 - c_k^2 rho_k0; A2-A1 expanded term by term to avoid
-    # cancelling two large reference pressures
-    aq = (fp.p2_0 - fp.p1_0) - c2sq * fp.rho2_0 + c1sq * fp.rho1_0
-    bq = -aq - c1sq * m1 - c2sq * m2
-    cq = c1sq * m1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lin = -cq / bq
-        disc = bq * bq - 4.0 * aq * cq
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        qq = -0.5 * (bq + np.where(bq >= 0, sq, -sq))
-        r1 = qq / aq
-        r2 = cq / qq
-        quad = np.where((r2 > 0.0) & (r2 < 1.0), r2, r1)
-    tiny = np.abs(aq) < 1e-14 * np.abs(bq)
-    alpha = np.clip(np.where(tiny, lin, quad), EPS_Y, 1.0 - EPS_Y)
-    # Newton polish; the gap is monotone so this converges quadratically
-    for _ in range(2):
-        gap = _equilibrium_gap(alpha, m1, m2, fp)
-        slope = -c1sq * m1 / alpha**2 - c2sq * m2 / (1.0 - alpha) ** 2
-        step = gap / slope
-        alpha = np.clip(alpha - step, EPS_Y, 1.0 - EPS_Y)
-    gap = _equilibrium_gap(alpha, m1, m2, fp)
-    scale = np.maximum(np.abs(fp.A1 + c1sq * m1 / alpha), np.abs(fp.A2 + c2sq * m2 / (1.0 - alpha)))
-    scale = np.maximum(scale, c1sq * m1 / alpha + c2sq * m2 / (1.0 - alpha))
-    bad = np.abs(gap) > 1e-12 * scale
-    if np.any(bad):
-        alpha = np.ascontiguousarray(alpha)
-        flat_a = alpha.reshape(-1)
-        flat_m1 = np.ascontiguousarray(m1).reshape(-1)
-        flat_m2 = np.ascontiguousarray(m2).reshape(-1)
-        for i in np.flatnonzero(np.ascontiguousarray(bad).reshape(-1)):
-            flat_a[i] = _bisect(flat_m1[i], flat_m2[i], fp)
-    return float(alpha.reshape(-1)[0]) if scalar else alpha
-
-
-def _bisect(m1, m2, fp, iters=200):
-    lo, hi = EPS_Y * 1e-6, 1.0 - EPS_Y * 1e-6
-    flo = _equilibrium_gap(lo, m1, m2, fp)
-    fhi = _equilibrium_gap(hi, m1, m2, fp)
-    if not (flo > 0 > fhi):
-        raise EosError(
-            f"no admissible volume fraction for m1={m1}, m2={m2} (unphysical parameters)"
-        )
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _equilibrium_gap(mid, m1, m2, fp) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    Yc, x1, _ = _closure(rho, Y, fp)
+    alpha = np.asarray(rho, dtype=np.float64) * Yc * fp.c1**2 / x1
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def mixture_pressure(rho, Y, fp: FluidPair, alpha=None):
@@ -211,41 +173,26 @@ def from_primitive(V):
     return W
 
 
-def free_energy(rho, Y, fp: FluidPair, rho_ref=None, rel_tol=1e-9, max_panels=1024):
-    """F(rho, Y) = integral of P(r, Y)/r^2 dr from rho_ref, by adaptive quadrature.
+def free_energy(rho, Y, fp: FluidPair, rho_ref=None):
+    """F(rho, Y) = integral of p(r, Y)/r^2 dr from rho_ref, in closed form.
 
-    Composite Gauss-Legendre with panel doubling until two successive
-    refinements agree to ``rel_tol``.
+    Each fluid has F_k(r) = -A_k/r + c_k^2 ln r, and at pressure equilibrium
+    dF = p/rho^2 drho at fixed Y, so F = G(rho) - G(rho_ref) with
+    G = Y F_1(rho1) + (1-Y) F_2(rho2) at the equilibrium phase densities.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    scalar = rho.ndim == 0 and np.ndim(Y) == 0
-    rho, Y = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(np.asarray(Y, dtype=np.float64)))
     if rho_ref is None:
         rho_ref = 0.5 * min(fp.rho1_0, fp.rho2_0)
-    if np.any(rho <= 0) or rho_ref <= 0:
-        raise EosError("free energy requires positive densities")
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    nodes = 0.5 * (nodes + 1.0)  # onto [0, 1]
-    weights = 0.5 * weights
 
-    def integral(npanels):
-        # panel-local nodes in [0,1], then scaled onto each [rho_ref, rho]
-        t = (np.arange(npanels)[:, None] + nodes[None, :]).reshape(-1) / npanels
-        w = np.tile(weights, npanels) / npanels
-        r = rho_ref + (rho[..., None] - rho_ref) * t
-        p = mixture_pressure(r, np.broadcast_to(Y[..., None], r.shape), fp)
-        return (rho - rho_ref) * np.sum(w * p / r**2, axis=-1)
+    def G(r):
+        Yc, x1, x2 = _closure(r, Y, fp)
+        rho1 = x1 / fp.c1**2
+        rho2 = x2 / fp.c2**2
+        return Yc * (fp.c1**2 * np.log(rho1) - fp.A1 / rho1) + (1.0 - Yc) * (
+            fp.c2**2 * np.log(rho2) - fp.A2 / rho2
+        )
 
-    npanels = 8
-    prev = integral(npanels)
-    while npanels < max_panels:
-        npanels *= 2
-        cur = integral(npanels)
-        err = np.abs(cur - prev)
-        if np.all(err <= rel_tol * np.maximum(np.abs(cur), 1e-30)):
-            return float(cur.reshape(-1)[0]) if scalar else cur
-        prev = cur
-    raise EosError("free-energy quadrature did not converge")
+    F = G(rho) - G(rho_ref)
+    return float(F) if F.ndim == 0 else F
 
 
 def density_from_pressure(p, Y, fp: FluidPair):

@@ -11,10 +11,9 @@ from __future__ import annotations
 import configparser
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +96,6 @@ class RunConfig:
     cfl: float = 0.9
     gravity: float = 0.0
     ranks: int = 1
-    threads: bool = False
     output_every: int = 0
     output_dir: str = "out"
 
@@ -112,10 +110,19 @@ class RunConfig:
             raise ConfigError("t_end must be >= 0")
         if self.adapt_every < 1:
             raise ConfigError("adapt_every must be >= 1")
-        if self.ranks < 1:
-            raise ConfigError("ranks must be >= 1")
         if len(self.trees) != self.dim or len(self.periodic) != self.dim:
             raise ConfigError("trees/periodic must have one entry per dimension")
+        # coarsening stops at min_level, so every rank always owns a leaf
+        min_leaves = int(np.prod(self.trees)) * 2 ** (self.dim * self.min_level)
+        if not 1 <= self.ranks <= min_leaves:
+            raise ConfigError(
+                f"ranks must lie in 1..{min_leaves}, the leaf count at min_level {self.min_level}"
+            )
+        unknown = sorted(set(self.case_params) - set(_CASE_PARAMS[self.case]))
+        if unknown:
+            raise ConfigError(
+                f"unknown [case] parameters {unknown} for {self.case}; known: {_CASE_PARAMS[self.case]}"
+            )
 
     @property
     def connectivity(self) -> Connectivity:
@@ -253,10 +260,28 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
+# INI section -> {key: parser}; keys name RunConfig fields, except
+# [criterion] kind (the criterion field) and [fluids] (FluidPair fields)
+_INI_KEYS: dict[str, dict] = {
+    "domain": dict(dim=int, trees=_parse_ints, tree_extent=float, periodic=_parse_bools),
+    "mesh": dict(max_level=int, min_level=int, b=int, adapt_every=int),
+    "criterion": dict(kind=str, xi=float, weights=_parse_floats),
+    "fluids": {f.name: float for f in fields(FluidPair)},
+    "scheme": dict(order=int, splitting=str, cfl=float, gravity=float),
+    "run": dict(ranks=int, output_every=int, output_dir=str),
+}
+
+
 def load_config(path) -> RunConfig:
-    """Line-based ``key = value`` sections; values override case defaults."""
+    """Line-based ``key = value`` sections; values override case defaults.
+
+    Unknown sections, keys and case parameters are rejected.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not cp.has_option("case", "name"):
@@ -264,72 +289,34 @@ def load_config(path) -> RunConfig:
     case = cp.get("case", "name")
     if case not in _CASE_DEFAULTS:
         raise ConfigError(f"unknown case {case!r}; known: {CASES}")
+    for section in cp.sections():
+        if section != "case" and section not in _INI_KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: {['case', *_INI_KEYS]}")
+
+    def parse(section, key, val, parser):
+        try:
+            return parser(val)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {val!r}: {exc}") from exc
+
     ov: dict = {}
     params: dict = {}
     for key, val in cp.items("case"):
-        if key == "name":
-            continue
-        elif key == "t_end":
-            ov["t_end"] = float(val)
-        else:
-            params[key] = float(val)
+        if key == "t_end":
+            ov["t_end"] = parse("case", key, val, float)
+        elif key != "name":
+            params[key] = parse("case", key, val, float)
     if params:
         ov["case_params"] = params
-    if cp.has_section("domain"):
-        g = cp["domain"]
-        if "dim" in g:
-            ov["dim"] = int(g["dim"])
-        if "trees" in g:
-            ov["trees"] = _parse_ints(g["trees"])
-        if "tree_extent" in g:
-            ov["tree_extent"] = float(g["tree_extent"])
-        if "periodic" in g:
-            ov["periodic"] = _parse_bools(g["periodic"])
-    if cp.has_section("mesh"):
-        g = cp["mesh"]
-        for key in ("max_level", "min_level", "b", "adapt_every"):
-            if key in g:
-                ov[key] = int(g[key])
-    if cp.has_section("criterion"):
-        g = cp["criterion"]
-        if "kind" in g:
-            ov["criterion"] = g["kind"]
-        if "xi" in g:
-            ov["xi"] = float(g["xi"])
-        if "weights" in g:
-            ov["weights"] = _parse_floats(g["weights"])
-    if cp.has_section("fluids"):
-        g = cp["fluids"]
-        base = _CASE_DEFAULTS[case]["fluids"]
-        ov["fluids"] = FluidPair(
-            p1_0=g.getfloat("p1_0", base.p1_0),
-            rho1_0=g.getfloat("rho1_0", base.rho1_0),
-            c1=g.getfloat("c1", base.c1),
-            p2_0=g.getfloat("p2_0", base.p2_0),
-            rho2_0=g.getfloat("rho2_0", base.rho2_0),
-            c2=g.getfloat("c2", base.c2),
-            theta=g.getfloat("theta", base.theta),
-        )
-    if cp.has_section("scheme"):
-        g = cp["scheme"]
-        if "order" in g:
-            ov["order"] = int(g["order"])
-        if "splitting" in g:
-            ov["splitting"] = g["splitting"]
-        if "cfl" in g:
-            ov["cfl"] = float(g["cfl"])
-        if "gravity" in g:
-            ov["gravity"] = float(g["gravity"])
-    if cp.has_section("run"):
-        g = cp["run"]
-        if "ranks" in g:
-            ov["ranks"] = int(g["ranks"])
-        if "threads" in g:
-            ov["threads"] = g.getboolean("threads")
-        if "output_every" in g:
-            ov["output_every"] = int(g["output_every"])
-        if "output_dir" in g:
-            ov["output_dir"] = g["output_dir"]
+    fluids: dict = {}
+    for section, keys in _INI_KEYS.items():
+        for key, val in cp.items(section) if cp.has_section(section) else ():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]; known: {sorted(keys)}")
+            name = "criterion" if key == "kind" else key
+            (fluids if section == "fluids" else ov)[name] = parse(section, key, val, keys[key])
+    if fluids:
+        ov["fluids"] = replace(_CASE_DEFAULTS[case]["fluids"], **fluids)
     return default_config(case, **ov)
 
 
@@ -392,6 +379,19 @@ def _smooth_alpha(x, lam, x0):
 def _disk_alpha(x, lam, x0, radius):
     r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
     return np.where(r < radius, 1.0 - lam, lam)
+
+
+_ADVECTION_PARAMS = ("lambda", "x0", "y0", "z0", "ux", "uy", "uz", "p")
+
+# the [case] parameters each branch of _sample_case reads
+_CASE_PARAMS: dict[str, tuple[str, ...]] = {
+    "smooth_advection": _ADVECTION_PARAMS,
+    "disk_advection": (*_ADVECTION_PARAMS, "radius"),
+    "shock_tube": ("x_lo", "x_hi", "p_in", "p_out", "alpha_in", "alpha_out"),
+    "double_rarefaction": ("u0", "alpha", "p"),
+    "drop2d": ("lambda", "x0", "y0", "radius", "bath_height", "p"),
+    "dambreak3d": ("lambda", "column_x", "column_y", "p"),
+}
 
 
 @dataclass
@@ -546,7 +546,6 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
     pm = _rebuild_comm(f, cfg, prof)
     scfg = cfg.sweep_config
     crit = cfg.criterion_obj if cfg.adaptive else None
-    pool = ThreadPoolExecutor(max_workers=min(cfg.ranks, 8)) if cfg.threads and cfg.ranks > 1 else None
 
     result = RunResult(cfg, f, u, 0.0, 0, prof, pm)
 
@@ -558,47 +557,43 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             vtkio.write_vtk(f, u, fp, path, ranks=pm.owner_of(np.arange(f.nleaves)))
             result.artifacts.append(path)
 
-    try:
-        t, nstep = 0.0, 0
-        dump("0000")
-        with prof.walltime():
-            while t < cfg.t_end * (1.0 - 1e-14):
-                try:
-                    dt = solver.compute_dt(f, u, scfg, fp, prof=prof)
-                    dt = min(dt, cfg.t_end - t)
-                    u, _ = solver.step(f, u, scfg, fp, pm=pm, dt=dt, pool=pool, prof=prof)
-                except ArithmeticError as exc:
-                    raise ArithmeticError(
-                        f"solver failed at t={t:.6g} (step {nstep + 1}, "
-                        f"{f.nleaves} leaves): {exc}"
-                    ) from exc
-                t += dt
-                nstep += 1
-                if crit is not None and nstep % cfg.adapt_every == 0:
-                    f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
-                    pm = _rebuild_comm(f, cfg, prof)
-                if cfg.output_every and nstep % cfg.output_every == 0:
-                    result.forest, result.field = f, u
-                    dump(f"{nstep:04d}")
-        result.forest, result.field, result.t, result.steps = f, u, t, nstep
-        result.partition = pm
-        log.info(
-            "%s: t=%.6g in %d steps, %d leaves", cfg.case, t, nstep, f.nleaves
-        )
-        dump("final")
-        if setup.exact_alpha is not None:
-            exact = setup.exact_alpha(f.centers, t)
-            result.l1_alpha = l1_error(f, u, fp, exact)
-            result.l2_alpha = l2_error(f, u, fp, exact)
-        if write_outputs:
-            with prof.section("io"):
-                (outdir / f"{cfg.case}_profile.csv").write_text(prof.csv())
-                (outdir / f"{cfg.case}_partition.csv").write_text(
-                    metrics_csv(balance_metrics(f, pm))
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    t, nstep = 0.0, 0
+    dump("0000")
+    with prof.walltime():
+        while t < cfg.t_end * (1.0 - 1e-14):
+            try:
+                dt = solver.compute_dt(f, u, scfg, fp, prof=prof)
+                dt = min(dt, cfg.t_end - t)
+                u, _ = solver.step(f, u, scfg, fp, pm=pm, dt=dt, prof=prof)
+            except ArithmeticError as exc:
+                raise ArithmeticError(
+                    f"solver failed at t={t:.6g} (step {nstep + 1}, "
+                    f"{f.nleaves} leaves): {exc}"
+                ) from exc
+            t += dt
+            nstep += 1
+            if crit is not None and nstep % cfg.adapt_every == 0:
+                f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
+                pm = _rebuild_comm(f, cfg, prof)
+            if cfg.output_every and nstep % cfg.output_every == 0:
+                result.forest, result.field = f, u
+                dump(f"{nstep:04d}")
+    result.forest, result.field, result.t, result.steps = f, u, t, nstep
+    result.partition = pm
+    log.info(
+        "%s: t=%.6g in %d steps, %d leaves", cfg.case, t, nstep, f.nleaves
+    )
+    dump("final")
+    if setup.exact_alpha is not None:
+        exact = setup.exact_alpha(f.centers, t)
+        result.l1_alpha = l1_error(f, u, fp, exact)
+        result.l2_alpha = l2_error(f, u, fp, exact)
+    if write_outputs:
+        with prof.section("io"):
+            (outdir / f"{cfg.case}_profile.csv").write_text(prof.csv())
+            (outdir / f"{cfg.case}_partition.csv").write_text(
+                metrics_csv(balance_metrics(f, pm))
+            )
     return result
 
 

@@ -8,8 +8,9 @@ variables [m1, m2, u...] and the MUSCL-Hancock half-step prediction.
 
 With a partition map, sweeps follow the simulated-rank contract: fluxes of a
 frontier face are computed by the rank owning its lower-z-order cell, every
-rank writes only its owned cells, and phases are separated by barriers.
-Results are bitwise independent of the rank count.
+rank writes only its owned cells, and each phase runs over all ranks in turn
+before the next one starts.  Results are bitwise independent of the rank
+count.
 """
 from __future__ import annotations
 
@@ -223,7 +224,6 @@ def sweep(
     cfg: SweepConfig,
     fp: FluidPair,
     pm: PartitionMap | None = None,
-    pool=None,
     prof=None,
 ) -> np.ndarray:
     """One dimensional-splitting operator application along ``axis``."""
@@ -263,81 +263,64 @@ def sweep(
     flux = np.empty((len(fl.lo), ncomp))
     splits = _rank_faces(f, pm, axis)
 
-    def flux_kernel(rank):
-        duty = splits[rank][0]
-        lo = fl.lo[duty]
-        hi = fl.hi[duty]
-        flux[duty] = riemann.suliciu_flux(
-            WfR[lo], WfL[hi], fp, pL=pfR[lo], pR=pfL[hi], cL=cfR[lo], cR=cfL[hi]
-        )
-
     with _sec(prof, "flux"):
-        _run_phase(flux_kernel, len(splits), pool)
+        for duty, _, _ in splits:
+            lo = fl.lo[duty]
+            hi = fl.hi[duty]
+            flux[duty] = riemann.suliciu_flux(
+                WfR[lo], WfL[hi], fp, pL=pfR[lo], pR=pfL[hi], cL=cfR[lo], cR=cfL[hi]
+            )
 
     # phase B2: accumulate face contributions into owned cells only
     out = np.empty_like(Wq)
     coef = dt * fl.area
-
-    def update_kernel(rank):
-        lo_idx, hi_idx = (0, n) if pm is None else pm.range(rank)
-        _, incident, bc = splits[rank]
-        lo = fl.lo[incident]
-        hi = fl.hi[incident]
-        du = np.zeros((n, ncomp))
-        w = coef[incident, None] * flux[incident]
-        for k in range(ncomp):
-            du[:, k] = np.bincount(lo, weights=-w[:, k], minlength=n)
-            du[:, k] += np.bincount(hi, weights=w[:, k], minlength=n)
-        if len(bc):
-            cells = fl.bc_cell[bc]
-            sides = fl.bc_side[bc]
-            barea = fl.bc_area[bc]
-            hi_side = sides == 1
-            # the mirror ghost shares the cell's thermodynamics exactly
-            if np.any(hi_side):
-                cc = cells[hi_side]
-                bflux = riemann.suliciu_flux(
-                    WfR[cc],
-                    _wall_mirror(WfR[cc]),
-                    fp,
-                    pL=pfR[cc],
-                    pR=pfR[cc],
-                    cL=cfR[cc],
-                    cR=cfR[cc],
-                )
-                w2 = (dt * barea[hi_side])[:, None] * bflux
-                for k in range(ncomp):
-                    du[:, k] += np.bincount(cc, weights=-w2[:, k], minlength=n)
-            if np.any(~hi_side):
-                cc = cells[~hi_side]
-                bflux = riemann.suliciu_flux(
-                    _wall_mirror(WfL[cc]),
-                    WfL[cc],
-                    fp,
-                    pL=pfL[cc],
-                    pR=pfL[cc],
-                    cL=cfL[cc],
-                    cR=cfL[cc],
-                )
-                w2 = (dt * barea[~hi_side])[:, None] * bflux
-                for k in range(ncomp):
-                    du[:, k] += np.bincount(cc, weights=w2[:, k], minlength=n)
-        sl = slice(lo_idx, hi_idx)
-        out[sl] = Wq[sl] + du[sl] / f.volumes[sl, None]
-
     with _sec(prof, "flux"):
-        _run_phase(update_kernel, len(splits), pool)
+        for rank, (_, incident, bc) in enumerate(splits):
+            lo = fl.lo[incident]
+            hi = fl.hi[incident]
+            du = np.zeros((n, ncomp))
+            w = coef[incident, None] * flux[incident]
+            for k in range(ncomp):
+                du[:, k] = np.bincount(lo, weights=-w[:, k], minlength=n)
+                du[:, k] += np.bincount(hi, weights=w[:, k], minlength=n)
+            if len(bc):
+                cells = fl.bc_cell[bc]
+                sides = fl.bc_side[bc]
+                barea = fl.bc_area[bc]
+                hi_side = sides == 1
+                # the mirror ghost shares the cell's thermodynamics exactly
+                if np.any(hi_side):
+                    cc = cells[hi_side]
+                    bflux = riemann.suliciu_flux(
+                        WfR[cc],
+                        _wall_mirror(WfR[cc]),
+                        fp,
+                        pL=pfR[cc],
+                        pR=pfR[cc],
+                        cL=cfR[cc],
+                        cR=cfR[cc],
+                    )
+                    w2 = (dt * barea[hi_side])[:, None] * bflux
+                    for k in range(ncomp):
+                        du[:, k] += np.bincount(cc, weights=-w2[:, k], minlength=n)
+                if np.any(~hi_side):
+                    cc = cells[~hi_side]
+                    bflux = riemann.suliciu_flux(
+                        _wall_mirror(WfL[cc]),
+                        WfL[cc],
+                        fp,
+                        pL=pfL[cc],
+                        pR=pfL[cc],
+                        cL=cfL[cc],
+                        cR=cfL[cc],
+                    )
+                    w2 = (dt * barea[~hi_side])[:, None] * bflux
+                    for k in range(ncomp):
+                        du[:, k] += np.bincount(cc, weights=w2[:, k], minlength=n)
+            sl = slice(0, n) if pm is None else slice(*pm.range(rank))
+            out[sl] = Wq[sl] + du[sl] / f.volumes[sl, None]
     with _sec(prof, "sweep"):
         return out[:, iperm]
-
-
-def _run_phase(kernel, nranks, pool):
-    """Run one barrier-delimited phase over all ranks."""
-    if pool is None or nranks == 1:
-        for r in range(nranks):
-            kernel(r)
-    else:
-        list(pool.map(kernel, range(nranks)))
 
 
 def gravity_op(u: np.ndarray, dt: float, g: float) -> np.ndarray:
@@ -354,7 +337,6 @@ def step(
     fp: FluidPair,
     pm: PartitionMap | None = None,
     dt: float | None = None,
-    pool=None,
     prof=None,
 ) -> tuple[np.ndarray, float]:
     """Advance one time step with the configured splitting sequence."""
@@ -364,7 +346,7 @@ def step(
     g = cfg.gravity
 
     def sw(w, axis, step_dt):
-        return sweep(f, w, axis, step_dt, cfg, fp, pm=pm, pool=pool, prof=prof)
+        return sweep(f, w, axis, step_dt, cfg, fp, pm=pm, prof=prof)
 
     if cfg.splitting == "lie":
         for axis in range(d):

@@ -14,6 +14,7 @@ from oracles import bisect_alpha
 AIR_WATER = FluidPair(p1_0=1e5, rho1_0=1.0, c1=340.0, p2_0=1e5, rho2_0=1e3, c2=1500.0)
 IDENTICAL = FluidPair(p1_0=1e5, rho1_0=1.0, c1=10.0, p2_0=1e5, rho2_0=1.0, c2=10.0)
 MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
+DROP2D = FluidPair(p1_0=1e5, rho1_0=1.0, c1=10.0, p2_0=1e5, rho2_0=1e3, c2=15.0)
 
 
 class TestFluidPair:
@@ -54,6 +55,30 @@ class TestSolveAlpha:
             assert eos.solve_alpha(rho, Y, fp) == pytest.approx(
                 bisect_alpha(rho, Y, fp), rel=1e-11, abs=1e-13
             )
+
+    @pytest.mark.parametrize("fp", [AIR_WATER, DROP2D], ids=["air_water", "drop2d"])
+    def test_near_pure_cells_match_oracle(self, fp):
+        # pure-air and pure-water cells of the gravity cases, where 1 - alpha
+        # cancels.  The swapped pair (heavy fluid first) gives the fluid-2
+        # fraction directly, so the pressure gap measures the closure and not
+        # that cancellation
+        rng = np.random.default_rng(6)
+        alpha_in = np.concatenate([[1 - 1e-7, 1e-7], rng.uniform(0.0, 1.0, 30)])
+        W = eos.state_from_pressure_alpha(1e5, alpha_in, np.zeros(2), fp)
+        rho = W[:, 0]
+        Y = np.clip(W[:, 1] / rho, EPS_Y, 1 - EPS_Y)
+        alpha = eos.solve_alpha(rho, Y, fp)
+        expected = [bisect_alpha(r, y, fp) for r, y in zip(rho.tolist(), Y.tolist())]
+        assert alpha == pytest.approx(expected, rel=1e-11, abs=1e-13)
+        swapped = FluidPair(fp.p2_0, fp.rho2_0, fp.c2, fp.p1_0, fp.rho1_0, fp.c1)
+        beta = eos.solve_alpha(rho, 1 - Y, swapped)
+        expected = [bisect_alpha(r, 1 - y, swapped) for r, y in zip(rho.tolist(), Y.tolist())]
+        assert beta == pytest.approx(expected, rel=1e-11, abs=1e-13)
+        rho1, rho2 = rho * Y / alpha, rho * (1 - Y) / beta
+        p1, p2 = fp.p1(rho1), fp.p2(rho2)
+        # relative to the stiff branch scale, as in the residual tests below
+        scale = np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fp.c1**2 * rho1 + fp.c2**2 * rho2)
+        assert (np.abs(p1 - p2) / scale).max() <= 1e-12
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)

@@ -68,6 +68,34 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.ini")
 
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("[mesh]\nmax_levle = 5\n", ["max_levle", "[mesh]"]),
+            ("radius = 0.2\n", ["radius", "[case]"]),
+            ("[run]\nthreads = on\n", ["threads", "[run]"]),
+            ("[solver]\norder = 2\n", ["[solver]"]),
+            ("[mesh]\nb = 5\n[mesh]\nb = 6\n", ["'mesh' already exists"]),
+        ],
+        ids=["mesh_key", "case_param", "run_threads", "section", "duplicate_section"],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, body, named):
+        # radius is a disk/drop parameter that smooth_advection never reads
+        p = tmp_path / "typo.ini"
+        p.write_text("[case]\nname = smooth_advection\n" + body)
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        for word in named:
+            assert word in str(err.value)
+
+    def test_ranks_beyond_min_level_leaves_rejected(self):
+        # coarsening may reach the 4 leaves of min_level 1, which 5 or more
+        # ranks cannot share; such a run would fail mid-way in partition
+        for ranks in (274, 5):
+            with pytest.raises(ConfigError, match="ranks"):
+                default_config("drop2d", max_level=5, min_level=1, ranks=ranks)
+        assert default_config("drop2d", max_level=5, min_level=1, ranks=4).ranks == 4
+
 
 class TestInitCase:
     def test_smooth_values(self):
@@ -170,8 +198,7 @@ class TestRun:
                 base = res
             else:
                 assert res.forest.nleaves == base.forest.nleaves
-                err = np.max(np.abs(res.field - base.field) / np.maximum(np.abs(base.field), 1e-30))
-                assert err <= 1e-13
+                np.testing.assert_array_equal(res.field, base.field)
 
     def test_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -148,21 +148,6 @@ class TestSweep:
             pm = partition(f, P)
             np.testing.assert_array_equal(solver.sweep(f, u, 0, dt, cfg, MILD, pm=pm), base)
 
-    def test_worker_pool_matches_sequential(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        f = multi_level_forest(seed=6)
-        rng = np.random.default_rng(2)
-        alpha = 0.2 + 0.6 * rng.random(f.nleaves)
-        u = eos.state_from_pressure_alpha(1e5, alpha, np.array([-0.5, 0.8]), MILD)
-        cfg = SweepConfig(order=2)
-        dt = 0.4 * solver.compute_dt(f, u, cfg, MILD)
-        pm = partition(f, 4)
-        base = solver.sweep(f, u, 1, dt, cfg, MILD, pm=pm)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = solver.sweep(f, u, 1, dt, cfg, MILD, pm=pm, pool=pool)
-        np.testing.assert_array_equal(pooled, base)
-
 
 class TestSlopes:
     def test_linear_field_exact_gradient(self):
