@@ -70,8 +70,10 @@ def _jump_field(f: Forest, values: np.ndarray, relative: bool, floor: float) -> 
             denom = np.maximum(np.maximum(values[fl.lo], values[fl.hi]), floor)
             with np.errstate(divide="ignore", invalid="ignore"):
                 jump = np.where(denom > 0, jump / denom, 0.0)
-        np.maximum.at(out, fl.lo, jump)
-        np.maximum.at(out, fl.hi, jump)
+        # a wall row has no neighbor across it: jump 0
+        rows = np.concatenate([jump, np.zeros(len(fl.bc_cell))])
+        for col in fl.columns(rows):
+            np.maximum(out, col, out=out)
     return out
 
 
@@ -128,34 +130,9 @@ def mark(
     # groups are demoted so forests without the group intact keep the cells.
     # forest.coarsen enforces the group rule; Keep is restored here so the
     # marks themselves honor the all-siblings condition.
-    tagged, _ = _complete_low_groups(f, low)
+    _, tagged = f.sibling_groups(low)
     marks[(marks == COARSEN) & ~tagged] = KEEP
     return marks
-
-
-def _complete_low_groups(f: Forest, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean mask of leaves inside complete all-low sibling groups."""
-    m = 1 << f.dim
-    n = f.nleaves
-    lowbit = (f.coords >> (f.b - f.level)[:, None]) & 1
-    cid = (lowbit << np.arange(f.dim)[None, :]).sum(axis=1)
-    shift = f.dim * (f.b - f.level)
-    pkey = f.keys & ~np.left_shift(np.int64(m - 1), shift)
-    cand = np.flatnonzero(low & (cid == 0) & (np.arange(n) + m <= n) & (f.level > 0))
-    good = np.ones(len(cand), dtype=bool)
-    for j in range(1, m):
-        idx = cand + j
-        good &= (
-            low[idx]
-            & (f.tree[idx] == f.tree[cand])
-            & (f.level[idx] == f.level[cand])
-            & (pkey[idx] == pkey[cand])
-        )
-    sel = cand[good]
-    mask = np.zeros(n, dtype=bool)
-    for j in range(m):
-        mask[sel + j] = True
-    return mask, sel
 
 
 def project_solution(

@@ -4,7 +4,10 @@ The leaf array is kept sorted by (tree id, Morton key); refinement and
 coarsening splice children / merged parents in place, which preserves the
 z-order without re-sorting.  Neighbor queries locate the leaf containing a
 lattice point one step across a face, which on a 2:1-balanced forest is
-enough to classify the full face neighborhood.
+enough to classify the full face neighborhood.  ``face_list`` is the one
+face-connectivity structure the kernels use: lo-ordered face rows plus a
+per-cell slot table, so each cell reduces its own faces in a fixed order
+and a rank's flux duty is a contiguous slice of rows.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ __all__ = [
     "RefineMap",
     "CoarsenMap",
     "FaceList",
-    "FaceIncidence",
     "Boundary",
     "SameOrCoarser",
     "Finer",
@@ -139,11 +141,16 @@ class CoarsenMap:
 
 @dataclass(frozen=True)
 class FaceList:
-    """All unique faces of one sweep axis.
+    """All unique faces of one sweep axis, and each cell side's share of them.
 
-    Interior faces join ``lo`` (lower coordinate side) to ``hi``; hanging
-    faces appear once per fine sub-face.  Domain-boundary faces carry the
-    owning cell and which side of it the boundary sits on.
+    Interior rows join ``lo`` (lower coordinate side) to ``hi`` and are
+    ordered by ``lo``; hanging faces appear once per fine sub-face.  Wall
+    rows (non-periodic domain faces) carry the owning cell, ordered by it,
+    and which side of it the wall sits on.  ``slots[i, s]`` lists the rows
+    of [interior; wall] on side s (0 = low, 1 = high) of cell i in row
+    order.  Its last extent k is the largest face count of any cell side;
+    a side with fewer faces repeats its last row with zero ``slot_area``,
+    so the repeat changes no running min/max and adds an exact zero to sums.
     """
 
     axis: int
@@ -154,20 +161,13 @@ class FaceList:
     bc_cell: np.ndarray
     bc_side: np.ndarray  # 0 = low face of the cell, 1 = high face
     bc_area: np.ndarray
+    slots: np.ndarray  # (n, 2, k), Fortran order so slot columns are contiguous
+    slot_area: np.ndarray  # (n, 2, k)
 
-
-@dataclass(frozen=True)
-class FaceIncidence:
-    """Face slots of one axis grouped by incident cell, for segment reductions.
-
-    ``order`` permutes the concatenated (lo, hi) face-slot array so equal
-    cells are contiguous; group g covers order[seg_starts[g]:seg_starts[g+1]]
-    and belongs to ``cells[g]``.
-    """
-
-    order: np.ndarray
-    cells: np.ndarray
-    seg_starts: np.ndarray
+    def columns(self, row_values: np.ndarray):
+        """Per-row values of [interior; wall] gathered one slot column at a time."""
+        k = self.slots.shape[2]
+        return (row_values[self.slots[:, s, j]] for s in (0, 1) for j in range(k))
 
 
 @dataclass(frozen=True)
@@ -204,12 +204,15 @@ class Forest:
         self.coords = np.asarray(coords, dtype=np.int64)
         self.keys = morton.encode_many(self.coords)
         self._face_lists: dict[int, FaceList] = {}
-        self._face_incidence: dict[int, FaceIncidence] = {}
-        self._aux_cache: dict = {}  # consumer-owned (e.g. per-partition face splits)
         self._balanced: bool | None = None
 
         if not 0 <= self.b <= morton.MAX_B[conn.dim]:
             raise ConfigError(f"b={b} outside [0, {morton.MAX_B[conn.dim]}]")
+        if conn.ntrees << (conn.dim * self.b) > 1 << 63:
+            raise ConfigError(
+                f"{conn.ntrees} trees at b={b} overflow the int64 (tree, key) "
+                f"index: ntrees * 2**(dim*b) may not exceed 2**63"
+            )
         if not 0 <= self.min_level <= self.b:
             raise ConfigError("min_level must lie in [0, b]")
         # z-order invariant is load-bearing for every query; always verify
@@ -248,8 +251,9 @@ class Forest:
         return np.int64(1) << (self.b - self.level)
 
     @cached_property
-    def _tree_starts(self) -> np.ndarray:
-        return np.searchsorted(self.tree, np.arange(self.conn.ntrees + 1))
+    def _tree_keys(self) -> np.ndarray:
+        """Sorted combined keys ``tree * 2**(dim*b) + key`` of the leaves."""
+        return (self.tree << (self.dim * self.b)) | self.keys
 
     @cached_property
     def dx(self) -> np.ndarray:
@@ -283,14 +287,9 @@ class Forest:
 
     def locate(self, tree_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Index of the leaf containing each lattice point of its tree."""
-        keys = morton.encode_many(points)
         tree_ids = np.asarray(tree_ids, dtype=np.int64)
-        out = np.empty(keys.shape, dtype=np.int64)
-        for t in np.unique(tree_ids):
-            sel = tree_ids == t
-            i0, i1 = self._tree_starts[t], self._tree_starts[t + 1]
-            out[sel] = i0 + np.searchsorted(self.keys[i0:i1], keys[sel], side="right") - 1
-        return out
+        query = (tree_ids << (self.dim * self.b)) | morton.encode_many(points)
+        return np.searchsorted(self._tree_keys, query, side="right") - 1
 
     def _adjacent_points(self, axis: int, side: int):
         """One lattice point just across each leaf's (axis, side) face.
@@ -362,28 +361,9 @@ class Forest:
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
             raise ContractError("marks not aligned with leaves")
-        m = 1 << self.dim
-        n = self.nleaves
-        elig = (marks == COARSEN) & (self.level > self.min_level)
-        lowbit = (self.coords >> (self.b - self.level)[:, None]) & 1
-        cid = (lowbit << np.arange(self.dim)[None, :]).sum(axis=1)
-        pkey = self.keys & ~np.left_shift(np.int64(m - 1), self.dim * (self.b - self.level))
-        cand = np.flatnonzero(elig & (cid == 0) & (np.arange(n) + m <= n))
-        good = np.ones(len(cand), dtype=bool)
-        for j in range(1, m):
-            idx = cand + j
-            good &= (
-                elig[idx]
-                & (self.tree[idx] == self.tree[cand])
-                & (self.level[idx] == self.level[cand])
-                & (pkey[idx] == pkey[cand])
-            )
-        sel = cand[good]
-        in_group = np.zeros(n, dtype=bool)
-        for j in range(m):
-            in_group[sel + j] = True
-        is_start = np.zeros(n, dtype=bool)
-        is_start[sel] = True
+        starts, in_group = self.sibling_groups((marks == COARSEN) & (self.level > self.min_level))
+        is_start = np.zeros(self.nleaves, dtype=bool)
+        is_start[starts] = True
         keep = ~in_group | is_start
         # child 0 shares the parent anchor, so coords pass through unchanged
         f = Forest(
@@ -395,10 +375,35 @@ class Forest:
             self.coords[keep],
             validate=False,
         )
-        counts_new = np.where(is_start[keep], m, 1).astype(np.int64)
+        counts_new = np.where(is_start[keep], 1 << self.dim, 1).astype(np.int64)
         ostarts = np.zeros(f.nleaves + 1, dtype=np.int64)
         np.cumsum(counts_new, out=ostarts[1:])
         return f, CoarsenMap(ostarts)
+
+    def sibling_groups(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Complete sibling groups whose 2^d leaves all lie in ``members``.
+
+        Returns the first leaf of each group and the mask of all their leaves.
+        """
+        m = 1 << self.dim
+        n = self.nleaves
+        lowbit = (self.coords >> (self.b - self.level)[:, None]) & 1
+        cid = (lowbit << np.arange(self.dim)[None, :]).sum(axis=1)
+        pkey = self.keys & ~np.left_shift(np.int64(m - 1), self.dim * (self.b - self.level))
+        cand = np.flatnonzero(members & (cid == 0) & (np.arange(n) + m <= n))
+        good = np.ones(len(cand), dtype=bool)
+        for j in range(1, m):
+            idx = cand + j
+            good &= (
+                members[idx]
+                & (self.tree[idx] == self.tree[cand])
+                & (self.level[idx] == self.level[cand])
+                & (pkey[idx] == pkey[cand])
+            )
+        starts = cand[good]
+        in_group = np.zeros(n, dtype=bool)
+        in_group[(starts[:, None] + np.arange(m)).ravel()] = True
+        return starts, in_group
 
     # -- 2:1 balancing -------------------------------------------------------
 
@@ -477,30 +482,13 @@ class Forest:
     # -- face lists for sweeps -----------------------------------------------
 
     def face_list(self, axis: int) -> FaceList:
-        """All unique faces along ``axis`` (cached)."""
+        """Faces along ``axis`` with the per-cell slot table (cached)."""
         if axis not in self._face_lists:
             self._face_lists[axis] = self._build_face_list(axis)
         return self._face_lists[axis]
 
-    def face_incidence(self, axis: int) -> FaceIncidence:
-        """Cell-grouped view of the axis face slots (cached)."""
-        if axis not in self._face_incidence:
-            fl = self.face_list(axis)
-            slots = np.concatenate([fl.lo, fl.hi])
-            order = np.argsort(slots, kind="stable")
-            cells_sorted = slots[order]
-            if len(cells_sorted):
-                changes = np.flatnonzero(np.diff(cells_sorted)) + 1
-                seg_starts = np.concatenate([[0], changes])
-                cells = cells_sorted[seg_starts]
-            else:
-                seg_starts = np.empty(0, dtype=np.int64)
-                cells = np.empty(0, dtype=np.int64)
-            self._face_incidence[axis] = FaceIncidence(order, cells, seg_starts)
-        return self._face_incidence[axis]
-
     def _build_face_list(self, axis: int) -> FaceList:
-        dim = self.dim
+        dim, n = self.dim, self.nleaves
         ntree, pts, interior = self._adjacent_points(axis, 1)
         ii = np.flatnonzero(interior)
         nb = self.locate(ntree[ii], pts[ii])
@@ -508,42 +496,46 @@ class Forest:
         if np.any(np.abs(dlvl) > 1):
             raise ContractError("face list requires a 2:1-balanced forest")
 
-        flat = dlvl <= 0  # same-size or coarser neighbor: one full face
-        lo = [ii[flat]]
-        hi = [nb[flat]]
-        area = [self.dx[ii[flat]] ** (dim - 1)]
-
+        # rows in lo order: one full face per same-size or coarser neighbor,
+        # one per fine sub-face of a finer one
+        offs = self._transverse_offsets(axis, 1)  # unit pattern, scaled below
+        m = len(offs)
+        counts = np.where(dlvl == 1, m, 1)
+        lo = np.repeat(ii, counts)
+        hi = np.repeat(nb, counts)
         fin = np.flatnonzero(dlvl == 1)
         if len(fin):
             src = ii[fin]
             h = self.sizes[src] // 2
-            offs = self._transverse_offsets(axis, 1)  # unit pattern, scaled below
-            k = len(offs)
             sub_pts = pts[src][:, None, :] + offs[None, :, :] * h[:, None, None]
-            sub_tree = np.repeat(ntree[src], k)
-            idx = self.locate(sub_tree, sub_pts.reshape(-1, dim))
-            if np.any(self.level[idx] != np.repeat(self.level[src] + 1, k)):
+            idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim))
+            if np.any(self.level[idx] != np.repeat(self.level[src] + 1, m)):
                 raise ContractError("face list requires a 2:1-balanced forest")
-            lo.append(np.repeat(src, k))
-            hi.append(idx)
-            area.append((0.5 * self.dx[src].repeat(k)) ** (dim - 1))
-
-        lo = np.concatenate(lo)
-        hi = np.concatenate(hi)
-        area = np.concatenate(area)
+            first = np.cumsum(counts)[fin] - m
+            hi[(first[:, None] + np.arange(m)).ravel()] = idx
+        area = np.minimum(self.dx[lo], self.dx[hi]) ** (dim - 1)
         dist = 0.5 * (self.dx[lo] + self.dx[hi])
 
-        # non-periodic domain faces on both sides
-        bc_cell, bc_side = [], []
-        for side in (0, 1):
-            _, _, inter = self._adjacent_points(axis, side)
-            cells = np.flatnonzero(~inter)
-            bc_cell.append(cells)
-            bc_side.append(np.full(len(cells), side, dtype=np.int64))
-        bc_cell = np.concatenate(bc_cell)
-        bc_side = np.concatenate(bc_side)
+        # non-periodic domain faces, ordered by cell, low side first
+        walls = np.stack([~self._adjacent_points(axis, 0)[2], ~interior], axis=1)
+        bc_cell, bc_side = np.nonzero(walls)
         bc_area = self.dx[bc_cell] ** (dim - 1)
-        return FaceList(axis, lo, hi, area, dist, bc_cell, bc_side, bc_area)
+
+        # slot table: the rows each cell side touches, grouped by cell in row
+        # order; the other side's wall rows get the out-of-range key n.  It is
+        # built as (k, 2, n) so that its transpose has contiguous slot columns.
+        row_area = np.concatenate([area, bc_area])
+        side_keys = (
+            np.concatenate([hi, np.where(bc_side == 0, bc_cell, n)]),
+            np.concatenate([lo, np.where(bc_side == 1, bc_cell, n)]),
+        )
+        order = np.concatenate([np.argsort(key, kind="stable") for key in side_keys])
+        cnt = np.stack([np.bincount(key, minlength=n + 1)[:n] for key in side_keys])
+        first = np.cumsum(cnt, axis=1) - cnt + np.array([[0], [len(row_area)]])
+        j = np.arange(cnt.max())[:, None, None]
+        slots = order[first + np.minimum(j, cnt - 1)]
+        slot_area = np.where(j < cnt, row_area[slots], 0.0)
+        return FaceList(axis, lo, hi, area, dist, bc_cell, bc_side, bc_area, slots.T, slot_area.T)
 
 
 def new_uniform(conn: Connectivity, level: int, b: int, min_level: int = 0) -> Forest:

@@ -508,14 +508,10 @@ def adapt_mesh(
 
 
 def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
-    """Repartition and rebuild the ghost/face machinery after an adapt."""
+    """Repartition and rebuild the ghost layers (and face lists) after an adapt."""
     with prof.section("partition"):
         pm = partition(f, cfg.ranks)
     with prof.section("ghost"):
-        for axis in range(f.dim):
-            f.face_list(axis)
-            f.face_incidence(axis)
-            solver._rank_faces(f, pm, axis)
         for r in range(pm.P):
             ghost_layer(f, pm, r)  # the read-only snapshot contract per rank
     return pm

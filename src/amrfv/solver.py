@@ -6,11 +6,13 @@ fine sub-face) and accumulates signed contributions scaled by face area over
 cell volume.  Second order uses minmod-limited slopes of the primitive
 variables [m1, m2, u...] and the MUSCL-Hancock half-step prediction.
 
-With a partition map, sweeps follow the simulated-rank contract: fluxes of a
-frontier face are computed by the rank owning its lower-z-order cell, every
-rank writes only its owned cells, and each phase runs over all ranks in turn
-before the next one starts.  Results are bitwise independent of the rank
-count.
+Faces come from ``Forest.face_list``: rows ordered by their lower-z-order
+cell and a per-cell slot table.  With a partition map, sweeps follow the
+simulated-rank contract: a rank's flux duty is the slice of face rows whose
+lo cell it owns, each phase runs over all ranks in turn before the next one
+starts, and every rank writes only its own cells, summing each cell side's
+gathered fluxes in slot order.  That order does not depend on the partition,
+so results are bitwise independent of the rank count by construction.
 """
 from __future__ import annotations
 
@@ -103,8 +105,9 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     imp_max = imp.copy()
     for axis in range(f.dim):
         fl = f.face_list(axis)
-        np.maximum.at(imp_max, fl.lo, imp[fl.hi])
-        np.maximum.at(imp_max, fl.hi, imp[fl.lo])
+        rows = np.concatenate([np.maximum(imp[fl.lo], imp[fl.hi]), imp[fl.bc_cell]])
+        for col in fl.columns(rows):
+            np.maximum(imp_max, col, out=imp_max)
     speed = np.max(np.abs(u[:, IMX:]), axis=1) / rho + fp.theta * imp_max / rho
     dts = f.dx / speed
     dt = cfg.cfl * float(dts.min())
@@ -128,23 +131,17 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray) -> np.nda
     ghost slope at center distance dx.
     """
     fl = f.face_list(axis)
-    inc = f.face_incidence(axis)
-    n, ncomp = V.shape
     s_face = (V[fl.hi] - V[fl.lo]) / fl.dist[:, None]
-    slots = np.concatenate([s_face, s_face])[inc.order]
-    smin = np.full((n, ncomp), np.inf)
-    smax = np.full((n, ncomp), -np.inf)
-    if len(inc.cells):
-        smin[inc.cells] = np.minimum.reduceat(slots, inc.seg_starts, axis=0)
-        smax[inc.cells] = np.maximum.reduceat(slots, inc.seg_starts, axis=0)
-    if len(fl.bc_cell):
-        # mirror ghost differs only in normal velocity: slope -2*u_n/dx
-        cells = fl.bc_cell
-        sign = np.where(fl.bc_side == 1, 1.0, -1.0)
-        s_bc = np.zeros((len(cells), ncomp))
-        s_bc[:, IMX] = sign * (-2.0 * V[cells, IMX]) / dx[cells]
-        np.minimum.at(smin, cells, s_bc)
-        np.maximum.at(smax, cells, s_bc)
+    # mirror ghost differs only in normal velocity: slope -2*u_n/dx
+    cells = fl.bc_cell
+    sign = np.where(fl.bc_side == 1, 1.0, -1.0)
+    s_bc = np.zeros((len(cells), V.shape[1]))
+    s_bc[:, IMX] = sign * (-2.0 * V[cells, IMX]) / dx[cells]
+    cols = fl.columns(np.concatenate([s_face, s_bc]))
+    smin = smax = next(cols)
+    for col in cols:
+        smin = np.minimum(smin, col)
+        smax = np.maximum(smax, col)
     sigma = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
     return np.where(np.isfinite(sigma), sigma, 0.0)
 
@@ -194,28 +191,6 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair):
     return WfL, WfR, fallback
 
 
-def _rank_faces(f: Forest, pm: PartitionMap | None, axis: int):
-    """Per-rank face index sets: owned-lo (flux duty) and incident (update)."""
-    fl = f.face_list(axis)
-    if pm is None or pm.P == 1:
-        all_faces = np.arange(len(fl.lo))
-        all_bc = np.arange(len(fl.bc_cell))
-        return [(all_faces, all_faces, all_bc)]
-    key = ("rank_faces", pm.offsets, axis)
-    if key not in f._aux_cache:
-        owner_lo = pm.owner_of(fl.lo)
-        owner_hi = pm.owner_of(fl.hi)
-        owner_bc = pm.owner_of(fl.bc_cell)
-        split = []
-        for r in range(pm.P):
-            duty = np.flatnonzero(owner_lo == r)
-            incident = np.flatnonzero((owner_lo == r) | (owner_hi == r))
-            bc = np.flatnonzero(owner_bc == r)
-            split.append((duty, incident, bc))
-        f._aux_cache[key] = split
-    return f._aux_cache[key]
-
-
 def sweep(
     f: Forest,
     u: np.ndarray,
@@ -234,12 +209,8 @@ def sweep(
         fl = f.face_list(axis)
 
     # phase A (data-parallel per cell): face states and their EOS data
-    rho = Wq[:, IRHO]
-    Y = Wq[:, IRHOY] / rho
     with _sec(prof, "eos"):
-        alpha = eos.solve_alpha(rho, Y, fp)
-        p = eos.mixture_pressure(rho, Y, fp, alpha=alpha)
-        c = eos.wood_sound_speed(rho, Y, fp, alpha=alpha)
+        p, c = _cell_speeds(Wq, fp)
     if cfg.order == 1:
         WfL = WfR = Wq
         pfL = pfR = p
@@ -250,75 +221,52 @@ def sweep(
             sigma = _minmod_sigma(f, axis, V, f.dx)
             WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp)
         with _sec(prof, "eos"):
-            YL = WfL[:, IRHOY] / WfL[:, IRHO]
-            YR = WfR[:, IRHOY] / WfR[:, IRHO]
-            aL = eos.solve_alpha(WfL[:, IRHO], YL, fp)
-            aR = eos.solve_alpha(WfR[:, IRHO], YR, fp)
-            pfL = eos.mixture_pressure(WfL[:, IRHO], YL, fp, alpha=aL)
-            pfR = eos.mixture_pressure(WfR[:, IRHO], YR, fp, alpha=aR)
-            cfL = eos.wood_sound_speed(WfL[:, IRHO], YL, fp, alpha=aL)
-            cfR = eos.wood_sound_speed(WfR[:, IRHO], YR, fp, alpha=aR)
+            pfL, cfL = _cell_speeds(WfL, fp)
+            pfR, cfR = _cell_speeds(WfR, fp)
 
-    # phase B1: one flux per face, frontier faces computed by the lo-owner rank
-    flux = np.empty((len(fl.lo), ncomp))
-    splits = _rank_faces(f, pm, axis)
-
+    ranges = [(0, n)] if pm is None else [pm.range(r) for r in range(pm.P)]
+    nf = len(fl.lo)
+    flux = np.empty((nf + len(fl.bc_cell), ncomp))
     with _sec(prof, "flux"):
-        for duty, _, _ in splits:
-            lo = fl.lo[duty]
-            hi = fl.hi[duty]
-            flux[duty] = riemann.suliciu_flux(
+        # phase B1: each rank fluxes the face rows of the cells it owns,
+        # frontier faces by the owner of their lo cell
+        for r0, r1 in ranges:
+            a, b = np.searchsorted(fl.lo, (r0, r1))
+            lo, hi = fl.lo[a:b], fl.hi[a:b]
+            flux[a:b] = riemann.suliciu_flux(
                 WfR[lo], WfL[hi], fp, pL=pfR[lo], pR=pfL[hi], cL=cfR[lo], cR=cfL[hi]
             )
+            a, b = np.searchsorted(fl.bc_cell, (r0, r1))
+            if b > a:
+                # the mirror ghost shares the cell's face state and thermodynamics
+                cc = fl.bc_cell[a:b]
+                high = fl.bc_side[a:b] == 1
+                W = np.where(high[:, None], WfR[cc], WfL[cc])
+                pw = np.where(high, pfR[cc], pfL[cc])
+                cw = np.where(high, cfR[cc], cfL[cc])
+                G = _wall_mirror(W)
+                flux[nf + a : nf + b] = riemann.suliciu_flux(
+                    np.where(high[:, None], W, G),
+                    np.where(high[:, None], G, W),
+                    fp,
+                    pL=pw,
+                    pR=pw,
+                    cL=cw,
+                    cR=cw,
+                )
 
-    # phase B2: accumulate face contributions into owned cells only
-    out = np.empty_like(Wq)
-    coef = dt * fl.area
-    with _sec(prof, "flux"):
-        for rank, (_, incident, bc) in enumerate(splits):
-            lo = fl.lo[incident]
-            hi = fl.hi[incident]
-            du = np.zeros((n, ncomp))
-            w = coef[incident, None] * flux[incident]
-            for k in range(ncomp):
-                du[:, k] = np.bincount(lo, weights=-w[:, k], minlength=n)
-                du[:, k] += np.bincount(hi, weights=w[:, k], minlength=n)
-            if len(bc):
-                cells = fl.bc_cell[bc]
-                sides = fl.bc_side[bc]
-                barea = fl.bc_area[bc]
-                hi_side = sides == 1
-                # the mirror ghost shares the cell's thermodynamics exactly
-                if np.any(hi_side):
-                    cc = cells[hi_side]
-                    bflux = riemann.suliciu_flux(
-                        WfR[cc],
-                        _wall_mirror(WfR[cc]),
-                        fp,
-                        pL=pfR[cc],
-                        pR=pfR[cc],
-                        cL=cfR[cc],
-                        cR=cfR[cc],
-                    )
-                    w2 = (dt * barea[hi_side])[:, None] * bflux
-                    for k in range(ncomp):
-                        du[:, k] += np.bincount(cc, weights=-w2[:, k], minlength=n)
-                if np.any(~hi_side):
-                    cc = cells[~hi_side]
-                    bflux = riemann.suliciu_flux(
-                        _wall_mirror(WfL[cc]),
-                        WfL[cc],
-                        fp,
-                        pL=pfL[cc],
-                        pR=pfL[cc],
-                        cL=cfL[cc],
-                        cR=cfL[cc],
-                    )
-                    w2 = (dt * barea[~hi_side])[:, None] * bflux
-                    for k in range(ncomp):
-                        du[:, k] += np.bincount(cc, weights=w2[:, k], minlength=n)
-            sl = slice(0, n) if pm is None else slice(*pm.range(rank))
-            out[sl] = Wq[sl] + du[sl] / f.volumes[sl, None]
+        # phase B2: each rank sums its own cells' slots, low side minus high
+        out = np.empty_like(Wq)
+        coef = dt * fl.slot_area
+        k = fl.slots.shape[2]
+        for r0, r1 in ranges:
+            side = []
+            for s in (0, 1):
+                acc = np.zeros((r1 - r0, ncomp))
+                for j in range(k):
+                    acc += coef[r0:r1, s, j, None] * flux[fl.slots[r0:r1, s, j]]
+                side.append(acc)
+            out[r0:r1] = Wq[r0:r1] + (side[0] - side[1]) / f.volumes[r0:r1, None]
     with _sec(prof, "sweep"):
         return out[:, iperm]
 

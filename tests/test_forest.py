@@ -344,26 +344,76 @@ class TestFaceList:
         assert np.all(np.abs(lv_lo - lv_hi) <= 1)
 
     def test_matches_leaf_neighbors(self):
-        rng = np.random.default_rng(8)
-        f = new_uniform(conn2d(trees=(2, 1), periodic=(True, False)), level=1, b=3)
+        # random balanced forests, 2D and 3D, periodic and walled, several
+        # trees, plus the one-sided forest: its only hanging faces are seen
+        # from their fine (lo) side, so the coarse hi side alone needs k = 2
+        forests = [
+            random_balanced(conn2d(trees=(2, 1), periodic=(True, False)), seed=8, rounds=1),
+            random_balanced(conn2d(trees=(2, 2)), seed=3),
+            random_balanced(conn2d(trees=(1, 2), periodic=(True, True)), seed=4),
+            random_balanced(conn3d(trees=(2, 1, 1)), seed=5),
+            random_balanced(conn3d(trees=(1, 1, 2), periodic=(True, False, True)), seed=6),
+        ]
+        one_sided = new_uniform(conn2d(), level=1, b=3)
+        one_sided, _ = one_sided.refine(marks_array(one_sided, [(0, REFINE)]))
+        forests.append(one_sided)
+        for f in forests:
+            for axis in range(f.dim):
+                fl = f.face_list(axis)
+                pairs = set()
+                for l, h in zip(fl.lo.tolist(), fl.hi.tolist()):
+                    pairs.add((min(l, h), max(l, h)))
+                expected = set()
+                for i in range(f.nleaves):
+                    for side in (0, 1):
+                        nb = f.leaf_neighbors(i, axis, side)
+                        if isinstance(nb, SameOrCoarser):
+                            expected.add((min(i, nb.index), max(i, nb.index)))
+                        elif isinstance(nb, Finer):
+                            for j in nb.indices:
+                                expected.add((min(i, j), max(i, j)))
+                        check_slots(f, fl, i, side, nb)
+                assert pairs == expected
+                # every row sits in exactly one real slot on each of its sides
+                nf = len(fl.lo)
+                for side in (0, 1):
+                    real = np.sort(fl.slots[:, side][fl.slot_area[:, side] > 0])
+                    walls = nf + np.flatnonzero(fl.bc_side == side)
+                    np.testing.assert_array_equal(real, np.concatenate([np.arange(nf), walls]))
+
+
+def random_balanced(conn, seed, rounds=2):
+    rng = np.random.default_rng(seed)
+    f = new_uniform(conn, level=1, b=3)
+    for _ in range(rounds):
         marks = rng.choice([KEEP, REFINE], size=f.nleaves).astype(np.int8)
         f, _ = f.refine(marks)
         f, _ = f.balance()
-        for axis in range(2):
-            fl = f.face_list(axis)
-            pairs = set()
-            for l, h in zip(fl.lo.tolist(), fl.hi.tolist()):
-                pairs.add((min(l, h), max(l, h)))
-            expected = set()
-            for i in range(f.nleaves):
-                for side in (0, 1):
-                    nb = f.leaf_neighbors(i, axis, side)
-                    if isinstance(nb, SameOrCoarser):
-                        expected.add((min(i, nb.index), max(i, nb.index)))
-                    elif isinstance(nb, Finer):
-                        for j in nb.indices:
-                            expected.add((min(i, j), max(i, j)))
-            assert pairs == expected
+    return f
+
+
+def check_slots(f, fl, i, side, nb):
+    """Slot rows of (i, side) against the scalar ``leaf_neighbors`` answer."""
+    rows, area = fl.slots[i, side], fl.slot_area[i, side]
+    where = f"leaf {i} axis {fl.axis} side {side}"
+    nreal = int(np.count_nonzero(area))
+    # real slots first, in row order; zero-area slots repeat the last one
+    assert np.all(area[:nreal] > 0) and np.all(area[nreal:] == 0), where
+    assert np.all(np.diff(rows[:nreal]) > 0), where
+    assert np.all(rows[nreal:] == rows[nreal - 1]), where
+    row_area = np.concatenate([fl.area, fl.bc_area])
+    np.testing.assert_array_equal(area[:nreal], row_area[rows[:nreal]])
+    assert sum(area.tolist()) == f.dx[i] ** (f.dim - 1), where
+    across = np.concatenate([fl.hi if side else fl.lo, fl.bc_cell])[rows[:nreal]]
+    if isinstance(nb, Boundary):
+        assert nreal == 1 and rows[0] >= len(fl.lo), where
+        assert fl.bc_side[rows[0] - len(fl.lo)] == side, where
+        expected = [i]
+    elif isinstance(nb, SameOrCoarser):
+        expected = [nb.index]
+    else:
+        expected = sorted(nb.indices)
+    assert sorted(across.tolist()) == expected, where
 
 
 class TestExtremeDepth:
@@ -378,6 +428,16 @@ class TestExtremeDepth:
         assert isinstance(nb, SameOrCoarser)
         center, dx, vol = f.cell_geometry(0)
         assert dx == pytest.approx(2.0 ** -(2))
+
+    def test_tree_key_overflow_rejected(self):
+        # locate searches tree * 2**(dim*b) + key, which must fit in int64
+        with pytest.raises(ConfigError, match=r"2\*\*63"):
+            new_uniform(conn3d(trees=(2, 1, 1)), level=1, b=21)
+        with pytest.raises(ConfigError, match=r"2\*\*63"):
+            new_uniform(conn2d(trees=(3, 1)), level=1, b=31)
+        f = new_uniform(conn2d(trees=(2, 1)), level=1, b=31)
+        top = (1 << 31) - 1
+        assert f.locate([1, 0], [[top, top], [0, 0]]).tolist() == [f.nleaves - 1, 0]
 
     def test_b_too_large_rejected(self):
         with pytest.raises(ConfigError):

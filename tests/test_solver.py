@@ -137,16 +137,28 @@ class TestSweep:
         assert abs(y1 - y0) / abs(y0) < 1e-13
 
     def test_rank_count_invariance_bitwise(self):
-        f = multi_level_forest(seed=5)
+        # periodic 2D, walled 2D (wall rows split across ranks) and 3D with
+        # 4-slot hanging sides split across ranks
+        f3, _ = new_uniform(Connectivity(3, (2, 1, 1), (False, True, False)), level=1, b=3).refine(
+            np.random.default_rng(7).choice([KEEP, REFINE], size=16).astype(np.int8)
+        )
+        f3, _ = f3.balance()
+        assert f3.face_list(0).slots.shape[2] == 4
+        walled = multi_level_forest(periodic=(False, False), seed=5)
+        assert len(walled.face_list(1).bc_cell) and walled.face_list(1).slots.shape[2] == 2
         rng = np.random.default_rng(1)
-        alpha = 0.2 + 0.6 * rng.random(f.nleaves)
-        u = eos.state_from_pressure_alpha(1e5, alpha, np.array([0.9, 0.4]), MILD)
-        cfg = SweepConfig(order=2)
-        dt = 0.4 * solver.compute_dt(f, u, cfg, MILD)
-        base = solver.sweep(f, u, 0, dt, cfg, MILD, pm=None)
-        for P in (2, 3, 5):
-            pm = partition(f, P)
-            np.testing.assert_array_equal(solver.sweep(f, u, 0, dt, cfg, MILD, pm=pm), base)
+        for f in (multi_level_forest(seed=5), walled, f3):
+            alpha = 0.2 + 0.6 * rng.random(f.nleaves)
+            vel = np.array([0.9, 0.4, -0.3][: f.dim])
+            u = eos.state_from_pressure_alpha(1e5, alpha, vel, MILD)
+            cfg = SweepConfig(order=2)
+            dt = 0.4 * solver.compute_dt(f, u, cfg, MILD)
+            for axis in range(f.dim):
+                base = solver.sweep(f, u, axis, dt, cfg, MILD, pm=None)
+                for P in (2, 3, 5):
+                    pm = partition(f, P)
+                    got = solver.sweep(f, u, axis, dt, cfg, MILD, pm=pm)
+                    np.testing.assert_array_equal(got, base, err_msg=f"dim {f.dim} axis {axis} P {P}")
 
 
 class TestSlopes:
