@@ -19,7 +19,6 @@ from amrfv.forest import COARSEN, KEEP, REFINE, CoarsenMap, Forest, RefineMap
 __all__ = [
     "EPS_U",
     "Criterion",
-    "relative_jump",
     "relative_jump_field",
     "absolute_jump_field",
     "evaluate",
@@ -48,16 +47,6 @@ class Criterion:
         if self.kind == "mixed":
             if any(w < 0 for w in self.weights) or not any(self.weights):
                 raise ConfigError("mixed-criterion weights must be >= 0, not all zero")
-
-
-def relative_jump(b_i: float, neighbors, floor: float = 0.0) -> float:
-    """max |b_i - b_j| / max(b_i, b_j, floor) over the given neighbor values."""
-    out = 0.0
-    for b_j in neighbors:
-        denom = max(b_i, b_j, floor)
-        if denom > 0:
-            out = max(out, abs(b_i - b_j) / denom)
-    return out
 
 
 def _jump_field(f: Forest, values: np.ndarray, relative: bool, floor: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from amrfv.errors import ConfigError, EosError
 __all__ = [
     "EPS_Y",
     "FluidPair",
-    "State",
     "solve_alpha",
     "mixture_pressure",
     "wood_sound_speed",
@@ -67,23 +66,6 @@ class FluidPair:
 
     def p2(self, rho2):
         return self.p2_0 + self.c2**2 * (np.asarray(rho2) - self.rho2_0)
-
-
-@dataclass(frozen=True)
-class State:
-    """One conservative state; convenience wrapper over an array row."""
-
-    rho: float
-    rhoY: float
-    mom: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rho, self.rhoY, *self.mom], dtype=np.float64)
-
-    @staticmethod
-    def from_array(w) -> "State":
-        w = np.asarray(w, dtype=np.float64)
-        return State(float(w[0]), float(w[1]), tuple(float(v) for v in w[2:]))
 
 
 def _clamp_Y(Y):

@@ -28,9 +28,6 @@ __all__ = [
     "RefineMap",
     "CoarsenMap",
     "FaceList",
-    "Boundary",
-    "SameOrCoarser",
-    "Finer",
     "new_uniform",
 ]
 
@@ -170,28 +167,6 @@ class FaceList:
         return (row_values[self.slots[:, s, j]] for s in (0, 1) for j in range(k))
 
 
-@dataclass(frozen=True)
-class Boundary:
-    axis: int
-    side: int
-
-
-@dataclass(frozen=True)
-class SameOrCoarser:
-    index: int
-    level: int
-    area: float
-    dist: float
-
-
-@dataclass(frozen=True)
-class Finer:
-    indices: tuple[int, ...]
-    level: int
-    area: float  # per sub-face
-    dist: float
-
-
 class Forest:
     """Immutable macro-mesh plus z-order-sorted leaf arrays."""
 
@@ -204,7 +179,6 @@ class Forest:
         self.coords = np.asarray(coords, dtype=np.int64)
         self.keys = morton.encode_many(self.coords)
         self._face_lists: dict[int, FaceList] = {}
-        self._balanced: bool | None = None
 
         if not 0 <= self.b <= morton.MAX_B[conn.dim]:
             raise ConfigError(f"b={b} outside [0, {morton.MAX_B[conn.dim]}]")
@@ -268,20 +242,6 @@ class Forest:
         origin = self.conn.tree_coords_many(self.tree) * self.conn.tree_extent
         scale = self.conn.tree_extent / float(1 << self.b)
         return origin + (self.coords + 0.5 * self.sizes[:, None]) * scale
-
-    def octant(self, i: int) -> morton.Octant:
-        return morton.Octant(int(self.tree[i]), int(self.level[i]), tuple(int(c) for c in self.coords[i]))
-
-    def cell_geometry(self, i: int) -> tuple[np.ndarray, float, float]:
-        """(center, dx, volume) of leaf i in physical units."""
-        return self.centers[i].copy(), float(self.dx[i]), float(self.volumes[i])
-
-    def dump_leaves(self) -> str:
-        """One text line per leaf: ``tree level x y [z] key``."""
-        lines = []
-        for t, lvl, c, k in zip(self.tree, self.level, self.coords, self.keys):
-            lines.append(" ".join(str(int(v)) for v in (t, lvl, *c, k)))
-        return "\n".join(lines) + "\n"
 
     # -- point location ------------------------------------------------------
 
@@ -431,53 +391,7 @@ class Forest:
                 break
             f, rmap = f._apply_refine(viol)
             total = total.compose(rmap)
-        f._balanced = True
         return f, total
-
-    @property
-    def balanced(self) -> bool:
-        if self._balanced is None:
-            self._balanced = self._balance_violations() is None
-        return self._balanced
-
-    # -- neighbor queries ----------------------------------------------------
-
-    def _transverse_offsets(self, axis: int, h: int) -> np.ndarray:
-        """Sub-face anchor offsets {0, h} on the axes transverse to ``axis``."""
-        taxes = [a for a in range(self.dim) if a != axis]
-        k = len(taxes)
-        offs = np.zeros((1 << k, self.dim), dtype=np.int64)
-        for j in range(1 << k):
-            for p, a in enumerate(taxes):
-                offs[j, a] = ((j >> p) & 1) * h
-        return offs
-
-    def leaf_neighbors(self, i: int, axis: int, side: int):
-        """Face neighborhood of leaf i: Boundary, SameOrCoarser, or Finer."""
-        if not self.balanced:
-            raise ContractError("leaf_neighbors requires a 2:1-balanced forest")
-        ntree, pts, interior = self._adjacent_points(axis, side)
-        if not interior[i]:
-            return Boundary(axis, side)
-        j = int(self.locate(ntree[i : i + 1], pts[i : i + 1])[0])
-        li, lj = int(self.level[i]), int(self.level[j])
-        dxi = float(self.dx[i])
-        if lj == li or lj == li - 1:
-            dist = 0.5 * (dxi + float(self.dx[j]))
-            return SameOrCoarser(j, lj, dxi ** (self.dim - 1), dist)
-        if lj == li + 1:
-            h = int(self.sizes[i]) // 2
-            offs = self._transverse_offsets(axis, h)
-            sub_pts = pts[i][None, :] + offs
-            sub_tree = np.full(len(offs), ntree[i])
-            idx = self.locate(sub_tree, sub_pts)
-            if np.any(self.level[idx] != li + 1):
-                raise ContractError("unbalanced neighborhood in leaf_neighbors")
-            area = (0.5 * dxi) ** (self.dim - 1)
-            return Finer(tuple(int(v) for v in idx), li + 1, area, 0.75 * dxi)
-        raise ContractError(
-            f"leaf {i} and neighbor {j} differ by more than one level"
-        )
 
     # -- face lists for sweeps -----------------------------------------------
 
@@ -487,19 +401,32 @@ class Forest:
             self._face_lists[axis] = self._build_face_list(axis)
         return self._face_lists[axis]
 
+    def _check_balanced(self, offenders: np.ndarray, axis: int) -> None:
+        """Raise naming the first of the leaves whose high face breaks 2:1 balance."""
+        if len(offenders):
+            i = int(offenders.min())
+            centre = ", ".join(f"{v:.6g}" for v in self.centers[i])
+            raise ContractError(
+                f"face list on axis {axis} requires a 2:1-balanced forest: leaf {i} "
+                f"(level {self.level[i]}, centre ({centre})) has a face neighbour "
+                f"two or more levels away"
+            )
+
     def _build_face_list(self, axis: int) -> FaceList:
         dim, n = self.dim, self.nleaves
         ntree, pts, interior = self._adjacent_points(axis, 1)
         ii = np.flatnonzero(interior)
         nb = self.locate(ntree[ii], pts[ii])
         dlvl = self.level[nb] - self.level[ii]
-        if np.any(np.abs(dlvl) > 1):
-            raise ContractError("face list requires a 2:1-balanced forest")
+        self._check_balanced(ii[np.abs(dlvl) > 1], axis)
 
         # rows in lo order: one full face per same-size or coarser neighbor,
-        # one per fine sub-face of a finer one
-        offs = self._transverse_offsets(axis, 1)  # unit pattern, scaled below
-        m = len(offs)
+        # one per fine sub-face of a finer one, anchored at the unit offsets
+        # {0, 1} on the transverse axes scaled by the fine size
+        m = 1 << (dim - 1)
+        offs = np.zeros((m, dim), dtype=np.int64)
+        taxes = [a for a in range(dim) if a != axis]
+        offs[:, taxes] = (np.arange(m)[:, None] >> np.arange(dim - 1)) & 1
         counts = np.where(dlvl == 1, m, 1)
         lo = np.repeat(ii, counts)
         hi = np.repeat(nb, counts)
@@ -509,8 +436,8 @@ class Forest:
             h = self.sizes[src] // 2
             sub_pts = pts[src][:, None, :] + offs[None, :, :] * h[:, None, None]
             idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim))
-            if np.any(self.level[idx] != np.repeat(self.level[src] + 1, m)):
-                raise ContractError("face list requires a 2:1-balanced forest")
+            deeper = (self.level[idx] != np.repeat(self.level[src] + 1, m)).reshape(-1, m)
+            self._check_balanced(src[deeper.any(axis=1)], axis)
             first = np.cumsum(counts)[fin] - m
             hi[(first[:, None] + np.arange(m)).ravel()] = idx
         area = np.minimum(self.dx[lo], self.dx[hi]) ** (dim - 1)

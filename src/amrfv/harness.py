@@ -2,9 +2,9 @@
 
 The run pipeline follows: compute dt -> step -> (every ``adapt_every`` steps:
 evaluate/mark -> refine -> coarsen -> balance -> project -> repartition ->
-ghost rebuild) -> periodic output.  Runs are deterministic for a fixed
-configuration and rank count, and physics outputs are independent of the
-rank count.
+face lists -> ghost rebuild) -> periodic output.  Runs are deterministic for
+a fixed configuration and rank count, and physics outputs are independent
+of the rank count.
 """
 from __future__ import annotations
 
@@ -67,6 +67,7 @@ PHASES = (
     "coarsen",
     "balance",
     "partition",
+    "faces",
     "ghost",
     "io",
 )
@@ -123,18 +124,13 @@ class RunConfig:
             raise ConfigError(
                 f"unknown [case] parameters {unknown} for {self.case}; known: {_CASE_PARAMS[self.case]}"
             )
+        # built once, so a bad [scheme] or [criterion] value fails here, not mid-run
+        self.sweep_config = SweepConfig(self.order, self.cfl, self.gravity, self.splitting)
+        self.criterion_obj = Criterion(self.criterion, self.xi, tuple(self.weights))
 
     @property
     def connectivity(self) -> Connectivity:
         return Connectivity(self.dim, tuple(self.trees), tuple(self.periodic), self.tree_extent)
-
-    @property
-    def sweep_config(self) -> SweepConfig:
-        return SweepConfig(self.order, self.cfl, self.gravity, self.splitting)
-
-    @property
-    def criterion_obj(self) -> Criterion:
-        return Criterion(self.criterion, self.xi, tuple(self.weights))
 
     @property
     def adaptive(self) -> bool:
@@ -508,9 +504,12 @@ def adapt_mesh(
 
 
 def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
-    """Repartition and rebuild the ghost layers (and face lists) after an adapt."""
+    """Repartition, build the face lists and rebuild the ghost layers after an adapt."""
     with prof.section("partition"):
         pm = partition(f, cfg.ranks)
+    with prof.section("faces"):
+        for axis in range(f.dim):
+            f.face_list(axis)
     with prof.section("ghost"):
         for r in range(pm.P):
             ghost_layer(f, pm, r)  # the read-only snapshot contract per rank

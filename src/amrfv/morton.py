@@ -1,143 +1,29 @@
-"""Morton (z-order) keys and octant arithmetic for linear quad/octrees.
+"""Morton (z-order) keys for linear quad/octrees, vectorised over int64 arrays.
 
 An octant is anchored at its lower corner on the integer lattice
 ``[0, 2**b)**d`` of the reference cube, where ``b`` is the maximum
 refinement level.  Anchors of level-``l`` octants are multiples of
 ``2**(b - l)`` on every axis.  Keys interleave coordinate bits with
 x in the lowest position (bit ``d*i`` of the key is bit ``i`` of x),
-so sorting by key traverses leaves along the z-order curve.
+so sorting by key traverses leaves along the z-order curve.  The octant
+arithmetic built on the keys (children, parents, face neighbours) lives in
+``Forest.refine``, ``Forest.coarsen`` and ``Forest.face_list``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
 import numpy as np
 
-__all__ = [
-    "MAX_B",
-    "DomainError",
-    "Octant",
-    "OutsideTree",
-    "MortonKey",
-    "encode",
-    "decode",
-    "encode_many",
-    "decode_many",
-    "octant_key",
-    "parent",
-    "children",
-    "face_neighbor",
-]
+__all__ = ["MAX_B", "DomainError", "encode_many", "decode_many"]
 
 # 64-bit keys: d*b must stay below 63 bits so keys fit a signed int64.
 MAX_B = {2: 31, 3: 21}
 
 
 class DomainError(ValueError):
-    """Coordinate or key outside the lattice addressable with the given b."""
+    """Lattice dimension other than 2 or 3."""
 
 
-@dataclass(frozen=True)
-class Octant:
-    """One tree cell: owning tree, refinement level, lower-corner coords."""
-
-    tree: int
-    level: int
-    coords: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
-class OutsideTree:
-    """Face-neighbor result beyond the tree boundary; carries the exit face."""
-
-    axis: int
-    side: int  # 0 = low face, 1 = high face
-
-
-class MortonKey(NamedTuple):
-    """(key, level) pair; tuple order puts ancestors before descendants."""
-
-    key: int
-    level: int
-
-
-def _check_dim_b(dim: int, b: int) -> None:
-    if dim not in (2, 3):
-        raise DomainError(f"dimension must be 2 or 3, got {dim}")
-    if not 0 <= b <= MAX_B[dim]:
-        raise DomainError(f"max level b={b} outside [0, {MAX_B[dim]}] for {dim}D")
-
-
-def encode(coords: Sequence[int], b: int) -> int:
-    """Interleave coordinate bits into a Morton key (x bits lowest)."""
-    dim = len(coords)
-    _check_dim_b(dim, b)
-    key = 0
-    for axis, c in enumerate(coords):
-        c = int(c)
-        if not 0 <= c < (1 << b):
-            raise DomainError(f"coordinate {c} outside [0, 2^{b}) on axis {axis}")
-        for i in range(b):
-            key |= ((c >> i) & 1) << (dim * i + axis)
-    return key
-
-
-def decode(key: int, dim: int, b: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode`."""
-    _check_dim_b(dim, b)
-    key = int(key)
-    if not 0 <= key < (1 << (dim * b)):
-        raise DomainError(f"key {key} exceeds {dim}*{b} bits")
-    coords = [0] * dim
-    for i in range(b):
-        for axis in range(dim):
-            coords[axis] |= ((key >> (dim * i + axis)) & 1) << i
-    return tuple(coords)
-
-
-def octant_key(o: Octant, b: int) -> MortonKey:
-    return MortonKey(encode(o.coords, b), o.level)
-
-
-def parent(o: Octant, b: int) -> Octant:
-    """Parent octant; clears bit (b - level) of each coordinate."""
-    if o.level < 1:
-        raise DomainError("root octant has no parent")
-    mask = ~(1 << (b - o.level))
-    return Octant(o.tree, o.level - 1, tuple(c & mask for c in o.coords))
-
-
-def children(o: Octant, b: int) -> list[Octant]:
-    """The 2^d children in ascending Morton order."""
-    if o.level >= b:
-        raise DomainError(f"octant at max level {b} cannot be refined")
-    h = 1 << (b - o.level - 1)
-    dim = o.dim
-    out = []
-    for j in range(1 << dim):
-        off = tuple(((j >> a) & 1) * h for a in range(dim))
-        out.append(Octant(o.tree, o.level + 1, tuple(c + d for c, d in zip(o.coords, off))))
-    return out
-
-
-def face_neighbor(o: Octant, b: int, axis: int, side: int) -> Octant | OutsideTree:
-    """Same-level neighbor across a face, or OutsideTree at the tree boundary."""
-    h = 1 << (b - o.level)
-    c = o.coords[axis] + (h if side else -h)
-    if c < 0 or c >= (1 << b):
-        return OutsideTree(axis, side)
-    coords = list(o.coords)
-    coords[axis] = c
-    return Octant(o.tree, o.level, tuple(coords))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized encode/decode via magic-bit spreading on int64 arrays.
+# encode/decode via magic-bit spreading
 
 def _spread2(v: np.ndarray) -> np.ndarray:
     # inserts one zero bit between the low 32 bits of v

@@ -3,43 +3,38 @@
 States are conservative rows [rho, rho*Y, rho*u, (tangential momenta...)]
 already rotated so the face normal sits in the third slot.  The flux is the
 HLLC-family four-wave form built from a single relaxation parameter
-a = theta * max(rho_L c_L, rho_R c_R) per face.
+a = theta * max(rho_L c_L, rho_R c_R) per face.  Callers pass each state's
+mixture pressure p and Wood sound speed c, which they evaluate once per cell.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from amrfv import eos
 from amrfv.errors import VacuumError
-from amrfv.eos import FluidPair
 
 __all__ = ["physical_flux", "relaxation_speed", "suliciu_flux"]
 
 
-def physical_flux(W, p=None, fp: FluidPair | None = None):
+def physical_flux(W, p):
     """F_x of rotated states: [rho u, rho Y u, rho u^2 + p, rho u v, ...]."""
     W = np.asarray(W, dtype=np.float64)
-    if p is None:
-        p = eos.mixture_pressure(W[..., 0], W[..., 1] / W[..., 0], fp)
     u = W[..., 2] / W[..., 0]
     F = W * u[..., None]
     F[..., 2] += p
     return F
 
 
-def relaxation_speed(WL, WR, fp: FluidPair, cL=None, cR=None):
-    """a = theta * max(rho_L c_L, rho_R c_R) with Wood sound speeds."""
-    WL = np.asarray(WL, dtype=np.float64)
-    WR = np.asarray(WR, dtype=np.float64)
-    rhoL, rhoR = WL[..., 0], WR[..., 0]
-    if cL is None:
-        cL = eos.wood_sound_speed(rhoL, WL[..., 1] / rhoL, fp)
-    if cR is None:
-        cR = eos.wood_sound_speed(rhoR, WR[..., 1] / rhoR, fp)
+def relaxation_speed(WL, WR, fp, cL, cR):
+    """a = theta * max(rho_L c_L, rho_R c_R) from the Wood sound speeds c.
+
+    ``fp`` is the ``eos.FluidPair``; only its relaxation factor theta is read.
+    """
+    rhoL = np.asarray(WL, dtype=np.float64)[..., 0]
+    rhoR = np.asarray(WR, dtype=np.float64)[..., 0]
     return fp.theta * np.maximum(rhoL * cL, rhoR * cR)
 
 
-def suliciu_flux(WL, WR, fp: FluidPair, pL=None, pR=None, cL=None, cR=None):
+def suliciu_flux(WL, WR, fp, pL, pR, cL, cR):
     """Relaxation flux between rotated states (single rows or batches).
 
     Star densities are formed as rho/(1 + rho*(u* - u)/a), which reduces to
@@ -49,12 +44,7 @@ def suliciu_flux(WL, WR, fp: FluidPair, pL=None, pR=None, cL=None, cR=None):
     WL = np.asarray(WL, dtype=np.float64)
     WR = np.asarray(WR, dtype=np.float64)
     rhoL, rhoR = WL[..., 0], WR[..., 0]
-    YL, YR = WL[..., 1] / rhoL, WR[..., 1] / rhoR
-    if pL is None:
-        pL = eos.mixture_pressure(rhoL, YL, fp)
-    if pR is None:
-        pR = eos.mixture_pressure(rhoR, YR, fp)
-    a = relaxation_speed(WL, WR, fp, cL=cL, cR=cR)
+    a = relaxation_speed(WL, WR, fp, cL, cR)
 
     uL = WL[..., 2] / rhoL
     uR = WR[..., 2] / rhoR

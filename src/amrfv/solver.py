@@ -34,7 +34,6 @@ __all__ = [
     "IMX",
     "SweepConfig",
     "compute_dt",
-    "compute_slope",
     "muscl_predict",
     "gravity_op",
     "sweep",
@@ -144,13 +143,6 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray) -> np.nda
         smax = np.maximum(smax, col)
     sigma = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
     return np.where(np.isfinite(sigma), sigma, 0.0)
-
-
-def compute_slope(f: Forest, u: np.ndarray, i: int, axis: int, fp: FluidPair) -> np.ndarray:
-    """Limited slope of leaf i (primitive components) along ``axis``."""
-    perm, _ = _mom_perm(f.dim, axis)
-    V = eos.to_primitive(u[:, perm])
-    return _minmod_sigma(f, axis, V, f.dx)[i]
 
 
 def muscl_predict(W, sigma, dx, dt, fp: FluidPair):

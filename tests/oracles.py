@@ -1,12 +1,14 @@
 """Independent brute-force oracles shared by the test suite.
 
 Everything here is deliberately written in the most literal way possible
-(string bit twiddling, pointer trees, recursion, bisection) so it shares no
-code path with the library being checked.
+(string bit twiddling, pointer trees, recursion, a lattice owner map,
+bisection) so it shares no code path with the library being checked.
 """
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,51 @@ class PointerForest:
                 return
             marks = [k in to_split for k in range(len(regions))]
             self.refine_marks(marks)
+
+
+# ---------------------------------------------------------------------------
+# Face neighbours from a finest-lattice owner map.
+
+def face_neighbors(leaves, dim, tree_dims, periodic, b):
+    """Sorted owners just across every leaf face, or None at a wall.
+
+    ``leaves`` are (tree, level, anchor) triples as ``PointerForest.leaves()``
+    gives them, trees numbered x fastest over the brick ``tree_dims``.  Every
+    finest-lattice cell of the brick records the leaf that covers it, in
+    global coordinates; the owners of the layer of cells just outside a face
+    are its neighbours, with periodic axes wrapping around.  Returns a dict
+    keyed by (leaf index, axis, side), side 0 being the low face.
+    """
+    n = 1 << b
+    shape = tuple(t * n for t in tree_dims)
+    owner = np.full(shape, -1, dtype=np.int64)
+    boxes = []
+    for i, (t, level, anchor) in enumerate(leaves):
+        tc = []
+        for td in tree_dims:
+            tc.append(int(t) % td)
+            t = int(t) // td
+        lo = [tc[a] * n + int(anchor[a]) for a in range(dim)]
+        h = 1 << (b - int(level))
+        box = tuple(slice(lo[a], lo[a] + h) for a in range(dim))
+        assert np.all(owner[box] == -1), f"leaf {i} overlaps another leaf"
+        owner[box] = i
+        boxes.append((lo, h))
+    assert np.all(owner >= 0), "leaves do not tile the brick"
+    out = {}
+    for i, (lo, h) in enumerate(boxes):
+        for axis in range(dim):
+            for side in (0, 1):
+                x = lo[axis] + h if side else lo[axis] - 1
+                if not 0 <= x < shape[axis]:
+                    if not periodic[axis]:
+                        out[i, axis, side] = None
+                        continue
+                    x %= shape[axis]
+                layer = [slice(lo[a], lo[a] + h) for a in range(dim)]
+                layer[axis] = x
+                out[i, axis, side] = sorted(set(owner[tuple(layer)].ravel().tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------

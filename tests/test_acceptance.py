@@ -11,21 +11,19 @@ import pytest
 
 from amrfv import eos, harness, solver
 from amrfv import morton
-from amrfv.forest import (
-    COARSEN,
-    KEEP,
-    REFINE,
-    Connectivity,
-    Finer,
-    SameOrCoarser,
-    new_uniform,
-)
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 from amrfv.harness import adapt_mesh, default_config, init_case, run
-from amrfv.morton import Octant, OutsideTree
 from amrfv.partition import ghost_layer, partition
 from amrfv.solver import SweepConfig
 
-from oracles import PointerForest, deinterleave_oracle, interleave_oracle, zorder_traversal
+from oracles import (
+    PointerForest,
+    deinterleave_oracle,
+    face_neighbors,
+    interleave_oracle,
+    zorder_traversal,
+)
+from test_forest import check_face_list, oracle_neighbors
 
 
 def _report(num, text):
@@ -148,15 +146,15 @@ def _fuzz_once(rng, dim, b, rounds=3):
     for t in range(conn.ntrees):
         sel = f.tree == t
         assert float(f.volumes[sel].sum()) == pytest.approx(conn.tree_extent**dim, rel=1e-12)
-    # post-balance 2:1 on every face pair
-    for i in range(f.nleaves):
-        for axis in range(dim):
-            for side in (0, 1):
-                nb = f.leaf_neighbors(i, axis, side)
-                if isinstance(nb, SameOrCoarser):
-                    assert abs(int(f.level[i]) - nb.level) <= 1
-                elif isinstance(nb, Finer):
-                    assert nb.level == int(f.level[i]) + 1
+    # post-balance 2:1 on every face pair, and the face-list slot table
+    # against the pointer forest's face neighbours
+    leaves = oracle.leaves()
+    expected = face_neighbors(leaves, dim, conn.tree_dims, conn.periodic, b)
+    for (i, axis, side), nbrs in expected.items():
+        for j in nbrs or ():
+            assert abs(leaves[i][1] - leaves[j][1]) <= 1
+    for axis in range(dim):
+        check_face_list(f, f.face_list(axis), expected)
     return checks
 
 
@@ -164,48 +162,53 @@ def test_criterion_05_tree_invariant_fuzzing():
     rng = np.random.default_rng(2024)
     patterns = 0
     # 2D at b=5 and 3D at b=3; every pattern cross-checked against the
-    # pointer-tree oracle, and every forest checked for 2:1 and exact tiling
+    # pointer-tree oracle, and every forest checked for 2:1, exact tiling and
+    # face-list neighbours
     for _ in range(200):
         patterns += _fuzz_once(rng, 2, b=5, rounds=3)
     for _ in range(134):
         patterns += _fuzz_once(rng, 3, b=3, rounds=3)
     assert patterns >= 1000
-    _report(5, f"{patterns} randomized mark patterns matched the pointer-tree oracle (2D b=5, 3D b=3)")
+    _report(
+        5,
+        f"{patterns} randomized mark patterns matched the pointer-tree oracle (2D b=5, 3D b=3); "
+        "face-list neighbours matched the lattice oracle",
+    )
 
 
 def test_criterion_06_morton_oracle_equivalence():
     for dim, b in ((2, 4), (3, 3)):
-        # encode/decode exhaustively against the string-interleave oracle
-        for coords in itertools.product(range(1 << b), repeat=dim):
-            key = morton.encode(coords, b)
-            assert key == interleave_oracle(coords, b)
-            assert morton.decode(key, dim, b) == coords
-            assert deinterleave_oracle(key, dim, b) == coords
-        # parent/children against the recursive z-order traversal
+        conn = Connectivity(dim, (1,) * dim, (False,) * dim)
+        # encode_many/decode_many exhaustively against the string-interleave oracle
+        coords = list(itertools.product(range(1 << b), repeat=dim))
+        keys = morton.encode_many(np.array(coords)).tolist()
+        assert keys == [interleave_oracle(c, b) for c in coords]
+        assert [tuple(c) for c in morton.decode_many(np.array(keys), dim).tolist()] == coords
+        assert [deinterleave_oracle(k, dim, b) for k in keys] == coords
         for lvl in range(b + 1):
+            # every level's anchors, sorted by key, and the children refine
+            # makes of all of them, against the recursive z-order traversal
             anchors = zorder_traversal(dim, b, lvl)
-            keyed = sorted(anchors, key=lambda c: morton.encode(c, b))
-            assert keyed == anchors
-            if lvl < b:
-                for anchor in anchors[:: max(1, len(anchors) // 64)]:
-                    o = Octant(0, lvl, anchor)
-                    kids = morton.children(o, b)
-                    for k in kids:
-                        assert morton.parent(k, b) == o
-        # face neighbors: shift or OutsideTree, exhaustively at one level
-        lvl = min(2, b)
-        h = 1 << (b - lvl)
-        for anchor in zorder_traversal(dim, b, lvl):
-            o = Octant(0, lvl, anchor)
+            order = np.argsort(morton.encode_many(np.array(sorted(anchors))))
+            assert [sorted(anchors)[k] for k in order] == anchors
+            f = new_uniform(conn, level=lvl, b=b)
+            assert [tuple(c) for c in f.coords.tolist()] == anchors
+            # face neighbours through face_list: a shift by one cell, or a wall
+            expected = oracle_neighbors(f)
             for axis in range(dim):
-                for side in (0, 1):
-                    nb = morton.face_neighbor(o, b, axis, side)
-                    c = anchor[axis] + (h if side else -h)
-                    if 0 <= c < (1 << b):
-                        assert nb.coords[axis] == c
-                    else:
-                        assert nb == OutsideTree(axis, side)
-    _report(6, "encode/decode/parent/children/face_neighbor match brute force (2D b<=4, 3D b<=3)")
+                check_face_list(f, f.face_list(axis), expected)
+            if lvl < b:
+                kids, _ = f.refine(np.full(f.nleaves, REFINE, dtype=np.int8))
+                assert [tuple(c) for c in kids.coords.tolist()] == zorder_traversal(dim, b, lvl + 1)
+                # and coarsen merges every group back into its parent
+                back, _ = kids.coarsen(np.full(kids.nleaves, COARSEN, dtype=np.int8))
+                assert [tuple(c) for c in back.coords.tolist()] == anchors
+                assert np.all(back.level == lvl)
+    _report(
+        6,
+        "encode_many/decode_many, refine/coarsen and face_list neighbours match brute force "
+        "(2D b<=4, 3D b<=3)",
+    )
 
 
 def test_criterion_07_partition_quality():

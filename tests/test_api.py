@@ -1,0 +1,17 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import amrfv
+
+MODULES = ["amrfv"] + sorted(f"amrfv.{m.name}" for m in pkgutil.iter_modules(amrfv.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names {missing}, which the module does not define"

@@ -5,7 +5,9 @@ from amrfv import criteria, eos
 from amrfv.criteria import Criterion, carry_marks, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError
-from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Finer, SameOrCoarser, new_uniform
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
+
+from test_forest import oracle_neighbors
 
 MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
 
@@ -24,28 +26,38 @@ def random_balanced(seed=0, level=2, b=4, periodic=(True, True)):
     return f
 
 
+def relative_jump(b_i, neighbors, floor=0.0):
+    """max |b_i - b_j| / max(b_i, b_j, floor) over the neighbour values, literally."""
+    out = 0.0
+    for b_j in neighbors:
+        denom = max(b_i, b_j, floor)
+        if denom > 0:
+            out = max(out, abs(b_i - b_j) / denom)
+    return out
+
+
 class TestRelativeJump:
     def test_equal_neighbors(self):
-        assert criteria.relative_jump(1.0, [1.0, 1.0, 1.0]) == 0.0
+        f = random_balanced(seed=3)
+        assert np.all(criteria.relative_jump_field(f, np.ones(f.nleaves)) == 0.0)
 
     def test_hand_value(self):
-        assert criteria.relative_jump(1.0, [2.0]) == pytest.approx(0.5)
+        # two walled cells, values 1 and 2: each sees |1 - 2| / 2
+        f = new_uniform(Connectivity(2, (2, 1), (False, False)), level=0, b=0)
+        assert criteria.relative_jump_field(f, np.array([1.0, 2.0])).tolist() == [0.5, 0.5]
 
     def test_bulk_matches_bruteforce(self):
         f = random_balanced(seed=3)
         rng = np.random.default_rng(1)
         vals = rng.uniform(0.5, 2.0, f.nleaves)
         got = criteria.relative_jump_field(f, vals)
+        nbrs = oracle_neighbors(f)
         for i in range(f.nleaves):
             nbr_vals = []
             for axis in range(2):
                 for side in (0, 1):
-                    nb = f.leaf_neighbors(i, axis, side)
-                    if isinstance(nb, SameOrCoarser):
-                        nbr_vals.append(vals[nb.index])
-                    elif isinstance(nb, Finer):
-                        nbr_vals.extend(vals[j] for j in nb.indices)
-            assert got[i] == pytest.approx(criteria.relative_jump(vals[i], nbr_vals), rel=1e-13)
+                    nbr_vals.extend(vals[j] for j in nbrs[i, axis, side])
+            assert got[i] == pytest.approx(relative_jump(vals[i], nbr_vals), rel=1e-13)
 
 
 class TestEvaluate:

@@ -2,18 +2,9 @@ import numpy as np
 import pytest
 
 from amrfv.errors import ConfigError, ContractError
-from amrfv.forest import (
-    COARSEN,
-    KEEP,
-    REFINE,
-    Boundary,
-    Connectivity,
-    Finer,
-    SameOrCoarser,
-    new_uniform,
-)
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 
-from oracles import PointerForest
+from oracles import PointerForest, face_neighbors
 
 
 def conn2d(trees=(1, 1), periodic=(False, False), extent=1.0):
@@ -33,6 +24,26 @@ def marks_array(f, tags):
     for i, tag in tags:
         m[i] = tag
     return m
+
+
+def oracle_neighbors(f):
+    """``oracles.face_neighbors`` of the forest's leaves."""
+    leaves = zip(f.tree, f.level, f.coords)
+    return face_neighbors(leaves, f.dim, f.conn.tree_dims, f.conn.periodic, f.b)
+
+
+def assert_two_to_one(f):
+    """Every face neighbour the oracle finds is at most one level away."""
+    for (i, axis, side), nbrs in oracle_neighbors(f).items():
+        for j in nbrs or ():
+            assert abs(int(f.level[i]) - int(f.level[j])) <= 1, f"leaf {i} axis {axis} side {side}"
+
+
+def slot_cells(fl, i, side):
+    """Real slot rows of cell side (i, side) and the cells across them."""
+    rows = fl.slots[i, side][fl.slot_area[i, side] > 0]
+    across = np.concatenate([fl.hi if side else fl.lo, fl.bc_cell])[rows]
+    return rows, sorted(across.tolist())
 
 
 class TestNewUniform:
@@ -148,7 +159,7 @@ class TestBalance:
         f = new_uniform(conn2d(), level=2, b=3)
         f2, _ = f.balance()
         assert leaves_list(f2) == leaves_list(f)
-        assert f2.balanced
+        assert_two_to_one(f2)
 
     def test_deep_cascade_matches_fixed_point_oracle(self):
         b = 3
@@ -166,7 +177,7 @@ class TestBalance:
         oracle.balance()
         assert leaves_list(f2) == oracle.leaves()
         # every neighbor chain steps by one level
-        assert f2.balanced
+        assert_two_to_one(f2)
 
     def test_periodic_wrap_forces_refinement(self):
         b = 3
@@ -218,17 +229,15 @@ class TestBalance:
 class TestGeometry:
     def test_root_leaf(self):
         f = new_uniform(conn2d(), level=0, b=2)
-        center, dx, vol = f.cell_geometry(0)
-        np.testing.assert_allclose(center, [0.5, 0.5])
-        assert dx == 1.0
-        assert vol == 1.0
+        np.testing.assert_allclose(f.centers[0], [0.5, 0.5])
+        assert f.dx[0] == 1.0
+        assert f.volumes[0] == 1.0
 
     def test_level1_first_leaf(self):
         f = new_uniform(conn2d(), level=1, b=2)
-        center, dx, vol = f.cell_geometry(0)
-        np.testing.assert_allclose(center, [0.25, 0.25])
-        assert dx == 0.5
-        assert vol == 0.25
+        np.testing.assert_allclose(f.centers[0], [0.25, 0.25])
+        assert f.dx[0] == 0.5
+        assert f.volumes[0] == 0.25
 
     def test_volume_is_dx_pow_d(self):
         f = new_uniform(conn3d(), level=2, b=3, min_level=0)
@@ -265,54 +274,65 @@ class TestLeafNeighbors:
     def test_uniform_interior(self):
         f = new_uniform(conn2d(), level=2, b=3)
         i = int(np.flatnonzero((f.coords[:, 0] == 2) & (f.coords[:, 1] == 2))[0])
-        nb = f.leaf_neighbors(i, 0, 1)
-        assert isinstance(nb, SameOrCoarser)
-        assert nb.area == pytest.approx(0.25)
-        assert nb.dist == pytest.approx(0.25)
-        assert tuple(f.coords[nb.index]) == (4, 2)
+        fl = f.face_list(0)
+        rows, across = slot_cells(fl, i, 1)
+        assert len(rows) == 1
+        assert fl.area[rows[0]] == pytest.approx(0.25)
+        assert fl.dist[rows[0]] == pytest.approx(0.25)
+        assert [tuple(f.coords[j]) for j in across] == [(4, 2)]
+        assert oracle_neighbors(f)[i, 0, 1] == across
 
     def test_wall_is_boundary(self):
         f = new_uniform(conn2d(), level=1, b=2)
-        assert f.leaf_neighbors(0, 0, 0) == Boundary(0, 0)
+        fl = f.face_list(0)
+        rows, across = slot_cells(fl, 0, 0)
+        nf = len(fl.lo)
+        assert rows.tolist() == [nf] and across == [0]
+        assert fl.bc_side[rows[0] - nf] == 0
+        assert oracle_neighbors(f)[0, 0, 0] is None
 
     def test_periodic_wraps(self):
         f = new_uniform(conn2d(periodic=(True, True)), level=1, b=2)
-        nb = f.leaf_neighbors(0, 0, 0)
-        assert isinstance(nb, SameOrCoarser)
-        assert tuple(f.coords[nb.index]) == (2, 0)
+        rows, across = slot_cells(f.face_list(0), 0, 0)
+        assert [tuple(f.coords[j]) for j in across] == [(2, 0)]
+        assert oracle_neighbors(f)[0, 0, 0] == across
 
     def test_hanging_face(self):
         f = new_uniform(conn2d(), level=1, b=3)
         f, _ = f.refine(marks_array(f, [(1, REFINE)]))  # refine leaf at (4, 0)
         f, _ = f.balance()
         i = int(np.flatnonzero((f.coords[:, 0] == 0) & (f.coords[:, 1] == 0) & (f.level == 1))[0])
-        nb = f.leaf_neighbors(i, 0, 1)
-        assert isinstance(nb, Finer)
-        assert len(nb.indices) == 2
-        assert nb.area == pytest.approx(0.25)  # dx_fine in 2D
-        assert nb.dist == pytest.approx(0.75 * 0.5)
-        got = sorted(tuple(f.coords[j]) for j in nb.indices)
-        assert got == [(4, 0), (4, 2)]
+        fl = f.face_list(0)
+        rows, across = slot_cells(fl, i, 1)
+        assert len(rows) == 2
+        np.testing.assert_allclose(fl.area[rows], 0.25)  # dx_fine in 2D
+        np.testing.assert_allclose(fl.dist[rows], 0.75 * 0.5)
+        assert sorted(tuple(f.coords[j]) for j in across) == [(4, 0), (4, 2)]
+        assert oracle_neighbors(f)[i, 0, 1] == across
 
     def test_unbalanced_raises(self):
         b = 3
         f = new_uniform(conn2d(), level=1, b=b)
         f, _ = f.refine(marks_array(f, [(0, REFINE)]))
-        # drive the (2,2) level-2 leaf to level 3 beside a level-1 neighbor
+        # drive the (2,2) level-2 leaf to level 3 beside a level-1 neighbor;
+        # its child at (3,2) is the first leaf whose high x face is 2:1-broken
         i = int(np.flatnonzero((f.coords[:, 0] == 2) & (f.coords[:, 1] == 2))[0])
         f, _ = f.refine(marks_array(f, [(i, REFINE)]))
-        assert not f.balanced
-        with pytest.raises(ContractError):
-            f.leaf_neighbors(f.nleaves - 1, 0, 0)
+        assert f.level[oracle_neighbors(f)[4, 0, 1]].tolist() == [1]
+        with pytest.raises(ContractError) as err:
+            f.face_list(0)
+        assert "axis 0" in str(err.value)
+        assert "leaf 4 (level 3, centre (0.4375, 0.3125))" in str(err.value)
 
     def test_3d_hanging_face_count(self):
         f = new_uniform(conn3d(), level=1, b=3)
         f, _ = f.refine(marks_array(f, [(1, REFINE)]))
         f, _ = f.balance()
         i = int(np.flatnonzero((f.level == 1) & (f.coords == 0).all(axis=1))[0])
-        nb = f.leaf_neighbors(i, 0, 1)
-        assert isinstance(nb, Finer)
-        assert len(nb.indices) == 4
+        rows, across = slot_cells(f.face_list(0), i, 1)
+        assert len(rows) == 4
+        assert f.level[across].tolist() == [2] * 4
+        assert oracle_neighbors(f)[i, 0, 1] == across
 
 
 class TestFaceList:
@@ -344,9 +364,10 @@ class TestFaceList:
         assert np.all(np.abs(lv_lo - lv_hi) <= 1)
 
     def test_matches_leaf_neighbors(self):
-        # random balanced forests, 2D and 3D, periodic and walled, several
-        # trees, plus the one-sided forest: its only hanging faces are seen
-        # from their fine (lo) side, so the coarse hi side alone needs k = 2
+        # slot neighbours of random balanced forests, 2D and 3D, periodic and
+        # walled, several trees, against the lattice oracle; plus the
+        # one-sided forest: its only hanging faces are seen from their fine
+        # (lo) side, so the coarse hi side alone needs k = 2
         forests = [
             random_balanced(conn2d(trees=(2, 1), periodic=(True, False)), seed=8, rounds=1),
             random_balanced(conn2d(trees=(2, 2)), seed=3),
@@ -358,28 +379,9 @@ class TestFaceList:
         one_sided, _ = one_sided.refine(marks_array(one_sided, [(0, REFINE)]))
         forests.append(one_sided)
         for f in forests:
+            expected = oracle_neighbors(f)
             for axis in range(f.dim):
-                fl = f.face_list(axis)
-                pairs = set()
-                for l, h in zip(fl.lo.tolist(), fl.hi.tolist()):
-                    pairs.add((min(l, h), max(l, h)))
-                expected = set()
-                for i in range(f.nleaves):
-                    for side in (0, 1):
-                        nb = f.leaf_neighbors(i, axis, side)
-                        if isinstance(nb, SameOrCoarser):
-                            expected.add((min(i, nb.index), max(i, nb.index)))
-                        elif isinstance(nb, Finer):
-                            for j in nb.indices:
-                                expected.add((min(i, j), max(i, j)))
-                        check_slots(f, fl, i, side, nb)
-                assert pairs == expected
-                # every row sits in exactly one real slot on each of its sides
-                nf = len(fl.lo)
-                for side in (0, 1):
-                    real = np.sort(fl.slots[:, side][fl.slot_area[:, side] > 0])
-                    walls = nf + np.flatnonzero(fl.bc_side == side)
-                    np.testing.assert_array_equal(real, np.concatenate([np.arange(nf), walls]))
+                check_face_list(f, f.face_list(axis), expected)
 
 
 def random_balanced(conn, seed, rounds=2):
@@ -392,28 +394,35 @@ def random_balanced(conn, seed, rounds=2):
     return f
 
 
-def check_slots(f, fl, i, side, nb):
-    """Slot rows of (i, side) against the scalar ``leaf_neighbors`` answer."""
-    rows, area = fl.slots[i, side], fl.slot_area[i, side]
-    where = f"leaf {i} axis {fl.axis} side {side}"
-    nreal = int(np.count_nonzero(area))
-    # real slots first, in row order; zero-area slots repeat the last one
-    assert np.all(area[:nreal] > 0) and np.all(area[nreal:] == 0), where
-    assert np.all(np.diff(rows[:nreal]) > 0), where
-    assert np.all(rows[nreal:] == rows[nreal - 1]), where
+def check_face_list(f, fl, expected):
+    """Slot table of ``fl`` against the oracle's neighbours of every cell side.
+
+    ``expected`` is the ``oracles.face_neighbors`` dict of the forest's leaves.
+    """
+    nf = len(fl.lo)
     row_area = np.concatenate([fl.area, fl.bc_area])
-    np.testing.assert_array_equal(area[:nreal], row_area[rows[:nreal]])
-    assert sum(area.tolist()) == f.dx[i] ** (f.dim - 1), where
-    across = np.concatenate([fl.hi if side else fl.lo, fl.bc_cell])[rows[:nreal]]
-    if isinstance(nb, Boundary):
-        assert nreal == 1 and rows[0] >= len(fl.lo), where
-        assert fl.bc_side[rows[0] - len(fl.lo)] == side, where
-        expected = [i]
-    elif isinstance(nb, SameOrCoarser):
-        expected = [nb.index]
-    else:
-        expected = sorted(nb.indices)
-    assert sorted(across.tolist()) == expected, where
+    for side in (0, 1):
+        where = f"axis {fl.axis} side {side}"
+        rows, area = fl.slots[:, side], fl.slot_area[:, side]
+        nreal = np.count_nonzero(area, axis=1)
+        real = np.arange(rows.shape[1]) < nreal[:, None]
+        # real slots first, in row order; zero-area slots repeat the last one
+        assert np.all((area > 0) == real), where
+        assert np.all(np.diff(rows, axis=1)[real[:, 1:]] > 0), where
+        last = rows[np.arange(f.nleaves), nreal - 1]
+        assert np.all(np.where(real, True, rows == last[:, None])), where
+        np.testing.assert_array_equal(area[real], row_area[rows[real]], err_msg=where)
+        assert np.all(area.sum(axis=1) == f.dx ** (f.dim - 1)), where
+        # every row sits in exactly one real slot of this side
+        walls = nf + np.flatnonzero(fl.bc_side == side)
+        np.testing.assert_array_equal(np.sort(rows[real]), np.concatenate([np.arange(nf), walls]))
+        across = np.concatenate([fl.hi if side else fl.lo, fl.bc_cell])[rows]
+        for i, (cells, r, k) in enumerate(zip(across.tolist(), rows.tolist(), nreal.tolist())):
+            nbrs = expected[i, fl.axis, side]
+            if nbrs is None:
+                assert k == 1 and r[0] >= nf and fl.bc_side[r[0] - nf] == side, f"leaf {i} {where}"
+            else:
+                assert max(r[:k]) < nf and sorted(cells[:k]) == nbrs, f"leaf {i} {where}"
 
 
 class TestExtremeDepth:
@@ -424,10 +433,10 @@ class TestExtremeDepth:
         f, _ = f.refine(marks_array(f, [(0, REFINE)]))
         f, _ = f.balance()
         assert np.all(f.keys >= 0)  # no int64 overflow
-        nb = f.leaf_neighbors(0, 0, 1)
-        assert isinstance(nb, SameOrCoarser)
-        center, dx, vol = f.cell_geometry(0)
-        assert dx == pytest.approx(2.0 ** -(2))
+        rows, across = slot_cells(f.face_list(0), 0, 1)
+        h = 1 << (b - 2)
+        assert len(rows) == 1 and f.coords[across[0]].tolist() == [h] + [0] * (dim - 1)
+        assert f.dx[0] == pytest.approx(2.0 ** -(2))
 
     def test_tree_key_overflow_rejected(self):
         # locate searches tree * 2**(dim*b) + key, which must fit in int64
@@ -450,4 +459,6 @@ class TestDump:
     def test_golden_lines(self):
         f = new_uniform(conn2d(), level=1, b=2)
         expected = "0 1 0 0 0\n0 1 2 0 4\n0 1 0 2 8\n0 1 2 2 12\n"
-        assert f.dump_leaves() == expected
+        rows = zip(f.tree.tolist(), f.level.tolist(), f.coords.tolist(), f.keys.tolist())
+        text = "".join(f"{t} {lvl} {' '.join(map(str, c))} {k}\n" for t, lvl, c, k in rows)
+        assert text == expected

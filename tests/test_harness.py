@@ -61,6 +61,17 @@ class TestConfig:
             default_config("smooth_advection", min_level=5, max_level=4)
         with pytest.raises(ConfigError):
             default_config("smooth_advection", adapt_every=0)
+        # [scheme] and [criterion] values fail when the config is built, also
+        # for a case that never adapts
+        for bad, named in (
+            (dict(criterion="bogus"), "bogus"),
+            (dict(xi=-1.0), "xi"),
+            (dict(order=3), "order"),
+            (dict(cfl=1.5), "CFL"),
+            (dict(splitting="godunov"), "splitting"),
+        ):
+            with pytest.raises(ConfigError, match=named):
+                default_config("shock_tube", **bad)
         p = tmp_path / "bad.ini"
         p.write_text("[case]\nname = not_a_case\n")
         with pytest.raises(ConfigError):
@@ -76,8 +87,18 @@ class TestConfig:
             ("[run]\nthreads = on\n", ["threads", "[run]"]),
             ("[solver]\norder = 2\n", ["[solver]"]),
             ("[mesh]\nb = 5\n[mesh]\nb = 6\n", ["'mesh' already exists"]),
+            ("[criterion]\nkind = bogus\n", ["bogus"]),
+            ("[scheme]\norder = 3\n", ["order"]),
         ],
-        ids=["mesh_key", "case_param", "run_threads", "section", "duplicate_section"],
+        ids=[
+            "mesh_key",
+            "case_param",
+            "run_threads",
+            "section",
+            "duplicate_section",
+            "criterion_kind",
+            "scheme_order",
+        ],
     )
     def test_unknown_keys_rejected(self, tmp_path, body, named):
         # radius is a disk/drop parameter that smooth_advection never reads
@@ -228,6 +249,8 @@ class TestRun:
         csv = res.profile.csv()
         assert csv.splitlines()[0] == "phase,seconds,percent"
         assert len(csv.splitlines()) == len(harness.PHASES) + 1
+        # the face-list build has its own phase, ahead of the ghost layers
+        assert res.profile.seconds["faces"] > 0
 
     def test_drop2d_gravity_smoke(self, tmp_path):
         # a few steps of the walled gravity case: liquid must gain downward
@@ -238,7 +261,7 @@ class TestRun:
         res = run(cfg)
         f, u = res.forest, res.field
         assert res.steps > 0
-        assert f.balanced
+        assert f.balance()[0].nleaves == f.nleaves
         liquid = u[:, 1] / u[:, 0] < 0.5  # mass fraction of gas below half
         assert np.sum(u[liquid, 3]) < 0.0  # net downward momentum
         setup0 = init_case(cfg)

@@ -5,6 +5,8 @@ from amrfv.errors import ConfigError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 from amrfv.partition import balance_metrics, ghost_layer, metrics_csv, partition
 
+from test_forest import oracle_neighbors
+
 
 def uniform2d(level, b=None, periodic=(False, False)):
     conn = Connectivity(2, (1, 1), periodic)
@@ -72,24 +74,16 @@ class TestGhostLayer:
         assert len(gl.indices) == 0
 
     def test_two_rank_split_matches_bruteforce(self):
-        from amrfv.forest import Finer, SameOrCoarser
-
         f = uniform2d(3)  # 8x8
         pm = partition(f, 2)
+        nbrs = oracle_neighbors(f)
         for rank in range(2):
             lo_idx, hi_idx = pm.range(rank)
             expected = set()
             for i in range(lo_idx, hi_idx):
                 for axis in range(2):
                     for side in (0, 1):
-                        nb = f.leaf_neighbors(i, axis, side)
-                        if isinstance(nb, SameOrCoarser):
-                            js = [nb.index]
-                        elif isinstance(nb, Finer):
-                            js = list(nb.indices)
-                        else:
-                            continue
-                        for j in js:
+                        for j in nbrs[i, axis, side] or ():
                             if not (lo_idx <= j < hi_idx):
                                 expected.add(j)
             gl = ghost_layer(f, pm, rank)
@@ -124,10 +118,9 @@ class TestBalanceMetrics:
         assert max(loads) / min(loads) == 1.0
 
     def test_components_match_flood_fill(self):
-        from amrfv.forest import Finer, SameOrCoarser
-
         f = random_forest(seed=9)
         pm = partition(f, 5)
+        nbrs = oracle_neighbors(f)
         metrics = balance_metrics(f, pm)
         for r in range(pm.P):
             lo_idx, hi_idx = pm.range(r)
@@ -144,14 +137,7 @@ class TestBalanceMetrics:
                     i = stack.pop()
                     for axis in range(2):
                         for side in (0, 1):
-                            nb = f.leaf_neighbors(i, axis, side)
-                            if isinstance(nb, SameOrCoarser):
-                                js = [nb.index]
-                            elif isinstance(nb, Finer):
-                                js = list(nb.indices)
-                            else:
-                                continue
-                            for j in js:
+                            for j in nbrs[i, axis, side] or ():
                                 if lo_idx <= j < hi_idx and j not in seen:
                                     seen.add(j)
                                     stack.append(j)

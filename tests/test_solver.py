@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from amrfv import eos, riemann, solver
+from amrfv import eos, solver
 from amrfv.eos import FluidPair
-from amrfv.forest import KEEP, REFINE, Connectivity, Finer, SameOrCoarser, new_uniform
+from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
 from amrfv.partition import partition
 from amrfv.solver import SweepConfig
+
+from test_forest import oracle_neighbors
+from test_riemann import flux
 
 UNIT = FluidPair(p1_0=1.0, rho1_0=1.0, c1=1.0, p2_0=1.0, rho2_0=1.0, c2=1.0)
 MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
@@ -19,6 +22,11 @@ def conn2d(trees=(1, 1), periodic=(True, True), extent=1.0):
 def make_field(f, fp, alpha_fn, p=1e5, u=(0.0, 0.0)):
     alpha = alpha_fn(f.centers)
     return eos.state_from_pressure_alpha(p, alpha, np.asarray(u, dtype=float), fp)
+
+
+def slope_x(f, u, i):
+    """Limited x slope of leaf i's primitive variables, as the sweep takes it."""
+    return solver._minmod_sigma(f, 0, eos.to_primitive(u), f.dx)[i]
 
 
 def multi_level_forest(periodic=(True, True), b=4, seed=2):
@@ -63,15 +71,12 @@ class TestComputeDt:
         c = eos.wood_sound_speed(rho, Y, MILD)
         imp = rho * c
         best = np.inf
+        nbrs = oracle_neighbors(f)
         for i in range(f.nleaves):
             a_i = imp[i]
             for axis in range(2):
                 for side in (0, 1):
-                    nb = f.leaf_neighbors(i, axis, side)
-                    if isinstance(nb, SameOrCoarser):
-                        a_i = max(a_i, imp[nb.index])
-                    elif isinstance(nb, Finer):
-                        a_i = max(a_i, max(imp[j] for j in nb.indices))
+                    a_i = max([a_i] + [imp[j] for j in nbrs[i, axis, side]])
             speed = max(abs(u[i, 2]), abs(u[i, 3])) / rho[i] + MILD.theta * a_i / rho[i]
             best = min(best, f.dx[i] / speed)
         assert dt == pytest.approx(0.8 * best, rel=1e-13)
@@ -112,9 +117,9 @@ class TestSweep:
         u = np.stack([WL, WR])
         dt = 1e-2
         out = solver.sweep(f, u, 0, dt, SweepConfig(order=1), SHOCK)
-        phi = riemann.suliciu_flux(WL, WR, SHOCK)
-        phi_wl = riemann.suliciu_flux(solver._wall_mirror(WL), WL, SHOCK)
-        phi_wr = riemann.suliciu_flux(WR, solver._wall_mirror(WR), SHOCK)
+        phi = flux(WL, WR, SHOCK)
+        phi_wl = flux(solver._wall_mirror(WL), WL, SHOCK)
+        phi_wr = flux(WR, solver._wall_mirror(WR), SHOCK)
         expected0 = WL - dt * (phi - phi_wl)
         expected1 = WR - dt * (phi_wr - phi)
         np.testing.assert_allclose(out[0], expected0, rtol=1e-14, atol=1e-14)
@@ -172,7 +177,7 @@ class TestSlopes:
         interior = np.flatnonzero((f.coords[:, 0] > 0) & (f.coords[:, 0] + f.sizes < 8))
         rho = u[0, 0]
         for i in interior[:5]:
-            sig = solver.compute_slope(f, u, int(i), 0, fp)
+            sig = slope_x(f, u, int(i))
             assert sig[0] == pytest.approx(rho * grad, rel=1e-10)
             assert sig[1] == pytest.approx(-rho * grad, rel=1e-10)
             assert sig[2:] == pytest.approx(0.0, abs=1e-12)
@@ -185,7 +190,7 @@ class TestSlopes:
         u = eos.state_from_pressure_alpha(10.0, alpha, np.zeros(2), fp)
         mid = int(np.flatnonzero((f.coords[:, 0] == 1) & (f.coords[:, 1] == 0))[0])
         # neighbors straddle the parabola peak: signs disagree
-        sig = solver.compute_slope(f, u, mid, 0, fp)
+        sig = slope_x(f, u, mid)
         assert sig[0] == 0.0
 
     def test_wall_ghost_slope_at_mirrored_distance(self):
@@ -198,7 +203,7 @@ class TestSlopes:
             10.0, np.full(f.nleaves, 0.5), np.array([ux, 0.0]), fp
         )
         i = int(np.flatnonzero(f.coords[:, 0] == 0)[0])  # touches the -x wall
-        sig = solver.compute_slope(f, u, int(i), 0, fp)
+        sig = slope_x(f, u, int(i))
         dx = float(f.dx[i])
         # interior slope is 0 (uniform u), wall slope is (u - (-u))/dx > 0;
         # signs disagree, so minmod must return 0 for the normal velocity
@@ -206,13 +211,13 @@ class TestSlopes:
         # reversing the flow puts the wall slope on the other sign; still 0
         u2 = u.copy()
         u2[:, 2] *= -1
-        assert solver.compute_slope(f, u2, int(i), 0, fp)[2] == 0.0
+        assert slope_x(f, u2, int(i))[2] == 0.0
         # a wall-consistent linear profile keeps its interior slope: u_n
         # growing away from the wall agrees in sign with the mirror slope
         x = f.centers[:, 0]
         u3 = eos.state_from_pressure_alpha(10.0, np.full(f.nleaves, 0.5), np.zeros(2), fp)
         u3[:, 2] = u3[:, 0] * 0.5 * x
-        sig3 = solver.compute_slope(f, u3, int(i), 0, fp)
+        sig3 = slope_x(f, u3, int(i))
         # wall slope = (u - (-u))/dx = 2*(0.5*x_i)/dx; interior = 0.5
         expected = min(0.5, 2 * 0.5 * float(x[i]) / dx)
         assert sig3[2] == pytest.approx(expected, rel=1e-12)
@@ -228,17 +233,11 @@ class TestSlopes:
         V = eos.to_primitive(u)
         i = int(np.flatnonzero((f.coords[:, 0] == 0) & (f.coords[:, 1] == 0))[0])
         slopes = []
+        nbrs = oracle_neighbors(f)
         for side in (0, 1):
-            nb = f.leaf_neighbors(i, 0, side)
-            if isinstance(nb, SameOrCoarser):
-                js, dist = [nb.index], nb.dist
-            elif isinstance(nb, Finer):
-                js, dist = list(nb.indices), nb.dist
-            else:
-                continue
             sgn = 1.0 if side == 1 else -1.0
-            for j in js:
-                slopes.append(sgn * (V[j] - V[i]) / dist)
+            for j in nbrs[i, 0, side]:
+                slopes.append(sgn * (V[j] - V[i]) / (0.5 * (f.dx[i] + f.dx[j])))
         slopes = np.array(slopes)
         expected = np.zeros(V.shape[1])
         for k in range(V.shape[1]):
@@ -247,7 +246,7 @@ class TestSlopes:
                 expected[k] = col.min()
             elif np.all(col < 0):
                 expected[k] = col.max()
-        got = solver.compute_slope(f, u, i, 0, fp)
+        got = slope_x(f, u, i)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
@@ -342,8 +341,8 @@ class TestStep:
         def oracle(W1d, steps, step_dt):
             W = W1d.copy()
             for _ in range(steps):
-                flux = riemann.suliciu_flux(W, np.roll(W, -1, axis=0), fp)
-                W = W - step_dt / dx * (flux - np.roll(flux, 1, axis=0))
+                phi = flux(W, np.roll(W, -1, axis=0), fp)
+                W = W - step_dt / dx * (phi - np.roll(phi, 1, axis=0))
             return W
 
         W1d = u2d[:, :3]  # drop the passive y momentum (zero)
