@@ -84,8 +84,7 @@ def evaluate(crit: Criterion, f: Forest, u: np.ndarray, fp: FluidPair) -> np.nda
     if crit.kind == "rho_gradient":
         return relative_jump_field(f, rho)
     a, b, c = crit.weights
-    alpha = eos.solve_alpha(rho, Y, fp)
-    p = eos.mixture_pressure(rho, Y, fp, alpha=alpha)
+    p = eos.mixture_pressure(rho, Y, fp)
     speed = np.linalg.norm(u[:, 2:] / rho[:, None], axis=1)
     return np.maximum.reduce(
         [

@@ -3,10 +3,11 @@
 Each fluid obeys p_k(rho_k) = p_k0 + c_k^2 (rho_k - rho_k0) = A_k + c_k^2 rho_k.
 Given the mixture density rho and mass fraction Y of fluid 1, pressure
 equilibrium p1(rho1) = p2(rho2) with rho*Y/rho1 + rho*(1-Y)/rho2 = 1 is a
-quadratic in the pressure, whose one admissible root has a closed form; the
-volume fraction is alpha = rho*Y/rho1.  The free energy integrates in closed
-form at the same phase densities.  All functions broadcast over numpy arrays
-and accept plain scalars.
+quadratic in the pressure, whose one admissible root has a closed form.  One
+solve of that closure yields x_k = c_k^2 rho_k and the pressure, and each
+quantity is read off one such solve: the volume fraction alpha = rho*Y/rho1,
+the pressure, the Wood sound speed and the closed-form free energy.  All
+functions broadcast over numpy arrays and accept plain scalars.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ __all__ = [
     "to_primitive",
     "from_primitive",
     "free_energy",
-    "density_from_pressure",
     "state_from_pressure_alpha",
 ]
 
@@ -61,19 +61,13 @@ class FluidPair:
     def A2(self) -> float:
         return self.p2_0 - self.c2**2 * self.rho2_0
 
-    def p1(self, rho1):
-        return self.p1_0 + self.c1**2 * (np.asarray(rho1) - self.rho1_0)
-
-    def p2(self, rho2):
-        return self.p2_0 + self.c2**2 * (np.asarray(rho2) - self.rho2_0)
-
 
 def _clamp_Y(Y):
     return np.clip(Y, EPS_Y, 1.0 - EPS_Y)
 
 
 def _closure(rho, Y, fp: FluidPair):
-    """Clamped Y and c1^2 rho1, c2^2 rho2 at pressure equilibrium.
+    """Clamped Y, c1^2 rho1, c2^2 rho2 and the pressure at equilibrium.
 
     With x_k = p - A_k = c_k^2 rho_k, volume fractions summing to one read
     Y c1^2/x1 + (1-Y) c2^2/x2 = 1/rho.  It is solved for s = p - max(A1, A2)
@@ -81,7 +75,7 @@ def _closure(rho, Y, fp: FluidPair):
     constant term is <= 0, so the roots have opposite signs, the discriminant
     adds two non-negative terms, and the one positive root comes from the
     cancellation-free root pair.  The other x_k is s + D, also without
-    cancellation.
+    cancellation, and the pressure is A_s + s, which D never enters.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
@@ -101,35 +95,33 @@ def _closure(rho, Y, fp: FluidPair):
     sq = np.sqrt(b * b - 4.0 * u * c)
     q = -0.5 * (b + np.where(b >= 0, sq, -sq))
     s = np.maximum(q / u, c / q)
-    return (Yc, s, s + D) if one_first else (Yc, s + D, s)
+    p = ps + (s - cs**2 * rs)
+    return (Yc, s, s + D, p) if one_first else (Yc, s + D, s, p)
+
+
+def _scalar(a):
+    return float(a) if a.ndim == 0 else a
 
 
 def solve_alpha(rho, Y, fp: FluidPair):
-    """Volume fraction of fluid 1 from the pressure-equilibrium closure."""
-    Yc, x1, _ = _closure(rho, Y, fp)
-    alpha = np.asarray(rho, dtype=np.float64) * Yc * fp.c1**2 / x1
-    return float(alpha) if alpha.ndim == 0 else alpha
+    """Volume fraction of fluid 1: alpha = rho*Y/rho1 = rho*Y*c1^2/x1."""
+    Yc, x1, _, _ = _closure(rho, Y, fp)
+    return _scalar(np.asarray(rho, dtype=np.float64) * Yc * fp.c1**2 / x1)
 
 
-def mixture_pressure(rho, Y, fp: FluidPair, alpha=None):
-    """Equilibrium pressure p = p1(rho*Y/alpha)."""
-    if alpha is None:
-        alpha = solve_alpha(rho, Y, fp)
-    rho = np.asarray(rho, dtype=np.float64)
-    Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
-    return fp.p1(rho * Yc / alpha)
+def mixture_pressure(rho, Y, fp: FluidPair):
+    """Equilibrium pressure p1(rho1) = p2(rho2)."""
+    return _scalar(_closure(rho, Y, fp)[3])
 
 
-def wood_sound_speed(rho, Y, fp: FluidPair, alpha=None):
-    """Mixture sound speed: 1/(rho c)^2 = Y/(rho1 c1)^2 + (1-Y)/(rho2 c2)^2."""
-    if alpha is None:
-        alpha = solve_alpha(rho, Y, fp)
-    rho = np.asarray(rho, dtype=np.float64)
-    Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
-    rho1 = rho * Yc / alpha
-    rho2 = rho * (1.0 - Yc) / (1.0 - alpha)
-    inv = Yc / (rho1 * fp.c1) ** 2 + (1.0 - Yc) / (rho2 * fp.c2) ** 2
-    return 1.0 / (rho * np.sqrt(inv))
+def wood_sound_speed(rho, Y, fp: FluidPair):
+    """Mixture sound speed: 1/(rho c)^2 = Y/(rho1 c1)^2 + (1-Y)/(rho2 c2)^2.
+
+    rho_k c_k = x_k/c_k, so each term is Y_k c_k^2/x_k^2.
+    """
+    Yc, x1, x2, _ = _closure(rho, Y, fp)
+    inv = Yc * fp.c1**2 / x1**2 + (1.0 - Yc) * fp.c2**2 / x2**2
+    return _scalar(1.0 / (np.asarray(rho, dtype=np.float64) * np.sqrt(inv)))
 
 
 def to_primitive(W):
@@ -166,26 +158,14 @@ def free_energy(rho, Y, fp: FluidPair, rho_ref=None):
         rho_ref = 0.5 * min(fp.rho1_0, fp.rho2_0)
 
     def G(r):
-        Yc, x1, x2 = _closure(r, Y, fp)
+        Yc, x1, x2, _ = _closure(r, Y, fp)
         rho1 = x1 / fp.c1**2
         rho2 = x2 / fp.c2**2
         return Yc * (fp.c1**2 * np.log(rho1) - fp.A1 / rho1) + (1.0 - Yc) * (
             fp.c2**2 * np.log(rho2) - fp.A2 / rho2
         )
 
-    F = G(rho) - G(rho_ref)
-    return float(F) if F.ndim == 0 else F
-
-
-def density_from_pressure(p, Y, fp: FluidPair):
-    """Mixture density at pressure p and mass fraction Y (equilibrium)."""
-    p = np.asarray(p, dtype=np.float64)
-    Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
-    rho1 = fp.rho1_0 + (p - fp.p1_0) / fp.c1**2
-    rho2 = fp.rho2_0 + (p - fp.p2_0) / fp.c2**2
-    if np.any(rho1 <= 0) or np.any(rho2 <= 0):
-        raise EosError("pressure below vacuum for one fluid")
-    return 1.0 / (Yc / rho1 + (1.0 - Yc) / rho2)
+    return _scalar(G(rho) - G(rho_ref))
 
 
 def state_from_pressure_alpha(p, alpha, u, fp: FluidPair):

@@ -73,7 +73,7 @@ PHASES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     case: str = "smooth_advection"
     t_end: float = 1.0
@@ -104,7 +104,7 @@ class RunConfig:
         if self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}; known: {CASES}")
         if self.b is None:
-            self.b = self.max_level
+            object.__setattr__(self, "b", self.max_level)
         if not 0 <= self.min_level <= self.max_level <= self.b:
             raise ConfigError("need min_level <= max_level <= b")
         if self.t_end < 0:
@@ -121,12 +121,13 @@ class RunConfig:
             )
         unknown = sorted(set(self.case_params) - set(_CASE_PARAMS[self.case]))
         if unknown:
-            raise ConfigError(
-                f"unknown [case] parameters {unknown} for {self.case}; known: {_CASE_PARAMS[self.case]}"
-            )
-        # built once, so a bad [scheme] or [criterion] value fails here, not mid-run
-        self.sweep_config = SweepConfig(self.order, self.cfl, self.gravity, self.splitting)
-        self.criterion_obj = Criterion(self.criterion, self.xi, tuple(self.weights))
+            known = list(_CASE_PARAMS[self.case])
+            raise ConfigError(f"unknown [case] parameters {unknown} for {self.case}; known: {known}")
+        # built once, so a bad [scheme] or [criterion] value fails here, not
+        # mid-run; the config is frozen, so they never go stale
+        scfg = SweepConfig(self.order, self.cfl, self.gravity, self.splitting)
+        object.__setattr__(self, "sweep_config", scfg)
+        object.__setattr__(self, "criterion_obj", Criterion(self.criterion, self.xi, tuple(self.weights)))
 
     @property
     def connectivity(self) -> Connectivity:
@@ -356,15 +357,6 @@ class Profile:
 # Initial conditions.
 
 
-def _advection_params(cfg: RunConfig):
-    p = cfg.case_params
-    lam = p.get("lambda", 1e-7)
-    x0 = np.array([p.get("x0", 0.5), p.get("y0", 0.5), p.get("z0", 0.5)][: cfg.dim])
-    vel = np.array([p.get("ux", 1.0), p.get("uy", 1.0), p.get("uz", 1.0)][: cfg.dim])
-    p0 = p.get("p", 1e5)
-    return lam, x0, vel, p0
-
-
 def _smooth_alpha(x, lam, x0):
     # cos^4 dome of radius 0.3 around x0, decaying smoothly into lam
     r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
@@ -377,16 +369,21 @@ def _disk_alpha(x, lam, x0, radius):
     return np.where(r < radius, 1.0 - lam, lam)
 
 
-_ADVECTION_PARAMS = ("lambda", "x0", "y0", "z0", "ux", "uy", "uz", "p")
+_ADVECTION_PARAMS = {
+    "lambda": 1e-7, "x0": 0.5, "y0": 0.5, "z0": 0.5, "ux": 1.0, "uy": 1.0, "uz": 1.0, "p": 1e5
+}
 
-# the [case] parameters each branch of _sample_case reads
-_CASE_PARAMS: dict[str, tuple[str, ...]] = {
+# the [case] parameters of each case and their defaults; _sample_case reads
+# every one of them
+_CASE_PARAMS: dict[str, dict[str, float]] = {
     "smooth_advection": _ADVECTION_PARAMS,
-    "disk_advection": (*_ADVECTION_PARAMS, "radius"),
-    "shock_tube": ("x_lo", "x_hi", "p_in", "p_out", "alpha_in", "alpha_out"),
-    "double_rarefaction": ("u0", "alpha", "p"),
-    "drop2d": ("lambda", "x0", "y0", "radius", "bath_height", "p"),
-    "dambreak3d": ("lambda", "column_x", "column_y", "p"),
+    "disk_advection": {**_ADVECTION_PARAMS, "radius": 0.1},
+    "shock_tube": {
+        "x_lo": 0.25, "x_hi": 0.75, "p_in": 20.0, "p_out": 10.0, "alpha_in": 0.6, "alpha_out": 0.4
+    },
+    "double_rarefaction": {"u0": 0.4, "alpha": 0.5, "p": 10.0},
+    "drop2d": {"lambda": 1e-7, "x0": 0.5, "y0": 0.7, "radius": 0.1, "bath_height": 0.4, "p": 1e5},
+    "dambreak3d": {"lambda": 1e-7, "column_x": 0.25, "column_y": 0.5, "p": 1e5},
 }
 
 
@@ -403,56 +400,41 @@ def _sample_case(cfg: RunConfig, f: Forest) -> tuple[np.ndarray, Callable | None
     fp = cfg.fluids
     x = f.centers
     name = cfg.case
+    p = {**_CASE_PARAMS[name], **cfg.case_params}
+    ext = np.array(cfg.connectivity.domain_extents)
     if name in ("smooth_advection", "disk_advection"):
-        lam, x0, vel, p0 = _advection_params(cfg)
-        extents = np.array(cfg.connectivity.domain_extents)
+        lam = p["lambda"]
+        x0 = np.array([p["x0"], p["y0"], p["z0"]][: cfg.dim])
+        vel = np.array([p["ux"], p["uy"], p["uz"]][: cfg.dim])
         if name == "smooth_advection":
             profile = lambda pos: _smooth_alpha(pos, lam, x0)  # noqa: E731
         else:
-            radius = cfg.case_params.get("radius", 0.1)
-            profile = lambda pos: _disk_alpha(pos, lam, x0, radius)  # noqa: E731
-        field = eos.state_from_pressure_alpha(p0, profile(x), vel, fp)
+            profile = lambda pos: _disk_alpha(pos, lam, x0, p["radius"])  # noqa: E731
+        field = eos.state_from_pressure_alpha(p["p"], profile(x), vel, fp)
 
         def exact(centers, t):
-            return profile((centers - t * vel) % extents)
+            return profile((centers - t * vel) % ext)
 
         return field, exact
     if name == "shock_tube":
-        p = cfg.case_params
-        x_lo, x_hi = p.get("x_lo", 0.25), p.get("x_hi", 0.75)
-        inside = (x[:, 0] > x_lo * cfg.connectivity.domain_extents[0]) & (
-            x[:, 0] < x_hi * cfg.connectivity.domain_extents[0]
-        )
-        press = np.where(inside, p.get("p_in", 20.0), p.get("p_out", 10.0))
-        alpha = np.where(inside, p.get("alpha_in", 0.6), p.get("alpha_out", 0.4))
+        inside = (x[:, 0] > p["x_lo"] * ext[0]) & (x[:, 0] < p["x_hi"] * ext[0])
+        press = np.where(inside, p["p_in"], p["p_out"])
+        alpha = np.where(inside, p["alpha_in"], p["alpha_out"])
         return eos.state_from_pressure_alpha(press, alpha, np.zeros(cfg.dim), fp), None
     if name == "double_rarefaction":
-        p = cfg.case_params
-        u0 = p.get("u0", 0.4)
-        mid = 0.5 * cfg.connectivity.domain_extents[0]
         vel = np.zeros((f.nleaves, cfg.dim))
-        vel[:, 0] = np.where(x[:, 0] < mid, -u0, u0)
-        alpha = np.full(f.nleaves, p.get("alpha", 0.5))
-        return eos.state_from_pressure_alpha(np.full(f.nleaves, p.get("p", 10.0)), alpha, vel, fp), None
+        vel[:, 0] = np.where(x[:, 0] < 0.5 * ext[0], -p["u0"], p["u0"])
+        alpha = np.full(f.nleaves, p["alpha"])
+        return eos.state_from_pressure_alpha(np.full(f.nleaves, p["p"]), alpha, vel, fp), None
     if name == "drop2d":
-        p = cfg.case_params
-        lam = p.get("lambda", 1e-7)
-        cx, cy = p.get("x0", 0.5), p.get("y0", 0.7)
-        radius = p.get("radius", 0.1)
-        bath = p.get("bath_height", 0.4)
-        r = np.hypot(x[:, 0] - cx, x[:, 1] - cy)
-        liquid = (r < radius) | (x[:, 1] < bath)
-        alpha = np.where(liquid, lam, 1.0 - lam)
-        return eos.state_from_pressure_alpha(p.get("p", 1e5), alpha, np.zeros(2), fp), None
+        r = np.hypot(x[:, 0] - p["x0"], x[:, 1] - p["y0"])
+        liquid = (r < p["radius"]) | (x[:, 1] < p["bath_height"])
+        alpha = np.where(liquid, p["lambda"], 1.0 - p["lambda"])
+        return eos.state_from_pressure_alpha(p["p"], alpha, np.zeros(2), fp), None
     if name == "dambreak3d":
-        p = cfg.case_params
-        lam = p.get("lambda", 1e-7)
-        ext = cfg.connectivity.domain_extents
-        col_x = p.get("column_x", 0.25) * ext[0]
-        col_y = p.get("column_y", 0.5) * ext[1]
-        liquid = (x[:, 0] < col_x) & (x[:, 1] < col_y)
-        alpha = np.where(liquid, lam, 1.0 - lam)
-        return eos.state_from_pressure_alpha(p.get("p", 1e5), alpha, np.zeros(3), fp), None
+        liquid = (x[:, 0] < p["column_x"] * ext[0]) & (x[:, 1] < p["column_y"] * ext[1])
+        alpha = np.where(liquid, p["lambda"], 1.0 - p["lambda"])
+        return eos.state_from_pressure_alpha(p["p"], alpha, np.zeros(3), fp), None
     raise ConfigError(f"unknown case {name!r}")
 
 
@@ -538,11 +520,9 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
     setup = init_case(cfg)
     f, u, fp = setup.forest, setup.field, setup.fluids
     prof = Profile()
-    pm = _rebuild_comm(f, cfg, prof)
     scfg = cfg.sweep_config
     crit = cfg.criterion_obj if cfg.adaptive else None
-
-    result = RunResult(cfg, f, u, 0.0, 0, prof, pm)
+    artifacts = []
 
     def dump(tag: str):
         if not write_outputs:
@@ -550,11 +530,13 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
         with prof.section("io"):
             path = outdir / f"{cfg.case}_{tag}.vtk"
             vtkio.write_vtk(f, u, fp, path, ranks=pm.owner_of(np.arange(f.nleaves)))
-            result.artifacts.append(path)
+            artifacts.append(path)
 
     t, nstep = 0.0, 0
-    dump("0000")
+    # the wall spans every booked phase, from the first partition to the last dump
     with prof.walltime():
+        pm = _rebuild_comm(f, cfg, prof)
+        dump("0000")
         while t < cfg.t_end * (1.0 - 1e-14):
             try:
                 dt = solver.compute_dt(f, u, scfg, fp, prof=prof)
@@ -571,24 +553,20 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
                 f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
                 pm = _rebuild_comm(f, cfg, prof)
             if cfg.output_every and nstep % cfg.output_every == 0:
-                result.forest, result.field = f, u
                 dump(f"{nstep:04d}")
-    result.forest, result.field, result.t, result.steps = f, u, t, nstep
-    result.partition = pm
+        dump("final")
+    result = RunResult(cfg, f, u, t, nstep, prof, pm, artifacts=artifacts)
     log.info(
         "%s: t=%.6g in %d steps, %d leaves", cfg.case, t, nstep, f.nleaves
     )
-    dump("final")
     if setup.exact_alpha is not None:
         exact = setup.exact_alpha(f.centers, t)
         result.l1_alpha = l1_error(f, u, fp, exact)
         result.l2_alpha = l2_error(f, u, fp, exact)
     if write_outputs:
-        with prof.section("io"):
-            (outdir / f"{cfg.case}_profile.csv").write_text(prof.csv())
-            (outdir / f"{cfg.case}_partition.csv").write_text(
-                metrics_csv(balance_metrics(f, pm))
-            )
+        # the reports come after the wall closes and are not booked
+        (outdir / f"{cfg.case}_profile.csv").write_text(prof.csv())
+        (outdir / f"{cfg.case}_partition.csv").write_text(metrics_csv(balance_metrics(f, pm)))
     return result
 
 

@@ -81,10 +81,7 @@ def _mom_perm(dim: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def _cell_speeds(u: np.ndarray, fp: FluidPair):
     rho = u[:, IRHO]
     Y = u[:, IRHOY] / rho
-    alpha = eos.solve_alpha(rho, Y, fp)
-    p = eos.mixture_pressure(rho, Y, fp, alpha=alpha)
-    c = eos.wood_sound_speed(rho, Y, fp, alpha=alpha)
-    return p, c
+    return eos.mixture_pressure(rho, Y, fp), eos.wood_sound_speed(rho, Y, fp)
 
 
 def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=None) -> float:
@@ -99,7 +96,7 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     """
     rho = u[:, IRHO]
     with _sec(prof, "eos"):
-        _, c = _cell_speeds(u, fp)
+        c = eos.wood_sound_speed(rho, u[:, IRHOY] / rho, fp)
     imp = rho * c
     imp_max = imp.copy()
     for axis in range(f.dim):
@@ -201,9 +198,9 @@ def sweep(
         fl = f.face_list(axis)
 
     # phase A (data-parallel per cell): face states and their EOS data
-    with _sec(prof, "eos"):
-        p, c = _cell_speeds(Wq, fp)
     if cfg.order == 1:
+        with _sec(prof, "eos"):
+            p, c = _cell_speeds(Wq, fp)
         WfL = WfR = Wq
         pfL = pfR = p
         cfL = cfR = c

@@ -24,7 +24,7 @@ def _cell_fields(f: Forest, u: np.ndarray, fp: FluidPair, ranks=None):
     rho = u[:, 0]
     Y = u[:, 1] / rho
     alpha = eos.solve_alpha(rho, Y, fp)
-    p = eos.mixture_pressure(rho, Y, fp, alpha=alpha)
+    p = eos.mixture_pressure(rho, Y, fp)
     vel = u[:, 2:] / rho[:, None]
     if ranks is None:
         ranks = np.zeros(f.nleaves, dtype=np.int64)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written in the most literal way possible
 (string bit twiddling, pointer trees, recursion, a lattice owner map,
-bisection) so it shares no code path with the library being checked.
+bisection, decimal arithmetic) so it shares no code path with the library being checked.
 """
 from __future__ import annotations
 
+import decimal
 import itertools
 
 import numpy as np
@@ -286,3 +287,46 @@ def bisect_alpha(rho, Y, fp, tol=1e-15):
         if hi - lo < tol * mid:
             break
     return 0.5 * (lo + hi)
+
+
+def equilibrium_p_c(rho, Y, fp, digits=50):
+    """Equilibrium pressure and Wood sound speed by decimal bisection in p.
+
+    Each phase density is rho_k(p) = rho_k0 + (p - p_k0)/c_k^2, and the
+    volume constraint Y/rho1(p) + (1-Y)/rho2(p) = 1/rho falls monotonically
+    from +inf at the vacuum pressure, where one phase density vanishes; the
+    root is bracketed by doubling the offset above that pressure, then
+    halved to ``digits`` digits.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        rho, Y = D(float(rho)), D(float(Y))
+        fluids = [
+            (D(fp.p1_0), D(fp.rho1_0), D(fp.c1) ** 2, Y),
+            (D(fp.p2_0), D(fp.rho2_0), D(fp.c2) ** 2, 1 - Y),
+        ]
+        floor = max(p0 - c2 * r0 for p0, r0, c2, _ in fluids)
+
+        def phase_rhos(p):
+            return [r0 + (p - p0) / c2 for p0, r0, c2, _ in fluids]
+
+        def excess(p):
+            return sum(y / r for (_, _, _, y), r in zip(fluids, phase_rhos(p))) - 1 / rho
+
+        hi = D(1)
+        while excess(floor + hi) > 0:
+            hi *= 2
+        lo = hi
+        while excess(floor + lo) <= 0:
+            lo /= 2
+        eps = D(10) ** (5 - digits)
+        while hi - lo > eps * hi:
+            mid = (lo + hi) / 2
+            if excess(floor + mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        p = floor + (lo + hi) / 2
+        inv = sum(y / (r * r * c2) for (_, _, c2, y), r in zip(fluids, phase_rhos(p)))
+        return float(p), float(1 / (rho * inv.sqrt()))

@@ -9,12 +9,25 @@ from amrfv import eos
 from amrfv.errors import ConfigError, EosError
 from amrfv.eos import EPS_Y, FluidPair
 
-from oracles import bisect_alpha
+from oracles import bisect_alpha, equilibrium_p_c, stiffened_p
 
 AIR_WATER = FluidPair(p1_0=1e5, rho1_0=1.0, c1=340.0, p2_0=1e5, rho2_0=1e3, c2=1500.0)
 IDENTICAL = FluidPair(p1_0=1e5, rho1_0=1.0, c1=10.0, p2_0=1e5, rho2_0=1.0, c2=10.0)
 MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
 DROP2D = FluidPair(p1_0=1e5, rho1_0=1.0, c1=10.0, p2_0=1e5, rho2_0=1e3, c2=15.0)
+
+
+def swapped(fp):
+    """The same fluids with the heavy one first."""
+    return FluidPair(fp.p2_0, fp.rho2_0, fp.c2, fp.p1_0, fp.rho1_0, fp.c1)
+
+
+def p1(fp, rho1):
+    return stiffened_p(rho1, fp.p1_0, fp.rho1_0, fp.c1)
+
+
+def p2(fp, rho2):
+    return stiffened_p(rho2, fp.p2_0, fp.rho2_0, fp.c2)
 
 
 class TestFluidPair:
@@ -37,7 +50,7 @@ class TestSolveAlpha:
         assert a < 1e-6
         # clamp leaves a trace of fluid 1; pressure matches p2 within that trace
         p = eos.mixture_pressure(2.0, EPS_Y, MILD)
-        assert p == pytest.approx(float(MILD.p2(2.0)), rel=1e-8)
+        assert p == pytest.approx(float(p2(MILD, 2.0)), rel=1e-8)
 
     def test_air_water_matches_bisection_oracle(self):
         # mid-interface state of a falling-drop setup: rho1=1, rho2=1000
@@ -70,15 +83,14 @@ class TestSolveAlpha:
         alpha = eos.solve_alpha(rho, Y, fp)
         expected = [bisect_alpha(r, y, fp) for r, y in zip(rho.tolist(), Y.tolist())]
         assert alpha == pytest.approx(expected, rel=1e-11, abs=1e-13)
-        swapped = FluidPair(fp.p2_0, fp.rho2_0, fp.c2, fp.p1_0, fp.rho1_0, fp.c1)
-        beta = eos.solve_alpha(rho, 1 - Y, swapped)
-        expected = [bisect_alpha(r, 1 - y, swapped) for r, y in zip(rho.tolist(), Y.tolist())]
+        beta = eos.solve_alpha(rho, 1 - Y, swapped(fp))
+        expected = [bisect_alpha(r, 1 - y, swapped(fp)) for r, y in zip(rho.tolist(), Y.tolist())]
         assert beta == pytest.approx(expected, rel=1e-11, abs=1e-13)
         rho1, rho2 = rho * Y / alpha, rho * (1 - Y) / beta
-        p1, p2 = fp.p1(rho1), fp.p2(rho2)
+        pa, pb = p1(fp, rho1), p2(fp, rho2)
         # relative to the stiff branch scale, as in the residual tests below
-        scale = np.maximum(np.maximum(np.abs(p1), np.abs(p2)), fp.c1**2 * rho1 + fp.c2**2 * rho2)
-        assert (np.abs(p1 - p2) / scale).max() <= 1e-12
+        scale = np.maximum(np.maximum(np.abs(pa), np.abs(pb)), fp.c1**2 * rho1 + fp.c2**2 * rho2)
+        assert (np.abs(pa - pb) / scale).max() <= 1e-12
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -94,9 +106,9 @@ class TestSolveAlpha:
         rho = rng.uniform(1.0, 2.0, size=200)
         Y = rng.uniform(0.05, 0.95, size=200)
         a = eos.solve_alpha(rho, Y, MILD)
-        p1 = MILD.p1(rho * Y / a)
-        p2 = MILD.p2(rho * (1 - Y) / (1 - a))
-        rel = np.abs(p1 - p2) / np.maximum(np.abs(p1), np.abs(p2))
+        pa = p1(MILD, rho * Y / a)
+        pb = p2(MILD, rho * (1 - Y) / (1 - a))
+        rel = np.abs(pa - pb) / np.maximum(np.abs(pa), np.abs(pb))
         assert rel.max() < 1e-12
 
     def test_residual_tolerance_stiff(self):
@@ -109,13 +121,13 @@ class TestSolveAlpha:
         a = eos.solve_alpha(rho, Y, AIR_WATER)
         m1 = rho * Yc
         m2 = rho * (1 - Yc)
-        p1 = AIR_WATER.p1(m1 / a)
-        p2 = AIR_WATER.p2(m2 / (1 - a))
+        pa = p1(AIR_WATER, m1 / a)
+        pb = p2(AIR_WATER, m2 / (1 - a))
         scale = np.maximum(
-            np.maximum(np.abs(p1), np.abs(p2)),
+            np.maximum(np.abs(pa), np.abs(pb)),
             AIR_WATER.c1**2 * m1 / a + AIR_WATER.c2**2 * m2 / (1 - a),
         )
-        assert (np.abs(p1 - p2) / scale).max() < 1e-12
+        assert (np.abs(pa - pb) / scale).max() < 1e-12
 
     @given(st.floats(0.2, 2000.0), st.floats(1e-7, 1 - 1e-7))
     @settings(max_examples=200, deadline=None)
@@ -143,24 +155,25 @@ class TestSolveAlpha:
 class TestMixturePressure:
     def test_pure_fluid_1(self):
         p = eos.mixture_pressure(1.2, 1.0 - EPS_Y, AIR_WATER)
-        assert p == pytest.approx(float(AIR_WATER.p1(1.2)), rel=1e-6)
+        assert p == pytest.approx(float(p1(AIR_WATER, 1.2)), rel=1e-6)
 
     def test_identical_eos(self):
         p = eos.mixture_pressure(1.4, 0.3, IDENTICAL)
-        assert p == pytest.approx(float(IDENTICAL.p1(1.4)), rel=1e-12)
+        assert p == pytest.approx(float(p1(IDENTICAL, 1.4)), rel=1e-12)
 
     def test_matches_oracle_pressure(self):
         rho, Y = 650.0, 0.4
         a = bisect_alpha(rho, Y, AIR_WATER)
-        expected = float(AIR_WATER.p1(rho * Y / a))
+        expected = float(p1(AIR_WATER, rho * Y / a))
         assert eos.mixture_pressure(rho, Y, AIR_WATER) == pytest.approx(expected, rel=1e-10)
 
     def test_p2_branch_agreement(self):
+        # the pressure is read off the closure; the fluid-2 branch at the
+        # closure's own alpha must give it back
         rho, Y = 300.0, 0.2
         a = eos.solve_alpha(rho, Y, AIR_WATER)
-        p1 = eos.mixture_pressure(rho, Y, AIR_WATER, alpha=a)
-        p2 = float(AIR_WATER.p2(rho * (1 - Y) / (1 - a)))
-        assert p1 == pytest.approx(p2, rel=1e-10)
+        pb = float(p2(AIR_WATER, rho * (1 - Y) / (1 - a)))
+        assert eos.mixture_pressure(rho, Y, AIR_WATER) == pytest.approx(pb, rel=1e-10)
 
 
 class TestWoodSpeed:
@@ -192,6 +205,37 @@ class TestWoodSpeed:
                 - eos.mixture_pressure(rho - h, Y, AIR_WATER)
             ) / (2 * h)
             assert c**2 == pytest.approx(dp, rel=1e-5)
+
+
+PAIRS = [AIR_WATER, DROP2D, swapped(AIR_WATER), swapped(DROP2D)]
+PAIR_IDS = ["air_water", "drop2d", "water_air", "drop2d_swapped"]
+
+
+@pytest.mark.parametrize("fp", PAIRS, ids=PAIR_IDS)
+def test_pressure_and_speed_match_decimal_oracle(fp):
+    # near-pure cells, where the old 1 - alpha rebuild of rho2 cancelled,
+    # then random mixtures at pressures a decade either side of 1e5 above
+    # the vacuum pressure max(A1, A2)
+    rng = np.random.default_rng(8)
+    near_pure = [1 - 1e-7, 1e-7, 1 - 1e-9, 1e-9]
+    vacuum = max(fp.A1, fp.A2)
+    press = vacuum + (1e5 - vacuum) * 10.0 ** rng.uniform(-1.0, 1.0, 40)
+    W = np.concatenate(
+        [
+            eos.state_from_pressure_alpha(1e5, near_pure, np.zeros(2), fp),
+            eos.state_from_pressure_alpha(press, rng.uniform(0.0, 1.0, 40), np.zeros(2), fp),
+        ]
+    )
+    rho = W[:, 0]
+    Y = np.clip(W[:, 1] / rho, EPS_Y, 1 - EPS_Y)
+    p_ref, c_ref = np.array([equilibrium_p_c(r, y, fp) for r, y in zip(rho, Y)]).T
+    p = eos.mixture_pressure(rho, Y, fp)
+    c = eos.wood_sound_speed(rho, Y, fp)
+    # c1^2 rho1 + c2^2 rho2 at the oracle pressure bounds the stiff branch
+    x_sum = (p_ref - fp.p1_0 + fp.c1**2 * fp.rho1_0) + (p_ref - fp.p2_0 + fp.c2**2 * fp.rho2_0)
+    scale = np.maximum(np.abs(p_ref), x_sum)
+    assert (np.abs(p - p_ref) / scale).max() <= 1e-14
+    assert (np.abs(c - c_ref) / c_ref).max() <= 1e-13
 
 
 class TestPrimitiveConversion:
@@ -248,9 +292,12 @@ class TestFreeEnergy:
 
 class TestStateConstruction:
     def test_density_from_pressure_round_trip(self):
-        p = 1e5
-        rho = eos.density_from_pressure(p, 0.3, AIR_WATER)
-        assert eos.mixture_pressure(rho, 0.3, AIR_WATER) == pytest.approx(p, rel=1e-10)
+        # mixture density at pressure p from the inverted phase laws
+        p, Y, fp = 1e5, 0.3, AIR_WATER
+        rho1 = fp.rho1_0 + (p - fp.p1_0) / fp.c1**2
+        rho2 = fp.rho2_0 + (p - fp.p2_0) / fp.c2**2
+        rho = 1.0 / (Y / rho1 + (1 - Y) / rho2)
+        assert eos.mixture_pressure(rho, Y, fp) == pytest.approx(p, rel=1e-10)
 
     def test_state_from_pressure_alpha(self):
         W = eos.state_from_pressure_alpha(1e5, 0.25, np.array([1.0, 2.0]), MILD)
@@ -260,4 +307,4 @@ class TestStateConstruction:
 
     def test_vacuum_pressure_raises(self):
         with pytest.raises(EosError):
-            eos.density_from_pressure(-1e9, 0.5, MILD)
+            eos.state_from_pressure_alpha(-1e9, 0.5, np.zeros(2), MILD)

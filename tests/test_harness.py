@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,16 @@ class TestConfig:
             load_config(p)
         for word in named:
             assert word in str(err.value)
+
+    def test_config_is_frozen(self):
+        # sweep_config and criterion_obj are built once from the fields, so
+        # an edited field would leave them stale; edits go through replace
+        cfg = default_config("disk_advection")
+        with pytest.raises(FrozenInstanceError):
+            cfg.order = 1
+        edited = replace(cfg, order=1, xi=1e-3)
+        assert (edited.sweep_config.order, edited.criterion_obj.xi) == (1, 1e-3)
+        assert (cfg.sweep_config.order, cfg.criterion_obj.xi) == (2, 5e-5)
 
     def test_ranks_beyond_min_level_leaves_rejected(self):
         # coarsening may reach the 4 leaves of min_level 1, which 5 or more
@@ -241,16 +252,21 @@ class TestRun:
         for name in ("disk_advection_final.vtk", "disk_advection_partition.csv", "cut.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_profile_coverage(self):
+    def test_profile_coverage(self, tmp_path):
         cfg = default_config("disk_advection", max_level=5, min_level=3, t_end=0.1)
         res = run(cfg, write_outputs=False)
         assert res.profile.wall > 0
-        assert res.profile.covered >= 0.9 * res.profile.wall
+        assert 0.9 * res.profile.wall <= res.profile.covered <= res.profile.wall
         csv = res.profile.csv()
         assert csv.splitlines()[0] == "phase,seconds,percent"
         assert len(csv.splitlines()) == len(harness.PHASES) + 1
         # the face-list build has its own phase, ahead of the ghost layers
         assert res.profile.seconds["faces"] > 0
+        # the wall spans the first partition and both dumps, so a run without
+        # a step is covered as well and its phases never exceed the wall
+        res = run(replace(cfg, t_end=0.0, output_dir=str(tmp_path)))
+        assert res.steps == 0 and res.profile.seconds["io"] > 0
+        assert 0.9 * res.profile.wall <= res.profile.covered <= res.profile.wall
 
     def test_drop2d_gravity_smoke(self, tmp_path):
         # a few steps of the walled gravity case: liquid must gain downward
