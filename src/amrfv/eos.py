@@ -6,8 +6,11 @@ equilibrium p1(rho1) = p2(rho2) with rho*Y/rho1 + rho*(1-Y)/rho2 = 1 is a
 quadratic in the pressure, whose one admissible root has a closed form.  One
 solve of that closure yields x_k = c_k^2 rho_k and the pressure, and each
 quantity is read off one such solve: the volume fraction alpha = rho*Y/rho1,
-the pressure, the Wood sound speed and the closed-form free energy.  All
-functions broadcast over numpy arrays and accept plain scalars.
+the pressure, the Wood sound speed and the closed-form free energy; a caller
+that needs both p and c reads them off a single solve.  All functions
+broadcast over numpy arrays and accept plain scalars.  The state conversions
+keep the memory order of their input, so a column-major ``(n, ncomp)`` batch
+stays component-contiguous.
 """
 from __future__ import annotations
 
@@ -18,15 +21,8 @@ import numpy as np
 from amrfv.errors import ConfigError, EosError
 
 __all__ = [
-    "EPS_Y",
-    "FluidPair",
-    "solve_alpha",
-    "mixture_pressure",
-    "wood_sound_speed",
-    "to_primitive",
-    "from_primitive",
-    "free_energy",
-    "state_from_pressure_alpha",
+    "EPS_Y", "FluidPair", "solve_alpha", "mixture_pressure", "wood_sound_speed", "to_primitive",
+    "from_primitive", "free_energy", "state_from_pressure_alpha",
 ]
 
 # mass/volume fractions are kept strictly inside (0,1)
@@ -119,9 +115,14 @@ def wood_sound_speed(rho, Y, fp: FluidPair):
 
     rho_k c_k = x_k/c_k, so each term is Y_k c_k^2/x_k^2.
     """
-    Yc, x1, x2, _ = _closure(rho, Y, fp)
+    return _pressure_and_speed(rho, Y, fp)[1]
+
+
+def _pressure_and_speed(rho, Y, fp: FluidPair):
+    """``mixture_pressure`` and ``wood_sound_speed`` off one closure solve."""
+    Yc, x1, x2, p = _closure(rho, Y, fp)
     inv = Yc * fp.c1**2 / x1**2 + (1.0 - Yc) * fp.c2**2 / x2**2
-    return _scalar(1.0 / (np.asarray(rho, dtype=np.float64) * np.sqrt(inv)))
+    return _scalar(p), _scalar(1.0 / (np.asarray(rho, dtype=np.float64) * np.sqrt(inv)))
 
 
 def to_primitive(W):
@@ -130,20 +131,23 @@ def to_primitive(W):
     rho = W[..., 0]
     Yc = _clamp_Y(W[..., 1] / rho)
     V = np.empty_like(W)
-    V[..., 0] = rho * Yc
-    V[..., 1] = rho * (1.0 - Yc)
-    V[..., 2:] = W[..., 2:] / rho[..., None]
+    np.multiply(rho, Yc, out=V[..., 0])
+    np.multiply(rho, 1.0 - Yc, out=V[..., 1])
+    np.divide(W[..., 2:], rho[..., None], out=V[..., 2:])
     return V
 
 
-def from_primitive(V):
-    """Primitive [m1, m2, u...] -> conservative [rho, rho Y, rho u...]."""
+def from_primitive(V, out=None):
+    """Primitive [m1, m2, u...] -> conservative [rho, rho Y, rho u...].
+
+    ``out`` may be ``V`` itself, which is then converted in place.
+    """
     V = np.asarray(V, dtype=np.float64)
     rho = V[..., 0] + V[..., 1]
-    W = np.empty_like(V)
-    W[..., 0] = rho
+    W = np.empty_like(V) if out is None else out
     W[..., 1] = V[..., 0]
-    W[..., 2:] = V[..., 2:] * rho[..., None]
+    W[..., 0] = rho
+    np.multiply(V[..., 2:], rho[..., None], out=W[..., 2:])
     return W
 
 

@@ -14,4 +14,8 @@ class EosError(ArithmeticError):
 
 
 class VacuumError(ArithmeticError):
-    """Relaxation solver produced a non-positive intermediate density."""
+    """Relaxation solver produced a non-positive intermediate density at face ``row``."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row

@@ -401,15 +401,17 @@ class Forest:
             self._face_lists[axis] = self._build_face_list(axis)
         return self._face_lists[axis]
 
+    def leaf_label(self, i: int) -> str:
+        """``leaf i (level l, centre (x, y))``, the way error messages name a leaf."""
+        centre = ", ".join(f"{v:.6g}" for v in self.centers[i])
+        return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
+
     def _check_balanced(self, offenders: np.ndarray, axis: int) -> None:
         """Raise naming the first of the leaves whose high face breaks 2:1 balance."""
         if len(offenders):
-            i = int(offenders.min())
-            centre = ", ".join(f"{v:.6g}" for v in self.centers[i])
             raise ContractError(
-                f"face list on axis {axis} requires a 2:1-balanced forest: leaf {i} "
-                f"(level {self.level[i]}, centre ({centre})) has a face neighbour "
-                f"two or more levels away"
+                f"face list on axis {axis} requires a 2:1-balanced forest: "
+                f"{self.leaf_label(int(offenders.min()))} has a face neighbour two or more levels away"
             )
 
     def _build_face_list(self, axis: int) -> FaceList:
@@ -440,12 +442,17 @@ class Forest:
             self._check_balanced(src[deeper.any(axis=1)], axis)
             first = np.cumsum(counts)[fin] - m
             hi[(first[:, None] + np.arange(m)).ravel()] = idx
-        area = np.minimum(self.dx[lo], self.dx[hi]) ** (dim - 1)
-        dist = 0.5 * (self.dx[lo] + self.dx[hi])
+        dlo, dhi = self.dx[lo], self.dx[hi]
+        area = np.minimum(dlo, dhi) ** (dim - 1)
+        dist = 0.5 * (dlo + dhi)
 
-        # non-periodic domain faces, ordered by cell, low side first
-        walls = np.stack([~self._adjacent_points(axis, 0)[2], ~interior], axis=1)
-        bc_cell, bc_side = np.nonzero(walls)
+        # non-periodic domain faces, ordered by cell, low side first; a low
+        # wall is a leaf on the low face of a tree on the low face of the brick
+        low_wall = np.zeros(n, dtype=bool)
+        if not self.conn.periodic[axis]:
+            edge = np.flatnonzero(self.coords[:, axis] == 0)
+            low_wall[edge] = self.conn.tree_coords_many(self.tree[edge])[:, axis] == 0
+        bc_cell, bc_side = np.nonzero(np.stack([low_wall, ~interior], axis=1))
         bc_area = self.dx[bc_cell] ** (dim - 1)
 
         # slot table: the rows each cell side touches, grouped by cell in row

@@ -27,49 +27,15 @@ from amrfv.partition import PartitionMap, balance_metrics, ghost_layer, metrics_
 from amrfv.solver import SweepConfig
 
 __all__ = [
-    "CASES",
-    "RunConfig",
-    "default_config",
-    "load_config",
-    "Profile",
-    "CaseSetup",
-    "init_case",
-    "adapt_mesh",
-    "RunResult",
-    "run",
-    "l1_error",
-    "l2_error",
-    "convergence_rate",
-    "compression_rate",
-    "converge_study",
-    "compare_amr_study",
-    "bench_partition_study",
+    "CASES", "RunConfig", "default_config", "load_config", "Profile", "CaseSetup", "init_case",
+    "adapt_mesh", "RunResult", "run", "l1_error", "l2_error", "convergence_rate", "compression_rate",
+    "converge_study", "compare_amr_study", "bench_partition_study",
 ]
 
 log = logging.getLogger(__name__)
 
-CASES = (
-    "smooth_advection",
-    "disk_advection",
-    "shock_tube",
-    "double_rarefaction",
-    "drop2d",
-    "dambreak3d",
-)
-
 PHASES = (
-    "sweep",
-    "slopes",
-    "flux",
-    "eos",
-    "mark",
-    "refine",
-    "coarsen",
-    "balance",
-    "partition",
-    "faces",
-    "ghost",
-    "io",
+    "sweep", "slopes", "flux", "eos", "mark", "refine", "coarsen", "balance", "partition", "faces", "ghost", "io"
 )
 
 
@@ -119,9 +85,9 @@ class RunConfig:
             raise ConfigError(
                 f"ranks must lie in 1..{min_leaves}, the leaf count at min_level {self.min_level}"
             )
-        unknown = sorted(set(self.case_params) - set(_CASE_PARAMS[self.case]))
+        unknown = sorted(set(self.case_params) - set(_CASES[self.case].params))
         if unknown:
-            known = list(_CASE_PARAMS[self.case])
+            known = list(_CASES[self.case].params)
             raise ConfigError(f"unknown [case] parameters {unknown} for {self.case}; known: {known}")
         # built once, so a bad [scheme] or [criterion] value fails here, not
         # mid-run; the config is frozen, so they never go stale
@@ -138,101 +104,11 @@ class RunConfig:
         return self.min_level < self.max_level
 
 
-_ADVECTION = dict(
-    dim=2,
-    trees=(1, 1),
-    tree_extent=1.0,
-    periodic=(True, True),
-    fluids=FluidPair(1e5, 1.0, 3.0, 1e5, 2.0, 3.0),
-    criterion="rho_gradient",
-    xi=5e-5,
-    t_end=1.0,
-)
-
-_GRAVITY_FLUIDS = FluidPair(1e5, 1.0, 10.0, 1e5, 1e3, 15.0)
-
-_CASE_DEFAULTS: dict[str, dict] = {
-    # light fluids keep the advective CFL near C, which the convergence
-    # rates at coarse resolutions depend on
-    "smooth_advection": dict(
-        _ADVECTION,
-        max_level=6,
-        min_level=6,
-        order=2,
-        fluids=FluidPair(1e5, 1.0, 0.02, 1e5, 1.5, 0.02),
-    ),
-    # the 1% density contrast puts per-cell rho jumps of the smeared front
-    # between the two reference thresholds 5e-5 and 5e-4, so the threshold
-    # choice visibly changes the refined band (and the error)
-    "disk_advection": dict(
-        _ADVECTION,
-        max_level=7,
-        min_level=3,
-        order=2,
-        fluids=FluidPair(1e5, 1.0, 3.0, 1e5, 1.01, 3.0),
-    ),
-    "shock_tube": dict(
-        dim=2,
-        trees=(64, 1),
-        tree_extent=1.0 / 64,
-        periodic=(True, True),
-        max_level=0,
-        min_level=0,
-        fluids=FluidPair(10.0, 1.0, 2.0, 10.0, 1.0, 2.0),
-        order=1,
-        splitting="lie",
-        t_end=0.08,
-    ),
-    "double_rarefaction": dict(
-        dim=2,
-        trees=(64, 1),
-        tree_extent=1.0 / 64,
-        periodic=(True, True),
-        max_level=0,
-        min_level=0,
-        fluids=FluidPair(10.0, 1.0, 2.0, 10.0, 1.0, 2.0),
-        order=1,
-        splitting="lie",
-        t_end=0.08,
-    ),
-    "drop2d": dict(
-        dim=2,
-        trees=(1, 1),
-        tree_extent=1.0,
-        periodic=(False, False),
-        max_level=6,
-        min_level=3,
-        criterion="alpha_gradient",
-        xi=5e-4,
-        fluids=_GRAVITY_FLUIDS,
-        order=2,
-        splitting="strang",
-        gravity=9.81,
-        t_end=2e-3,
-    ),
-    "dambreak3d": dict(
-        dim=3,
-        trees=(2, 1, 1),
-        tree_extent=1.0,
-        periodic=(False, False, False),
-        max_level=6,
-        min_level=2,
-        criterion="alpha_gradient",
-        xi=5e-4,
-        fluids=_GRAVITY_FLUIDS,
-        order=2,
-        splitting="strang",
-        gravity=9.81,
-        t_end=1e-3,
-    ),
-}
-
-
 def default_config(case: str, **overrides) -> RunConfig:
     """Built-in configuration of a named case, with keyword overrides."""
-    if case not in _CASE_DEFAULTS:
+    if case not in _CASES:
         raise ConfigError(f"unknown case {case!r}; known: {CASES}")
-    merged = dict(_CASE_DEFAULTS[case])
+    merged = dict(_CASES[case].defaults)
     merged.update(overrides)
     return RunConfig(case=case, **merged)
 
@@ -284,7 +160,7 @@ def load_config(path) -> RunConfig:
     if not cp.has_option("case", "name"):
         raise ConfigError("config needs [case] name = <case>")
     case = cp.get("case", "name")
-    if case not in _CASE_DEFAULTS:
+    if case not in _CASES:
         raise ConfigError(f"unknown case {case!r}; known: {CASES}")
     for section in cp.sections():
         if section != "case" and section not in _INI_KEYS:
@@ -313,7 +189,7 @@ def load_config(path) -> RunConfig:
             name = "criterion" if key == "kind" else key
             (fluids if section == "fluids" else ov)[name] = parse(section, key, val, keys[key])
     if fluids:
-        ov["fluids"] = replace(_CASE_DEFAULTS[case]["fluids"], **fluids)
+        ov["fluids"] = replace(_CASES[case].defaults["fluids"], **fluids)
     return default_config(case, **ov)
 
 
@@ -357,34 +233,136 @@ class Profile:
 # Initial conditions.
 
 
-def _smooth_alpha(x, lam, x0):
-    # cos^4 dome of radius 0.3 around x0, decaying smoothly into lam
+def _smooth_alpha(x, p, x0):
+    # cos^4 dome of radius 0.3 around x0, decaying smoothly into lambda
+    lam = p["lambda"]
     r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
     bump = lam + (1.0 - lam) * np.cos(np.pi * r / 0.6) ** 4
     return np.where(r <= 0.3, bump, lam)
 
 
-def _disk_alpha(x, lam, x0, radius):
+def _disk_alpha(x, p, x0):
     r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
-    return np.where(r < radius, 1.0 - lam, lam)
+    return np.where(r < p["radius"], 1.0 - p["lambda"], p["lambda"])
 
 
+# A sampler maps (cfg, forest, merged [case] parameters, domain extents) to
+# the field at the cell centres and the exact alpha profile, if one is known.
+
+
+def _advected(alpha):
+    """Sampler of an alpha(pos, p, x0) profile carried by the uniform velocity."""
+
+    def sample(cfg, f, p, ext):
+        x0 = np.array([p["x0"], p["y0"], p["z0"]][: cfg.dim])
+        vel = np.array([p["ux"], p["uy"], p["uz"]][: cfg.dim])
+
+        def profile(pos):
+            return alpha(pos, p, x0)
+
+        field = eos.state_from_pressure_alpha(p["p"], profile(f.centers), vel, cfg.fluids)
+
+        def exact(centers, t):
+            return profile((centers - t * vel) % ext)
+
+        return field, exact
+
+    return sample
+
+
+def _shock_tube(cfg, f, p, ext):
+    x = f.centers
+    inside = (x[:, 0] > p["x_lo"] * ext[0]) & (x[:, 0] < p["x_hi"] * ext[0])
+    press = np.where(inside, p["p_in"], p["p_out"])
+    alpha = np.where(inside, p["alpha_in"], p["alpha_out"])
+    return eos.state_from_pressure_alpha(press, alpha, np.zeros(cfg.dim), cfg.fluids), None
+
+
+def _double_rarefaction(cfg, f, p, ext):
+    vel = np.zeros((f.nleaves, cfg.dim))
+    vel[:, 0] = np.where(f.centers[:, 0] < 0.5 * ext[0], -p["u0"], p["u0"])
+    alpha = np.full(f.nleaves, p["alpha"])
+    return eos.state_from_pressure_alpha(np.full(f.nleaves, p["p"]), alpha, vel, cfg.fluids), None
+
+
+def _drop2d(cfg, f, p, ext):
+    x = f.centers
+    r = np.hypot(x[:, 0] - p["x0"], x[:, 1] - p["y0"])
+    liquid = (r < p["radius"]) | (x[:, 1] < p["bath_height"])
+    alpha = np.where(liquid, p["lambda"], 1.0 - p["lambda"])
+    return eos.state_from_pressure_alpha(p["p"], alpha, np.zeros(2), cfg.fluids), None
+
+
+def _dambreak3d(cfg, f, p, ext):
+    x = f.centers
+    liquid = (x[:, 0] < p["column_x"] * ext[0]) & (x[:, 1] < p["column_y"] * ext[1])
+    alpha = np.where(liquid, p["lambda"], 1.0 - p["lambda"])
+    return eos.state_from_pressure_alpha(p["p"], alpha, np.zeros(3), cfg.fluids), None
+
+
+@dataclass(frozen=True)
+class _Case:
+    """A built-in case: its ``RunConfig`` defaults, its [case] parameters
+    with their defaults (the sampler reads every one), and its sampler."""
+
+    defaults: dict
+    params: dict
+    sample: Callable
+
+
+_ADVECTION = dict(
+    dim=2, trees=(1, 1), tree_extent=1.0, periodic=(True, True), criterion="rho_gradient", xi=5e-5, order=2,
+    t_end=1.0,
+)
 _ADVECTION_PARAMS = {
     "lambda": 1e-7, "x0": 0.5, "y0": 0.5, "z0": 0.5, "ux": 1.0, "uy": 1.0, "uz": 1.0, "p": 1e5
 }
+# a 1D problem on a row of 64 level-0 trees
+_SLAB = dict(
+    dim=2, trees=(64, 1), tree_extent=1.0 / 64, periodic=(True, True), max_level=0, min_level=0,
+    fluids=FluidPair(10.0, 1.0, 2.0, 10.0, 1.0, 2.0), order=1, splitting="lie", t_end=0.08,
+)
+_GRAVITY = dict(
+    criterion="alpha_gradient", xi=5e-4, fluids=FluidPair(1e5, 1.0, 10.0, 1e5, 1e3, 15.0), order=2,
+    splitting="strang", gravity=9.81,
+)
 
-# the [case] parameters of each case and their defaults; _sample_case reads
-# every one of them
-_CASE_PARAMS: dict[str, dict[str, float]] = {
-    "smooth_advection": _ADVECTION_PARAMS,
-    "disk_advection": {**_ADVECTION_PARAMS, "radius": 0.1},
-    "shock_tube": {
-        "x_lo": 0.25, "x_hi": 0.75, "p_in": 20.0, "p_out": 10.0, "alpha_in": 0.6, "alpha_out": 0.4
-    },
-    "double_rarefaction": {"u0": 0.4, "alpha": 0.5, "p": 10.0},
-    "drop2d": {"lambda": 1e-7, "x0": 0.5, "y0": 0.7, "radius": 0.1, "bath_height": 0.4, "p": 1e5},
-    "dambreak3d": {"lambda": 1e-7, "column_x": 0.25, "column_y": 0.5, "p": 1e5},
+_CASES: dict[str, _Case] = {
+    # light fluids keep the advective CFL near C, which the convergence
+    # rates at coarse resolutions depend on
+    "smooth_advection": _Case(
+        dict(_ADVECTION, max_level=6, min_level=6, fluids=FluidPair(1e5, 1.0, 0.02, 1e5, 1.5, 0.02)),
+        _ADVECTION_PARAMS,
+        _advected(_smooth_alpha),
+    ),
+    # the 1% density contrast puts per-cell rho jumps of the smeared front
+    # between the two reference thresholds 5e-5 and 5e-4, so the threshold
+    # choice visibly changes the refined band (and the error)
+    "disk_advection": _Case(
+        dict(_ADVECTION, max_level=7, min_level=3, fluids=FluidPair(1e5, 1.0, 3.0, 1e5, 1.01, 3.0)),
+        {**_ADVECTION_PARAMS, "radius": 0.1},
+        _advected(_disk_alpha),
+    ),
+    "shock_tube": _Case(
+        _SLAB,
+        {"x_lo": 0.25, "x_hi": 0.75, "p_in": 20.0, "p_out": 10.0, "alpha_in": 0.6, "alpha_out": 0.4},
+        _shock_tube,
+    ),
+    "double_rarefaction": _Case(_SLAB, {"u0": 0.4, "alpha": 0.5, "p": 10.0}, _double_rarefaction),
+    "drop2d": _Case(
+        dict(_GRAVITY, dim=2, trees=(1, 1), tree_extent=1.0, periodic=(False, False),
+             max_level=6, min_level=3, t_end=2e-3),
+        {"lambda": 1e-7, "x0": 0.5, "y0": 0.7, "radius": 0.1, "bath_height": 0.4, "p": 1e5},
+        _drop2d,
+    ),
+    "dambreak3d": _Case(
+        dict(_GRAVITY, dim=3, trees=(2, 1, 1), tree_extent=1.0, periodic=(False, False, False),
+             max_level=6, min_level=2, t_end=1e-3),
+        {"lambda": 1e-7, "column_x": 0.25, "column_y": 0.5, "p": 1e5},
+        _dambreak3d,
+    ),
 }
+CASES = tuple(_CASES)
 
 
 @dataclass
@@ -397,45 +375,9 @@ class CaseSetup:
 
 def _sample_case(cfg: RunConfig, f: Forest) -> tuple[np.ndarray, Callable | None]:
     """Field sampled at cell centers plus the exact alpha profile if known."""
-    fp = cfg.fluids
-    x = f.centers
-    name = cfg.case
-    p = {**_CASE_PARAMS[name], **cfg.case_params}
+    case = _CASES[cfg.case]
     ext = np.array(cfg.connectivity.domain_extents)
-    if name in ("smooth_advection", "disk_advection"):
-        lam = p["lambda"]
-        x0 = np.array([p["x0"], p["y0"], p["z0"]][: cfg.dim])
-        vel = np.array([p["ux"], p["uy"], p["uz"]][: cfg.dim])
-        if name == "smooth_advection":
-            profile = lambda pos: _smooth_alpha(pos, lam, x0)  # noqa: E731
-        else:
-            profile = lambda pos: _disk_alpha(pos, lam, x0, p["radius"])  # noqa: E731
-        field = eos.state_from_pressure_alpha(p["p"], profile(x), vel, fp)
-
-        def exact(centers, t):
-            return profile((centers - t * vel) % ext)
-
-        return field, exact
-    if name == "shock_tube":
-        inside = (x[:, 0] > p["x_lo"] * ext[0]) & (x[:, 0] < p["x_hi"] * ext[0])
-        press = np.where(inside, p["p_in"], p["p_out"])
-        alpha = np.where(inside, p["alpha_in"], p["alpha_out"])
-        return eos.state_from_pressure_alpha(press, alpha, np.zeros(cfg.dim), fp), None
-    if name == "double_rarefaction":
-        vel = np.zeros((f.nleaves, cfg.dim))
-        vel[:, 0] = np.where(x[:, 0] < 0.5 * ext[0], -p["u0"], p["u0"])
-        alpha = np.full(f.nleaves, p["alpha"])
-        return eos.state_from_pressure_alpha(np.full(f.nleaves, p["p"]), alpha, vel, fp), None
-    if name == "drop2d":
-        r = np.hypot(x[:, 0] - p["x0"], x[:, 1] - p["y0"])
-        liquid = (r < p["radius"]) | (x[:, 1] < p["bath_height"])
-        alpha = np.where(liquid, p["lambda"], 1.0 - p["lambda"])
-        return eos.state_from_pressure_alpha(p["p"], alpha, np.zeros(2), fp), None
-    if name == "dambreak3d":
-        liquid = (x[:, 0] < p["column_x"] * ext[0]) & (x[:, 1] < p["column_y"] * ext[1])
-        alpha = np.where(liquid, p["lambda"], 1.0 - p["lambda"])
-        return eos.state_from_pressure_alpha(p["p"], alpha, np.zeros(3), fp), None
-    raise ConfigError(f"unknown case {name!r}")
+    return case.sample(cfg, f, {**case.params, **cfg.case_params}, ext)
 
 
 def init_case(cfg: RunConfig) -> CaseSetup:
@@ -494,7 +436,7 @@ def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
             f.face_list(axis)
     with prof.section("ghost"):
         for r in range(pm.P):
-            ghost_layer(f, pm, r)  # the read-only snapshot contract per rank
+            ghost_layer(f, pm, r)  # the simulated decomposition's ghost sets; no sweep reads them
     return pm
 
 
@@ -541,7 +483,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             try:
                 dt = solver.compute_dt(f, u, scfg, fp, prof=prof)
                 dt = min(dt, cfg.t_end - t)
-                u, _ = solver.step(f, u, scfg, fp, pm=pm, dt=dt, prof=prof)
+                u, _ = solver.step(f, u, scfg, fp, dt=dt, prof=prof)
             except ArithmeticError as exc:
                 raise ArithmeticError(
                     f"solver failed at t={t:.6g} (step {nstep + 1}, "

@@ -1,9 +1,11 @@
 """Contiguous z-order partitioning into simulated ranks, ghosts and metrics.
 
-Ranks are index ranges over the global leaf array.  "Communication" is the
-construction of read-only ghost snapshots between sweep phases; within a
-sweep each rank reads its owned cells plus ghosts and writes owned cells
-only, so results are independent of the rank count.
+Ranks are index ranges over the global leaf array.  A rank's ghost layer
+holds the leaves it does not own that share a face with one it does.  What
+is simulated is the decomposition: the ranges, the ghost sets and the load
+and frontier metrics.  The solver itself makes one pass over all leaves, so
+no result depends on the rank count; the test suite checks that every face
+row a rank would flux reads only its owned cells and its ghost layer.
 """
 from __future__ import annotations
 

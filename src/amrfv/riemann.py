@@ -5,6 +5,11 @@ already rotated so the face normal sits in the third slot.  The flux is the
 HLLC-family four-wave form built from a single relaxation parameter
 a = theta * max(rho_L c_L, rho_R c_R) per face.  Callers pass each state's
 mixture pressure p and Wood sound speed c, which they evaluate once per cell.
+
+Batches are ``(n, ncomp)`` arrays of any memory order.  The kernels work one
+component column at a time and write each column once into their result, so
+column-major (Fortran-ordered) batches, whose columns are contiguous, are the
+fast case; a C-ordered batch gives the same bits.
 """
 from __future__ import annotations
 
@@ -34,12 +39,14 @@ def relaxation_speed(WL, WR, fp, cL, cR):
     return fp.theta * np.maximum(rhoL * cL, rhoR * cR)
 
 
-def suliciu_flux(WL, WR, fp, pL, pR, cL, cR):
+def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None):
     """Relaxation flux between rotated states (single rows or batches).
 
     Star densities are formed as rho/(1 + rho*(u* - u)/a), which reduces to
     rho exactly when both states coincide, keeping free streams bitwise
-    stable.  Raises VacuumError if an intermediate density is non-positive.
+    stable.  Raises VacuumError, carrying the first offending row, if an
+    intermediate density is non-positive.  The flux is written into ``out``
+    when given.
     """
     WL = np.asarray(WL, dtype=np.float64)
     WR = np.asarray(WR, dtype=np.float64)
@@ -55,29 +62,50 @@ def suliciu_flux(WL, WR, fp, pL, pR, cL, cR):
     duL = half_du + half_dp
     duR = -half_du + half_dp
     ustar = uL + duL
-    denomL = 1.0 + rhoL * duL / a
-    denomR = 1.0 - rhoR * duR / a
-    if np.any(denomL <= 0) or np.any(denomR <= 0):
+    mL = rhoL * duL
+    mR = rhoR * duR
+    denomL = 1.0 + mL / a
+    denomR = 1.0 - mR / a
+    bad = (denomL <= 0) | (denomR <= 0)
+    if np.any(bad):
         raise VacuumError(
             "relaxation produced a non-positive star density; "
-            "states too strong for theta={}".format(fp.theta)
+            "states too strong for theta={}".format(fp.theta),
+            row=int(np.argmax(bad)) if bad.ndim else 0,
         )
 
-    # star states: normal velocity u*, Y and tangentials carried from each side
-    WsL = np.empty_like(WL)
-    WsL[..., 0] = rhoL / denomL
-    WsL[..., 1] = WL[..., 1] / denomL
-    WsL[..., 2] = (WL[..., 2] + rhoL * duL) / denomL
-    WsL[..., 3:] = WL[..., 3:] / denomL[..., None]
-    WsR = np.empty_like(WR)
-    WsR[..., 0] = rhoR / denomR
-    WsR[..., 1] = WR[..., 1] / denomR
-    WsR[..., 2] = (WR[..., 2] + rhoR * duR) / denomR
-    WsR[..., 3:] = WR[..., 3:] / denomR[..., None]
-
-    sL = np.abs(uL - a / rhoL)[..., None]
-    s0 = np.abs(ustar)[..., None]
-    sR = np.abs(uR + a / rhoR)[..., None]
-    FL = physical_flux(WL, pL)
-    FR = physical_flux(WR, pR)
-    return 0.5 * (FL + FR - sL * (WsL - WL) - s0 * (WsR - WsL) - sR * (WR - WsR))
+    # wave speeds of the three jumps: star minus base on the left, the
+    # contact between the star states, base minus star on the right
+    sL = np.abs(uL - a / rhoL)
+    s0 = np.abs(ustar)
+    sR = np.abs(uR + a / rhoR)
+    if out is None:
+        out = np.empty_like(WL)
+    # 0.5 * (FL + FR - sL (WsL - WL) - s0 (WsR - WsL) - sR (WR - WsR)) one
+    # column at a time; star states carry u* in the normal momentum and Y
+    # and the tangential velocities from their own side
+    starL, starR, term = np.empty_like(uL), np.empty_like(uL), np.empty_like(uL)
+    for i in range(WL.shape[-1]):
+        wl, wr, o = WL[..., i], WR[..., i], out[..., i]
+        np.multiply(wl, uL, out=o)
+        np.multiply(wr, uR, out=term)
+        if i == 2:
+            o += pL
+            term += pR
+            np.divide(wl + mL, denomL, out=starL)
+            np.divide(wr + mR, denomR, out=starR)
+        else:
+            np.divide(wl, denomL, out=starL)
+            np.divide(wr, denomR, out=starR)
+        o += term
+        np.subtract(starL, wl, out=term)
+        term *= sL
+        o -= term
+        np.subtract(starR, starL, out=term)
+        term *= s0
+        o -= term
+        np.subtract(wr, starR, out=term)
+        term *= sR
+        o -= term
+        o *= 0.5
+    return out

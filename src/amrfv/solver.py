@@ -6,13 +6,16 @@ fine sub-face) and accumulates signed contributions scaled by face area over
 cell volume.  Second order uses minmod-limited slopes of the primitive
 variables [m1, m2, u...] and the MUSCL-Hancock half-step prediction.
 
-Faces come from ``Forest.face_list``: rows ordered by their lower-z-order
-cell and a per-cell slot table.  With a partition map, sweeps follow the
-simulated-rank contract: a rank's flux duty is the slice of face rows whose
-lo cell it owns, each phase runs over all ranks in turn before the next one
-starts, and every rank writes only its own cells, summing each cell side's
-gathered fluxes in slot order.  That order does not depend on the partition,
-so results are bitwise independent of the rank count by construction.
+A sweep is one pass over all leaves.  Its rotated copy of the state is
+column-major, so each component is one contiguous array, and the kernels
+work one component column at a time.  Each face state's pressure and sound
+speed come off one closure solve.  Faces come from ``Forest.face_list``:
+rows ordered by their lower-z-order cell and a per-cell slot table.  One
+flux call covers the interior rows and one the wall rows, then each cell sums
+its sides' slots in slot order from +0.0, so no bit depends on a partition.
+The simulated-rank contract (a rank fluxes the rows whose lo cell it owns,
+reading owned and ghost cells only) is a property of the face list and
+``partition.ghost_layer`` that the test suite checks, not a loop here.
 """
 from __future__ import annotations
 
@@ -23,21 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from amrfv import eos, riemann
-from amrfv.errors import ConfigError
+from amrfv.errors import ConfigError, VacuumError
 from amrfv.eos import FluidPair
 from amrfv.forest import Forest
-from amrfv.partition import PartitionMap
 
 __all__ = [
-    "IRHO",
-    "IRHOY",
-    "IMX",
-    "SweepConfig",
-    "compute_dt",
-    "muscl_predict",
-    "gravity_op",
-    "sweep",
-    "step",
+    "IRHO", "IRHOY", "IMX", "SweepConfig", "compute_dt", "muscl_predict", "gravity_op", "sweep", "step",
     "total_entropy",
 ]
 
@@ -79,9 +73,9 @@ def _mom_perm(dim: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_speeds(u: np.ndarray, fp: FluidPair):
+    """Mixture pressure and Wood sound speed of state rows, one closure solve."""
     rho = u[:, IRHO]
-    Y = u[:, IRHOY] / rho
-    return eos.mixture_pressure(rho, Y, fp), eos.wood_sound_speed(rho, Y, fp)
+    return eos._pressure_and_speed(rho, u[:, IRHOY] / rho, fp)
 
 
 def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=None) -> float:
@@ -127,24 +121,32 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray) -> np.nda
     ghost slope at center distance dx.
     """
     fl = f.face_list(axis)
-    s_face = (V[fl.hi] - V[fl.lo]) / fl.dist[:, None]
-    # mirror ghost differs only in normal velocity: slope -2*u_n/dx
+    nf = len(fl.lo)
     cells = fl.bc_cell
     sign = np.where(fl.bc_side == 1, 1.0, -1.0)
-    s_bc = np.zeros((len(cells), V.shape[1]))
-    s_bc[:, IMX] = sign * (-2.0 * V[cells, IMX]) / dx[cells]
-    cols = fl.columns(np.concatenate([s_face, s_bc]))
-    smin = smax = next(cols)
-    for col in cols:
-        smin = np.minimum(smin, col)
-        smax = np.maximum(smax, col)
-    sigma = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
-    return np.where(np.isfinite(sigma), sigma, 0.0)
+    rows = np.empty(nf + len(cells))
+    sigma = np.empty_like(V)
+    for i in range(V.shape[1]):
+        v = V[:, i]
+        np.subtract(v[fl.hi], v[fl.lo], out=rows[:nf])
+        rows[:nf] /= fl.dist
+        # mirror ghost differs only in normal velocity: slope -2*u_n/dx
+        rows[nf:] = sign * (-2.0 * v[cells]) / dx[cells] if i == IMX else 0.0
+        cols = fl.columns(rows)
+        smin = next(cols)
+        smax = smin.copy()
+        for col in cols:
+            np.minimum(smin, col, out=smin)
+            np.maximum(smax, col, out=smax)
+        s = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
+        sigma[:, i] = np.where(np.isfinite(s), s, 0.0)
+    return sigma
 
 
-def muscl_predict(W, sigma, dx, dt, fp: FluidPair):
+def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None):
     """Half-step MUSCL-Hancock face states from cell states and slopes.
 
+    ``V`` is ``eos.to_primitive(W)`` when the caller already has it.
     Returns (W_left_face, W_right_face, fallback) where ``fallback`` marks
     cells retreated to first order because a predicted state left the
     admissible set.
@@ -152,10 +154,15 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair):
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
     dx = np.atleast_1d(np.asarray(dx, dtype=np.float64))
-    V = eos.to_primitive(W)
-    half = 0.5 * sigma * dx[:, None]
-    WL = eos.from_primitive(V - half)
-    WR = eos.from_primitive(V + half)
+    if V is None:
+        V = eos.to_primitive(W)
+    WL, WR = np.empty_like(V), np.empty_like(V)
+    for i in range(V.shape[1]):
+        half = 0.5 * sigma[:, i] * dx
+        np.subtract(V[:, i], half, out=WL[:, i])
+        np.add(V[:, i], half, out=WR[:, i])
+    eos.from_primitive(WL, out=WL)
+    eos.from_primitive(WR, out=WR)
 
     def bad(A):
         return (A[:, IRHO] <= 0) | (A[:, IRHOY] <= 0) | (A[:, IRHOY] >= A[:, IRHO])
@@ -167,11 +174,15 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair):
         WR[fallback] = W[fallback]
     pL = eos.mixture_pressure(WL[:, IRHO], WL[:, IRHOY] / WL[:, IRHO], fp)
     pR = eos.mixture_pressure(WR[:, IRHO], WR[:, IRHOY] / WR[:, IRHO], fp)
-    dF = (riemann.physical_flux(WR, pR) - riemann.physical_flux(WL, pL)) * (
-        0.5 * dt / dx[:, None]
-    )
-    WfL = WL - dF
-    WfR = WR - dF
+    # the face states overwrite the fluxes: W - (F_R - F_L) * dt / (2 dx)
+    WfL = riemann.physical_flux(WL, pL)
+    WfR = riemann.physical_flux(WR, pR)
+    scale = 0.5 * dt / dx
+    for i in range(V.shape[1]):
+        dF = WfR[:, i] - WfL[:, i]
+        dF *= scale
+        np.subtract(WL[:, i], dF, out=WfL[:, i])
+        np.subtract(WR[:, i], dF, out=WfR[:, i])
     fallback = fallback | bad(WfL) | bad(WfR)
     if np.any(fallback):
         log.debug("MUSCL positivity fallback on %d cells", int(fallback.sum()))
@@ -180,24 +191,26 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair):
     return WfL, WfR, fallback
 
 
+def _gather(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``W[idx]`` in column-major order, gathered one column at a time."""
+    out = np.empty((W.shape[1], len(idx))).T
+    for i in range(W.shape[1]):
+        np.take(W[:, i], idx, out=out[:, i])
+    return out
+
+
 def sweep(
-    f: Forest,
-    u: np.ndarray,
-    axis: int,
-    dt: float,
-    cfg: SweepConfig,
-    fp: FluidPair,
-    pm: PartitionMap | None = None,
-    prof=None,
+    f: Forest, u: np.ndarray, axis: int, dt: float, cfg: SweepConfig, fp: FluidPair, prof=None
 ) -> np.ndarray:
     """One dimensional-splitting operator application along ``axis``."""
     with _sec(prof, "sweep"):
         perm, iperm = _mom_perm(f.dim, axis)
-        Wq = u[:, perm]
+        # the rotated copy is column-major: each component is contiguous
+        Wq = u.T[perm].T
         n, ncomp = Wq.shape
         fl = f.face_list(axis)
 
-    # phase A (data-parallel per cell): face states and their EOS data
+    # phase A (per cell): face states and their EOS data
     if cfg.order == 1:
         with _sec(prof, "eos"):
             p, c = _cell_speeds(Wq, fp)
@@ -208,56 +221,60 @@ def sweep(
         with _sec(prof, "slopes"):
             V = eos.to_primitive(Wq)
             sigma = _minmod_sigma(f, axis, V, f.dx)
-            WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp)
+            WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp, V=V)
         with _sec(prof, "eos"):
             pfL, cfL = _cell_speeds(WfL, fp)
             pfR, cfR = _cell_speeds(WfR, fp)
 
-    ranges = [(0, n)] if pm is None else [pm.range(r) for r in range(pm.P)]
-    nf = len(fl.lo)
-    flux = np.empty((nf + len(fl.bc_cell), ncomp))
+    lo, hi, cc = fl.lo, fl.hi, fl.bc_cell
+    nf = len(lo)
     with _sec(prof, "flux"):
-        # phase B1: each rank fluxes the face rows of the cells it owns,
-        # frontier faces by the owner of their lo cell
-        for r0, r1 in ranges:
-            a, b = np.searchsorted(fl.lo, (r0, r1))
-            lo, hi = fl.lo[a:b], fl.hi[a:b]
-            flux[a:b] = riemann.suliciu_flux(
-                WfR[lo], WfL[hi], fp, pL=pfR[lo], pR=pfL[hi], cL=cfR[lo], cR=cfL[hi]
+        # phase B1 (per face row): interior rows join the high face state of
+        # lo to the low face state of hi, wall rows follow them
+        flux = np.empty((ncomp, nf + len(cc))).T
+        row0 = 0
+        try:
+            riemann.suliciu_flux(
+                _gather(WfR, lo), _gather(WfL, hi), fp,
+                pfR[lo], pfL[hi], cfR[lo], cfL[hi], out=flux[:nf],
             )
-            a, b = np.searchsorted(fl.bc_cell, (r0, r1))
-            if b > a:
+            if len(cc):
                 # the mirror ghost shares the cell's face state and thermodynamics
-                cc = fl.bc_cell[a:b]
-                high = fl.bc_side[a:b] == 1
+                row0 = nf
+                high = fl.bc_side == 1
                 W = np.where(high[:, None], WfR[cc], WfL[cc])
                 pw = np.where(high, pfR[cc], pfL[cc])
                 cw = np.where(high, cfR[cc], cfL[cc])
                 G = _wall_mirror(W)
-                flux[nf + a : nf + b] = riemann.suliciu_flux(
-                    np.where(high[:, None], W, G),
-                    np.where(high[:, None], G, W),
-                    fp,
-                    pL=pw,
-                    pR=pw,
-                    cL=cw,
-                    cR=cw,
+                riemann.suliciu_flux(
+                    np.where(high[:, None], W, G), np.where(high[:, None], G, W), fp,
+                    pw, pw, cw, cw, out=flux[nf:],
                 )
+        except VacuumError as exc:
+            row = row0 + exc.row
+            at = " and ".join(map(f.leaf_label, (lo[row], hi[row]) if row < nf else (cc[row - nf],)))
+            raise VacuumError(f"sweep on axis {axis}, face row {row} at {at}: {exc}", row=row) from exc
 
-        # phase B2: each rank sums its own cells' slots, low side minus high
-        out = np.empty_like(Wq)
+        # phase B2 (per cell): each cell side sums its slots in slot order
+        # from +0.0, low side minus high side, one component at a time
+        out = np.empty((ncomp, n)).T
         coef = dt * fl.slot_area
         k = fl.slots.shape[2]
-        for r0, r1 in ranges:
-            side = []
+        acc = np.empty((2, n))
+        term = np.empty(n)
+        for i in range(ncomp):
+            col = flux[:, i]
             for s in (0, 1):
-                acc = np.zeros((r1 - r0, ncomp))
+                acc[s] = 0.0
                 for j in range(k):
-                    acc += coef[r0:r1, s, j, None] * flux[fl.slots[r0:r1, s, j]]
-                side.append(acc)
-            out[r0:r1] = Wq[r0:r1] + (side[0] - side[1]) / f.volumes[r0:r1, None]
+                    np.take(col, fl.slots[:, s, j], out=term)
+                    term *= coef[:, s, j]
+                    acc[s] += term
+            np.subtract(acc[0], acc[1], out=term)
+            term /= f.volumes
+            np.add(Wq[:, i], term, out=out[:, i])
     with _sec(prof, "sweep"):
-        return out[:, iperm]
+        return out.T[iperm].T
 
 
 def gravity_op(u: np.ndarray, dt: float, g: float) -> np.ndarray:
@@ -268,13 +285,7 @@ def gravity_op(u: np.ndarray, dt: float, g: float) -> np.ndarray:
 
 
 def step(
-    f: Forest,
-    u: np.ndarray,
-    cfg: SweepConfig,
-    fp: FluidPair,
-    pm: PartitionMap | None = None,
-    dt: float | None = None,
-    prof=None,
+    f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, dt: float | None = None, prof=None
 ) -> tuple[np.ndarray, float]:
     """Advance one time step with the configured splitting sequence."""
     if dt is None:
@@ -283,7 +294,7 @@ def step(
     g = cfg.gravity
 
     def sw(w, axis, step_dt):
-        return sweep(f, w, axis, step_dt, cfg, fp, pm=pm, prof=prof)
+        return sweep(f, w, axis, step_dt, cfg, fp, prof=prof)
 
     if cfg.splitting == "lie":
         for axis in range(d):

@@ -330,3 +330,27 @@ def equilibrium_p_c(rho, Y, fp, digits=50):
         p = floor + (lo + hi) / 2
         inv = sum(y / (r * r * c2) for (_, _, c2, y), r in zip(fluids, phase_rhos(p)))
         return float(p), float(1 / (rho * inv.sqrt()))
+
+
+# ---------------------------------------------------------------------------
+# Simulated-rank read contract.
+
+def rank_contract_violations(face_rows, offsets, ghosts):
+    """Face rows that a rank would flux or read without holding both cells.
+
+    ``face_rows`` are (lo, hi) leaf pairs, ``offsets`` the P+1 ascending rank
+    offsets (rank r owns leaves offsets[r] <= i < offsets[r+1]) and
+    ``ghosts[r]`` the set of ghost leaves of rank r.  The owner of a row's lo
+    cell fluxes it, so it must own the hi cell or hold it as a ghost; the
+    owner of the hi cell adds that flux to its cell, so it must own or ghost
+    the lo cell.  Returns (rank, lo, hi) for every breach; empty if none.
+    """
+    owner = []
+    for r in range(len(offsets) - 1):
+        owner += [r] * (offsets[r + 1] - offsets[r])
+    bad = []
+    for lo, hi in face_rows:
+        for reader, other in ((owner[lo], hi), (owner[hi], lo)):
+            if owner[other] != reader and other not in ghosts[reader]:
+                bad.append((reader, lo, hi))
+    return bad

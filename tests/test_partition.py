@@ -3,8 +3,10 @@ import pytest
 
 from amrfv.errors import ConfigError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
+from amrfv.harness import default_config, init_case
 from amrfv.partition import balance_metrics, ghost_layer, metrics_csv, partition
 
+from oracles import rank_contract_violations
 from test_forest import oracle_neighbors
 
 
@@ -101,6 +103,57 @@ class TestGhostLayer:
                 # some owned leaf of r is a ghost of g's owner
                 olo, ohi = pm.range(r)
                 assert any(olo <= x < ohi for x in layers[owner].indices.tolist())
+
+
+def fuzz_forests(seed=2024):
+    """The balanced forests of criterion 05: same seed, marks and draw order."""
+    rng = np.random.default_rng(seed)
+    for dim, b, count in ((2, 5, 200), (3, 3, 134)):
+        for _ in range(count):
+            f = new_uniform(Connectivity(dim, (1,) * dim, (False,) * dim), level=1, b=b)
+            for _ in range(3):
+                marks = rng.choice([KEEP, REFINE, COARSEN], p=[0.4, 0.3, 0.3], size=f.nleaves).astype(np.int8)
+                f, _ = f.refine(marks)
+                f, _ = f.balance()
+            yield f
+
+
+def assert_rank_contract(f, ranks=(2, 3, 5)):
+    rows = []
+    for axis in range(f.dim):
+        fl = f.face_list(axis)
+        rows += zip(fl.lo.tolist(), fl.hi.tolist())
+    for P in ranks:
+        if P <= f.nleaves:
+            pm = partition(f, P)
+            ghosts = [set(ghost_layer(f, pm, r).indices.tolist()) for r in range(P)]
+            assert rank_contract_violations(rows, pm.offsets, ghosts) == [], f"P={P}"
+
+
+class TestRankContract:
+    def test_fuzz_forests(self):
+        n = 0
+        for f in fuzz_forests():
+            assert_rank_contract(f)
+            n += 1
+        assert n == 334
+
+    @pytest.mark.parametrize("case", ["disk_advection", "drop2d"])
+    def test_adapted_forests(self, case):
+        f = init_case(default_config(case, max_level=6, min_level=3)).forest
+        assert len(np.unique(f.level)) > 2
+        assert_rank_contract(f)
+
+    def test_oracle_flags_a_missing_ghost(self):
+        f = uniform2d(2)
+        pm = partition(f, 2)
+        ghosts = [set(ghost_layer(f, pm, r).indices.tolist()) for r in range(2)]
+        fl = f.face_list(1)
+        rows = list(zip(fl.lo.tolist(), fl.hi.tolist()))
+        assert rank_contract_violations(rows, pm.offsets, ghosts) == []
+        lo, hi = next((a, b) for a, b in rows if pm.owner_of(np.array([a]))[0] != pm.owner_of(np.array([b]))[0])
+        ghosts[0].discard(hi)
+        assert (0, lo, hi) in rank_contract_violations(rows, pm.offsets, ghosts)
 
 
 class TestBalanceMetrics:

@@ -3,8 +3,8 @@ import pytest
 
 from amrfv import eos, solver
 from amrfv.eos import FluidPair
+from amrfv.errors import VacuumError
 from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
-from amrfv.partition import partition
 from amrfv.solver import SweepConfig
 
 from test_forest import oracle_neighbors
@@ -141,29 +141,27 @@ class TestSweep:
         assert abs(mass1 - mass0) / mass0 < 1e-13
         assert abs(y1 - y0) / abs(y0) < 1e-13
 
-    def test_rank_count_invariance_bitwise(self):
-        # periodic 2D, walled 2D (wall rows split across ranks) and 3D with
-        # 4-slot hanging sides split across ranks
-        f3, _ = new_uniform(Connectivity(3, (2, 1, 1), (False, True, False)), level=1, b=3).refine(
-            np.random.default_rng(7).choice([KEEP, REFINE], size=16).astype(np.int8)
-        )
-        f3, _ = f3.balance()
-        assert f3.face_list(0).slots.shape[2] == 4
-        walled = multi_level_forest(periodic=(False, False), seed=5)
-        assert len(walled.face_list(1).bc_cell) and walled.face_list(1).slots.shape[2] == 2
-        rng = np.random.default_rng(1)
-        for f in (multi_level_forest(seed=5), walled, f3):
-            alpha = 0.2 + 0.6 * rng.random(f.nleaves)
-            vel = np.array([0.9, 0.4, -0.3][: f.dim])
-            u = eos.state_from_pressure_alpha(1e5, alpha, vel, MILD)
-            cfg = SweepConfig(order=2)
-            dt = 0.4 * solver.compute_dt(f, u, cfg, MILD)
-            for axis in range(f.dim):
-                base = solver.sweep(f, u, axis, dt, cfg, MILD, pm=None)
-                for P in (2, 3, 5):
-                    pm = partition(f, P)
-                    got = solver.sweep(f, u, axis, dt, cfg, MILD, pm=pm)
-                    np.testing.assert_array_equal(got, base, err_msg=f"dim {f.dim} axis {axis} P {P}")
+    def test_vacuum_error_names_the_face(self):
+        # cells left of x = 0.5 rush right and cells right of it rush left:
+        # the faces on x = 0.5 overrun the relaxation bound
+        f = new_uniform(conn2d(periodic=(False, False)), level=1, b=1)
+        x = f.centers[:, 0]
+        vel = np.zeros((f.nleaves, 2))
+        vel[:, 0] = np.where(x < 0.5, 50.0, -50.0)
+        u = eos.state_from_pressure_alpha(10.0, np.full(f.nleaves, 0.5), vel, SHOCK)
+        with pytest.raises(VacuumError) as err:
+            solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
+        msg = str(err.value)
+        assert msg.startswith("sweep on axis 0, face row 0 at ")
+        assert "leaf 0 (level 1, centre (0.25, 0.25)) and leaf 1 (level 1, centre (0.75, 0.25))" in msg
+        assert "non-positive star density" in msg
+        # a uniform rush into the low wall: the interior rows are free
+        # streams, and the first wall row (after the 2 interior ones) names its cell
+        vel[:, 0] = -50.0
+        u = eos.state_from_pressure_alpha(10.0, np.full(f.nleaves, 0.5), vel, SHOCK)
+        with pytest.raises(VacuumError) as err:
+            solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
+        assert str(err.value).startswith("sweep on axis 0, face row 2 at leaf 0 (level 1, centre (0.25, 0.25)): ")
 
 
 class TestSlopes:
@@ -408,6 +406,29 @@ class TestStep:
         err_moved = np.abs(a_now - exact).mean()
         err_stale = np.abs(a_now - stale).mean()
         assert err_moved < 0.5 * err_stale
+
+    @pytest.mark.parametrize(
+        "dim, order, calls", [(2, 2, 4 * 4 + 1), (3, 2, 6 * 4 + 1), (2, 1, 4 + 1)], ids=["2d-o2", "3d-o2", "2d-o1"]
+    )
+    def test_one_closure_per_face_state(self, monkeypatch, dim, order, calls):
+        # one closure for dt, then per Strang sweep: order 1 solves the cell
+        # states once; order 2 the two predicted face states (their pressures
+        # for the half step) and the two corrected ones (p and c together)
+        closure = eos._closure
+        count = []
+
+        def counted(*args):
+            count.append(1)
+            return closure(*args)
+
+        monkeypatch.setattr(eos, "_closure", counted)
+        f, _ = new_uniform(Connectivity(dim, (1,) * dim, (True,) * dim), level=1, b=3).refine(
+            np.array([REFINE] + [KEEP] * (2**dim - 1), dtype=np.int8)
+        )
+        alpha = 0.2 + 0.6 * np.random.default_rng(3).random(f.nleaves)
+        u = eos.state_from_pressure_alpha(1e5, alpha, np.full(dim, 0.3), MILD)
+        solver.step(f, u, SweepConfig(order=order, splitting="strang"), MILD)
+        assert len(count) == calls
 
     def test_muscl_fallback_triggers_and_logs(self, caplog):
         import logging
