@@ -2,12 +2,16 @@
 
 The leaf array is kept sorted by (tree id, Morton key); refinement and
 coarsening splice children / merged parents in place, which preserves the
-z-order without re-sorting.  Neighbor queries locate the leaf containing a
-lattice point one step across a face, which on a 2:1-balanced forest is
-enough to classify the full face neighborhood.  ``face_list`` is the one
-face-connectivity structure the kernels use: lo-ordered face rows plus a
-per-cell slot table, so each cell reduces its own faces in a fixed order
-and a rank's flux duty is a contiguous slice of rows.
+z-order without re-sorting.  There is one neighbour query, ``_face_rows``:
+each leaf locates the lattice point one step across its high face, and a
+leaf with a finer neighbour locates each fine sub-face, so every face of an
+axis is found once, from its lower leaf, with the level gap across it.  2:1
+balance refines the coarse side of every gap of two or more levels that the
+query shows, and its last pass, which finds none, is the face-list build of
+the forest it returns.  ``face_list`` is the one face-connectivity structure
+the kernels use: lo-ordered face rows plus a per-cell slot table, so each
+cell reduces its own faces in a fixed order and a rank's flux duty is a
+contiguous slice of rows.
 """
 from __future__ import annotations
 
@@ -140,6 +144,8 @@ class CoarsenMap:
 class FaceList:
     """All unique faces of one sweep axis, and each cell side's share of them.
 
+    It finishes the rows of the face-row query that 2:1 balance runs, so a
+    forest returned by ``Forest.balance`` holds its face lists already.
     Interior rows join ``lo`` (lower coordinate side) to ``hi`` and are
     ordered by ``lo``; hanging faces appear once per fine sub-face.  Wall
     rows (non-periodic domain faces) carry the owning cell, ordered by it,
@@ -251,39 +257,24 @@ class Forest:
         query = (tree_ids << (self.dim * self.b)) | morton.encode_many(points)
         return np.searchsorted(self._tree_keys, query, side="right") - 1
 
-    def _adjacent_points(self, axis: int, side: int):
-        """One lattice point just across each leaf's (axis, side) face.
+    def _adjacent_points(self, axis: int):
+        """One lattice point just across each leaf's high face on ``axis``.
 
         Returns (tree_ids, points, interior) where ``interior`` is False on
         non-periodic domain faces; entries there are left unusable.
         """
-        n = np.int64(1) << self.b
         pts = self.coords.copy()
-        if side == 1:
-            pts[:, axis] += self.sizes
-        else:
-            pts[:, axis] -= 1
+        pts[:, axis] += self.sizes
         ntree = self.tree.copy()
-        inside = (pts[:, axis] >= 0) & (pts[:, axis] < n)
-        cross = np.flatnonzero(~inside)
+        cross = np.flatnonzero(pts[:, axis] == np.int64(1) << self.b)
         interior = np.ones(self.nleaves, dtype=bool)
         if len(cross):
-            step = 1 if side == 1 else -1
             tc = self.conn.tree_coords_many(self.tree[cross])
-            tc[:, axis] += step
-            dims_ax = self.conn.tree_dims[axis]
-            if self.conn.periodic[axis]:
-                tc[:, axis] %= dims_ax
-                ok = np.ones(len(cross), dtype=bool)
-            else:
-                ok = (tc[:, axis] >= 0) & (tc[:, axis] < dims_ax)
-            tc[:, axis] = np.clip(tc[:, axis], 0, dims_ax - 1)
+            step = tc[:, axis] + 1
+            tc[:, axis] = step % self.conn.tree_dims[axis]
             ntree[cross] = self.conn.tree_ids_many(tc)
-            pts[cross, axis] -= step * n
-            interior[cross] = ok
-            # keep unusable rows in-lattice so encode_many stays happy
-            bad = cross[~ok]
-            pts[bad, axis] = 0
+            pts[cross, axis] = 0
+            interior[cross] = self.conn.periodic[axis] | (step < self.conn.tree_dims[axis])
         return ntree, pts, interior
 
     # -- adaptation ----------------------------------------------------------
@@ -365,40 +356,81 @@ class Forest:
         in_group[(starts[:, None] + np.arange(m)).ravel()] = True
         return starts, in_group
 
-    # -- 2:1 balancing -------------------------------------------------------
+    # -- face rows: 2:1 balance and face lists -------------------------------
 
-    def _balance_violations(self) -> np.ndarray | None:
-        """Refine mask for leaves with a face neighbor 2+ levels finer."""
-        marks = np.zeros(self.nleaves, dtype=bool)
-        for axis in range(self.dim):
-            for side in (0, 1):
-                ntree, pts, interior = self._adjacent_points(axis, side)
-                ii = np.flatnonzero(interior)
-                if not len(ii):
-                    continue
-                nb = self.locate(ntree[ii], pts[ii])
-                viol = self.level[nb] <= self.level[ii] - 2
-                marks[nb[viol]] = True
-        return marks if marks.any() else None
+    def _face_rows(self, axis: int):
+        """Face rows of ``axis``, each found from its lower leaf, and the leaves breaking 2:1.
+
+        One ``locate`` across every leaf's high face gives the neighbour and
+        the level gap; a row with a finer neighbour splits into its fine
+        sub-faces, located at the unit offsets {0, 1} on the transverse axes
+        scaled by the fine size.  Each pair of face neighbours two or more
+        levels apart shows from its lower leaf: as a gap of -2 or less, of +2
+        or more, or as a sub-face in a leaf two levels finer.
+
+        Returns ``(lo, hi, interior, coarse, named)``: the lo-ordered rows, the
+        interior mask of the high faces, the leaves with a face neighbour two
+        or more levels finer, and the querying leaf a face-list error names
+        (None on a balanced axis).
+        """
+        dim = self.dim
+        ntree, pts, interior = self._adjacent_points(axis)
+        ii = np.flatnonzero(interior)
+        nb = self.locate(ntree[ii], pts[ii])
+        dlvl = self.level[nb] - self.level[ii]
+        m = 1 << (dim - 1)
+        counts = np.where(dlvl == 1, m, 1)
+        lo = np.repeat(ii, counts)
+        hi = np.repeat(nb, counts)
+        fin = np.flatnonzero(dlvl == 1)
+        deep = np.zeros(0, dtype=np.int64)
+        if len(fin):
+            offs = np.zeros((m, dim), dtype=np.int64)
+            taxes = [a for a in range(dim) if a != axis]
+            offs[:, taxes] = (np.arange(m)[:, None] >> np.arange(dim - 1)) & 1
+            src = ii[fin]
+            h = self.sizes[src] // 2
+            sub_pts = pts[src][:, None, :] + offs[None, :, :] * h[:, None, None]
+            idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim))
+            deep = src[(self.level[idx] != np.repeat(self.level[src] + 1, m)).reshape(-1, m).any(axis=1)]
+            first = np.cumsum(counts)[fin] - m
+            hi[(first[:, None] + np.arange(m)).ravel()] = idx
+        wide = ii[np.abs(dlvl) > 1]
+        coarse = np.concatenate([nb[dlvl < -1], ii[dlvl > 1], deep])
+        named = wide.min() if len(wide) else deep.min() if len(deep) else None
+        return lo, hi, interior, coarse, named
 
     def balance(self) -> tuple["Forest", RefineMap]:
-        """Minimal refinement enforcing the face 2:1 constraint; idempotent."""
-        f = self
-        total = RefineMap.identity(self.nleaves)
-        while True:
-            viol = f._balance_violations()
-            if viol is None:
-                break
-            f, rmap = f._apply_refine(viol)
-            total = total.compose(rmap)
-        return f, total
+        """Minimal refinement enforcing the face 2:1 constraint; idempotent.
 
-    # -- face lists for sweeps -----------------------------------------------
+        Each pass runs the face-row query on every axis and refines every
+        leaf with a face neighbour two or more levels finer.  The pass that
+        finds none has built the rows of the returned forest, so it finishes
+        and caches their face lists.
+        """
+        f, total = self, RefineMap.identity(self.nleaves)
+        while True:
+            rows = [f._face_rows(axis) for axis in range(f.dim)]
+            marks = np.zeros(f.nleaves, dtype=bool)
+            for _, _, _, coarse, _ in rows:
+                marks[coarse] = True
+            if not marks.any():
+                for axis, (lo, hi, interior, _, _) in enumerate(rows):
+                    f._face_lists[axis] = f._finish_face_list(axis, lo, hi, interior)
+                return f, total
+            f, rmap = f._apply_refine(marks)
+            total = total.compose(rmap)
 
     def face_list(self, axis: int) -> FaceList:
         """Faces along ``axis`` with the per-cell slot table (cached)."""
         if axis not in self._face_lists:
-            self._face_lists[axis] = self._build_face_list(axis)
+            lo, hi, interior, _, named = self._face_rows(axis)
+            if named is not None:
+                raise ContractError(
+                    f"face list on axis {axis} requires a 2:1-balanced forest: "
+                    f"{self.leaf_label(int(named))} has a face neighbour two or more levels away"
+                )
+            self._face_lists[axis] = self._finish_face_list(axis, lo, hi, interior)
         return self._face_lists[axis]
 
     def leaf_label(self, i: int) -> str:
@@ -406,42 +438,9 @@ class Forest:
         centre = ", ".join(f"{v:.6g}" for v in self.centers[i])
         return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
 
-    def _check_balanced(self, offenders: np.ndarray, axis: int) -> None:
-        """Raise naming the first of the leaves whose high face breaks 2:1 balance."""
-        if len(offenders):
-            raise ContractError(
-                f"face list on axis {axis} requires a 2:1-balanced forest: "
-                f"{self.leaf_label(int(offenders.min()))} has a face neighbour two or more levels away"
-            )
-
-    def _build_face_list(self, axis: int) -> FaceList:
+    def _finish_face_list(self, axis: int, lo, hi, interior) -> FaceList:
+        """Areas, distances, walls and slot table of the balanced rows ``_face_rows`` found."""
         dim, n = self.dim, self.nleaves
-        ntree, pts, interior = self._adjacent_points(axis, 1)
-        ii = np.flatnonzero(interior)
-        nb = self.locate(ntree[ii], pts[ii])
-        dlvl = self.level[nb] - self.level[ii]
-        self._check_balanced(ii[np.abs(dlvl) > 1], axis)
-
-        # rows in lo order: one full face per same-size or coarser neighbor,
-        # one per fine sub-face of a finer one, anchored at the unit offsets
-        # {0, 1} on the transverse axes scaled by the fine size
-        m = 1 << (dim - 1)
-        offs = np.zeros((m, dim), dtype=np.int64)
-        taxes = [a for a in range(dim) if a != axis]
-        offs[:, taxes] = (np.arange(m)[:, None] >> np.arange(dim - 1)) & 1
-        counts = np.where(dlvl == 1, m, 1)
-        lo = np.repeat(ii, counts)
-        hi = np.repeat(nb, counts)
-        fin = np.flatnonzero(dlvl == 1)
-        if len(fin):
-            src = ii[fin]
-            h = self.sizes[src] // 2
-            sub_pts = pts[src][:, None, :] + offs[None, :, :] * h[:, None, None]
-            idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim))
-            deeper = (self.level[idx] != np.repeat(self.level[src] + 1, m)).reshape(-1, m)
-            self._check_balanced(src[deeper.any(axis=1)], axis)
-            first = np.cumsum(counts)[fin] - m
-            hi[(first[:, None] + np.arange(m)).ravel()] = idx
         dlo, dhi = self.dx[lo], self.dx[hi]
         area = np.minimum(dlo, dhi) ** (dim - 1)
         dist = 0.5 * (dlo + dhi)

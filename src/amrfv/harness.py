@@ -428,7 +428,7 @@ def adapt_mesh(
 
 
 def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
-    """Repartition, build the face lists and rebuild the ghost layers after an adapt."""
+    """Repartition, build the face lists unless balance has, and rebuild the ghost layers."""
     with prof.section("partition"):
         pm = partition(f, cfg.ranks)
     with prof.section("faces"):

@@ -290,33 +290,20 @@ def step(
     """Advance one time step with the configured splitting sequence."""
     if dt is None:
         dt = compute_dt(f, u, cfg, fp, prof=prof)
-    d = f.dim
-    g = cfg.gravity
-
-    def sw(w, axis, step_dt):
-        return sweep(f, w, axis, step_dt, cfg, fp, prof=prof)
-
+    # Lie: one full sweep per axis, then both gravity half-steps.  Strang:
+    # palindromic half sweeps, one gravity half-step after the first sweep
+    # and one before the last
     if cfg.splitting == "lie":
-        for axis in range(d):
-            u = sw(u, axis, dt)
-        if g:
-            u = gravity_op(gravity_op(u, dt, g), dt, g)
-        return u, dt
-
-    # Strang: palindromic half-step sequence; with gravity the source slots
-    # in right after the first X half-sweep and before the last one
-    axes = [0, 1, 2, 2, 1, 0] if d == 3 else [0, 1, 1, 0]
-    if not g:
-        for axis in axes:
-            u = sw(u, axis, 0.5 * dt)
-        return u, dt
-    mid = len(axes) // 2
+        axes = list(range(f.dim))
+        sweep_dt, gravity_after = dt, (f.dim - 1, f.dim - 1)
+    else:
+        axes = [*range(f.dim), *reversed(range(f.dim))]
+        sweep_dt, gravity_after = 0.5 * dt, (0, len(axes) - 2)
     for i, axis in enumerate(axes):
-        if i == 1:
-            u = gravity_op(u, dt, g)
-        u = sw(u, axis, 0.5 * dt)
-        if i == len(axes) - 2:
-            u = gravity_op(u, dt, g)
+        u = sweep(f, u, axis, sweep_dt, cfg, fp, prof=prof)
+        for j in gravity_after:
+            if cfg.gravity and j == i:
+                u = gravity_op(u, dt, cfg.gravity)
     return u, dt
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amrfv.errors import ConfigError, ContractError
-from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_uniform
 
 from oracles import PointerForest, face_neighbors
 
@@ -210,6 +210,30 @@ class TestBalance:
         f2, _ = f1.balance()
         assert leaves_list(f1) == leaves_list(f2)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_last_pass_builds_the_face_lists(self, monkeypatch, dim):
+        # a pass locates one point across each leaf's high faces, dim queries
+        # on a forest without hanging faces; the face lists of the forest
+        # balance returns are built by then and need no further query
+        sizes = []
+        locate = Forest.locate
+
+        def counted(self, tree_ids, points):
+            sizes.append(len(points))
+            return locate(self, tree_ids, points)
+
+        monkeypatch.setattr(Forest, "locate", counted)
+        f = new_uniform(conn2d(periodic=(True, True)) if dim == 2 else conn3d(periodic=(True,) * 3), level=2, b=4)
+        f.balance()
+        assert sizes == [f.nleaves] * dim
+        f, _ = f.refine(marks_array(f, [(0, REFINE)]))
+        f, _ = f.refine(marks_array(f, [(0, REFINE)]))
+        f2, _ = f.balance()
+        sizes.clear()
+        for axis in range(dim):
+            f2.face_list(axis)
+        assert sizes == []
+
     @pytest.mark.parametrize("dim,b", [(2, 4), (3, 3)])
     def test_random_adapt_matches_oracle(self, dim, b):
         rng = np.random.default_rng(dim * 100 + b)
@@ -310,19 +334,43 @@ class TestLeafNeighbors:
         assert sorted(tuple(f.coords[j]) for j in across) == [(4, 0), (4, 2)]
         assert oracle_neighbors(f)[i, 0, 1] == across
 
-    def test_unbalanced_raises(self):
+    # each forest breaks 2:1 balance across x faces in one way, built by
+    # refining the leaves at the listed anchors in turn (z = 0 in 3D); the
+    # x face-list error names the querying leaf at (anchor, level)
+    UNBALANCED = {
+        # a level-3 leaf's high face lies on a level-1 leaf
+        "coarser_by_2": ([(0, 0), (2, 2)], (3, 2), 3),
+        # a level-1 leaf's high face anchor lies in a level-3 leaf
+        "finer_by_2": ([(4, 0), (4, 0)], (0, 0), 1),
+        # its anchor lies in a level-2 leaf and another sub-face in a level-3 leaf
+        "deeper_subface": ([(4, 0), (4, 2)], (0, 0), 1),
+    }
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(UNBALANCED))
+    def test_unbalanced_raises(self, kind, dim):
         b = 3
-        f = new_uniform(conn2d(), level=1, b=b)
-        f, _ = f.refine(marks_array(f, [(0, REFINE)]))
-        # drive the (2,2) level-2 leaf to level 3 beside a level-1 neighbor;
-        # its child at (3,2) is the first leaf whose high x face is 2:1-broken
-        i = int(np.flatnonzero((f.coords[:, 0] == 2) & (f.coords[:, 1] == 2))[0])
-        f, _ = f.refine(marks_array(f, [(i, REFINE)]))
-        assert f.level[oracle_neighbors(f)[4, 0, 1]].tolist() == [1]
+        refined, anchor, level = self.UNBALANCED[kind]
+        conn = conn2d() if dim == 2 else conn3d()
+        f = new_uniform(conn, level=1, b=b)
+        oracle = PointerForest(dim, conn.tree_dims, conn.periodic, b=b, level=1)
+        for at in refined:
+            at = at + (0,) * (dim - 2)
+            marks = marks_array(f, [(int(np.flatnonzero((f.coords == at).all(axis=1))[-1]), REFINE)])
+            f, _ = f.refine(marks)
+            oracle.refine_marks(marks == REFINE)
+        i = int(np.flatnonzero((f.coords == anchor + (0,) * (dim - 2)).all(axis=1) & (f.level == level))[0])
+        assert max(abs(f.level[oracle_neighbors(f)[i, 0, 1]] - level)) == 2
         with pytest.raises(ContractError) as err:
             f.face_list(0)
         assert "axis 0" in str(err.value)
-        assert "leaf 4 (level 3, centre (0.4375, 0.3125))" in str(err.value)
+        assert f"{f.leaf_label(i)} has a face neighbour" in str(err.value)
+        if (kind, dim) == ("coarser_by_2", 2):
+            assert "leaf 4 (level 3, centre (0.4375, 0.3125))" in str(err.value)
+        f2, _ = f.balance()
+        oracle.balance()
+        assert leaves_list(f2) == oracle.leaves()
+        assert_two_to_one(f2)
 
     def test_3d_hanging_face_count(self):
         f = new_uniform(conn3d(), level=1, b=3)

@@ -382,6 +382,29 @@ class TestStep:
         out, _ = solver.step(f, u, cfg, MILD, dt=dt)
         np.testing.assert_allclose(out[:, 3], u[:, 3] - u[:, 0] * g * dt, rtol=1e-10)
 
+    @pytest.mark.parametrize("g", [0.0, 9.81])
+    @pytest.mark.parametrize(
+        "splitting,dim,sequence",
+        [
+            ("lie", 2, "xygg"),
+            ("lie", 3, "xyzgg"),
+            ("strang", 2, "xgyygx"),
+            ("strang", 3, "xgyzzygx"),
+        ],
+    )
+    def test_splitting_sequence(self, monkeypatch, splitting, dim, sequence, g):
+        # Lie sweeps dt and then takes both gravity half-steps; Strang sweeps
+        # dt/2 palindromically with a half-step after the first sweep and one
+        # before the last; without gravity the half-steps drop out
+        calls = []
+        monkeypatch.setattr(solver, "sweep", lambda f, u, axis, dt, *a, **k: calls.append(("xyz"[axis], dt)) or u)
+        monkeypatch.setattr(solver, "gravity_op", lambda u, dt, g: calls.append(("g", dt)) or u)
+        f = new_uniform(Connectivity(dim, (1,) * dim, (True,) * dim), level=1, b=1)
+        solver.step(f, np.zeros((f.nleaves, 2 + dim)), SweepConfig(gravity=g, splitting=splitting), MILD, dt=1.0)
+        sweep_dt = 1.0 if splitting == "lie" else 0.5
+        expected = [(op, 1.0 if op == "g" else sweep_dt) for op in sequence if g or op != "g"]
+        assert calls == expected
+
     @pytest.mark.parametrize("axis", [1, 2])
     def test_3d_rotation_orientation(self, axis):
         # advect a slab along y (or z) and check it moves the right way,
