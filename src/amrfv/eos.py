@@ -74,8 +74,9 @@ def _closure(rho, Y, fp: FluidPair):
     cancellation, and the pressure is A_s + s, which D never enters.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    if np.any(rho <= 0) or not np.all(np.isfinite(rho)):
-        raise EosError("non-positive or non-finite density")
+    ok = (rho > 0) & (rho < np.inf)
+    if not ok.all():
+        raise EosError("non-positive or non-finite density", index=int(np.argmin(ok)))
     Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
     # s belongs to the fluid with the larger A_k, o to the other one
     k1, k2 = (fp.p1_0, fp.rho1_0, fp.c1, Yc), (fp.p2_0, fp.rho2_0, fp.c2, 1.0 - Yc)

@@ -10,7 +10,11 @@ class ContractError(RuntimeError):
 
 
 class EosError(ArithmeticError):
-    """Equation-of-state closure failed (no admissible volume fraction)."""
+    """Equation-of-state closure failed; ``index`` is the first offending state."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class VacuumError(ArithmeticError):

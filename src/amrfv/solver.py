@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from amrfv import eos, riemann
-from amrfv.errors import ConfigError, VacuumError
+from amrfv.errors import ConfigError, EosError, VacuumError
 from amrfv.eos import FluidPair
 from amrfv.forest import Forest
 
@@ -90,7 +90,10 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     """
     rho = u[:, IRHO]
     with _sec(prof, "eos"):
-        c = eos.wood_sound_speed(rho, u[:, IRHOY] / rho, fp)
+        try:
+            c = eos.wood_sound_speed(rho, u[:, IRHOY] / rho, fp)
+        except EosError as exc:
+            raise EosError(f"time step at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
     imp = rho * c
     imp_max = imp.copy()
     for axis in range(f.dim):
@@ -102,7 +105,8 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     dts = f.dx / speed
     dt = cfg.cfl * float(dts.min())
     if not np.isfinite(dt) or dt <= 0:
-        raise ArithmeticError("non-finite or non-positive time step")
+        first = int(np.argmin((dts > 0) & (dts < np.inf)))
+        raise ArithmeticError(f"non-finite or non-positive time step at {f.leaf_label(first)}")
     return dt
 
 
@@ -211,20 +215,23 @@ def sweep(
         fl = f.face_list(axis)
 
     # phase A (per cell): face states and their EOS data
-    if cfg.order == 1:
-        with _sec(prof, "eos"):
-            p, c = _cell_speeds(Wq, fp)
-        WfL = WfR = Wq
-        pfL = pfR = p
-        cfL = cfR = c
-    else:
-        with _sec(prof, "slopes"):
-            V = eos.to_primitive(Wq)
-            sigma = _minmod_sigma(f, axis, V, f.dx)
-            WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp, V=V)
-        with _sec(prof, "eos"):
-            pfL, cfL = _cell_speeds(WfL, fp)
-            pfR, cfR = _cell_speeds(WfR, fp)
+    try:
+        if cfg.order == 1:
+            with _sec(prof, "eos"):
+                p, c = _cell_speeds(Wq, fp)
+            WfL = WfR = Wq
+            pfL = pfR = p
+            cfL = cfR = c
+        else:
+            with _sec(prof, "slopes"):
+                V = eos.to_primitive(Wq)
+                sigma = _minmod_sigma(f, axis, V, f.dx)
+                WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp, V=V)
+            with _sec(prof, "eos"):
+                pfL, cfL = _cell_speeds(WfL, fp)
+                pfR, cfR = _cell_speeds(WfR, fp)
+    except EosError as exc:
+        raise EosError(f"sweep on axis {axis} at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
 
     lo, hi, cc = fl.lo, fl.hi, fl.bc_cell
     nf = len(lo)

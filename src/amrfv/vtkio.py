@@ -2,8 +2,11 @@
 
 The VTK file is an unstructured grid with one axis-aligned quad (VTK_PIXEL)
 or hexahedron (VTK_VOXEL) per leaf, corner points duplicated per cell, and
-cell data {rho, Y, alpha, p, u, level, rank}.  Floats are written with repr
-so identical runs produce bit-identical files.
+cell data {rho, Y, alpha, p, u, level, rank}.  Floats are written as their
+``repr``, the shortest text that reads back to the same double, so identical
+runs produce bit-identical files.  Each block of a file is built by one ``%``
+format call over a flat ``tolist`` of its values, and each distinct corner
+coordinate is formatted once.
 """
 from __future__ import annotations
 
@@ -16,68 +19,62 @@ from amrfv.forest import Forest
 __all__ = ["write_vtk", "write_csv_cut"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _rows(line: str, values) -> str:
+    """``line`` once per row of ``values``, every row filled by one ``%`` call.
+
+    ``'%r' % x`` is ``repr(x)`` for the Python floats ``tolist`` yields.
+    """
+    values = np.asarray(values)
+    return (line * len(values)) % tuple(values.ravel().tolist())
 
 
-def _cell_fields(f: Forest, u: np.ndarray, fp: FluidPair, ranks=None):
+def _boxes(f: Forest):
+    """Low and high corner of every leaf box."""
+    scale = f.conn.tree_extent / float(1 << f.b)
+    origin = f.conn.tree_coords_many(f.tree) * f.conn.tree_extent
+    return origin + f.coords * scale, origin + (f.coords + f.sizes[:, None]) * scale
+
+
+def _cell_fields(u: np.ndarray, fp: FluidPair):
+    """rho, Y, alpha, p and velocity of state rows ``u``."""
     rho = u[:, 0]
     Y = u[:, 1] / rho
-    alpha = eos.solve_alpha(rho, Y, fp)
-    p = eos.mixture_pressure(rho, Y, fp)
-    vel = u[:, 2:] / rho[:, None]
-    if ranks is None:
-        ranks = np.zeros(f.nleaves, dtype=np.int64)
-    return rho, Y, alpha, p, vel, ranks
+    return rho, Y, eos.solve_alpha(rho, Y, fp), eos.mixture_pressure(rho, Y, fp), u[:, 2:] / rho[:, None]
 
 
 def write_vtk(f: Forest, u: np.ndarray, fp: FluidPair, path, ranks=None) -> None:
     """One leaf per cell; 2^d duplicated corner points per leaf."""
-    dim = f.dim
-    n = f.nleaves
-    ncorn = 1 << dim
-    rho, Y, alpha, p, vel, rank_arr = _cell_fields(f, u, fp, ranks)
+    dim, n, ncorn = f.dim, f.nleaves, 1 << f.dim
+    rho, Y, alpha, p, vel = _cell_fields(u, fp)
+    # 2D points and vectors carry a zero z component
+    zero_z = " 0.0" * (3 - dim) + "\n"
 
-    scale = f.conn.tree_extent / float(1 << f.b)
-    origin = f.conn.tree_coords_many(f.tree) * f.conn.tree_extent
-    lo = origin + f.coords * scale
-    hi = origin + (f.coords + f.sizes[:, None]) * scale
+    # corner j of a leaf takes the high side on axis a where bit a of j is
+    # set.  The coordinates are >= 0, so np.unique, which merges -0.0 with
+    # 0.0, cannot change a byte; field values may be -0.0 and are not merged
+    lo, hi = _boxes(f)
+    high = (np.arange(ncorn)[:, None] >> np.arange(dim)) & 1 == 1
+    corners = np.where(high, hi[:, None, :], lo[:, None, :])
+    values, inverse = np.unique(corners.ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]
 
-    lines = [
-        "# vtk DataFile Version 2.0",
-        "amrfv leaves",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n * ncorn} double",
-    ]
-    for i in range(n):
-        for j in range(ncorn):
-            pt = [(hi if (j >> a) & 1 else lo)[i, a] for a in range(dim)]
-            if dim == 2:
-                pt.append(0.0)
-            lines.append(" ".join(_fmt(v) for v in pt))
-    lines.append(f"CELLS {n} {n * (1 + ncorn)}")
-    for i in range(n):
-        base = i * ncorn
-        lines.append(f"{ncorn} " + " ".join(str(base + j) for j in range(ncorn)))
-    lines.append(f"CELL_TYPES {n}")
     ctype = "8" if dim == 2 else "11"  # VTK_PIXEL / VTK_VOXEL
-    lines.extend([ctype] * n)
-    lines.append(f"CELL_DATA {n}")
+    parts = [
+        "# vtk DataFile Version 2.0\namrfv leaves\nASCII\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n * ncorn} double\n", _rows(" ".join(["%s"] * dim) + zero_z, text.reshape(-1, dim)),
+        f"CELLS {n} {n * (1 + ncorn)}\n",
+        _rows(f"{ncorn}" + " %d" * ncorn + "\n", np.arange(n * ncorn).reshape(n, ncorn)),
+        f"CELL_TYPES {n}\n", f"{ctype}\n" * n,
+        f"CELL_DATA {n}\n",
+    ]
     for name, arr in (("rho", rho), ("Y", Y), ("alpha", alpha), ("p", p)):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in arr)
-    for name, arr in (("level", f.level), ("rank", rank_arr)):
-        lines.append(f"SCALARS {name} int 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(str(int(v)) for v in arr)
-    lines.append("VECTORS u double")
-    for i in range(n):
-        v3 = [vel[i, a] if a < dim else 0.0 for a in range(3)]
-        lines.append(" ".join(_fmt(v) for v in v3))
+        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", _rows("%r\n", arr)]
+    ranks = np.zeros(n, dtype=np.int64) if ranks is None else ranks
+    for name, arr in (("level", f.level), ("rank", ranks)):
+        parts += [f"SCALARS {name} int 1\nLOOKUP_TABLE default\n", _rows("%d\n", arr)]
+    parts += ["VECTORS u double\n", _rows(" ".join(["%r"] * dim) + zero_z, vel)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
 def write_csv_cut(f: Forest, u: np.ndarray, fp: FluidPair, point, direction, path) -> None:
@@ -86,11 +83,7 @@ def write_csv_cut(f: Forest, u: np.ndarray, fp: FluidPair, point, direction, pat
     point = np.asarray(point, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
     direction = direction / np.linalg.norm(direction)
-
-    scale = f.conn.tree_extent / float(1 << f.b)
-    origin = f.conn.tree_coords_many(f.tree) * f.conn.tree_extent
-    lo = origin + f.coords * scale
-    hi = origin + (f.coords + f.sizes[:, None]) * scale
+    lo, hi = _boxes(f)
 
     # slab clipping of the parametric line against each cell box
     s0 = np.full(f.nleaves, -np.inf)
@@ -108,17 +101,10 @@ def write_csv_cut(f: Forest, u: np.ndarray, fp: FluidPair, point, direction, pat
     cut = np.flatnonzero(s1 > s0)
     smid = 0.5 * (s0[cut] + s1[cut])
     order = np.argsort(smid, kind="stable")
-    cut = cut[order]
-    smid = smid[order]
+    cut, smid = cut[order], smid[order]
 
-    rho, Y, alpha, p, vel, _ = _cell_fields(f, u, fp)
-    coords = ["x", "y", "z"][:dim]
-    vels = ["ux", "uy", "uz"][:dim]
-    header = ",".join(["s", *coords, "rho", "Y", "alpha", "p", *vels, "level"])
-    rows = [header]
-    centers = f.centers
-    for s, i in zip(smid, cut):
-        vals = [s, *centers[i], rho[i], Y[i], alpha[i], p[i], *vel[i]]
-        rows.append(",".join(_fmt(v) for v in vals) + f",{int(f.level[i])}")
+    header = ",".join(["s", *"xyz"[:dim], "rho", "Y", "alpha", "p", *("ux", "uy", "uz")[:dim], "level"])
+    # the level rides in the float table; '%d' writes it as the integer it is
+    table = np.column_stack([smid, f.centers[cut], *_cell_fields(u[cut], fp), f.level[cut]])
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(header + "\n" + _rows("%r," * (5 + 2 * dim) + "%d\n", table))

@@ -354,3 +354,84 @@ def rank_contract_violations(face_rows, offsets, ghosts):
             if owner[other] != reader and other not in ghosts[reader]:
                 bad.append((reader, lo, hi))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line VTK and CSV text: one repr per value, one join per line.
+
+def _boxes_and_fields(f, u, fp):
+    """Leaf boxes and cell fields: the library computes the values, the oracles write the text."""
+    from amrfv import eos
+
+    scale = f.conn.tree_extent / float(1 << f.b)
+    origin = f.conn.tree_coords_many(f.tree) * f.conn.tree_extent
+    lo = origin + f.coords * scale
+    hi = origin + (f.coords + f.sizes[:, None]) * scale
+    rho = u[:, 0]
+    Y = u[:, 1] / rho
+    alpha, p = eos.solve_alpha(rho, Y, fp), eos.mixture_pressure(rho, Y, fp)
+    return lo, hi, (rho, Y, alpha, p, u[:, 2:] / rho[:, None])
+
+
+def vtk_text(f, u, fp, ranks=None):
+    """Legacy ASCII VTK file of the leaves, built one value and one line at a time."""
+    dim, n = f.dim, f.nleaves
+    ncorn = 1 << dim
+    lo, hi, (rho, Y, alpha, p, vel) = _boxes_and_fields(f, u, fp)
+    if ranks is None:
+        ranks = [0] * n
+    lines = [
+        "# vtk DataFile Version 2.0",
+        "amrfv leaves",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {n * ncorn} double",
+    ]
+    for i in range(n):
+        for j in range(ncorn):
+            pt = [(hi if (j >> a) & 1 else lo)[i, a] for a in range(dim)]
+            if dim == 2:
+                pt.append(0.0)
+            lines.append(" ".join(repr(float(v)) for v in pt))
+    lines.append(f"CELLS {n} {n * (1 + ncorn)}")
+    for i in range(n):
+        lines.append(f"{ncorn} " + " ".join(str(i * ncorn + j) for j in range(ncorn)))
+    lines.append(f"CELL_TYPES {n}")
+    lines.extend(["8" if dim == 2 else "11"] * n)
+    lines.append(f"CELL_DATA {n}")
+    for name, arr in (("rho", rho), ("Y", Y), ("alpha", alpha), ("p", p)):
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines.extend(repr(float(v)) for v in arr)
+    for name, arr in (("level", f.level), ("rank", ranks)):
+        lines += [f"SCALARS {name} int 1", "LOOKUP_TABLE default"]
+        lines.extend(str(int(v)) for v in arr)
+    lines.append("VECTORS u double")
+    for i in range(n):
+        lines.append(" ".join(repr(float(vel[i, a]) if a < dim else 0.0) for a in range(3)))
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(f, u, fp, point, direction):
+    """CSV cut along point + s*direction: a per-leaf slab clip, one value at a time."""
+    dim = f.dim
+    lo, hi, (rho, Y, alpha, p, vel) = _boxes_and_fields(f, u, fp)
+    direction = np.asarray(direction, dtype=np.float64)
+    direction = (direction / np.linalg.norm(direction)).tolist()
+    cut = []
+    for i in range(f.nleaves):
+        s0, s1 = -np.inf, np.inf
+        for a in range(dim):
+            d, x, xlo, xhi = direction[a], float(point[a]), lo[i, a], hi[i, a]
+            if abs(d) < 1e-300:
+                s0 = np.inf if x < xlo or x > xhi else s0
+                continue
+            ta, tb = (xlo - x) / d, (xhi - x) / d
+            s0, s1 = max(s0, min(ta, tb)), min(s1, max(ta, tb))
+        if s1 > s0:
+            cut.append((0.5 * (s0 + s1), i))
+    header = ["s", *"xyz"[:dim], "rho", "Y", "alpha", "p", *("ux", "uy", "uz")[:dim], "level"]
+    rows = [",".join(header)]
+    for s, i in sorted(cut, key=lambda c: c[0]):
+        vals = [s, *f.centers[i], rho[i], Y[i], alpha[i], p[i], *vel[i]]
+        rows.append(",".join(repr(float(v)) for v in vals) + f",{int(f.level[i])}")
+    return "\n".join(rows) + "\n"

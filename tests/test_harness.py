@@ -6,7 +6,7 @@ import pytest
 
 from amrfv import eos, harness, vtkio
 from amrfv.errors import ConfigError
-from amrfv.forest import Connectivity, new_uniform
+from amrfv.forest import REFINE, Connectivity, new_uniform
 from amrfv.harness import (
     compression_rate,
     convergence_rate,
@@ -17,6 +17,9 @@ from amrfv.harness import (
     load_config,
     run,
 )
+from amrfv.partition import partition
+
+import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,6 +218,20 @@ class TestRun:
         assert res.t == pytest.approx(1.0)
         assert res.l1_alpha < 0.05
 
+    def test_failure_names_the_step_and_the_leaf(self, monkeypatch):
+        def nan_momentum(cfg):
+            setup = init_case(cfg)
+            setup.field[10, 2] = np.nan
+            return setup
+
+        monkeypatch.setattr(harness, "init_case", nan_momentum)
+        with pytest.raises(ArithmeticError) as err:
+            run(default_config("smooth_advection", max_level=3, min_level=3, t_end=0.05), write_outputs=False)
+        assert str(err.value) == (
+            "solver failed at t=0 (step 1, 64 leaves): "
+            "non-finite or non-positive time step at leaf 10 (level 3, centre (0.0625, 0.4375))"
+        )
+
     def test_rank_count_leaves_physics_unchanged(self):
         base = None
         for P in (1, 4):
@@ -310,7 +327,78 @@ class TestRun:
         assert np.median(r) < 0.25
 
 
+def _refined(f, picks):
+    """``f`` with the leaves ``picks`` refined, then balanced."""
+    marks = np.zeros(f.nleaves, dtype=np.int8)
+    marks[list(picks)] = REFINE
+    return f.refine(marks)[0].balance()[0]
+
+
+def _vtk_case(name):
+    """(forest, state, fluids, ranks) of one byte-level writer case."""
+    fp = default_config("drop2d").fluids
+    rng = np.random.default_rng(7)
+    if name == "voxel_multi_tree":
+        f = _refined(new_uniform(Connectivity(3, (2, 1, 2), (True, False, False), 0.37), level=1, b=4), [0, 9, 30])
+        ranks = None
+    elif name == "walled_two_tree_ranks":
+        f = _refined(new_uniform(Connectivity(2, (2, 1), (False, False)), level=2, b=5), [5, 6, 17, 30])
+        ranks = partition(f, 3).owner_of(np.arange(f.nleaves))
+    elif name == "exponent_form":
+        # the leaf at the origin refined down to b = 31: corners of 2**-31 and
+        # its small multiples, alpha at the 1e-7 floor of the initial data
+        f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=0, b=31)
+        for _ in range(31):
+            marks = np.zeros(f.nleaves, dtype=np.int8)
+            marks[0] = REFINE
+            f = f.refine(marks)[0]
+        ranks = None
+    elif name == "signed_velocities":
+        f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=2, b=3)
+        ranks = np.arange(f.nleaves) % 2
+    else:
+        f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=0, b=0)
+        ranks = None
+    n = f.nleaves
+    alpha = np.where(np.arange(n) % 2 == 0, 1e-7, rng.uniform(0.1, 0.9, n))
+    vel = rng.normal(size=(n, f.dim)) * 10.0 ** rng.integers(-9, 3, size=(n, 1))
+    if name == "signed_velocities":
+        vel[:, 0] = np.where(np.arange(n) % 3 == 0, -0.0, np.where(np.arange(n) % 3 == 1, 0.0, -vel[:, 0] ** 2))
+        vel[:, 1] = -0.0
+    u = eos.state_from_pressure_alpha(1e5 * (1.0 + rng.random(n)), alpha, vel, fp)
+    return f, u, fp, ranks
+
+
+VTK_CASES = ["voxel_multi_tree", "walled_two_tree_ranks", "exponent_form", "signed_velocities", "single_leaf"]
+
+
 class TestVtk:
+    @pytest.mark.parametrize("name", VTK_CASES)
+    def test_bytes_match_line_by_line_oracle(self, tmp_path, name):
+        f, u, fp, ranks = _vtk_case(name)
+        path = tmp_path / "case.vtk"
+        vtkio.write_vtk(f, u, fp, path, ranks=ranks)
+        assert path.read_bytes() == oracles.vtk_text(f, u, fp, ranks).encode()
+
+    def test_cases_reach_the_formats_they_name(self):
+        f, u, fp, _ = _vtk_case("exponent_form")
+        text = oracles.vtk_text(f, u, fp)
+        assert "4.656612873077393e-10 0.0 0.0\n" in text and "\n1e-07\n" in text
+        f, u, fp, _ = _vtk_case("signed_velocities")
+        text = oracles.vtk_text(f, u, fp)
+        vectors = text[text.index("VECTORS"):].splitlines()[1:]
+        assert {"-0.0 -0.0 0.0", "0.0 -0.0 0.0"} <= set(vectors)
+        assert any(v.startswith("-") and not v.startswith("-0.0") for v in vectors)
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.3), (0.0, 1.0)], ids=["oblique", "axis"])
+    def test_csv_bytes_match_line_by_line_oracle(self, tmp_path, direction):
+        f, u, fp, _ = _vtk_case("walled_two_tree_ranks")
+        path = tmp_path / "cut.csv"
+        vtkio.write_csv_cut(f, u, fp, [0.6, 0.2], direction, path)
+        text = oracles.csv_text(f, u, fp, [0.6, 0.2], direction)
+        assert text.count("\n") > 4
+        assert path.read_bytes() == text.encode()
+
     def test_single_leaf_counts(self, tmp_path):
         conn = Connectivity(2, (1, 1), (True, True))
         f = new_uniform(conn, level=0, b=0)

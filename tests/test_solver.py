@@ -3,7 +3,7 @@ import pytest
 
 from amrfv import eos, solver
 from amrfv.eos import FluidPair
-from amrfv.errors import VacuumError
+from amrfv.errors import EosError, VacuumError
 from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
 from amrfv.solver import SweepConfig
 
@@ -29,6 +29,21 @@ def slope_x(f, u, i):
     return solver._minmod_sigma(f, 0, eos.to_primitive(u), f.dx)[i]
 
 
+def one_bad_leaf(bad):
+    """Two-level walled forest at rest with state row 3 replaced by ``bad``.
+
+    Leaf 3 is the third child of the refined leaf 1: level 2, centre (0.625, 0.375).
+    """
+    f = new_uniform(conn2d(periodic=(False, True)), level=1, b=3)
+    f, _ = f.refine(np.array([KEEP, REFINE, KEEP, KEEP], dtype=np.int8))
+    u = make_field(f, MILD, lambda x: np.full(len(x), 0.5))
+    u[3] = bad
+    return f, u
+
+
+BAD_LEAF = "leaf 3 (level 2, centre (0.625, 0.375))"
+
+
 def multi_level_forest(periodic=(True, True), b=4, seed=2):
     rng = np.random.default_rng(seed)
     f = new_uniform(conn2d(periodic=periodic), level=2, b=b)
@@ -46,6 +61,21 @@ class TestComputeDt:
         cfg = SweepConfig(order=1, cfl=0.5)
         dt = solver.compute_dt(f, u, cfg, UNIT)
         assert dt == pytest.approx(0.5 / 1.05, rel=1e-13)
+
+    def test_nan_momentum_names_the_leaf(self):
+        f, u = one_bad_leaf(np.nan)
+        u[3, :2] = u[2, :2]
+        with pytest.raises(ArithmeticError, match=r"^non-finite or non-positive time step at ") as err:
+            solver.compute_dt(f, u, SweepConfig(), MILD)
+        assert str(err.value).endswith(BAD_LEAF)
+
+    def test_zero_density_names_the_leaf(self):
+        f, u = one_bad_leaf(0.0)
+        # Y = rho Y / rho is 0/0 before the closure sees the density
+        with np.errstate(invalid="ignore"), pytest.raises(EosError) as err:
+            solver.compute_dt(f, u, SweepConfig(), MILD)
+        assert str(err.value) == f"time step at {BAD_LEAF}: non-positive or non-finite density"
+        assert err.value.index == 3
 
     def test_refinement_decreases_dt(self):
         f = new_uniform(conn2d(), level=2, b=3)
@@ -162,6 +192,15 @@ class TestSweep:
         with pytest.raises(VacuumError) as err:
             solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
         assert str(err.value).startswith("sweep on axis 0, face row 2 at leaf 0 (level 1, centre (0.25, 0.25)): ")
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_density_names_the_axis_and_leaf(self, order):
+        f, u = one_bad_leaf(0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(EosError) as err:
+            solver.sweep(f, u, 1, 1e-6, SweepConfig(order=order), MILD)
+        assert str(err.value) == f"sweep on axis 1 at {BAD_LEAF}: non-positive or non-finite density"
+        assert err.value.index == 3
 
 
 class TestSlopes:
