@@ -62,6 +62,15 @@ def _clamp_Y(Y):
     return np.clip(Y, EPS_Y, 1.0 - EPS_Y)
 
 
+def _check_density(rho):
+    """``rho`` as floats, checked before any division by it; EosError names the first bad one."""
+    rho = np.asarray(rho, dtype=np.float64)
+    # min and max carry a NaN through, which fails both comparisons
+    if rho.size and not (rho.min() > 0 and rho.max() < np.inf):
+        raise EosError("non-positive or non-finite density", index=int(np.argmin((rho > 0) & (rho < np.inf))))
+    return rho
+
+
 def _closure(rho, Y, fp: FluidPair):
     """Clamped Y, c1^2 rho1, c2^2 rho2 and the pressure at equilibrium.
 
@@ -73,10 +82,7 @@ def _closure(rho, Y, fp: FluidPair):
     cancellation-free root pair.  The other x_k is s + D, also without
     cancellation, and the pressure is A_s + s, which D never enters.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    ok = (rho > 0) & (rho < np.inf)
-    if not ok.all():
-        raise EosError("non-positive or non-finite density", index=int(np.argmin(ok)))
+    rho = _check_density(rho)
     Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
     # s belongs to the fluid with the larger A_k, o to the other one
     k1, k2 = (fp.p1_0, fp.rho1_0, fp.c1, Yc), (fp.p2_0, fp.rho2_0, fp.c2, 1.0 - Yc)
@@ -129,7 +135,7 @@ def _pressure_and_speed(rho, Y, fp: FluidPair):
 def to_primitive(W):
     """Conservative [rho, rho Y, rho u...] -> primitive [m1, m2, u...]."""
     W = np.asarray(W, dtype=np.float64)
-    rho = W[..., 0]
+    rho = _check_density(W[..., 0])
     Yc = _clamp_Y(W[..., 1] / rho)
     V = np.empty_like(W)
     np.multiply(rho, Yc, out=V[..., 0])

@@ -6,10 +6,11 @@ HLLC-family four-wave form built from a single relaxation parameter
 a = theta * max(rho_L c_L, rho_R c_R) per face.  Callers pass each state's
 mixture pressure p and Wood sound speed c, which they evaluate once per cell.
 
-Batches are ``(n, ncomp)`` arrays of any memory order.  The kernels work one
-component column at a time and write each column once into their result, so
-column-major (Fortran-ordered) batches, whose columns are contiguous, are the
-fast case; a C-ordered batch gives the same bits.
+Batches are ``(n, ncomp)`` arrays of any memory order, or single rows.  The
+flux kernel works on the transposed ``(ncomp, n)`` block, one numpy call per
+operation over all components, with the normal-momentum fix-ups on row 2, so
+column-major (Fortran-ordered) batches, whose transposes are C-contiguous,
+are the fast case; a C-ordered batch gives the same bits.
 """
 from __future__ import annotations
 
@@ -81,31 +82,28 @@ def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None):
     sR = np.abs(uR + a / rhoR)
     if out is None:
         out = np.empty_like(WL)
-    # 0.5 * (FL + FR - sL (WsL - WL) - s0 (WsR - WsL) - sR (WR - WsR)) one
-    # column at a time; star states carry u* in the normal momentum and Y
-    # and the tangential velocities from their own side
-    starL, starR, term = np.empty_like(uL), np.empty_like(uL), np.empty_like(uL)
-    for i in range(WL.shape[-1]):
-        wl, wr, o = WL[..., i], WR[..., i], out[..., i]
-        np.multiply(wl, uL, out=o)
-        np.multiply(wr, uR, out=term)
-        if i == 2:
-            o += pL
-            term += pR
-            np.divide(wl + mL, denomL, out=starL)
-            np.divide(wr + mR, denomR, out=starR)
-        else:
-            np.divide(wl, denomL, out=starL)
-            np.divide(wr, denomR, out=starR)
-        o += term
-        np.subtract(starL, wl, out=term)
-        term *= sL
-        o -= term
-        np.subtract(starR, starL, out=term)
-        term *= s0
-        o -= term
-        np.subtract(wr, starR, out=term)
-        term *= sR
-        o -= term
-        o *= 0.5
+    # 0.5 * (FL + FR - sL (WsL - WL) - s0 (WsR - WsL) - sR (WR - WsR)) over
+    # the (ncomp, n) blocks; star states carry u* in the normal momentum and
+    # Y and the tangential velocities from their own side
+    L, R, o = WL.T, WR.T, out.T
+    np.multiply(L, uL, out=o)
+    o[2] += pL
+    term = R * uR
+    term[2] += pR
+    o += term
+    star = L / denomL
+    star[2] = (L[2] + mL) / denomL
+    np.subtract(star, L, out=term)
+    term *= sL
+    o -= term
+    # the right star state replaces the left one after its last use
+    np.divide(R, denomR, out=term)
+    term[2] = (R[2] + mR) / denomR
+    np.subtract(term, star, out=star)
+    star *= s0
+    o -= star
+    np.subtract(R, term, out=term)
+    term *= sR
+    o -= term
+    o *= 0.5
     return out

@@ -7,12 +7,14 @@ cell volume.  Second order uses minmod-limited slopes of the primitive
 variables [m1, m2, u...] and the MUSCL-Hancock half-step prediction.
 
 A sweep is one pass over all leaves.  Its rotated copy of the state is
-column-major, so each component is one contiguous array, and the kernels
-work one component column at a time.  Each face state's pressure and sound
-speed come off one closure solve.  Faces come from ``Forest.face_list``:
-rows ordered by their lower-z-order cell and a per-cell slot table.  One
-flux call covers the interior rows and one the wall rows, then each cell sums
-its sides' slots in slot order from +0.0, so no bit depends on a partition.
+column-major, so its transpose is a C-contiguous ``(ncomp, n)`` block, and
+each kernel makes one numpy call per operation over all components.  The
+MUSCL-Hancock face states of both sides form one ``(ncomp, 2n)`` block with
+one conversion, pressure and physical flux call, and one closure solve once
+corrected.  Faces come from ``Forest.face_list``: rows ordered by their
+lower-z-order cell and a per-cell slot table.  One flux call covers the
+interior rows and one the wall rows, then each cell sums its sides' slots in
+slot order from +0.0, so no bit depends on a partition.
 The simulated-rank contract (a rank fluxes the rows whose lo cell it owns,
 reading owned and ghost cells only) is a property of the face list and
 ``partition.ghost_layer`` that the test suite checks, not a loop here.
@@ -74,7 +76,7 @@ def _mom_perm(dim: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cell_speeds(u: np.ndarray, fp: FluidPair):
     """Mixture pressure and Wood sound speed of state rows, one closure solve."""
-    rho = u[:, IRHO]
+    rho = eos._check_density(u[:, IRHO])
     return eos._pressure_and_speed(rho, u[:, IRHOY] / rho, fp)
 
 
@@ -88,9 +90,9 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     velocity component bounded, and the largest component is the sharp
     stability bound for the whole splitting sequence.
     """
-    rho = u[:, IRHO]
     with _sec(prof, "eos"):
         try:
+            rho = eos._check_density(u[:, IRHO])
             c = eos.wood_sound_speed(rho, u[:, IRHOY] / rho, fp)
         except EosError as exc:
             raise EosError(f"time step at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
@@ -127,24 +129,26 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray) -> np.nda
     fl = f.face_list(axis)
     nf = len(fl.lo)
     cells = fl.bc_cell
-    sign = np.where(fl.bc_side == 1, 1.0, -1.0)
-    rows = np.empty(nf + len(cells))
-    sigma = np.empty_like(V)
-    for i in range(V.shape[1]):
-        v = V[:, i]
-        np.subtract(v[fl.hi], v[fl.lo], out=rows[:nf])
-        rows[:nf] /= fl.dist
-        # mirror ghost differs only in normal velocity: slope -2*u_n/dx
-        rows[nf:] = sign * (-2.0 * v[cells]) / dx[cells] if i == IMX else 0.0
-        cols = fl.columns(rows)
-        smin = next(cols)
-        smax = smin.copy()
-        for col in cols:
-            np.minimum(smin, col, out=smin)
-            np.maximum(smax, col, out=smax)
-        s = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
-        sigma[:, i] = np.where(np.isfinite(s), s, 0.0)
-    return sigma
+    Vt = V.T
+    ncomp, n = Vt.shape
+    rows = np.empty((ncomp, nf + len(cells)))
+    np.subtract(np.take(Vt, fl.hi, axis=1), np.take(Vt, fl.lo, axis=1), out=rows[:, :nf])
+    rows[:, :nf] /= fl.dist
+    if len(cells):
+        # a mirror ghost differs only in normal velocity: slope -2*u_n/dx
+        rows[:, nf:] = 0.0
+        rows[IMX, nf:] = np.where(fl.bc_side == 1, 1.0, -1.0) * (-2.0 * Vt[IMX, cells]) / dx[cells]
+    # every slot column of both cell sides, one take over the block each
+    slots = fl.slots.T.reshape(-1, n)
+    smin = np.take(rows, slots[0], axis=1)
+    smax, col = smin.copy(), np.empty_like(smin)
+    for slot in slots[1:]:
+        np.take(rows, slot, axis=1, out=col, mode="clip")
+        np.minimum(smin, col, out=smin)
+        np.maximum(smax, col, out=smax)
+    del rows, col  # freed before the selection's temporaries
+    s = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
+    return np.where(np.isfinite(s), s, 0.0).T
 
 
 def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None):
@@ -153,54 +157,44 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None):
     ``V`` is ``eos.to_primitive(W)`` when the caller already has it.
     Returns (W_left_face, W_right_face, fallback) where ``fallback`` marks
     cells retreated to first order because a predicted state left the
-    admissible set.
+    admissible set.  Both face states are halves of one column-major
+    ``(2n, ncomp)`` batch, left faces first.
     """
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
     dx = np.atleast_1d(np.asarray(dx, dtype=np.float64))
     if V is None:
         V = eos.to_primitive(W)
-    WL, WR = np.empty_like(V), np.empty_like(V)
-    for i in range(V.shape[1]):
-        half = 0.5 * sigma[:, i] * dx
-        np.subtract(V[:, i], half, out=WL[:, i])
-        np.add(V[:, i], half, out=WR[:, i])
-    eos.from_primitive(WL, out=WL)
-    eos.from_primitive(WR, out=WR)
+    n, ncomp = W.shape
+    # left (S[:, 0]) and right (S[:, 1]) face states; S[:, 1] first holds sigma dx / 2
+    S = np.empty((ncomp, 2, n))
+    half = np.multiply(0.5, sigma.T, out=S[:, 1])
+    half *= dx
+    np.subtract(V.T, half, out=S[:, 0])
+    np.add(V.T, half, out=half)
+    WS = S.reshape(ncomp, 2 * n).T
+    eos.from_primitive(WS, out=WS)
 
     def bad(A):
-        return (A[:, IRHO] <= 0) | (A[:, IRHOY] <= 0) | (A[:, IRHOY] >= A[:, IRHO])
+        out = (A[:, IRHO] <= 0) | (A[:, IRHOY] <= 0) | (A[:, IRHOY] >= A[:, IRHO])
+        return out[:n] | out[n:]
 
     # inadmissible reconstructions retreat to first order before any EOS call
-    fallback = bad(WL) | bad(WR)
+    fallback = bad(WS)
     if np.any(fallback):
-        WL[fallback] = W[fallback]
-        WR[fallback] = W[fallback]
-    pL = eos.mixture_pressure(WL[:, IRHO], WL[:, IRHOY] / WL[:, IRHO], fp)
-    pR = eos.mixture_pressure(WR[:, IRHO], WR[:, IRHOY] / WR[:, IRHO], fp)
+        S[:, :, fallback] = W.T[:, None, fallback]
+    p = eos.mixture_pressure(WS[:, IRHO], WS[:, IRHOY] / WS[:, IRHO], fp)
     # the face states overwrite the fluxes: W - (F_R - F_L) * dt / (2 dx)
-    WfL = riemann.physical_flux(WL, pL)
-    WfR = riemann.physical_flux(WR, pR)
-    scale = 0.5 * dt / dx
-    for i in range(V.shape[1]):
-        dF = WfR[:, i] - WfL[:, i]
-        dF *= scale
-        np.subtract(WL[:, i], dF, out=WfL[:, i])
-        np.subtract(WR[:, i], dF, out=WfR[:, i])
-    fallback = fallback | bad(WfL) | bad(WfR)
+    Wf = riemann.physical_flux(WS, p)
+    F = Wf.T.reshape(ncomp, 2, n, copy=False)
+    dF = F[:, 1] - F[:, 0]
+    dF *= 0.5 * dt / dx
+    np.subtract(S, dF[:, None], out=F)
+    fallback = fallback | bad(Wf)
     if np.any(fallback):
         log.debug("MUSCL positivity fallback on %d cells", int(fallback.sum()))
-        WfL[fallback] = W[fallback]
-        WfR[fallback] = W[fallback]
-    return WfL, WfR, fallback
-
-
-def _gather(W: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``W[idx]`` in column-major order, gathered one column at a time."""
-    out = np.empty((W.shape[1], len(idx))).T
-    for i in range(W.shape[1]):
-        np.take(W[:, i], idx, out=out[:, i])
-    return out
+        F[:, :, fallback] = W.T[:, None, fallback]
+    return Wf[:n], Wf[n:], fallback
 
 
 def sweep(
@@ -220,29 +214,33 @@ def sweep(
             with _sec(prof, "eos"):
                 p, c = _cell_speeds(Wq, fp)
             WfL = WfR = Wq
-            pfL = pfR = p
-            cfL = cfR = c
         else:
             with _sec(prof, "slopes"):
                 V = eos.to_primitive(Wq)
                 sigma = _minmod_sigma(f, axis, V, f.dx)
                 WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp, V=V)
+                del V, sigma  # freed before the flux phase allocates its blocks
             with _sec(prof, "eos"):
-                pfL, cfL = _cell_speeds(WfL, fp)
-                pfR, cfR = _cell_speeds(WfR, fp)
+                # both sides' corrected face states in one closure solve
+                p, c = _cell_speeds(np.concatenate((WfL[:, :IMX], WfR[:, :IMX])), fp)
+        # order 2 stacks the left face states before the right ones
+        pfL, pfR, cfL, cfR = p[:n], p[-n:], c[:n], c[-n:]
     except EosError as exc:
-        raise EosError(f"sweep on axis {axis} at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
+        # a stacked (2n) batch holds the left faces first, so row i is leaf i % n
+        leaf = exc.index % n
+        raise EosError(f"sweep on axis {axis} at {f.leaf_label(leaf)}: {exc}", index=leaf) from exc
 
     lo, hi, cc = fl.lo, fl.hi, fl.bc_cell
     nf = len(lo)
     with _sec(prof, "flux"):
         # phase B1 (per face row): interior rows join the high face state of
-        # lo to the low face state of hi, wall rows follow them
+        # lo to the low face state of hi, gathered column-major; wall rows
+        # follow them
         flux = np.empty((ncomp, nf + len(cc))).T
         row0 = 0
         try:
             riemann.suliciu_flux(
-                _gather(WfR, lo), _gather(WfL, hi), fp,
+                np.take(WfR.T, lo, axis=1).T, np.take(WfL.T, hi, axis=1).T, fp,
                 pfR[lo], pfL[hi], cfR[lo], cfL[hi], out=flux[:nf],
             )
             if len(cc):
@@ -263,25 +261,20 @@ def sweep(
             raise VacuumError(f"sweep on axis {axis}, face row {row} at {at}: {exc}", row=row) from exc
 
         # phase B2 (per cell): each cell side sums its slots in slot order
-        # from +0.0, low side minus high side, one component at a time
-        out = np.empty((ncomp, n)).T
+        # from +0.0, low side minus high side; the slots are in range, and
+        # mode="clip" lets take fill ``term`` without an intermediate copy
         coef = dt * fl.slot_area
-        k = fl.slots.shape[2]
-        acc = np.empty((2, n))
-        term = np.empty(n)
-        for i in range(ncomp):
-            col = flux[:, i]
-            for s in (0, 1):
-                acc[s] = 0.0
-                for j in range(k):
-                    np.take(col, fl.slots[:, s, j], out=term)
-                    term *= coef[:, s, j]
-                    acc[s] += term
-            np.subtract(acc[0], acc[1], out=term)
-            term /= f.volumes
-            np.add(Wq[:, i], term, out=out[:, i])
+        dW, acc, term = np.zeros((ncomp, n)), np.zeros((ncomp, n)), np.empty((ncomp, n))
+        for s, side in enumerate((dW, acc)):
+            for j in range(fl.slots.shape[2]):
+                np.take(flux.T, fl.slots[:, s, j], axis=1, out=term, mode="clip")
+                term *= coef[:, s, j]
+                side += term
+        dW -= acc
+        dW /= f.volumes
+        np.add(Wq.T, dW, out=dW)
     with _sec(prof, "sweep"):
-        return out.T[iperm].T
+        return dW[iperm].T
 
 
 def gravity_op(u: np.ndarray, dt: float, g: float) -> np.ndarray:

@@ -435,3 +435,120 @@ def csv_text(f, u, fp, point, direction):
         vals = [s, *f.centers[i], rho[i], Y[i], alpha[i], p[i], *vel[i]]
         rows.append(",".join(repr(float(v)) for v in vals) + f",{int(f.level[i])}")
     return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Column-at-a-time sweep kernels: the flux, slope and MUSCL-Hancock kernels
+# written one state component at a time, as the solver had them before its
+# kernels worked on whole (ncomp, n) blocks.  They share the EOS conversions
+# and the physical flux with the library, and nothing else.
+
+def suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR):
+    """Relaxation flux between rotated states, one component column at a time."""
+    WL = np.asarray(WL, dtype=np.float64)
+    WR = np.asarray(WR, dtype=np.float64)
+    rhoL, rhoR = WL[..., 0], WR[..., 0]
+    a = fp.theta * np.maximum(rhoL * cL, rhoR * cR)
+    uL = WL[..., 2] / rhoL
+    uR = WR[..., 2] / rhoR
+    half_du = 0.5 * (uR - uL)
+    half_dp = 0.5 * (pL - pR) / a
+    duL = half_du + half_dp
+    duR = -half_du + half_dp
+    ustar = uL + duL
+    mL = rhoL * duL
+    mR = rhoR * duR
+    denomL = 1.0 + mL / a
+    denomR = 1.0 - mR / a
+    sL = np.abs(uL - a / rhoL)
+    s0 = np.abs(ustar)
+    sR = np.abs(uR + a / rhoR)
+    out = np.empty_like(WL)
+    starL, starR, term = np.empty_like(uL), np.empty_like(uL), np.empty_like(uL)
+    for i in range(WL.shape[-1]):
+        wl, wr, o = WL[..., i], WR[..., i], out[..., i]
+        np.multiply(wl, uL, out=o)
+        np.multiply(wr, uR, out=term)
+        if i == 2:
+            o += pL
+            term += pR
+            np.divide(wl + mL, denomL, out=starL)
+            np.divide(wr + mR, denomR, out=starR)
+        else:
+            np.divide(wl, denomL, out=starL)
+            np.divide(wr, denomR, out=starR)
+        o += term
+        np.subtract(starL, wl, out=term)
+        term *= sL
+        o -= term
+        np.subtract(starR, starL, out=term)
+        term *= s0
+        o -= term
+        np.subtract(wr, starR, out=term)
+        term *= sR
+        o -= term
+        o *= 0.5
+    return out
+
+
+def minmod_sigma_columns(f, axis, V, dx):
+    """Minmod slopes over every face of each cell, one component column at a time."""
+    fl = f.face_list(axis)
+    nf = len(fl.lo)
+    cells = fl.bc_cell
+    sign = np.where(fl.bc_side == 1, 1.0, -1.0)
+    rows = np.empty(nf + len(cells))
+    sigma = np.empty_like(V)
+    for i in range(V.shape[1]):
+        v = V[:, i]
+        np.subtract(v[fl.hi], v[fl.lo], out=rows[:nf])
+        rows[:nf] /= fl.dist
+        rows[nf:] = sign * (-2.0 * v[cells]) / dx[cells] if i == 2 else 0.0
+        cols = [rows[fl.slots[:, s, j]] for s in (0, 1) for j in range(fl.slots.shape[2])]
+        smin = cols[0].copy()
+        smax = cols[0].copy()
+        for col in cols[1:]:
+            np.minimum(smin, col, out=smin)
+            np.maximum(smax, col, out=smax)
+        s = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
+        sigma[:, i] = np.where(np.isfinite(s), s, 0.0)
+    return sigma
+
+
+def muscl_predict_columns(W, sigma, dx, dt, fp, V=None):
+    """MUSCL-Hancock face states, each side and component separately; (WfL, WfR, fallback)."""
+    from amrfv import eos, riemann
+
+    W = np.atleast_2d(np.asarray(W, dtype=np.float64))
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
+    dx = np.atleast_1d(np.asarray(dx, dtype=np.float64))
+    if V is None:
+        V = eos.to_primitive(W)
+    WL, WR = np.empty_like(V), np.empty_like(V)
+    for i in range(V.shape[1]):
+        half = 0.5 * sigma[:, i] * dx
+        np.subtract(V[:, i], half, out=WL[:, i])
+        np.add(V[:, i], half, out=WR[:, i])
+    eos.from_primitive(WL, out=WL)
+    eos.from_primitive(WR, out=WR)
+
+    def bad(A):
+        return (A[:, 0] <= 0) | (A[:, 1] <= 0) | (A[:, 1] >= A[:, 0])
+
+    fallback = bad(WL) | bad(WR)
+    WL[fallback] = W[fallback]
+    WR[fallback] = W[fallback]
+    pL = eos.mixture_pressure(WL[:, 0], WL[:, 1] / WL[:, 0], fp)
+    pR = eos.mixture_pressure(WR[:, 0], WR[:, 1] / WR[:, 0], fp)
+    WfL = riemann.physical_flux(WL, pL)
+    WfR = riemann.physical_flux(WR, pR)
+    scale = 0.5 * dt / dx
+    for i in range(V.shape[1]):
+        dF = WfR[:, i] - WfL[:, i]
+        dF *= scale
+        np.subtract(WL[:, i], dF, out=WfL[:, i])
+        np.subtract(WR[:, i], dF, out=WfR[:, i])
+    fallback = fallback | bad(WfL) | bad(WfR)
+    WfL[fallback] = W[fallback]
+    WfR[fallback] = W[fallback]
+    return WfL, WfR, fallback

@@ -1,0 +1,188 @@
+"""The block sweep kernels against their column-at-a-time oracles, bit for bit.
+
+The flux, slope and MUSCL-Hancock kernels make one numpy call per operation
+over a whole ``(ncomp, n)`` block, and MUSCL-Hancock handles both face sides
+in one ``(ncomp, 2n)`` block.  ``tests/oracles.py`` keeps the same kernels
+written one component column at a time.  Every case compares int64 views,
+so it checks every bit, signed zeros included.
+"""
+import numpy as np
+import pytest
+
+import oracles
+from amrfv import eos, riemann, solver
+from amrfv.errors import EosError
+from amrfv.eos import FluidPair
+from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
+from amrfv.solver import SweepConfig
+
+MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
+AIR_WATER = FluidPair(p1_0=1e5, rho1_0=1.0, c1=340.0, p2_0=1e5, rho2_0=1e3, c2=1500.0)
+FLUIDS = {"mild": MILD, "air_water": AIR_WATER}
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def batch(rng, n, dim, fp, order, speed=1.0):
+    """Random admissible states in the given memory order, some momenta +-0.0."""
+    p = 1e5 * (1.0 + 0.5 * rng.random(n))
+    vel = rng.normal(0.0, speed, (n, dim))
+    vel[::7, 0] = -0.0
+    vel[3::7, 0] = 0.0
+    W = eos.state_from_pressure_alpha(p, rng.uniform(0.01, 0.99, n), vel, fp)
+    return np.asfortranarray(W) if order == "F" else np.ascontiguousarray(W)
+
+
+def p_and_c(W, fp):
+    return eos._pressure_and_speed(W[..., 0], W[..., 1] / W[..., 0], fp)
+
+
+def walled_forest(dim, seed):
+    """Two-level refined forest, walls on axis 0, hanging faces on every axis."""
+    rng = np.random.default_rng(seed)
+    conn = Connectivity(dim, (1,) * dim, (False,) + (True,) * (dim - 1), 1.0)
+    f = new_uniform(conn, level=1, b=4)
+    for _ in range(2):
+        marks = rng.choice([KEEP, REFINE], p=[0.6, 0.4], size=f.nleaves).astype(np.int8)
+        f, _ = f.refine(marks)
+        f, _ = f.balance()
+    return f
+
+
+class TestFlux:
+    @pytest.mark.parametrize("fluid", sorted(FLUIDS))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batches(self, dim, order, fluid):
+        fp, rng = FLUIDS[fluid], np.random.default_rng(dim)
+        WL, WR = batch(rng, 200, dim, fp, order), batch(rng, 200, dim, fp, order)
+        (pL, cL), (pR, cR) = p_and_c(WL, fp), p_and_c(WR, fp)
+        expected = oracles.suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR)
+        assert_bits(riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR), expected)
+        # into the head of a larger column-major block, as the sweep writes it
+        out = np.empty((dim + 2, 203)).T
+        riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=out[:200])
+        assert_bits(out[:200], expected)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_single_rows(self, dim):
+        rng = np.random.default_rng(5)
+        WL, WR = batch(rng, 8, dim, MILD, "C"), batch(rng, 8, dim, MILD, "C")
+        (pL, cL), (pR, cR) = p_and_c(WL, MILD), p_and_c(WR, MILD)
+        for i in range(8):
+            args = (WL[i], WR[i], MILD, pL[i], pR[i], cL[i], cR[i])
+            got = riemann.suliciu_flux(*args)
+            assert got.shape == (dim + 2,)
+            assert_bits(got, oracles.suliciu_flux_columns(*args))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_wall_rows(self, order):
+        # a wall row joins a face state to its mirror, on either side of it
+        rng = np.random.default_rng(6)
+        W = batch(rng, 50, 2, AIR_WATER, order, speed=5.0)
+        G = solver._wall_mirror(W)
+        p, c = p_and_c(W, AIR_WATER)
+        for A, B in ((W, G), (G, W)):
+            got = riemann.suliciu_flux(A, B, AIR_WATER, p, p, c, c)
+            assert_bits(got, oracles.suliciu_flux_columns(A, B, AIR_WATER, p, p, c, c))
+
+
+class TestSlopes:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hanging_faces_and_walls(self, dim, order):
+        f = walled_forest(dim, seed=dim)
+        rng = np.random.default_rng(7)
+        V = eos.to_primitive(batch(rng, f.nleaves, dim, MILD, order, speed=3.0))
+        V = np.asfortranarray(V) if order == "F" else np.ascontiguousarray(V)
+        assert len(f.face_list(0).bc_cell) > 0
+        assert max(f.face_list(axis).slots.shape[2] for axis in range(dim)) >= 2
+        for axis in range(dim):
+            got = solver._minmod_sigma(f, axis, V, f.dx)
+            assert_bits(got, oracles.minmod_sigma_columns(f, axis, V, f.dx))
+
+    def test_non_finite_slopes_are_zero_in_both(self):
+        f = walled_forest(2, seed=3)
+        V = eos.to_primitive(batch(np.random.default_rng(8), f.nleaves, 2, MILD, "F"))
+        V[5, 2], V[9, 3] = np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            for axis in (0, 1):
+                got = solver._minmod_sigma(f, axis, V, f.dx)
+                assert np.all(np.isfinite(got))
+                assert_bits(got, oracles.minmod_sigma_columns(f, axis, V, f.dx))
+
+
+class TestMuscl:
+    @pytest.mark.parametrize("given_v", [True, False], ids=["V", "no-V"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batches(self, dim, order, given_v):
+        rng = np.random.default_rng(10 + dim)
+        n = 300
+        W = batch(rng, n, dim, MILD, order, speed=20.0)
+        V = eos.to_primitive(W)
+        sigma = 0.3 * V * rng.normal(0.0, 1.0, V.shape)
+        dx = np.full(n, 0.5)
+        kw = {"V": V} if given_v else {}
+        got = solver.muscl_predict(W, sigma, dx, 1e-3, MILD, **kw)
+        expected = oracles.muscl_predict_columns(W, sigma, dx, 1e-3, MILD, **kw)
+        for a, b in zip(got, expected):
+            assert_bits(a, b)
+        # each component column of both face-state halves is contiguous
+        assert got[0].strides[0] == got[1].strides[0] == 8
+
+    def test_single_row(self):
+        rng = np.random.default_rng(12)
+        W = batch(rng, 4, 2, MILD, "C", speed=20.0)
+        sigma = 0.3 * eos.to_primitive(W) * rng.normal(0.0, 1.0, W.shape)
+        for i in range(4):
+            got = solver.muscl_predict(W[i], sigma[i], 0.5, 1e-3, MILD)
+            expected = oracles.muscl_predict_columns(W[i], sigma[i], 0.5, 1e-3, MILD)
+            assert got[0].shape == (1, 4)
+            for a, b in zip(got, expected):
+                assert_bits(a, b)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fallback(self, order):
+        # steep slopes exhaust a partial density on some face; a long step
+        # empties some corrected face state; the rest predict normally
+        rng = np.random.default_rng(13)
+        n = 200
+        W = batch(rng, n, 2, MILD, order, speed=200.0)
+        V = eos.to_primitive(W)
+        sigma = V * rng.normal(0.0, 1.0, V.shape)
+        sigma[::5, 0] = 4.0 * V[::5, 0]
+        dx = np.full(n, 1.0)
+        got = solver.muscl_predict(W, sigma, dx, 2e-3, MILD, V=V)
+        expected = oracles.muscl_predict_columns(W, sigma, dx, 2e-3, MILD, V=V)
+        fallback = got[2]
+        # with dt = 0 only the predicted states can fall back
+        first = solver.muscl_predict(W, sigma, dx, 0.0, MILD, V=V)[2]
+        assert first[::5].all() and (fallback & ~first).any() and not fallback.all()
+        for a, b in zip(got, expected):
+            assert_bits(a, b)
+        np.testing.assert_array_equal(got[0][fallback], W[fallback])
+
+
+def test_stacked_eos_error_names_its_leaf(monkeypatch):
+    # the corrected face states of both sides share one closure call, left
+    # faces first: a failure at the right face state of leaf 3 is row n + 3
+    pressure_and_speed = eos._pressure_and_speed
+
+    def fail_right_face_of_leaf_3(rho, Y, fp):
+        n2 = np.size(rho)
+        if n2 == 2 * f.nleaves:
+            raise EosError("injected", index=n2 // 2 + 3)
+        return pressure_and_speed(rho, Y, fp)
+
+    f = walled_forest(2, seed=4)
+    u = batch(np.random.default_rng(14), f.nleaves, 2, MILD, "C")
+    monkeypatch.setattr(eos, "_pressure_and_speed", fail_right_face_of_leaf_3)
+    with pytest.raises(EosError) as err:
+        solver.sweep(f, u, 1, 1e-6, SweepConfig(order=2), MILD)
+    assert err.value.index == 3
+    assert str(err.value) == f"sweep on axis 1 at {f.leaf_label(3)}: injected"

@@ -71,8 +71,8 @@ class TestComputeDt:
 
     def test_zero_density_names_the_leaf(self):
         f, u = one_bad_leaf(0.0)
-        # Y = rho Y / rho is 0/0 before the closure sees the density
-        with np.errstate(invalid="ignore"), pytest.raises(EosError) as err:
+        # the density is checked before Y = rho Y / rho could divide 0 by 0
+        with pytest.raises(EosError) as err:
             solver.compute_dt(f, u, SweepConfig(), MILD)
         assert str(err.value) == f"time step at {BAD_LEAF}: non-positive or non-finite density"
         assert err.value.index == 3
@@ -197,7 +197,7 @@ class TestSweep:
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_density_names_the_axis_and_leaf(self, order):
         f, u = one_bad_leaf(0.0)
-        with np.errstate(invalid="ignore"), pytest.raises(EosError) as err:
+        with pytest.raises(EosError) as err:
             solver.sweep(f, u, 1, 1e-6, SweepConfig(order=order), MILD)
         assert str(err.value) == f"sweep on axis 1 at {BAD_LEAF}: non-positive or non-finite density"
         assert err.value.index == 3
@@ -470,18 +470,21 @@ class TestStep:
         assert err_moved < 0.5 * err_stale
 
     @pytest.mark.parametrize(
-        "dim, order, calls", [(2, 2, 4 * 4 + 1), (3, 2, 6 * 4 + 1), (2, 1, 4 + 1)], ids=["2d-o2", "3d-o2", "2d-o1"]
+        "dim, order, calls, states",
+        [(2, 2, 4 * 2 + 1, 4 * 4 + 1), (3, 2, 6 * 2 + 1, 6 * 4 + 1), (2, 1, 4 + 1, 4 + 1)],
+        ids=["2d-o2", "3d-o2", "2d-o1"],
     )
-    def test_one_closure_per_face_state(self, monkeypatch, dim, order, calls):
+    def test_one_closure_per_face_state(self, monkeypatch, dim, order, calls, states):
         # one closure for dt, then per Strang sweep: order 1 solves the cell
-        # states once; order 2 the two predicted face states (their pressures
-        # for the half step) and the two corrected ones (p and c together)
+        # states once; order 2 solves both predicted face states (their
+        # pressures for the half step) in one call and both corrected ones
+        # (p and c together) in another, so each face state is solved once
         closure = eos._closure
         count = []
 
-        def counted(*args):
-            count.append(1)
-            return closure(*args)
+        def counted(rho, *args):
+            count.append(np.size(rho))
+            return closure(rho, *args)
 
         monkeypatch.setattr(eos, "_closure", counted)
         f, _ = new_uniform(Connectivity(dim, (1,) * dim, (True,) * dim), level=1, b=3).refine(
@@ -491,6 +494,7 @@ class TestStep:
         u = eos.state_from_pressure_alpha(1e5, alpha, np.full(dim, 0.3), MILD)
         solver.step(f, u, SweepConfig(order=order, splitting="strang"), MILD)
         assert len(count) == calls
+        assert sum(count) == states * f.nleaves
 
     def test_muscl_fallback_triggers_and_logs(self, caplog):
         import logging
