@@ -14,7 +14,7 @@ import numpy as np
 from amrfv import eos
 from amrfv.errors import ConfigError, ContractError
 from amrfv.eos import FluidPair
-from amrfv.forest import COARSEN, KEEP, REFINE, CoarsenMap, Forest, RefineMap
+from amrfv.forest import COARSEN, KEEP, REFINE, Forest, LeafMap
 
 __all__ = [
     "EPS_U",
@@ -24,7 +24,6 @@ __all__ = [
     "evaluate",
     "mark",
     "project_solution",
-    "carry_marks",
 ]
 
 # velocity-jump denominators are floored to stay defined near rest states
@@ -123,27 +122,12 @@ def mark(
     return marks
 
 
-def project_solution(
-    old_f: Forest, new_f: Forest, mapping: RefineMap | CoarsenMap, u_old: np.ndarray
-) -> np.ndarray:
-    """Transfer cell averages across one adapt event, conservatively.
+def project_solution(old_f: Forest, new_f: Forest, mapping: LeafMap, u_old: np.ndarray) -> np.ndarray:
+    """Transfer cell averages across a mesh change, conservatively.
 
-    Refinement children copy the parent value; a merged parent takes the
-    mean of its equal-volume children.
+    Each new leaf takes the mean of the equal-volume old leaves it covers:
+    refinement children copy the parent, a merged parent averages its children.
     """
-    if isinstance(mapping, RefineMap):
-        if mapping.n_old != old_f.nleaves or mapping.n_new != new_f.nleaves:
-            raise ContractError("refine mapping does not match forests")
-        return mapping.project(u_old)
-    if isinstance(mapping, CoarsenMap):
-        if mapping.n_new != new_f.nleaves or int(mapping.starts[-1]) != old_f.nleaves:
-            raise ContractError("coarsen mapping does not match forests")
-        return mapping.project(u_old)
-    raise ContractError(f"unknown mapping type {type(mapping)!r}")
-
-
-def carry_marks(marks: np.ndarray, rmap: RefineMap) -> np.ndarray:
-    """Transfer marks through a refinement: fresh children get Keep."""
-    out = np.repeat(marks, rmap.counts)
-    out[np.repeat(rmap.counts, rmap.counts) > 1] = KEEP
-    return out
+    if mapping.n_old != old_f.nleaves or mapping.n_new != new_f.nleaves:
+        raise ContractError("leaf map does not match forests")
+    return mapping.project(u_old)

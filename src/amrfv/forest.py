@@ -2,16 +2,18 @@
 
 The leaf array is kept sorted by (tree id, Morton key); refinement and
 coarsening splice children / merged parents in place, which preserves the
-z-order without re-sorting.  There is one neighbour query, ``_face_rows``:
-each leaf locates the lattice point one step across its high face, and a
-leaf with a finer neighbour locates each fine sub-face, so every face of an
-axis is found once, from its lower leaf, with the level gap across it.  2:1
-balance refines the coarse side of every gap of two or more levels that the
-query shows, and its last pass, which finds none, is the face-list build of
-the forest it returns.  ``face_list`` is the one face-connectivity structure
-the kernels use: lo-ordered face rows plus a per-cell slot table, so each
-cell reduces its own faces in a fixed order and a rank's flux duty is a
-contiguous slice of rows.
+z-order without re-sorting.  Refine, coarsen and balance each return one
+``LeafMap`` (each new leaf averages a span of old leaves); maps chain with
+``then``, so an adapt projects its cell averages once.  There is one
+neighbour query, ``_face_rows``: each leaf locates the lattice point one
+step across its high face, and a leaf with a finer neighbour locates each
+fine sub-face, so every face of an axis is found once, from its lower leaf,
+with the level gap across it.  2:1 balance refines the coarse side of every
+gap of two or more levels that the query shows, and its last pass, which
+finds none, is the face-list build of the forest it returns.  ``face_list``
+is the one face-connectivity structure the kernels use: lo-ordered face
+rows plus a per-cell slot table, so each cell reduces its own faces in a
+fixed order and a rank's flux duty is a contiguous slice of rows.
 """
 from __future__ import annotations
 
@@ -29,8 +31,7 @@ __all__ = [
     "COARSEN",
     "Connectivity",
     "Forest",
-    "RefineMap",
-    "CoarsenMap",
+    "LeafMap",
     "FaceList",
     "new_uniform",
 ]
@@ -88,56 +89,45 @@ class Connectivity:
 
 
 @dataclass(frozen=True)
-class RefineMap:
-    """Old leaf i expands to new leaves [starts[i], starts[i+1])."""
+class LeafMap:
+    """New leaf j takes the mean of old leaves [first[j], first[j] + counts[j]).
 
-    starts: np.ndarray  # (N_old + 1,) cumulative
+    Refinement repeats the parent (counts 1), coarsening merges 2^d siblings
+    (counts 2^d), and the maps of successive operations chain with ``then``.
+    """
+
+    first: np.ndarray  # (N_new,) first old leaf of each new leaf's span
+    counts: np.ndarray  # (N_new,) old leaves in the span
 
     @property
     def n_old(self) -> int:
-        return len(self.starts) - 1
+        return int(self.first[-1] + self.counts[-1])
 
     @property
     def n_new(self) -> int:
-        return int(self.starts[-1])
+        return len(self.first)
 
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.starts)
+    def then(self, later: "LeafMap") -> "LeafMap":
+        """Map through a subsequent operation on the output array."""
+        first = self.first[later.first]
+        last = later.first + later.counts - 1
+        return LeafMap(first, self.first[last] + self.counts[last] - first)
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """Children copy the parent value; unchanged leaves copy through."""
-        return np.repeat(u, self.counts, axis=0)
+        """Mean over each span of equal-volume old leaves.
 
-    def compose(self, later: "RefineMap") -> "RefineMap":
-        """Map through a subsequent refinement of the output array."""
-        return RefineMap(later.starts[self.starts])
+        Balance may re-refine a merged parent, so new leaves can share a span:
+        each run of equal ``first`` is summed once and repeated to the run.
+        """
+        head = np.flatnonzero(np.diff(self.first, prepend=-1))
+        sums = np.add.reduceat(np.asarray(u, dtype=np.float64), self.first[head], axis=0)
+        shape = (len(head),) + (1,) * (sums.ndim - 1)
+        means = sums / self.counts[head].reshape(shape)
+        return np.repeat(means, np.diff(head, append=self.n_new), axis=0)
 
     @staticmethod
-    def identity(n: int) -> "RefineMap":
-        return RefineMap(np.arange(n + 1, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class CoarsenMap:
-    """New leaf j gathers old leaves [starts[j], starts[j+1])."""
-
-    starts: np.ndarray  # (N_new + 1,) cumulative
-
-    @property
-    def n_new(self) -> int:
-        return len(self.starts) - 1
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.starts)
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        """Merged parents take the mean of their (equal-volume) children."""
-        counts = self.counts
-        out = np.add.reduceat(np.asarray(u, dtype=np.float64), self.starts[:-1], axis=0)
-        shape = (len(counts),) + (1,) * (out.ndim - 1)
-        return out / counts.reshape(shape)
+    def identity(n: int) -> "LeafMap":
+        return LeafMap(np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -279,20 +269,18 @@ class Forest:
 
     # -- adaptation ----------------------------------------------------------
 
-    def refine(self, marks: np.ndarray) -> tuple["Forest", RefineMap]:
+    def refine(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
         """Replace each Refine-marked leaf below level b by its 2^d children."""
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
             raise ContractError("marks not aligned with leaves")
         return self._apply_refine((marks == REFINE) & (self.level < self.b))
 
-    def _apply_refine(self, do: np.ndarray) -> tuple["Forest", RefineMap]:
+    def _apply_refine(self, do: np.ndarray) -> tuple["Forest", LeafMap]:
         m = 1 << self.dim
-        counts = np.where(do, m, 1).astype(np.int64)
-        starts = np.zeros(self.nleaves + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
+        counts = np.where(do, m, 1)
         src = np.repeat(np.arange(self.nleaves), counts)
-        pos = np.arange(starts[-1], dtype=np.int64) - starts[src]
+        pos = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
         new_level = self.level[src] + do[src]
         h = np.where(do[src], np.int64(1) << (self.b - new_level), 0)
         offs = ((pos[:, None] >> np.arange(self.dim)[None, :]) & 1) * h[:, None]
@@ -305,9 +293,9 @@ class Forest:
             self.coords[src] + offs,
             validate=False,
         )
-        return f, RefineMap(starts)
+        return f, LeafMap(src, np.ones_like(src))
 
-    def coarsen(self, marks: np.ndarray) -> tuple["Forest", CoarsenMap]:
+    def coarsen(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
         """Merge complete sibling groups where all children are marked Coarsen."""
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
@@ -326,10 +314,7 @@ class Forest:
             self.coords[keep],
             validate=False,
         )
-        counts_new = np.where(is_start[keep], 1 << self.dim, 1).astype(np.int64)
-        ostarts = np.zeros(f.nleaves + 1, dtype=np.int64)
-        np.cumsum(counts_new, out=ostarts[1:])
-        return f, CoarsenMap(ostarts)
+        return f, LeafMap(np.flatnonzero(keep), np.where(is_start[keep], 1 << self.dim, 1))
 
     def sibling_groups(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complete sibling groups whose 2^d leaves all lie in ``members``.
@@ -400,7 +385,7 @@ class Forest:
         named = wide.min() if len(wide) else deep.min() if len(deep) else None
         return lo, hi, interior, coarse, named
 
-    def balance(self) -> tuple["Forest", RefineMap]:
+    def balance(self) -> tuple["Forest", LeafMap]:
         """Minimal refinement enforcing the face 2:1 constraint; idempotent.
 
         Each pass runs the face-row query on every axis and refines every
@@ -408,7 +393,7 @@ class Forest:
         finds none has built the rows of the returned forest, so it finishes
         and caches their face lists.
         """
-        f, total = self, RefineMap.identity(self.nleaves)
+        f, total = self, LeafMap.identity(self.nleaves)
         while True:
             rows = [f._face_rows(axis) for axis in range(f.dim)]
             marks = np.zeros(f.nleaves, dtype=bool)
@@ -419,7 +404,7 @@ class Forest:
                     f._face_lists[axis] = f._finish_face_list(axis, lo, hi, interior)
                 return f, total
             f, rmap = f._apply_refine(marks)
-            total = total.compose(rmap)
+            total = total.then(rmap)
 
     def face_list(self, axis: int) -> FaceList:
         """Faces along ``axis`` with the per-cell slot table (cached)."""

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from amrfv import eos, solver, vtkio
-from amrfv.criteria import Criterion, carry_marks, evaluate, mark, project_solution
+from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError
 from amrfv.forest import REFINE, Connectivity, Forest, new_uniform
@@ -50,7 +50,6 @@ class RunConfig:
     periodic: tuple[bool, ...] = (True, True)
     max_level: int = 5
     min_level: int = 5
-    b: int | None = None
     adapt_every: int = 2
     criterion: str = "rho_gradient"
     xi: float = 5e-5
@@ -69,10 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.case not in CASES:
             raise ConfigError(f"unknown case {self.case!r}; known: {CASES}")
-        if self.b is None:
-            object.__setattr__(self, "b", self.max_level)
-        if not 0 <= self.min_level <= self.max_level <= self.b:
-            raise ConfigError("need min_level <= max_level <= b")
+        if not 0 <= self.min_level <= self.max_level:
+            raise ConfigError("need 0 <= min_level <= max_level")
         if self.t_end < 0:
             raise ConfigError("t_end must be >= 0")
         if self.adapt_every < 1:
@@ -137,7 +134,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 # [criterion] kind (the criterion field) and [fluids] (FluidPair fields)
 _INI_KEYS: dict[str, dict] = {
     "domain": dict(dim=int, trees=_parse_ints, tree_extent=float, periodic=_parse_bools),
-    "mesh": dict(max_level=int, min_level=int, b=int, adapt_every=int),
+    "mesh": dict(max_level=int, min_level=int, adapt_every=int),
     "criterion": dict(kind=str, xi=float, weights=_parse_floats),
     "fluids": {f.name: float for f in fields(FluidPair)},
     "scheme": dict(order=int, splitting=str, cfl=float, gravity=float),
@@ -382,7 +379,7 @@ def _sample_case(cfg: RunConfig, f: Forest) -> tuple[np.ndarray, Callable | None
 
 def init_case(cfg: RunConfig) -> CaseSetup:
     """Initial forest and field; the mesh is pre-adapted until stable."""
-    f = new_uniform(cfg.connectivity, cfg.min_level, cfg.b, cfg.min_level)
+    f = new_uniform(cfg.connectivity, cfg.min_level, cfg.max_level, cfg.min_level)
     field, exact = _sample_case(cfg, f)
     if cfg.adaptive:
         crit = cfg.criterion_obj
@@ -391,11 +388,8 @@ def init_case(cfg: RunConfig) -> CaseSetup:
             marks = mark(f, vals, crit.xi, cfg.min_level, cfg.max_level)
             if not np.any(marks == REFINE):
                 break
-            f2, rmap = f.refine(marks)
-            f2, bmap = f2.balance()
-            if f2.nleaves == f.nleaves:
-                break
-            f = f2
+            f, _ = f.refine(marks)
+            f, _ = f.balance()
             field, _ = _sample_case(cfg, f)  # resample, not project: exact IC
     return CaseSetup(f, field, cfg.fluids, exact)
 
@@ -416,14 +410,12 @@ def adapt_mesh(
         marks = mark(f, vals, crit.xi, min_level, max_level)
     with prof.section("refine"):
         f2, rmap = f.refine(marks)
-        u = project_solution(f, f2, rmap, u)
-        marks = carry_marks(marks, rmap)
     with prof.section("coarsen"):
-        f3, cmap = f2.coarsen(marks)
-        u = project_solution(f2, f3, cmap, u)
+        # children inherit Refine, which coarsen ignores: no fresh child merges
+        f3, cmap = f2.coarsen(marks[rmap.first])
     with prof.section("balance"):
         f4, bmap = f3.balance()
-        u = project_solution(f3, f4, bmap, u)
+        u = project_solution(f, f4, rmap.then(cmap).then(bmap), u)
     return f4, u
 
 
@@ -557,7 +549,6 @@ def converge_study(cfg: RunConfig, levels, orders=(1, 2)) -> dict:
                 order=order,
                 max_level=lvl,
                 min_level=lvl,
-                b=lvl,
                 splitting="strang" if order == 2 else "lie",
                 output_dir=cfg.output_dir,
             )
@@ -583,7 +574,6 @@ def compare_amr_study(cfg: RunConfig, xi: float, compressions) -> list[dict]:
             cfg,
             xi=xi,
             min_level=cfg.max_level - comp,
-            b=cfg.max_level,
             output_dir=cfg.output_dir,
         )
         res = run(c, write_outputs=False)

@@ -552,3 +552,43 @@ def muscl_predict_columns(W, sigma, dx, dt, fp, V=None):
     WfL[fallback] = W[fallback]
     WfR[fallback] = W[fallback]
     return WfL, WfR, fallback
+
+
+# ---------------------------------------------------------------------------
+# Solution transfer one operation at a time: the reference for an adapt's
+# single projection through its chained leaf maps.
+
+def refine_projection(u, per_old):
+    """Old leaf i copies its value into ``per_old[i]`` consecutive new leaves."""
+    return np.repeat(u, per_old, axis=0)
+
+
+def coarsen_projection(u, starts, counts):
+    """New leaf j averages the old leaves [starts[j], starts[j] + counts[j])."""
+    out = np.add.reduceat(np.asarray(u, dtype=np.float64), starts, axis=0)
+    return out / counts.reshape((-1,) + (1,) * (out.ndim - 1))
+
+
+def carry_marks(marks, per_old):
+    """Marks through a refinement: fresh children get Keep, others keep theirs."""
+    from amrfv.forest import KEEP
+
+    out = np.repeat(marks, per_old)
+    out[np.repeat(per_old, per_old) > 1] = KEEP
+    return out
+
+
+def sequential_adapt(f, marks, u):
+    """refine -> project -> coarsen -> project -> balance -> project.
+
+    The meshes come from the library (checked against ``PointerForest``
+    elsewhere); each transfer uses the one-operation oracles above, reading
+    the per-old fan-out off the maps with ``bincount``.
+    """
+    f2, rmap = f.refine(marks)
+    per_old = np.bincount(rmap.first, minlength=f.nleaves)
+    u = refine_projection(u, per_old)
+    f3, cmap = f2.coarsen(carry_marks(marks, per_old))
+    u = coarsen_projection(u, cmap.first, cmap.counts)
+    f4, bmap = f3.balance()
+    return f4, refine_projection(u, np.bincount(bmap.first, minlength=f3.nleaves))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from amrfv import criteria, eos
-from amrfv.criteria import Criterion, carry_marks, evaluate, mark, project_solution
+from amrfv import criteria, eos, harness
+from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
@@ -172,10 +172,8 @@ class TestProjectSolution:
         marks = rng.choice([KEEP, REFINE], size=f.nleaves).astype(np.int8)
         f2, rmap = f.refine(marks)
         u2 = project_solution(f, f2, rmap, u)
-        back = np.full(f2.nleaves, KEEP, dtype=np.int8)
-        for i in np.flatnonzero((marks == REFINE) & (f.level < f.b)):
-            back[rmap.starts[i] : rmap.starts[i + 1]] = COARSEN
-        f3, cmap = f2.coarsen(back)
+        fresh = np.bincount(rmap.first, minlength=f.nleaves)[rmap.first] > 1
+        f3, cmap = f2.coarsen(np.where(fresh, COARSEN, KEEP))
         u3 = project_solution(f2, f3, cmap, u2)
         assert f3.nleaves == f.nleaves
         np.testing.assert_array_equal(u3, u)
@@ -189,8 +187,7 @@ class TestProjectSolution:
             marks = rng.choice([KEEP, REFINE, COARSEN], p=[0.4, 0.3, 0.3], size=f.nleaves).astype(np.int8)
             f2, rmap = f.refine(marks)
             u = project_solution(f, f2, rmap, u)
-            marks2 = carry_marks(marks, rmap)
-            f3, cmap = f2.coarsen(marks2)
+            f3, cmap = f2.coarsen(marks[rmap.first])
             u = project_solution(f2, f3, cmap, u)
             f4, bmap = f3.balance()
             u = project_solution(f3, f4, bmap, u)
@@ -199,12 +196,26 @@ class TestProjectSolution:
             np.testing.assert_allclose(now, tot, rtol=1e-14)
 
 
-class TestCarryMarks:
-    def test_children_get_keep(self):
+class TestFreshChildren:
+    def test_never_coarsened_in_the_same_adapt(self):
+        # children inherit their parent's Refine mark, which coarsen ignores,
+        # while the Coarsen-marked siblings of a partial group stay as they are
         f = new_uniform(conn2d(), level=1, b=2)
         marks = np.array([REFINE, COARSEN, KEEP, COARSEN], dtype=np.int8)
         f2, rmap = f.refine(marks)
-        carried = carry_marks(marks, rmap)
-        assert len(carried) == f2.nleaves
-        assert np.all(carried[:4] == KEEP)
-        np.testing.assert_array_equal(carried[4:], [COARSEN, KEEP, COARSEN])
+        assert marks[rmap.first].tolist() == [REFINE] * 4 + [COARSEN, KEEP, COARSEN]
+        f3, cmap = f2.coarsen(marks[rmap.first])
+        np.testing.assert_array_equal(f3.level, f2.level)
+        np.testing.assert_array_equal(f3.coords, f2.coords)
+        assert cmap.counts.tolist() == [1] * f2.nleaves
+
+    def test_adapt_keeps_every_fresh_child(self, monkeypatch):
+        # every leaf is a complete Coarsen group member or Refine: the refined
+        # group's children survive the adapt that made them, the rest merge
+        f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=2, b=3)
+        marks = np.full(f.nleaves, COARSEN, dtype=np.int8)
+        marks[:4] = REFINE
+        monkeypatch.setattr(harness, "mark", lambda *a: marks)
+        f4, _ = harness.adapt_mesh(f, np.ones((f.nleaves, 4)), Criterion("rho_gradient", 1.0), MILD, 0, 3)
+        # balance re-refines the two merged parents that face the fresh children
+        assert f4.level.tolist() == [3] * 16 + [2] * 8 + [1]

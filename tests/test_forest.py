@@ -89,7 +89,8 @@ class TestRefine:
             (0, 2, (0, 2)),
             (0, 2, (2, 2)),
         ]
-        assert rmap.counts.tolist() == [4, 1, 1, 1]
+        assert np.bincount(rmap.first, minlength=f.nleaves).tolist() == [4, 1, 1, 1]
+        assert rmap.counts.tolist() == [1] * 7
 
     def test_saturates_at_b(self):
         f = new_uniform(conn2d(), level=2, b=2)
@@ -147,10 +148,7 @@ class TestCoarsen:
         rng = np.random.default_rng(11)
         marks = rng.choice([KEEP, REFINE], size=f.nleaves).astype(np.int8)
         f2, rmap = f.refine(marks)
-        back = np.full(f2.nleaves, KEEP, dtype=np.int8)
-        for i in np.flatnonzero(marks == REFINE):
-            back[rmap.starts[i] : rmap.starts[i + 1]] = COARSEN
-        f3, _ = f2.coarsen(back)
+        f3, _ = f2.coarsen(np.where(marks[rmap.first] == REFINE, COARSEN, KEEP))
         assert leaves_list(f3) == leaves_list(f)
 
 

@@ -34,7 +34,7 @@ class TestConfig:
         for case in harness.CASES:
             cfg = default_config(case)
             assert cfg.case == case
-            assert cfg.min_level <= cfg.max_level <= cfg.b
+            assert 0 <= cfg.min_level <= cfg.max_level
 
     def test_load_shipped_configs(self):
         for path in sorted(CONFIGS.glob("*.ini")):
@@ -87,6 +87,7 @@ class TestConfig:
         "body, named",
         [
             ("[mesh]\nmax_levle = 5\n", ["max_levle", "[mesh]"]),
+            ("[mesh]\nb = 5\n", ["'b'", "[mesh]"]),
             ("radius = 0.2\n", ["radius", "[case]"]),
             ("[run]\nthreads = on\n", ["threads", "[run]"]),
             ("[solver]\norder = 2\n", ["[solver]"]),
@@ -96,6 +97,7 @@ class TestConfig:
         ],
         ids=[
             "mesh_key",
+            "mesh_b",
             "case_param",
             "run_threads",
             "section",

@@ -1,0 +1,127 @@
+"""One leaf map per adapt: ``adapt_mesh``'s single projection against the
+operation-at-a-time transfer of ``oracles.sequential_adapt``, bit for bit."""
+import numpy as np
+import pytest
+
+from amrfv import harness
+from amrfv.criteria import Criterion
+from amrfv.eos import FluidPair
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, LeafMap, new_uniform
+
+import oracles
+
+MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
+CRIT = Criterion("rho_gradient", 1.0)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def random_field(rng, n):
+    # mixed signs and magnitudes, so a changed summation order shows in the bits
+    return rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+
+
+def random_marks(rng, f):
+    """Random tags, then whole sibling groups set to Coarsen so that merges are common."""
+    marks = rng.choice([KEEP, REFINE, COARSEN], p=rng.dirichlet([1.0, 1.0, 1.0]), size=f.nleaves)
+    starts, _ = f.sibling_groups(np.ones(f.nleaves, dtype=bool))
+    whole = starts[rng.random(len(starts)) < 0.3]
+    marks[(whole[:, None] + np.arange(1 << f.dim)).ravel()] = COARSEN
+    return marks.astype(np.int8)
+
+
+def adapt_with_marks(monkeypatch, f, u, marks):
+    monkeypatch.setattr(harness, "mark", lambda *a: marks)
+    return harness.adapt_mesh(f, u, CRIT, MILD, f.min_level, f.b)
+
+
+def assert_same(fa, ua, fb, ub):
+    np.testing.assert_array_equal(fa.tree, fb.tree)
+    np.testing.assert_array_equal(fa.level, fb.level)
+    np.testing.assert_array_equal(fa.coords, fb.coords)
+    np.testing.assert_array_equal(bits(ua), bits(ub))
+
+
+@pytest.mark.parametrize(
+    "conn, b, min_level",
+    [
+        (Connectivity(2, (1, 1), (True, True)), 5, 0),
+        (Connectivity(2, (2, 1), (False, True)), 5, 1),
+        (Connectivity(2, (1, 3), (False, False), 0.5), 4, 0),
+        (Connectivity(3, (1, 2, 1), (False, False, True)), 4, 0),
+        (Connectivity(3, (2, 1, 1), (False, False, False)), 3, 1),
+    ],
+    ids=["2d_periodic", "2d_walls_two_trees", "2d_walls_three_trees", "3d_walls_two_trees", "3d_walled_box"],
+)
+def test_single_projection_matches_sequential_chain(monkeypatch, conn, b, min_level):
+    rng = np.random.default_rng(b * 10 + conn.dim + conn.ntrees)
+    shared = 0
+    for _ in range(4):
+        f = new_uniform(conn, level=min_level + 1, b=b, min_level=min_level)
+        u = random_field(rng, f.nleaves)
+        for _ in range(5):
+            marks = random_marks(rng, f)
+            fo, uo = oracles.sequential_adapt(f, marks, u)
+            f2, rmap = f.refine(marks)
+            f3, cmap = f2.coarsen(marks[rmap.first])
+            total = rmap.then(cmap).then(f3.balance()[1])
+            shared += np.count_nonzero((np.diff(total.first) == 0) & (total.counts[1:] > 1))
+            f, u = adapt_with_marks(monkeypatch, f, u, marks)
+            assert_same(f, u, fo, uo)
+    # somewhere in the fuzz, balance re-refined a freshly merged parent
+    assert shared > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_balance_re_refines_a_merged_parent(monkeypatch, dim):
+    # the first 2^d leaves merge and leaf 2^d, across their high x face,
+    # refines: the merged parent is two levels coarser than its new
+    # neighbours, so balance splits it again into 2^d leaves sharing one span
+    m = 1 << dim
+    f = new_uniform(Connectivity(dim, (1,) * dim, (False,) * dim), level=2, b=3)
+    u = random_field(np.random.default_rng(dim), f.nleaves)
+    marks = np.full(f.nleaves, KEEP, dtype=np.int8)
+    marks[:m] = COARSEN
+    marks[m] = REFINE
+    f2, rmap = f.refine(marks)
+    f3, cmap = f2.coarsen(marks[rmap.first])
+    f4, bmap = f3.balance()
+    total = rmap.then(cmap).then(bmap)
+    assert total.first[:m].tolist() == [0] * m and total.counts[:m].tolist() == [m] * m
+    fa, ua = adapt_with_marks(monkeypatch, f, u, marks)
+    assert_same(fa, ua, *oracles.sequential_adapt(f, marks, u))
+    np.testing.assert_array_equal(fa.level[:m], [2] * m)
+    # each of them takes the mean of all 2^d merged leaves, not one old value
+    mean = np.tile(u[:m].sum(axis=0) / m, (m, 1))
+    np.testing.assert_allclose(ua[:m], mean, rtol=0, atol=1e-14 * np.abs(u[:m]).max())
+
+
+class TestLeafMap:
+    def test_then_is_associative_with_identity(self):
+        f = new_uniform(Connectivity(2, (1, 1), (False, False)), level=2, b=4)
+        rng = np.random.default_rng(4)
+        maps, n = [], f.nleaves
+        for _ in range(3):
+            marks = rng.choice([KEEP, REFINE, COARSEN], size=f.nleaves).astype(np.int8)
+            f, step = f.coarsen(marks) if len(maps) % 2 else f.refine(marks)
+            maps.append(step)
+        a, b, c = maps
+        left, right = a.then(b).then(c), a.then(b.then(c))
+        ident = LeafMap.identity(n).then(left)
+        for m in (right, ident):
+            np.testing.assert_array_equal(m.first, left.first)
+            np.testing.assert_array_equal(m.counts, left.counts)
+        assert (left.n_old, left.n_new) == (n, f.nleaves)
+
+    def test_refine_and_coarsen_maps(self):
+        f = new_uniform(Connectivity(2, (1, 1), (False, False)), level=1, b=2)
+        f2, rmap = f.refine(np.array([KEEP, REFINE, KEEP, KEEP], dtype=np.int8))
+        assert rmap.first.tolist() == [0, 1, 1, 1, 1, 2, 3]
+        assert rmap.counts.tolist() == [1] * 7
+        f3, cmap = f2.coarsen(np.array([KEEP] + [COARSEN] * 4 + [KEEP] * 2, dtype=np.int8))
+        assert cmap.first.tolist() == [0, 1, 5, 6]
+        assert cmap.counts.tolist() == [1, 4, 1, 1]
+        both = rmap.then(cmap)
+        assert both.first.tolist() == [0, 1, 2, 3] and both.counts.tolist() == [1, 1, 1, 1]

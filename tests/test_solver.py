@@ -84,7 +84,7 @@ class TestComputeDt:
         dt0 = solver.compute_dt(f, u, cfg, MILD)
         f2, rmap = f.refine(np.array([REFINE] + [KEEP] * (f.nleaves - 1), dtype=np.int8))
         f2, rmap2 = f2.balance()
-        u2 = rmap.compose(rmap2).project(u)
+        u2 = rmap.then(rmap2).project(u)
         dt1 = solver.compute_dt(f2, u2, cfg, MILD)
         assert dt1 < dt0
 
