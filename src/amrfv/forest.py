@@ -2,16 +2,15 @@
 
 The leaf array is kept sorted by (tree id, Morton key); refinement and
 coarsening splice children / merged parents in place, which preserves the
-z-order without re-sorting.  Refine, coarsen and balance each return one
-``LeafMap`` (each new leaf averages a span of old leaves); maps chain with
-``then``, so an adapt projects its cell averages once.  There is one
-neighbour query, ``_face_rows``: each leaf locates the lattice point one
-step across its high face, and a leaf with a finer neighbour locates each
-fine sub-face, so every face of an axis is found once, from its lower leaf,
-with the level gap across it.  2:1 balance refines the coarse side of every
-gap of two or more levels that the query shows, and its last pass, which
-finds none, is the face-list build of the forest it returns.  ``face_list``
-is the one face-connectivity structure the kernels use: lo-ordered face
+z-order without re-sorting.  ``adapt`` refines, coarsens and 2:1-balances
+in level space: ``balance`` lifts each leaf's wanted level to the least 2:1
+fixed point over the old forest's face rows, one refine and one coarsen make
+it, and one ``LeafMap`` (each new leaf averages a span of old leaves)
+projects the solution once.  There is one neighbour query, ``_face_rows``:
+each leaf locates the lattice point one step across its high face, and a
+leaf with a finer neighbour locates each fine sub-face, so every face of an
+axis is found once, from its lower leaf.  ``face_list`` is the one
+face-connectivity structure the kernels and ``balance`` use: lo-ordered face
 rows plus a per-cell slot table, so each cell reduces its own faces in a
 fixed order and a rank's flux duty is a contiguous slice of rows.
 """
@@ -92,8 +91,8 @@ class Connectivity:
 class LeafMap:
     """New leaf j takes the mean of old leaves [first[j], first[j] + counts[j]).
 
-    Refinement repeats the parent (counts 1), coarsening merges 2^d siblings
-    (counts 2^d), and the maps of successive operations chain with ``then``.
+    Refinement repeats the parent (counts 1) and coarsening merges 2^d
+    siblings (counts 2^d).
     """
 
     first: np.ndarray  # (N_new,) first old leaf of each new leaf's span
@@ -107,37 +106,27 @@ class LeafMap:
     def n_new(self) -> int:
         return len(self.first)
 
-    def then(self, later: "LeafMap") -> "LeafMap":
-        """Map through a subsequent operation on the output array."""
-        first = self.first[later.first]
-        last = later.first + later.counts - 1
-        return LeafMap(first, self.first[last] + self.counts[last] - first)
-
     def project(self, u: np.ndarray) -> np.ndarray:
         """Mean over each span of equal-volume old leaves.
 
-        Balance may re-refine a merged parent, so new leaves can share a span:
-        each run of equal ``first`` is summed once and repeated to the run.
+        An adapt may keep a wanted merge unmade, so new leaves can share a
+        span: each run of equal ``first`` is summed once and repeated to the run.
         """
-        head = np.flatnonzero(np.diff(self.first, prepend=-1))
+        starts = np.concatenate(([True], self.first[1:] != self.first[:-1]))
+        head = np.flatnonzero(starts)
         sums = np.add.reduceat(np.asarray(u, dtype=np.float64), self.first[head], axis=0)
         shape = (len(head),) + (1,) * (sums.ndim - 1)
         means = sums / self.counts[head].reshape(shape)
-        return np.repeat(means, np.diff(head, append=self.n_new), axis=0)
-
-    @staticmethod
-    def identity(n: int) -> "LeafMap":
-        return LeafMap(np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+        return np.take(means, np.cumsum(starts) - 1, axis=0)
 
 
 @dataclass(frozen=True)
 class FaceList:
     """All unique faces of one sweep axis, and each cell side's share of them.
 
-    It finishes the rows of the face-row query that 2:1 balance runs, so a
-    forest returned by ``Forest.balance`` holds its face lists already.
-    Interior rows join ``lo`` (lower coordinate side) to ``hi`` and are
-    ordered by ``lo``; hanging faces appear once per fine sub-face.  Wall
+    ``Forest.face_list`` builds it on first use; an adapt builds none for its
+    new forest.  Interior rows join ``lo`` (lower coordinate side) to ``hi``
+    and are ordered by ``lo``; hanging faces appear once per fine sub-face.  Wall
     rows (non-periodic domain faces) carry the owning cell, ordered by it,
     and which side of it the wall sits on.  ``slots[i, s]`` lists the rows
     of [interior; wall] on side s (0 = low, 1 = high) of cell i in row
@@ -274,9 +263,7 @@ class Forest:
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
             raise ContractError("marks not aligned with leaves")
-        return self._apply_refine((marks == REFINE) & (self.level < self.b))
-
-    def _apply_refine(self, do: np.ndarray) -> tuple["Forest", LeafMap]:
+        do = (marks == REFINE) & (self.level < self.b)
         m = 1 << self.dim
         counts = np.where(do, m, 1)
         src = np.repeat(np.arange(self.nleaves), counts)
@@ -341,10 +328,52 @@ class Forest:
         in_group[(starts[:, None] + np.arange(m)).ravel()] = True
         return starts, in_group
 
-    # -- face rows: 2:1 balance and face lists -------------------------------
+    def balance(self, level: np.ndarray) -> np.ndarray:
+        """Least levels t >= ``level``, 2:1 across this balanced forest's face rows.
+
+        ``level`` lies within one of each leaf's own, so t[lo] >= t[hi] - 1
+        and t[hi] >= t[lo] - 1 on the old rows keep the new forest 2:1.  The
+        leaves below their own level are sibling groups that want to merge:
+        once one member keeps its level, all do.  A leaf at level L lifts its
+        neighbours to L - 1 only, so one pass per level, finest first, suffices.
+        """
+        t = np.array(level, dtype=np.int64)
+        rows = [self.face_list(axis) for axis in range(self.dim)]
+        ends = np.concatenate([fl.lo for fl in rows] + [fl.hi for fl in rows])
+        across = np.concatenate([fl.hi for fl in rows] + [fl.lo for fl in rows])
+        groups = np.flatnonzero(t < self.level).reshape(-1, 1 << self.dim)
+        for top in range(int(t.max()), int(t.min()) + 1, -1):
+            near = ends[t[across] == top]
+            t[near] = np.maximum(t[near], top - 1)
+            kept = groups[(t[groups] >= self.level[groups]).any(axis=1)]
+            t[kept] = np.maximum(t[kept], self.level[kept])
+        return t
+
+    def adapt(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
+        """Refine, coarsen and 2:1-balance this balanced forest in one step.
+
+        Each leaf wants one level more (Refine below b), one less (a complete
+        Coarsen sibling group above ``min_level``) or its own; ``balance``
+        lifts the levels, one refine and one coarsen make them.  A new leaf
+        whose old leaf wanted to merge takes the mean of its group, merged or
+        not; any other takes its old leaf.
+        """
+        marks = np.asarray(marks)
+        if len(marks) != self.nleaves:
+            raise ContractError("marks not aligned with leaves")
+        starts, merge = self.sibling_groups((marks == COARSEN) & (self.level > self.min_level))
+        t = self.balance(self.level + ((marks == REFINE) & (self.level < self.b)) - merge)
+        f, rmap = self.refine(np.where(t > self.level, REFINE, KEEP))
+        f, cmap = f.coarsen(np.where(t < self.level, COARSEN, KEEP)[rmap.first])
+        src = rmap.first[cmap.first]
+        first = np.arange(self.nleaves)
+        first[merge] = np.repeat(starts, 1 << self.dim)
+        return f, LeafMap(first[src], np.where(merge, 1 << self.dim, 1)[src])
+
+    # -- face lists ----------------------------------------------------------
 
     def _face_rows(self, axis: int):
-        """Face rows of ``axis``, each found from its lower leaf, and the leaves breaking 2:1.
+        """Face rows of ``axis``, each found from its lower leaf.
 
         One ``locate`` across every leaf's high face gives the neighbour and
         the level gap; a row with a finer neighbour splits into its fine
@@ -353,10 +382,9 @@ class Forest:
         levels apart shows from its lower leaf: as a gap of -2 or less, of +2
         or more, or as a sub-face in a leaf two levels finer.
 
-        Returns ``(lo, hi, interior, coarse, named)``: the lo-ordered rows, the
-        interior mask of the high faces, the leaves with a face neighbour two
-        or more levels finer, and the querying leaf a face-list error names
-        (None on a balanced axis).
+        Returns ``(lo, hi, interior, named)``: the lo-ordered rows, the
+        interior mask of the high faces, and the querying leaf a face-list
+        error names (None on a balanced axis).
         """
         dim = self.dim
         ntree, pts, interior = self._adjacent_points(axis)
@@ -381,35 +409,13 @@ class Forest:
             first = np.cumsum(counts)[fin] - m
             hi[(first[:, None] + np.arange(m)).ravel()] = idx
         wide = ii[np.abs(dlvl) > 1]
-        coarse = np.concatenate([nb[dlvl < -1], ii[dlvl > 1], deep])
         named = wide.min() if len(wide) else deep.min() if len(deep) else None
-        return lo, hi, interior, coarse, named
-
-    def balance(self) -> tuple["Forest", LeafMap]:
-        """Minimal refinement enforcing the face 2:1 constraint; idempotent.
-
-        Each pass runs the face-row query on every axis and refines every
-        leaf with a face neighbour two or more levels finer.  The pass that
-        finds none has built the rows of the returned forest, so it finishes
-        and caches their face lists.
-        """
-        f, total = self, LeafMap.identity(self.nleaves)
-        while True:
-            rows = [f._face_rows(axis) for axis in range(f.dim)]
-            marks = np.zeros(f.nleaves, dtype=bool)
-            for _, _, _, coarse, _ in rows:
-                marks[coarse] = True
-            if not marks.any():
-                for axis, (lo, hi, interior, _, _) in enumerate(rows):
-                    f._face_lists[axis] = f._finish_face_list(axis, lo, hi, interior)
-                return f, total
-            f, rmap = f._apply_refine(marks)
-            total = total.then(rmap)
+        return lo, hi, interior, named
 
     def face_list(self, axis: int) -> FaceList:
         """Faces along ``axis`` with the per-cell slot table (cached)."""
         if axis not in self._face_lists:
-            lo, hi, interior, _, named = self._face_rows(axis)
+            lo, hi, interior, named = self._face_rows(axis)
             if named is not None:
                 raise ContractError(
                     f"face list on axis {axis} requires a 2:1-balanced forest: "

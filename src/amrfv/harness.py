@@ -1,10 +1,10 @@
 """Case setup, time-loop orchestration, error norms, profiling and studies.
 
 The run pipeline follows: compute dt -> step -> (every ``adapt_every`` steps:
-evaluate/mark -> refine -> coarsen -> balance -> project -> repartition ->
-face lists -> ghost rebuild) -> periodic output.  Runs are deterministic for
-a fixed configuration and rank count, and physics outputs are independent
-of the rank count.
+evaluate/mark -> adapt (refine, coarsen and 2:1 balance in one level-space
+step) -> project -> repartition -> face lists -> ghost rebuild) -> periodic
+output.  Runs are deterministic for a fixed configuration and rank count,
+and physics outputs are independent of the rank count.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from amrfv import eos, solver, vtkio
 from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError
-from amrfv.forest import REFINE, Connectivity, Forest, new_uniform
+from amrfv.forest import KEEP, REFINE, Connectivity, Forest, new_uniform
 from amrfv.partition import PartitionMap, balance_metrics, ghost_layer, metrics_csv, partition
 from amrfv.solver import SweepConfig
 
@@ -34,9 +34,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PHASES = (
-    "sweep", "slopes", "flux", "eos", "mark", "refine", "coarsen", "balance", "partition", "faces", "ghost", "io"
-)
+PHASES = ("sweep", "slopes", "flux", "eos", "mark", "adapt", "partition", "faces", "ghost", "io")
 
 
 @dataclass(frozen=True)
@@ -388,8 +386,7 @@ def init_case(cfg: RunConfig) -> CaseSetup:
             marks = mark(f, vals, crit.xi, cfg.min_level, cfg.max_level)
             if not np.any(marks == REFINE):
                 break
-            f, _ = f.refine(marks)
-            f, _ = f.balance()
+            f, _ = f.adapt(np.where(marks == REFINE, REFINE, KEEP))
             field, _ = _sample_case(cfg, f)  # resample, not project: exact IC
     return CaseSetup(f, field, cfg.fluids, exact)
 
@@ -403,24 +400,19 @@ def adapt_mesh(
     max_level: int,
     prof: Profile | None = None,
 ) -> tuple[Forest, np.ndarray]:
-    """One mark -> refine -> coarsen -> balance -> project pipeline pass."""
+    """One mark -> adapt -> project pipeline pass."""
     prof = prof or Profile()
     with prof.section("mark"):
         vals = evaluate(crit, f, u, fp)
         marks = mark(f, vals, crit.xi, min_level, max_level)
-    with prof.section("refine"):
-        f2, rmap = f.refine(marks)
-    with prof.section("coarsen"):
-        # children inherit Refine, which coarsen ignores: no fresh child merges
-        f3, cmap = f2.coarsen(marks[rmap.first])
-    with prof.section("balance"):
-        f4, bmap = f3.balance()
-        u = project_solution(f, f4, rmap.then(cmap).then(bmap), u)
-    return f4, u
+    with prof.section("adapt"):
+        f2, lmap = f.adapt(marks)
+        u = project_solution(f, f2, lmap, u)
+    return f2, u
 
 
 def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
-    """Repartition, build the face lists unless balance has, and rebuild the ghost layers."""
+    """Repartition, build the face lists of a new forest and rebuild the ghost layers."""
     with prof.section("partition"):
         pm = partition(f, cfg.ranks)
     with prof.section("faces"):

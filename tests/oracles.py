@@ -578,17 +578,41 @@ def carry_marks(marks, per_old):
     return out
 
 
+def balance(f):
+    """2:1 face balance by passes: refine the coarse side of every violation until none is left.
+
+    A pass runs ``Forest._face_rows`` on every axis; the coarse side of a
+    violation is the lower-level end of each row whose level gap is 2 or
+    more.  Returns the balanced forest and the ``LeafMap`` from ``f``: each
+    new leaf copies the old leaf it lies in.
+    """
+    from amrfv.forest import KEEP, REFINE, LeafMap
+
+    src = np.arange(f.nleaves)
+    while True:
+        coarse = np.zeros(f.nleaves, dtype=bool)
+        for axis in range(f.dim):
+            lo, hi, _, _ = f._face_rows(axis)
+            gap = f.level[hi] - f.level[lo]
+            coarse[np.where(gap > 0, lo, hi)[np.abs(gap) >= 2]] = True
+        if not coarse.any():
+            return f, LeafMap(src, np.ones_like(src))
+        f, rmap = f.refine(np.where(coarse, REFINE, KEEP))
+        src = src[rmap.first]
+
+
 def sequential_adapt(f, marks, u):
     """refine -> project -> coarsen -> project -> balance -> project.
 
-    The meshes come from the library (checked against ``PointerForest``
-    elsewhere); each transfer uses the one-operation oracles above, reading
-    the per-old fan-out off the maps with ``bincount``.
+    The meshes come from the library's refine and coarsen and the pass-based
+    ``balance`` above (checked against ``PointerForest`` elsewhere); each
+    transfer uses the one-operation oracles above, reading the per-old
+    fan-out off the maps with ``bincount``.
     """
     f2, rmap = f.refine(marks)
     per_old = np.bincount(rmap.first, minlength=f.nleaves)
     u = refine_projection(u, per_old)
     f3, cmap = f2.coarsen(carry_marks(marks, per_old))
     u = coarsen_projection(u, cmap.first, cmap.counts)
-    f4, bmap = f3.balance()
+    f4, bmap = balance(f3)
     return f4, refine_projection(u, np.bincount(bmap.first, minlength=f3.nleaves))

@@ -49,7 +49,7 @@ def walled_forest(dim, seed):
     for _ in range(2):
         marks = rng.choice([KEEP, REFINE], p=[0.6, 0.4], size=f.nleaves).astype(np.int8)
         f, _ = f.refine(marks)
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
     return f
 
 

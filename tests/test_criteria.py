@@ -7,6 +7,7 @@ from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 
+import oracles
 from test_forest import oracle_neighbors
 
 MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
@@ -22,7 +23,7 @@ def random_balanced(seed=0, level=2, b=4, periodic=(True, True)):
     for _ in range(2):
         marks = rng.choice([KEEP, REFINE], p=[0.7, 0.3], size=f.nleaves).astype(np.int8)
         f, _ = f.refine(marks)
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
     return f
 
 
@@ -189,7 +190,7 @@ class TestProjectSolution:
             u = project_solution(f, f2, rmap, u)
             f3, cmap = f2.coarsen(marks[rmap.first])
             u = project_solution(f2, f3, cmap, u)
-            f4, bmap = f3.balance()
+            f4, bmap = oracles.balance(f3)
             u = project_solution(f3, f4, bmap, u)
             f = f4
             now = (f.volumes[:, None] * u).sum(axis=0)

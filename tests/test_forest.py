@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from amrfv.errors import ConfigError, ContractError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_uniform
 
+import oracles
 from oracles import PointerForest, face_neighbors
 
 
@@ -152,10 +155,12 @@ class TestCoarsen:
         assert leaves_list(f3) == leaves_list(f)
 
 
+# the pass-based oracles.balance against the pointer forest; Forest.adapt is
+# checked against it in TestAdapt, tests/test_leafmap.py and criterion 05
 class TestBalance:
     def test_balanced_unchanged(self):
         f = new_uniform(conn2d(), level=2, b=3)
-        f2, _ = f.balance()
+        f2, _ = oracles.balance(f)
         assert leaves_list(f2) == leaves_list(f)
         assert_two_to_one(f2)
 
@@ -171,7 +176,7 @@ class TestBalance:
             om = [False] * len(oracle.leaves())
             om[0] = True
             oracle.refine_marks(om)
-        f2, _ = f.balance()
+        f2, _ = oracles.balance(f)
         oracle.balance()
         assert leaves_list(f2) == oracle.leaves()
         # every neighbor chain steps by one level
@@ -190,7 +195,7 @@ class TestBalance:
             leaves = oracle.leaves()
             om = [lvl < b and anchor[0] + (1 << (b - lvl)) == (1 << b) and anchor[1] == 0 and lvl == max(l for _, l, a in leaves if a[0] + (1 << (b - l)) == (1 << b) and a[1] == 0) for _, lvl, anchor in leaves]
             oracle.refine_marks(om)
-        f2, _ = f.balance()
+        f2, _ = oracles.balance(f)
         oracle.balance()
         assert leaves_list(f2) == oracle.leaves()
         # the -x boundary cell at y=0 must now be finer than level 1
@@ -204,33 +209,9 @@ class TestBalance:
             marks = np.full(f.nleaves, KEEP, dtype=np.int8)
             marks[-1] = REFINE
             f, _ = f.refine(marks)
-        f1, _ = f.balance()
-        f2, _ = f1.balance()
+        f1, _ = oracles.balance(f)
+        f2, _ = oracles.balance(f1)
         assert leaves_list(f1) == leaves_list(f2)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_last_pass_builds_the_face_lists(self, monkeypatch, dim):
-        # a pass locates one point across each leaf's high faces, dim queries
-        # on a forest without hanging faces; the face lists of the forest
-        # balance returns are built by then and need no further query
-        sizes = []
-        locate = Forest.locate
-
-        def counted(self, tree_ids, points):
-            sizes.append(len(points))
-            return locate(self, tree_ids, points)
-
-        monkeypatch.setattr(Forest, "locate", counted)
-        f = new_uniform(conn2d(periodic=(True, True)) if dim == 2 else conn3d(periodic=(True,) * 3), level=2, b=4)
-        f.balance()
-        assert sizes == [f.nleaves] * dim
-        f, _ = f.refine(marks_array(f, [(0, REFINE)]))
-        f, _ = f.refine(marks_array(f, [(0, REFINE)]))
-        f2, _ = f.balance()
-        sizes.clear()
-        for axis in range(dim):
-            f2.face_list(axis)
-        assert sizes == []
 
     @pytest.mark.parametrize("dim,b", [(2, 4), (3, 3)])
     def test_random_adapt_matches_oracle(self, dim, b):
@@ -243,9 +224,63 @@ class TestBalance:
             f, _ = f.refine(marks)
             oracle.refine_marks(marks == REFINE)
             assert leaves_list(f) == oracle.leaves()
-            f, _ = f.balance()
+            f, _ = oracles.balance(f)
             oracle.balance()
             assert leaves_list(f) == oracle.leaves()
+
+
+class TestAdapt:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reads_the_cached_face_lists(self, monkeypatch, dim):
+        # adapt balances on the rows of the face lists of the forest it
+        # starts from and queries no neighbour; the new forest's face lists
+        # are built on first use, one high-face query and one sub-face query
+        # per axis
+        sizes = []
+        locate = Forest.locate
+
+        def counted(self, tree_ids, points):
+            sizes.append(len(points))
+            return locate(self, tree_ids, points)
+
+        f = new_uniform(conn2d(periodic=(True, True)) if dim == 2 else conn3d(periodic=(True,) * 3), level=2, b=4)
+        f, _ = f.adapt(marks_array(f, [(0, REFINE)]))
+        for axis in range(dim):
+            f.face_list(axis)
+        monkeypatch.setattr(Forest, "locate", counted)
+        f2, _ = f.adapt(marks_array(f, [(0, REFINE)]))
+        assert sizes == []
+        assert f2.level.max() == 4 and f2.nleaves > f.nleaves + (1 << dim) - 1
+        for axis in range(dim):
+            f2.face_list(axis)
+        assert len(sizes) == 2 * dim
+
+    def test_kept_member_keeps_its_whole_group(self):
+        # the level-2 group of the low-left quadrant and the two level-3
+        # groups across its high x face all want to merge; a refine next to
+        # the member at (10, 0), which does not touch that face, keeps it and
+        # so its whole group, and the level-2 group must then stay as well,
+        # while the level-3 group at (8, 4) merges
+        f = new_uniform(conn2d(), level=2, b=4)
+        f, _ = f.refine(np.where((f.coords[:, 0] >= 8) & (f.coords[:, 1] < 8), REFINE, KEEP))
+
+        def at(x, y):
+            return int(np.flatnonzero((f.coords == (x, y)).all(axis=1))[0])
+
+        tags = [(at(x, y), COARSEN) for x, y in itertools.product((0, 4), (0, 4))]
+        tags += [(at(x, y), COARSEN) for x, y in itertools.product((8, 10), (0, 2, 4, 6))]
+        marks = marks_array(f, tags + [(at(12, 0), REFINE)])
+        f2, _ = f.adapt(marks)
+        assert f2.nleaves == f.nleaves  # the refine adds 3 leaves, the merge removes 3
+        assert f2.level[:4].tolist() == [2] * 4
+        assert leaves_list(f2) == leaves_list(oracles.sequential_adapt(f, marks, np.zeros(f.nleaves))[0])
+
+    def test_unbalanced_forest_raises(self):
+        f = new_uniform(conn2d(), level=1, b=3)
+        for _ in range(2):
+            f, _ = f.refine(marks_array(f, [(1, REFINE)]))
+        with pytest.raises(ContractError, match="requires a 2:1-balanced forest"):
+            f.adapt(np.zeros(f.nleaves, dtype=np.int8))
 
 
 class TestGeometry:
@@ -322,7 +357,7 @@ class TestLeafNeighbors:
     def test_hanging_face(self):
         f = new_uniform(conn2d(), level=1, b=3)
         f, _ = f.refine(marks_array(f, [(1, REFINE)]))  # refine leaf at (4, 0)
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
         i = int(np.flatnonzero((f.coords[:, 0] == 0) & (f.coords[:, 1] == 0) & (f.level == 1))[0])
         fl = f.face_list(0)
         rows, across = slot_cells(fl, i, 1)
@@ -365,7 +400,7 @@ class TestLeafNeighbors:
         assert f"{f.leaf_label(i)} has a face neighbour" in str(err.value)
         if (kind, dim) == ("coarser_by_2", 2):
             assert "leaf 4 (level 3, centre (0.4375, 0.3125))" in str(err.value)
-        f2, _ = f.balance()
+        f2, _ = oracles.balance(f)
         oracle.balance()
         assert leaves_list(f2) == oracle.leaves()
         assert_two_to_one(f2)
@@ -373,7 +408,7 @@ class TestLeafNeighbors:
     def test_3d_hanging_face_count(self):
         f = new_uniform(conn3d(), level=1, b=3)
         f, _ = f.refine(marks_array(f, [(1, REFINE)]))
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
         i = int(np.flatnonzero((f.level == 1) & (f.coords == 0).all(axis=1))[0])
         rows, across = slot_cells(f.face_list(0), i, 1)
         assert len(rows) == 4
@@ -397,7 +432,7 @@ class TestFaceList:
     def test_hanging_faces_once_per_subface(self):
         f = new_uniform(conn2d(), level=1, b=3)
         f, _ = f.refine(marks_array(f, [(0, REFINE)]))
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
         fl = f.face_list(0)
         # every interior face pairs distinct cells exactly once
         pairs = set(zip(fl.lo.tolist(), fl.hi.tolist()))
@@ -436,7 +471,7 @@ def random_balanced(conn, seed, rounds=2):
     for _ in range(rounds):
         marks = rng.choice([KEEP, REFINE], size=f.nleaves).astype(np.int8)
         f, _ = f.refine(marks)
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
     return f
 
 
@@ -477,7 +512,7 @@ class TestExtremeDepth:
         conn = conn2d() if dim == 2 else conn3d()
         f = new_uniform(conn, level=1, b=b)
         f, _ = f.refine(marks_array(f, [(0, REFINE)]))
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
         assert np.all(f.keys >= 0)  # no int64 overflow
         rows, across = slot_cells(f.face_list(0), 0, 1)
         h = 1 << (b - 2)

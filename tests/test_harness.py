@@ -1,12 +1,13 @@
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amrfv import eos, harness, vtkio
+from amrfv import eos, harness, solver, vtkio
 from amrfv.errors import ConfigError
-from amrfv.forest import REFINE, Connectivity, new_uniform
+from amrfv.forest import REFINE, Connectivity, Forest, new_uniform
 from amrfv.harness import (
     compression_rate,
     convergence_rate,
@@ -287,6 +288,46 @@ class TestRun:
         assert res.steps == 0 and res.profile.seconds["io"] > 0
         assert 0.9 * res.profile.wall <= res.profile.covered <= res.profile.wall
 
+    def test_adapted_face_lists_are_built_under_faces(self, monkeypatch):
+        # an adapt builds no face list for its new forest: the rebuild that
+        # follows builds them inside "faces", with one high-face query and one
+        # sub-face query per axis, and the adapt itself queries no neighbour
+        cfg = default_config("disk_advection", max_level=5, min_level=3, ranks=2)
+        setup = init_case(cfg)
+        f, u = setup.forest, setup.field
+        prof = harness.Profile()
+        harness._rebuild_comm(f, cfg, prof)
+        for _ in range(2):
+            u, _ = solver.step(f, u, cfg.sweep_config, cfg.fluids)
+        phases, builds, queries = [], [], []
+        section, face_rows, locate = prof.section, Forest._face_rows, Forest.locate
+
+        @contextmanager
+        def tracked(name):
+            phases.append(name)
+            try:
+                with section(name):
+                    yield
+            finally:
+                phases.pop()
+
+        def logged(self, axis):
+            builds.append((self, tuple(phases)))
+            return face_rows(self, axis)
+
+        def counted(self, tree_ids, points):
+            queries.append(len(points))
+            return locate(self, tree_ids, points)
+
+        monkeypatch.setattr(prof, "section", tracked)
+        monkeypatch.setattr(Forest, "_face_rows", logged)
+        monkeypatch.setattr(Forest, "locate", counted)
+        f2, _ = harness.adapt_mesh(f, u, cfg.criterion_obj, cfg.fluids, cfg.min_level, cfg.max_level, prof)
+        harness._rebuild_comm(f2, cfg, prof)
+        assert f2.nleaves != f.nleaves
+        assert [(g is f2, p) for g, p in builds] == [(True, ("faces",))] * f2.dim
+        assert len(queries) <= 2 * f2.dim
+
     def test_drop2d_gravity_smoke(self, tmp_path):
         # a few steps of the walled gravity case: liquid must gain downward
         # momentum, mass must be conserved, mesh must stay balanced
@@ -296,7 +337,7 @@ class TestRun:
         res = run(cfg)
         f, u = res.forest, res.field
         assert res.steps > 0
-        assert f.balance()[0].nleaves == f.nleaves
+        assert oracles.balance(f)[0].nleaves == f.nleaves
         liquid = u[:, 1] / u[:, 0] < 0.5  # mass fraction of gas below half
         assert np.sum(u[liquid, 3]) < 0.0  # net downward momentum
         setup0 = init_case(cfg)
@@ -333,7 +374,7 @@ def _refined(f, picks):
     """``f`` with the leaves ``picks`` refined, then balanced."""
     marks = np.zeros(f.nleaves, dtype=np.int8)
     marks[list(picks)] = REFINE
-    return f.refine(marks)[0].balance()[0]
+    return oracles.balance(f.refine(marks)[0])[0]
 
 
 def _vtk_case(name):

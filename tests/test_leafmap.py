@@ -1,12 +1,12 @@
-"""One leaf map per adapt: ``adapt_mesh``'s single projection against the
-operation-at-a-time transfer of ``oracles.sequential_adapt``, bit for bit."""
+"""One leaf map per adapt: ``Forest.adapt`` and its single projection against
+the operation-at-a-time chain of ``oracles.sequential_adapt``, bit for bit."""
 import numpy as np
 import pytest
 
 from amrfv import harness
 from amrfv.criteria import Criterion
 from amrfv.eos import FluidPair
-from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, LeafMap, new_uniform
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 
 import oracles
 
@@ -55,7 +55,7 @@ def assert_same(fa, ua, fb, ub):
     ],
     ids=["2d_periodic", "2d_walls_two_trees", "2d_walls_three_trees", "3d_walls_two_trees", "3d_walled_box"],
 )
-def test_single_projection_matches_sequential_chain(monkeypatch, conn, b, min_level):
+def test_single_projection_matches_sequential_chain(conn, b, min_level):
     rng = np.random.default_rng(b * 10 + conn.dim + conn.ntrees)
     shared = 0
     for _ in range(4):
@@ -64,31 +64,26 @@ def test_single_projection_matches_sequential_chain(monkeypatch, conn, b, min_le
         for _ in range(5):
             marks = random_marks(rng, f)
             fo, uo = oracles.sequential_adapt(f, marks, u)
-            f2, rmap = f.refine(marks)
-            f3, cmap = f2.coarsen(marks[rmap.first])
-            total = rmap.then(cmap).then(f3.balance()[1])
-            shared += np.count_nonzero((np.diff(total.first) == 0) & (total.counts[1:] > 1))
-            f, u = adapt_with_marks(monkeypatch, f, u, marks)
+            f, lmap = f.adapt(marks)
+            shared += np.count_nonzero((np.diff(lmap.first) == 0) & (lmap.counts[1:] > 1))
+            u = lmap.project(u)
             assert_same(f, u, fo, uo)
-    # somewhere in the fuzz, balance re-refined a freshly merged parent
+    # somewhere in the fuzz, balance kept a wanted merge unmade
     assert shared > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_balance_re_refines_a_merged_parent(monkeypatch, dim):
-    # the first 2^d leaves merge and leaf 2^d, across their high x face,
-    # refines: the merged parent is two levels coarser than its new
-    # neighbours, so balance splits it again into 2^d leaves sharing one span
+    # the first 2^d leaves want to merge and leaf 2^d, across their high x
+    # face, refines: the merged parent would be two levels coarser than its
+    # new neighbours, so balance keeps the 2^d leaves, which share one span
     m = 1 << dim
     f = new_uniform(Connectivity(dim, (1,) * dim, (False,) * dim), level=2, b=3)
     u = random_field(np.random.default_rng(dim), f.nleaves)
     marks = np.full(f.nleaves, KEEP, dtype=np.int8)
     marks[:m] = COARSEN
     marks[m] = REFINE
-    f2, rmap = f.refine(marks)
-    f3, cmap = f2.coarsen(marks[rmap.first])
-    f4, bmap = f3.balance()
-    total = rmap.then(cmap).then(bmap)
+    _, total = f.adapt(marks)
     assert total.first[:m].tolist() == [0] * m and total.counts[:m].tolist() == [m] * m
     fa, ua = adapt_with_marks(monkeypatch, f, u, marks)
     assert_same(fa, ua, *oracles.sequential_adapt(f, marks, u))
@@ -99,22 +94,6 @@ def test_balance_re_refines_a_merged_parent(monkeypatch, dim):
 
 
 class TestLeafMap:
-    def test_then_is_associative_with_identity(self):
-        f = new_uniform(Connectivity(2, (1, 1), (False, False)), level=2, b=4)
-        rng = np.random.default_rng(4)
-        maps, n = [], f.nleaves
-        for _ in range(3):
-            marks = rng.choice([KEEP, REFINE, COARSEN], size=f.nleaves).astype(np.int8)
-            f, step = f.coarsen(marks) if len(maps) % 2 else f.refine(marks)
-            maps.append(step)
-        a, b, c = maps
-        left, right = a.then(b).then(c), a.then(b.then(c))
-        ident = LeafMap.identity(n).then(left)
-        for m in (right, ident):
-            np.testing.assert_array_equal(m.first, left.first)
-            np.testing.assert_array_equal(m.counts, left.counts)
-        assert (left.n_old, left.n_new) == (n, f.nleaves)
-
     def test_refine_and_coarsen_maps(self):
         f = new_uniform(Connectivity(2, (1, 1), (False, False)), level=1, b=2)
         f2, rmap = f.refine(np.array([KEEP, REFINE, KEEP, KEEP], dtype=np.int8))
@@ -123,5 +102,3 @@ class TestLeafMap:
         f3, cmap = f2.coarsen(np.array([KEEP] + [COARSEN] * 4 + [KEEP] * 2, dtype=np.int8))
         assert cmap.first.tolist() == [0, 1, 5, 6]
         assert cmap.counts.tolist() == [1, 4, 1, 1]
-        both = rmap.then(cmap)
-        assert both.first.tolist() == [0, 1, 2, 3] and both.counts.tolist() == [1, 1, 1, 1]

@@ -6,6 +6,7 @@ from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 from amrfv.harness import default_config, init_case
 from amrfv.partition import balance_metrics, ghost_layer, metrics_csv, partition
 
+import oracles
 from oracles import rank_contract_violations
 from test_forest import oracle_neighbors
 
@@ -21,7 +22,7 @@ def random_forest(seed=0, rounds=3):
     for _ in range(rounds):
         marks = rng.choice([KEEP, REFINE, COARSEN], p=[0.5, 0.3, 0.2], size=f.nleaves).astype(np.int8)
         f, _ = f.refine(marks)
-        f, _ = f.balance()
+        f, _ = oracles.balance(f)
     return f
 
 
@@ -114,7 +115,7 @@ def fuzz_forests(seed=2024):
             for _ in range(3):
                 marks = rng.choice([KEEP, REFINE, COARSEN], p=[0.4, 0.3, 0.3], size=f.nleaves).astype(np.int8)
                 f, _ = f.refine(marks)
-                f, _ = f.balance()
+                f, _ = oracles.balance(f)
             yield f
 
 
