@@ -11,6 +11,13 @@ that needs both p and c reads them off a single solve.  All functions
 broadcast over numpy arrays and accept plain scalars.  The state conversions
 keep the memory order of their input, so a column-major ``(n, ncomp)`` batch
 stays component-contiguous.
+
+The public functions check the density once, before any division by it; the
+private closure kernels take checked densities.  The conversions and the
+closure family take an optional ``out=``: the sweep passes rows of its reused
+block buffers there, so a step allocates no temporaries.  Without ``out=`` the
+same kernel runs into fresh arrays, so nothing returned shares memory with
+those buffers.
 """
 from __future__ import annotations
 
@@ -58,10 +65,6 @@ class FluidPair:
         return self.p2_0 - self.c2**2 * self.rho2_0
 
 
-def _clamp_Y(Y):
-    return np.clip(Y, EPS_Y, 1.0 - EPS_Y)
-
-
 def _check_density(rho):
     """``rho`` as floats, checked before any division by it; EosError names the first bad one."""
     rho = np.asarray(rho, dtype=np.float64)
@@ -71,7 +74,7 @@ def _check_density(rho):
     return rho
 
 
-def _closure(rho, Y, fp: FluidPair):
+def _closure(rho, Y, fp: FluidPair, out=None):
     """Clamped Y, c1^2 rho1, c2^2 rho2 and the pressure at equilibrium.
 
     With x_k = p - A_k = c_k^2 rho_k, volume fractions summing to one read
@@ -81,25 +84,59 @@ def _closure(rho, Y, fp: FluidPair):
     adds two non-negative terms, and the one positive root comes from the
     cancellation-free root pair.  The other x_k is s + D, also without
     cancellation, and the pressure is A_s + s, which D never enters.
+
+    ``rho`` is a checked density.  The results land in the first four of the
+    six float arrays ``out`` (the rows of a ``(6, m)`` block will do; ``Y``
+    may be the first), and the last two are scratch; fresh ones without it.
     """
-    rho = _check_density(rho)
-    Yc = _clamp_Y(np.asarray(Y, dtype=np.float64))
-    # s belongs to the fluid with the larger A_k, o to the other one
-    k1, k2 = (fp.p1_0, fp.rho1_0, fp.c1, Yc), (fp.p2_0, fp.rho2_0, fp.c2, 1.0 - Yc)
+    if out is None:
+        out = _six(rho, Y)
+    Yc, x1, x2, p, u, c = out
+    np.clip(Y, EPS_Y, 1.0 - EPS_Y, out=Yc)
+    # s belongs to the fluid with the larger A_k, o to the other one; 1 - Yc
+    # waits in p until the pressure is due
+    k1, k2 = (fp.p1_0, fp.rho1_0, fp.c1, Yc), (fp.p2_0, fp.rho2_0, fp.c2, np.subtract(1.0, Yc, out=p))
     one_first = fp.A1 >= fp.A2
     (ps, rs, cs, Ys), (po, ro, co, Yo) = (k1, k2) if one_first else (k2, k1)
-    u = 1.0 / rho
+    xs, xo = (x1, x2) if one_first else (x2, x1)
+    np.divide(1.0, rho, out=u)
     # reference pressures expanded term by term so nearly equal ones cancel
     # exactly instead of eating the precision of the c^2-scaled terms
     e = (ps - po) - cs**2 * rs
     D = e + co**2 * ro
-    b = u * (e + co**2 * (ro - rho * Yo)) - Ys * cs**2
-    c = -Ys * cs**2 * D
-    sq = np.sqrt(b * b - 4.0 * u * c)
-    q = -0.5 * (b + np.where(b >= 0, sq, -sq))
-    s = np.maximum(q / u, c / q)
-    p = ps + (s - cs**2 * rs)
-    return (Yc, s, s + D, p) if one_first else (Yc, s + D, s, p)
+    # b = u (e + co^2 (ro - rho Yo)) - Ys cs^2 in xo, and c = -Ys cs^2 D
+    b = np.multiply(rho, Yo, out=xo)
+    np.subtract(ro, b, out=b)
+    np.multiply(co**2, b, out=b)
+    np.add(e, b, out=b)
+    b *= u
+    np.negative(Ys, out=c)
+    c *= cs**2
+    b += c
+    c *= D
+    # sq = sqrt(b^2 - 4 u c) in xs, then q = -(b + sign(b) sq) / 2 over it;
+    # b, less Ys cs^2 > 0, is never -0.0, so copysign picks +sq where b >= 0
+    sq = np.multiply(b, b, out=xs)
+    np.multiply(4.0, u, out=p)
+    p *= c
+    sq -= p
+    np.sqrt(sq, out=sq)
+    np.copysign(sq, b, out=sq)
+    q = np.add(b, sq, out=sq)
+    q *= -0.5
+    np.divide(q, u, out=u)
+    np.divide(c, q, out=c)
+    s = np.maximum(u, c, out=xs)
+    np.subtract(s, cs**2 * rs, out=p)
+    np.add(ps, p, out=p)
+    np.add(s, D, out=xo)
+    return Yc, x1, x2, p
+
+
+def _six(rho, Y):
+    """Six fresh float arrays of the broadcast shape of ``rho`` and ``Y``."""
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(Y))
+    return [np.empty(shape) for _ in range(6)]
 
 
 def _scalar(a):
@@ -108,38 +145,60 @@ def _scalar(a):
 
 def solve_alpha(rho, Y, fp: FluidPair):
     """Volume fraction of fluid 1: alpha = rho*Y/rho1 = rho*Y*c1^2/x1."""
+    rho = _check_density(rho)
     Yc, x1, _, _ = _closure(rho, Y, fp)
-    return _scalar(np.asarray(rho, dtype=np.float64) * Yc * fp.c1**2 / x1)
+    return _scalar(rho * Yc * fp.c1**2 / x1)
 
 
-def mixture_pressure(rho, Y, fp: FluidPair):
-    """Equilibrium pressure p1(rho1) = p2(rho2)."""
-    return _scalar(_closure(rho, Y, fp)[3])
+def mixture_pressure(rho, Y, fp: FluidPair, out=None):
+    """Equilibrium pressure p1(rho1) = p2(rho2), in ``out[3]`` when given (see ``_closure``)."""
+    return _scalar(_closure(_check_density(rho), Y, fp, out)[3])
 
 
-def wood_sound_speed(rho, Y, fp: FluidPair):
+def wood_sound_speed(rho, Y, fp: FluidPair, out=None):
     """Mixture sound speed: 1/(rho c)^2 = Y/(rho1 c1)^2 + (1-Y)/(rho2 c2)^2.
 
-    rho_k c_k = x_k/c_k, so each term is Y_k c_k^2/x_k^2.
+    rho_k c_k = x_k/c_k, so each term is Y_k c_k^2/x_k^2.  It lands in
+    ``out[0]`` when given (see ``_closure``).
     """
-    return _pressure_and_speed(rho, Y, fp)[1]
+    return _pressure_and_speed(_check_density(rho), Y, fp, out)[1]
 
 
-def _pressure_and_speed(rho, Y, fp: FluidPair):
-    """``mixture_pressure`` and ``wood_sound_speed`` off one closure solve."""
-    Yc, x1, x2, p = _closure(rho, Y, fp)
-    inv = Yc * fp.c1**2 / x1**2 + (1.0 - Yc) * fp.c2**2 / x2**2
-    return _scalar(p), _scalar(1.0 / (np.asarray(rho, dtype=np.float64) * np.sqrt(inv)))
+def _pressure_and_speed(rho, Y, fp: FluidPair, out=None):
+    """``mixture_pressure`` and ``wood_sound_speed`` off one closure solve.
+
+    ``rho`` is a checked density; p lands in ``out[3]`` and c in ``out[0]``.
+    """
+    if out is None:
+        out = _six(rho, Y)
+    Yc, x1, x2, p = _closure(rho, Y, fp, out)
+    t, q = out[4], out[5]
+    # 1/(rho c)^2 = Yc c1^2/x1^2 + (1 - Yc) c2^2/x2^2
+    np.multiply(Yc, fp.c1**2, out=t)
+    t /= np.square(x1, out=x1)
+    np.subtract(1.0, Yc, out=q)
+    q *= fp.c2**2
+    q /= np.square(x2, out=x2)
+    t += q
+    np.sqrt(t, out=t)
+    np.multiply(rho, t, out=t)
+    return _scalar(p), _scalar(np.divide(1.0, t, out=Yc))
 
 
-def to_primitive(W):
-    """Conservative [rho, rho Y, rho u...] -> primitive [m1, m2, u...]."""
+def to_primitive(W, out=None):
+    """Conservative [rho, rho Y, rho u...] -> primitive [m1, m2, u...].
+
+    ``out`` must not overlap ``W``.
+    """
     W = np.asarray(W, dtype=np.float64)
     rho = _check_density(W[..., 0])
-    Yc = _clamp_Y(W[..., 1] / rho)
-    V = np.empty_like(W)
-    np.multiply(rho, Yc, out=V[..., 0])
-    np.multiply(rho, 1.0 - Yc, out=V[..., 1])
+    V = np.empty_like(W) if out is None else out
+    m1, m2 = V[..., 0], V[..., 1]
+    # the clamped Y waits in the m2 slot
+    Yc = np.clip(np.divide(W[..., 1], rho, out=m2), EPS_Y, 1.0 - EPS_Y, out=m2)
+    np.multiply(rho, Yc, out=m1)
+    np.subtract(1.0, Yc, out=m2)
+    np.multiply(rho, m2, out=m2)
     np.divide(W[..., 2:], rho[..., None], out=V[..., 2:])
     return V
 
@@ -150,10 +209,13 @@ def from_primitive(V, out=None):
     ``out`` may be ``V`` itself, which is then converted in place.
     """
     V = np.asarray(V, dtype=np.float64)
-    rho = V[..., 0] + V[..., 1]
     W = np.empty_like(V) if out is None else out
+    # in place, rho needs an array of its own: its slot still holds m1
+    in_place = np.may_share_memory(W, V)
+    rho = np.add(V[..., 0], V[..., 1], out=None if in_place else W[..., 0])
     W[..., 1] = V[..., 0]
-    W[..., 0] = rho
+    if in_place:
+        W[..., 0] = rho
     np.multiply(V[..., 2:], rho[..., None], out=W[..., 2:])
     return W
 
@@ -167,6 +229,7 @@ def free_energy(rho, Y, fp: FluidPair, rho_ref=None):
     """
     if rho_ref is None:
         rho_ref = 0.5 * min(fp.rho1_0, fp.rho2_0)
+    rho, rho_ref = _check_density(rho), _check_density(rho_ref)
 
     def G(r):
         Yc, x1, x2, _ = _closure(r, Y, fp)

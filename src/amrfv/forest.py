@@ -146,10 +146,13 @@ class FaceList:
     slots: np.ndarray  # (n, 2, k), Fortran order so slot columns are contiguous
     slot_area: np.ndarray  # (n, 2, k)
 
-    def columns(self, row_values: np.ndarray):
-        """Per-row values of [interior; wall] gathered one slot column at a time."""
+    def columns(self, row_values: np.ndarray, out=None):
+        """Per-row values of [interior; wall] gathered one slot column at a time.
+
+        Each column goes into ``out`` when given, overwriting the last one.
+        """
         k = self.slots.shape[2]
-        return (row_values[self.slots[:, s, j]] for s in (0, 1) for j in range(k))
+        return (row_values.take(self.slots[:, s, j], out=out, mode="clip") for s in (0, 1) for j in range(k))
 
 
 class Forest:

@@ -10,7 +10,9 @@ Batches are ``(n, ncomp)`` arrays of any memory order, or single rows.  The
 flux kernel works on the transposed ``(ncomp, n)`` block, one numpy call per
 operation over all components, with the normal-momentum fix-ups on row 2, so
 column-major (Fortran-ordered) batches, whose transposes are C-contiguous,
-are the fast case; a C-ordered batch gives the same bits.
+are the fast case; a C-ordered batch gives the same bits.  The sweep passes
+its reused block buffers as ``out=`` (and ``work=`` for the flux's scratch
+rows); without them the same kernel runs into fresh arrays.
 """
 from __future__ import annotations
 
@@ -21,84 +23,120 @@ from amrfv.errors import VacuumError
 __all__ = ["physical_flux", "relaxation_speed", "suliciu_flux"]
 
 
-def physical_flux(W, p):
-    """F_x of rotated states: [rho u, rho Y u, rho u^2 + p, rho u v, ...]."""
+def physical_flux(W, p, out=None):
+    """F_x of rotated states: [rho u, rho Y u, rho u^2 + p, rho u v, ...].
+
+    ``out`` must not overlap ``W``.
+    """
     W = np.asarray(W, dtype=np.float64)
-    u = W[..., 2] / W[..., 0]
-    F = W * u[..., None]
+    F = np.empty_like(W) if out is None else out
+    # the normal velocity waits in the normal-momentum slot, scaled last
+    u = np.divide(W[..., 2], W[..., 0], out=F[..., 2])
+    np.multiply(W[..., :2], u[..., None], out=F[..., :2])
+    np.multiply(W[..., 3:], u[..., None], out=F[..., 3:])
+    u *= W[..., 2]
     F[..., 2] += p
     return F
 
 
-def relaxation_speed(WL, WR, fp, cL, cR):
+def relaxation_speed(WL, WR, fp, cL, cR, out=None):
     """a = theta * max(rho_L c_L, rho_R c_R) from the Wood sound speeds c.
 
     ``fp`` is the ``eos.FluidPair``; only its relaxation factor theta is read.
+    ``out`` holds two float arrays of the batch shape: a lands in the first,
+    and the second is scratch.
     """
     rhoL = np.asarray(WL, dtype=np.float64)[..., 0]
     rhoR = np.asarray(WR, dtype=np.float64)[..., 0]
-    return fp.theta * np.maximum(rhoL * cL, rhoR * cR)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(rhoL), np.shape(rhoR), np.shape(cL), np.shape(cR))
+        out = [np.empty(shape) for _ in range(2)]
+    a, aR = out
+    np.multiply(rhoL, cL, out=a)
+    np.maximum(a, np.multiply(rhoR, cR, out=aR), out=a)
+    a *= fp.theta
+    return a[()]
 
 
-def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None):
+# scratch rows of ``suliciu_flux`` besides its two (ncomp, n) blocks
+FLUX_ROWS = 9
+
+
+def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None, work=None):
     """Relaxation flux between rotated states (single rows or batches).
 
     Star densities are formed as rho/(1 + rho*(u* - u)/a), which reduces to
     rho exactly when both states coincide, keeping free streams bitwise
     stable.  Raises VacuumError, carrying the first offending row, if an
     intermediate density is non-positive.  The flux is written into ``out``
-    when given.
+    when given.  ``work`` is a C-contiguous ``(FLUX_ROWS + 2 ncomp, n)``
+    float block of scratch rows; a fresh one is used without it.
     """
     WL = np.asarray(WL, dtype=np.float64)
     WR = np.asarray(WR, dtype=np.float64)
-    rhoL, rhoR = WL[..., 0], WR[..., 0]
-    a = relaxation_speed(WL, WR, fp, cL, cR)
+    F = np.empty_like(WL) if out is None else out
+    # a single row is a batch of one
+    L, R, o = np.atleast_2d(WL).T, np.atleast_2d(WR).T, np.atleast_2d(F).T
+    ncomp = len(L)
+    if work is None:
+        work = np.empty((FLUX_ROWS + 2 * ncomp, L.shape[1]))
+    sR, uL, uR, mR, s0, mL, denomL, denomR, sL = work[:FLUX_ROWS]
+    term, star = work[FLUX_ROWS:FLUX_ROWS + ncomp], work[FLUX_ROWS + ncomp:]
+    rhoL, rhoR = L[0], R[0]
+    # a holds sR's row until sR, computed last, replaces it
+    a = relaxation_speed(L.T, R.T, fp, cL, cR, out=work[:2])
 
-    uL = WL[..., 2] / rhoL
-    uR = WR[..., 2] / rhoR
+    np.divide(L[2], rhoL, out=uL)
+    np.divide(R[2], rhoR, out=uR)
     # u* - u_L and u* - u_R as explicit jumps so they vanish exactly when
-    # WL == WR (then every star state collapses onto its base state bitwise)
-    half_du = 0.5 * (uR - uL)
-    half_dp = 0.5 * (pL - pR) / a
-    duL = half_du + half_dp
-    duR = -half_du + half_dp
-    ustar = uL + duL
-    mL = rhoL * duL
-    mR = rhoR * duR
-    denomL = 1.0 + mL / a
-    denomR = 1.0 - mR / a
-    bad = (denomL <= 0) | (denomR <= 0)
-    if np.any(bad):
+    # WL == WR (then every star state collapses onto its base state bitwise):
+    # half_du = (uR - uL) / 2 and half_dp = (pL - pR) / (2 a) make
+    # duL = half_du + half_dp and duR = -half_du + half_dp
+    half_du = np.subtract(uR, uL, out=mR)
+    half_du *= 0.5
+    half_dp = np.subtract(pL, pR, out=s0)
+    half_dp *= 0.5
+    half_dp /= a
+    duL = np.add(half_du, half_dp, out=mL)
+    duR = np.negative(half_du, out=mR)
+    duR += half_dp
+    # s0 = |u*| with u* = uL + duL; then m = rho du
+    np.abs(np.add(uL, duL, out=s0), out=s0)
+    np.multiply(rhoL, duL, out=mL)
+    np.multiply(rhoR, duR, out=mR)
+    np.add(1.0, np.divide(mL, a, out=denomL), out=denomL)
+    np.subtract(1.0, np.divide(mR, a, out=denomR), out=denomR)
+    # fmin skips a NaN, so a NaN denominator is not bad, as with <= 0
+    if np.fmin.reduce(denomL, initial=np.inf) <= 0 or np.fmin.reduce(denomR, initial=np.inf) <= 0:
+        bad = (denomL <= 0) | (denomR <= 0)
         raise VacuumError(
             "relaxation produced a non-positive star density; "
             "states too strong for theta={}".format(fp.theta),
-            row=int(np.argmax(bad)) if bad.ndim else 0,
+            row=int(np.argmax(bad)),
         )
 
     # wave speeds of the three jumps: star minus base on the left, the
     # contact between the star states, base minus star on the right
-    sL = np.abs(uL - a / rhoL)
-    s0 = np.abs(ustar)
-    sR = np.abs(uR + a / rhoR)
-    if out is None:
-        out = np.empty_like(WL)
+    np.abs(np.subtract(uL, np.divide(a, rhoL, out=sL), out=sL), out=sL)
+    np.abs(np.add(uR, np.divide(a, rhoR, out=sR), out=sR), out=sR)
     # 0.5 * (FL + FR - sL (WsL - WL) - s0 (WsR - WsL) - sR (WR - WsR)) over
     # the (ncomp, n) blocks; star states carry u* in the normal momentum and
     # Y and the tangential velocities from their own side
-    L, R, o = WL.T, WR.T, out.T
     np.multiply(L, uL, out=o)
     o[2] += pL
-    term = R * uR
+    np.multiply(R, uR, out=term)
     term[2] += pR
     o += term
-    star = L / denomL
-    star[2] = (L[2] + mL) / denomL
+    np.divide(L, denomL, out=star)
+    np.add(L[2], mL, out=star[2])
+    star[2] /= denomL
     np.subtract(star, L, out=term)
     term *= sL
     o -= term
     # the right star state replaces the left one after its last use
     np.divide(R, denomR, out=term)
-    term[2] = (R[2] + mR) / denomR
+    np.add(R[2], mR, out=term[2])
+    term[2] /= denomR
     np.subtract(term, star, out=star)
     star *= s0
     o -= star
@@ -106,4 +144,4 @@ def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None):
     term *= sR
     o -= term
     o *= 0.5
-    return out
+    return F

@@ -18,11 +18,25 @@ slot order from +0.0, so no bit depends on a partition.
 The simulated-rank contract (a rank fluxes the rows whose lo cell it owns,
 reading owned and ghost cells only) is a property of the face list and
 ``partition.ghost_layer`` that the test suite checks, not a loop here.
+
+Every block temporary of a step is carved from one flat buffer, the module's
+``_Arena``, which lives across steps and is re-laid when the leaf or
+component count changes: the rotated state, the primitive variables and
+slopes, the face-state blocks, the closure rows, the gathered face states,
+the flux block and the slot sums.  The kernels write into those blocks
+through ``out=`` (and the flux's scratch rows through ``work=``), with the
+same operations in the same order as into fresh arrays, so once the first
+sweep of a shape has sized the buffer a step allocates only its result and
+touches no fresh pages.  Nothing returned shares memory with the buffer:
+``step`` and ``sweep`` return a fresh array or the caller's ``out=``, and a
+kernel called without ``out=`` runs into fresh arrays.  There is one buffer
+per process, so two threads must not step at the same time.
 """
 from __future__ import annotations
 
 import contextlib
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +78,98 @@ def _sec(prof, name: str):
     return prof.section(name) if prof is not None else contextlib.nullcontext()
 
 
-def _mom_perm(dim: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Component permutation rotating the axis momentum into slot IMX."""
-    if dim == 2:
-        perm = [0, 1, 2, 3] if axis == 0 else [0, 1, 3, 2]
-    else:
-        perm = {0: [0, 1, 2, 3, 4], 1: [0, 1, 3, 4, 2], 2: [0, 1, 4, 2, 3]}[axis]
-    perm = np.array(perm)
-    return perm, np.argsort(perm)
+class _Arena:
+    """One flat float buffer handed out front to back as C-contiguous blocks.
+
+    ``take`` carves float, int64 or bool blocks, and a ``with arena.scope():``
+    block hands back everything taken inside it.  A request past the end of
+    the buffer gets a fresh array and raises the high-water mark, which
+    ``reset`` then grows the buffer to, so only the first sweep of a shape
+    allocates.  Each block view is made once and looked up after that.  An
+    arena without a key keeps no buffer: every block it hands out is fresh.
+    """
+
+    def __init__(self, key=None):
+        self.key = key
+        self.buf = np.empty(0)
+        self.top = self.high = 0
+        self.marks = []
+        self.views = {}
+
+    def take(self, *shape, dtype=np.float64):
+        at = (self.top, shape, dtype)
+        hit = self.views.get(at)
+        if hit is not None:
+            self.top = hit[1]
+            return hit[0]
+        size = math.prod(shape)
+        end = self.top + -(-size * np.dtype(dtype).itemsize // 8)
+        self.high = max(self.high, end)
+        if end > len(self.buf):
+            self.top = end
+            return np.empty(shape, dtype)
+        view = self.buf[self.top:end].view(dtype)[:size].reshape(shape)
+        self.views[at] = view, end
+        self.top = end
+        return view
+
+    def scope(self):
+        return self
+
+    def __enter__(self):
+        self.marks.append(self.top)
+
+    def __exit__(self, *exc):
+        self.top = self.marks.pop()
+
+    def reset(self):
+        self.top = 0
+        self.marks.clear()
+        if self.key is not None and self.high > len(self.buf):
+            self.buf = np.empty(self.high)
+            self.views.clear()
 
 
-def _cell_speeds(u: np.ndarray, fp: FluidPair):
-    """Mixture pressure and Wood sound speed of state rows, one closure solve."""
-    rho = eos._check_density(u[:, IRHO])
-    return eos._pressure_and_speed(rho, u[:, IRHOY] / rho, fp)
+_ARENA = _Arena()
+
+
+def _arena(n: int, ncomp: int) -> _Arena:
+    """The module's arena for ``n`` leaves of ``ncomp`` components, reset.
+
+    A new leaf or component count drops the block views; the buffer carries
+    over, as an adapt changes the leaf count a little, unless the leaf count
+    fell below half, when the buffer starts again from empty.
+    """
+    key = (n, ncomp)
+    if _ARENA.key != key:
+        if _ARENA.key is None or 2 * n < _ARENA.key[0]:
+            _ARENA.buf = np.empty(0)
+        _ARENA.key, _ARENA.high = key, 0
+        _ARENA.views.clear()
+    _ARENA.reset()
+    return _ARENA
+
+
+def _roll_momenta(src: np.ndarray, dst: np.ndarray, shift: int) -> None:
+    """Copy the ``(ncomp, n)`` block ``src`` into ``dst``, momentum rows rolled.
+
+    Row IMX + j of ``dst`` is row IMX + (j + shift) % dim of ``src``: a roll by
+    the sweep axis moves its momentum into slot IMX, one by dim - axis back.
+    """
+    dim = len(src) - IMX
+    dst[:IMX] = src[:IMX]
+    dst[IMX:IMX + dim - shift] = src[IMX + shift:]
+    dst[IMX + dim - shift:] = src[IMX:IMX + shift]
+
+
+def _cell_speeds(W: np.ndarray, fp: FluidPair, out=None):
+    """Mixture pressure and Wood sound speed of state rows, one closure solve.
+
+    They land in ``out[3]`` and ``out[0]`` of the six closure rows ``out``.
+    """
+    rho = eos._check_density(W[:, IRHO])
+    Y = np.divide(W[:, IRHOY], rho, out=None if out is None else out[0])
+    return eos._pressure_and_speed(rho, Y, fp, out)
 
 
 def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=None) -> float:
@@ -90,21 +182,39 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     velocity component bounded, and the largest component is the sharp
     stability bound for the whole splitting sequence.
     """
+    n = f.nleaves
+    arena = _arena(n, u.shape[1])
+    rho = u[:, IRHO]
     with _sec(prof, "eos"):
+        rows = arena.take(6, n)
+        # a bad density gives a bad Y here, but the sound speed rejects it first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(u[:, IRHOY], rho, out=rows[0])
         try:
-            rho = eos._check_density(u[:, IRHO])
-            c = eos.wood_sound_speed(rho, u[:, IRHOY] / rho, fp)
+            c = eos.wood_sound_speed(rho, rows[0], fp, out=rows)
         except EosError as exc:
             raise EosError(f"time step at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
-    imp = rho * c
-    imp_max = imp.copy()
+    imp, imp_max, col = arena.take(3, n)
+    np.multiply(rho, c, out=imp)
+    np.copyto(imp_max, imp)
     for axis in range(f.dim):
         fl = f.face_list(axis)
-        rows = np.concatenate([np.maximum(imp[fl.lo], imp[fl.hi]), imp[fl.bc_cell]])
-        for col in fl.columns(rows):
-            np.maximum(imp_max, col, out=imp_max)
-    speed = np.max(np.abs(u[:, IMX:]), axis=1) / rho + fp.theta * imp_max / rho
-    dts = f.dx / speed
+        nf = len(fl.lo)
+        with arena.scope():
+            rows, hi = arena.take(nf + len(fl.bc_cell)), arena.take(nf)
+            np.maximum(
+                imp.take(fl.lo, out=rows[:nf], mode="clip"), imp.take(fl.hi, out=hi, mode="clip"),
+                out=rows[:nf],
+            )
+            imp.take(fl.bc_cell, out=rows[nf:], mode="clip")
+            for column in fl.columns(rows, out=col):
+                np.maximum(imp_max, column, out=imp_max)
+    speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
+    speed /= rho
+    imp_max *= fp.theta
+    imp_max /= rho
+    speed += imp_max
+    dts = np.divide(f.dx, speed, out=speed)
     dt = cfg.cfl * float(dts.min())
     if not np.isfinite(dt) or dt <= 0:
         first = int(np.argmin((dts > 0) & (dts < np.inf)))
@@ -119,112 +229,149 @@ def _wall_mirror(W: np.ndarray) -> np.ndarray:
     return G
 
 
-def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray) -> np.ndarray:
+def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray, out=None, arena=None) -> np.ndarray:
     """Minmod slope of primitive variables over all axis faces of each cell.
 
     Componentwise: the smallest-magnitude one-sided slope if every face
     slope shares its sign, else zero.  Wall faces contribute the mirrored
-    ghost slope at center distance dx.
+    ghost slope at center distance dx.  The slopes go into ``out`` when
+    given, else into a fresh column-major array; scratch comes from
+    ``arena`` when given.
     """
     fl = f.face_list(axis)
     nf = len(fl.lo)
     cells = fl.bc_cell
     Vt = V.T
     ncomp, n = Vt.shape
-    rows = np.empty((ncomp, nf + len(cells)))
-    np.subtract(np.take(Vt, fl.hi, axis=1), np.take(Vt, fl.lo, axis=1), out=rows[:, :nf])
-    rows[:, :nf] /= fl.dist
-    if len(cells):
-        # a mirror ghost differs only in normal velocity: slope -2*u_n/dx
-        rows[:, nf:] = 0.0
-        rows[IMX, nf:] = np.where(fl.bc_side == 1, 1.0, -1.0) * (-2.0 * Vt[IMX, cells]) / dx[cells]
-    # every slot column of both cell sides, one take over the block each
-    slots = fl.slots.T.reshape(-1, n)
-    smin = np.take(rows, slots[0], axis=1)
-    smax, col = smin.copy(), np.empty_like(smin)
-    for slot in slots[1:]:
-        np.take(rows, slot, axis=1, out=col, mode="clip")
-        np.minimum(smin, col, out=smin)
-        np.maximum(smax, col, out=smax)
-    del rows, col  # freed before the selection's temporaries
-    s = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
-    return np.where(np.isfinite(s), s, 0.0).T
+    arena = arena or _Arena()
+    sigma = np.empty((ncomp, n)) if out is None else out.T
+    with arena.scope():
+        rows = arena.take(ncomp, nf + len(cells))
+        with arena.scope():
+            vhi, vlo = arena.take(2, ncomp, nf)
+            np.subtract(
+                Vt.take(fl.hi, axis=1, out=vhi, mode="clip"), Vt.take(fl.lo, axis=1, out=vlo, mode="clip"),
+                out=rows[:, :nf],
+            )
+        rows[:, :nf] /= fl.dist
+        if len(cells):
+            # a mirror ghost differs only in normal velocity: slope -2*u_n/dx
+            rows[:, nf:] = 0.0
+            rows[IMX, nf:] = np.where(fl.bc_side == 1, 1.0, -1.0) * (-2.0 * Vt[IMX, cells]) / dx[cells]
+        # every slot column of both cell sides, one take over the block each
+        slots = fl.slots.T.reshape(-1, n)
+        smin, smax, col = arena.take(3, ncomp, n)
+        rows.take(slots[0], axis=1, out=smin, mode="clip")
+        np.copyto(smax, smin)
+        for slot in slots[1:]:
+            rows.take(slot, axis=1, out=col, mode="clip")
+            np.minimum(smin, col, out=smin)
+            np.maximum(smax, col, out=smax)
+        # smin where it is positive, smax where it is negative, else +0.0;
+        # a NaN passes neither test, and an infinite slope becomes +0.0 too
+        mask = arena.take(ncomp, n, dtype=bool)
+        sigma.fill(0.0)
+        np.copyto(sigma, smax, where=np.less(smax, 0.0, out=mask))
+        np.copyto(sigma, smin, where=np.greater(smin, 0.0, out=mask))
+        np.copyto(sigma, 0.0, where=np.isinf(sigma, out=mask))
+    return sigma.T
 
 
-def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None):
+def _inadmissible(WS: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
+    """Cells with a face state outside the admissible set, in the stacked ``(2n, ncomp)`` ``WS``."""
+    n = len(out)
+    with arena.scope():
+        bad, test = arena.take(2, 2 * n, dtype=bool)
+        np.less_equal(WS[:, IRHO], 0, out=bad)
+        bad |= np.less_equal(WS[:, IRHOY], 0, out=test)
+        bad |= np.greater_equal(WS[:, IRHOY], WS[:, IRHO], out=test)
+        return np.logical_or(bad[:n], bad[n:], out=out)
+
+
+def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None):
     """Half-step MUSCL-Hancock face states from cell states and slopes.
 
     ``V`` is ``eos.to_primitive(W)`` when the caller already has it.
     Returns (W_left_face, W_right_face, fallback) where ``fallback`` marks
     cells retreated to first order because a predicted state left the
     admissible set.  Both face states are halves of one column-major
-    ``(2n, ncomp)`` batch, left faces first.
+    ``(2n, ncomp)`` batch, left faces first: ``out`` when given, else a
+    fresh one.  Scratch, and ``fallback``, come from ``arena`` when given.
     """
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
     dx = np.atleast_1d(np.asarray(dx, dtype=np.float64))
-    if V is None:
-        V = eos.to_primitive(W)
     n, ncomp = W.shape
-    # left (S[:, 0]) and right (S[:, 1]) face states; S[:, 1] first holds sigma dx / 2
-    S = np.empty((ncomp, 2, n))
-    half = np.multiply(0.5, sigma.T, out=S[:, 1])
-    half *= dx
-    np.subtract(V.T, half, out=S[:, 0])
-    np.add(V.T, half, out=half)
-    WS = S.reshape(ncomp, 2 * n).T
-    eos.from_primitive(WS, out=WS)
-
-    def bad(A):
-        out = (A[:, IRHO] <= 0) | (A[:, IRHOY] <= 0) | (A[:, IRHOY] >= A[:, IRHO])
-        return out[:n] | out[n:]
-
-    # inadmissible reconstructions retreat to first order before any EOS call
-    fallback = bad(WS)
-    if np.any(fallback):
-        S[:, :, fallback] = W.T[:, None, fallback]
-    p = eos.mixture_pressure(WS[:, IRHO], WS[:, IRHOY] / WS[:, IRHO], fp)
-    # the face states overwrite the fluxes: W - (F_R - F_L) * dt / (2 dx)
-    Wf = riemann.physical_flux(WS, p)
-    F = Wf.T.reshape(ncomp, 2, n, copy=False)
-    dF = F[:, 1] - F[:, 0]
-    dF *= 0.5 * dt / dx
-    np.subtract(S, dF[:, None], out=F)
-    fallback = fallback | bad(Wf)
+    arena = arena or _Arena()
+    if V is None:
+        V = eos.to_primitive(W, out=arena.take(ncomp, n).T)
+    WS = np.empty((ncomp, 2 * n)).T if out is None else out
+    C = WS.T.reshape(ncomp, 2, n, copy=False)
+    fallback = arena.take(n, dtype=bool)
+    with arena.scope():
+        # left (S[:, 0]) and right (S[:, 1]) primitive face states, S[:, 1]
+        # first holding sigma dx / 2; converted, they go to C
+        S = arena.take(ncomp, 2, n)
+        half = np.multiply(0.5, sigma.T, out=S[:, 1])
+        half *= dx
+        np.subtract(V.T, half, out=S[:, 0])
+        np.add(V.T, half, out=half)
+        eos.from_primitive(S.reshape(ncomp, 2 * n).T, out=WS)
+        # inadmissible reconstructions retreat to first order before any EOS call
+        if np.any(_inadmissible(WS, fallback, arena)):
+            C[:, :, fallback] = W.T[:, None, fallback]
+        with arena.scope():
+            rows = arena.take(6, 2 * n)
+            Y = np.divide(WS[:, IRHOY], WS[:, IRHO], out=rows[0])
+            p = eos.mixture_pressure(WS[:, IRHO], Y, fp, out=rows)
+            # the fluxes overwrite the primitive face states
+            riemann.physical_flux(WS, p, out=S.reshape(ncomp, 2 * n).T)
+        # the face states move by -(F_R - F_L) * dt / (2 dx)
+        dF, coef = arena.take(ncomp, n), arena.take(n)
+        np.subtract(S[:, 1], S[:, 0], out=dF)
+        dF *= np.divide(0.5 * dt, dx, out=coef)
+        np.subtract(C, dF[:, None], out=C)
+    fallback |= _inadmissible(WS, arena.take(n, dtype=bool), arena)
     if np.any(fallback):
         log.debug("MUSCL positivity fallback on %d cells", int(fallback.sum()))
-        F[:, :, fallback] = W.T[:, None, fallback]
-    return Wf[:n], Wf[n:], fallback
+        C[:, :, fallback] = W.T[:, None, fallback]
+    return WS[:n], WS[n:], fallback
 
 
 def sweep(
-    f: Forest, u: np.ndarray, axis: int, dt: float, cfg: SweepConfig, fp: FluidPair, prof=None
+    f: Forest, u: np.ndarray, axis: int, dt: float, cfg: SweepConfig, fp: FluidPair, prof=None, out=None
 ) -> np.ndarray:
-    """One dimensional-splitting operator application along ``axis``."""
+    """One dimensional-splitting operator application along ``axis``.
+
+    The new state goes into ``out``, which may be ``u`` itself, or else into
+    a fresh column-major array.
+    """
+    n, ncomp = u.shape
+    arena = _arena(n, ncomp)
     with _sec(prof, "sweep"):
-        perm, iperm = _mom_perm(f.dim, axis)
-        # the rotated copy is column-major: each component is contiguous
-        Wq = u.T[perm].T
-        n, ncomp = Wq.shape
+        # the rotated state is a (ncomp, n) block: each component is contiguous
+        Wt = arena.take(ncomp, n)
+        _roll_momenta(u.T, Wt, axis)
+        Wq = Wt.T
         fl = f.face_list(axis)
 
-    # phase A (per cell): face states and their EOS data
+    # phase A (per cell): the (ncomp, k n) block of face states, left faces
+    # first, with k = order, and their pressures p and sound speeds c
+    k = cfg.order
+    FS = Wt if k == 1 else arena.take(ncomp, 2 * n)
+    pc = arena.take(2, k * n)
     try:
-        if cfg.order == 1:
-            with _sec(prof, "eos"):
-                p, c = _cell_speeds(Wq, fp)
-            WfL = WfR = Wq
-        else:
-            with _sec(prof, "slopes"):
-                V = eos.to_primitive(Wq)
-                sigma = _minmod_sigma(f, axis, V, f.dx)
-                WfL, WfR, _ = muscl_predict(Wq, sigma, f.dx, dt, fp, V=V)
-                del V, sigma  # freed before the flux phase allocates its blocks
-            with _sec(prof, "eos"):
-                # both sides' corrected face states in one closure solve
-                p, c = _cell_speeds(np.concatenate((WfL[:, :IMX], WfR[:, :IMX])), fp)
-        # order 2 stacks the left face states before the right ones
-        pfL, pfR, cfL, cfR = p[:n], p[-n:], c[:n], c[-n:]
+        if k == 2:
+            with _sec(prof, "slopes"), arena.scope():
+                V, sigma = arena.take(2, ncomp, n)
+                V = eos.to_primitive(Wq, out=V.T)
+                sigma = _minmod_sigma(f, axis, V, f.dx, out=sigma.T, arena=arena)
+                muscl_predict(Wq, sigma, f.dx, dt, fp, V=V, out=FS.T, arena=arena)
+        with _sec(prof, "eos"), arena.scope():
+            # all face states in one closure solve; p and c (closure rows 3
+            # and 0) are kept for the flux phase, the other rows are scratch
+            rows = arena.take(4, k * n)
+            p, c = _cell_speeds(FS.T, fp, (pc[1], rows[0], rows[1], pc[0], rows[2], rows[3]))
     except EosError as exc:
         # a stacked (2n) batch holds the left faces first, so row i is leaf i % n
         leaf = exc.index % n
@@ -232,28 +379,38 @@ def sweep(
 
     lo, hi, cc = fl.lo, fl.hi, fl.bc_cell
     nf = len(lo)
+    # the high face state of leaf i is column off + i
+    off = len(p) - n
     with _sec(prof, "flux"):
         # phase B1 (per face row): interior rows join the high face state of
-        # lo to the low face state of hi, gathered column-major; wall rows
+        # lo to the low face state of hi, gathered as blocks; wall rows
         # follow them
-        flux = np.empty((ncomp, nf + len(cc))).T
+        flux = arena.take(ncomp, nf + len(cc))
         row0 = 0
         try:
-            riemann.suliciu_flux(
-                np.take(WfR.T, lo, axis=1).T, np.take(WfL.T, hi, axis=1).T, fp,
-                pfR[lo], pfL[hi], cfR[lo], cfL[hi], out=flux[:nf],
-            )
+            with arena.scope():
+                ilo = np.add(lo, off, out=arena.take(nf, dtype=np.int64))
+                WL, WR = arena.take(2, ncomp, nf)
+                pL, pR, cL, cR = arena.take(4, nf)
+                FS.take(ilo, axis=1, out=WL, mode="clip")
+                FS.take(hi, axis=1, out=WR, mode="clip")
+                riemann.suliciu_flux(
+                    WL.T, WR.T, fp,
+                    p.take(ilo, out=pL, mode="clip"), p.take(hi, out=pR, mode="clip"),
+                    c.take(ilo, out=cL, mode="clip"), c.take(hi, out=cR, mode="clip"),
+                    out=flux[:, :nf].T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf),
+                )
             if len(cc):
                 # the mirror ghost shares the cell's face state and thermodynamics
                 row0 = nf
                 high = fl.bc_side == 1
-                W = np.where(high[:, None], WfR[cc], WfL[cc])
-                pw = np.where(high, pfR[cc], pfL[cc])
-                cw = np.where(high, cfR[cc], cfL[cc])
+                W = np.where(high[:, None], FS[:, off:].T[cc], FS[:, :n].T[cc])
+                pw = np.where(high, p[off:][cc], p[cc])
+                cw = np.where(high, c[off:][cc], c[cc])
                 G = _wall_mirror(W)
                 riemann.suliciu_flux(
                     np.where(high[:, None], W, G), np.where(high[:, None], G, W), fp,
-                    pw, pw, cw, cw, out=flux[nf:],
+                    pw, pw, cw, cw, out=flux[:, nf:].T,
                 )
         except VacuumError as exc:
             row = row0 + exc.row
@@ -263,23 +420,34 @@ def sweep(
         # phase B2 (per cell): each cell side sums its slots in slot order
         # from +0.0, low side minus high side; the slots are in range, and
         # mode="clip" lets take fill ``term`` without an intermediate copy
-        coef = dt * fl.slot_area
-        dW, acc, term = np.zeros((ncomp, n)), np.zeros((ncomp, n)), np.empty((ncomp, n))
+        nslot = fl.slots.shape[2]
+        coef = np.multiply(dt, fl.slot_area, out=arena.take(nslot, 2, n).T)
+        dW, acc, term = arena.take(3, ncomp, n)
+        dW.fill(0.0)
+        acc.fill(0.0)
         for s, side in enumerate((dW, acc)):
-            for j in range(fl.slots.shape[2]):
-                np.take(flux.T, fl.slots[:, s, j], axis=1, out=term, mode="clip")
+            for j in range(nslot):
+                flux.take(fl.slots[:, s, j], axis=1, out=term, mode="clip")
                 term *= coef[:, s, j]
                 side += term
         dW -= acc
         dW /= f.volumes
-        np.add(Wq.T, dW, out=dW)
+        np.add(Wt, dW, out=dW)
     with _sec(prof, "sweep"):
-        return dW[iperm].T
+        out = np.empty((ncomp, n)).T if out is None else out
+        _roll_momenta(dW, out.T, f.dim - axis)
+        return out
 
 
-def gravity_op(u: np.ndarray, dt: float, g: float) -> np.ndarray:
-    """Half-step gravity source: vertical momentum loses rho*g*dt/2."""
-    out = u.copy()
+def gravity_op(u: np.ndarray, dt: float, g: float, out=None) -> np.ndarray:
+    """Half-step gravity source: vertical momentum loses rho*g*dt/2.
+
+    Into ``out`` when given, which may be ``u`` itself, else into a copy.
+    """
+    if out is None:
+        out = u.copy()
+    elif out is not u:
+        np.copyto(out, u)
     out[:, IMY] -= u[:, IRHO] * g * (0.5 * dt)
     return out
 
@@ -287,7 +455,12 @@ def gravity_op(u: np.ndarray, dt: float, g: float) -> np.ndarray:
 def step(
     f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, dt: float | None = None, prof=None
 ) -> tuple[np.ndarray, float]:
-    """Advance one time step with the configured splitting sequence."""
+    """Advance one time step with the configured splitting sequence.
+
+    The new state is the step's one fresh (column-major) array: the first
+    sweep writes it, and the later sweeps and gravity half-steps update it
+    in place.
+    """
     if dt is None:
         dt = compute_dt(f, u, cfg, fp, prof=prof)
     # Lie: one full sweep per axis, then both gravity half-steps.  Strang:
@@ -299,11 +472,12 @@ def step(
     else:
         axes = [*range(f.dim), *reversed(range(f.dim))]
         sweep_dt, gravity_after = 0.5 * dt, (0, len(axes) - 2)
+    out = np.empty(u.shape[::-1]).T
     for i, axis in enumerate(axes):
-        u = sweep(f, u, axis, sweep_dt, cfg, fp, prof=prof)
+        u = sweep(f, u, axis, sweep_dt, cfg, fp, prof=prof, out=out)
         for j in gravity_after:
             if cfg.gravity and j == i:
-                u = gravity_op(u, dt, cfg.gravity)
+                u = gravity_op(u, dt, cfg.gravity, out=u)
     return u, dt
 
 

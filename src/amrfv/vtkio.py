@@ -37,7 +37,7 @@ def _boxes(f: Forest):
 
 def _cell_fields(u: np.ndarray, fp: FluidPair):
     """rho, Y, alpha (as ``eos.solve_alpha``), p and velocity of state rows ``u``, one closure solve."""
-    rho = u[:, 0]
+    rho = eos._check_density(u[:, 0])
     Y = u[:, 1] / rho
     Yc, x1, _, p = eos._closure(rho, Y, fp)
     return rho, Y, rho * Yc * fp.c1**2 / x1, p, u[:, 2:] / rho[:, None]

@@ -173,11 +173,11 @@ def test_stacked_eos_error_names_its_leaf(monkeypatch):
     # faces first: a failure at the right face state of leaf 3 is row n + 3
     pressure_and_speed = eos._pressure_and_speed
 
-    def fail_right_face_of_leaf_3(rho, Y, fp):
+    def fail_right_face_of_leaf_3(rho, Y, fp, *out):
         n2 = np.size(rho)
         if n2 == 2 * f.nleaves:
             raise EosError("injected", index=n2 // 2 + 3)
-        return pressure_and_speed(rho, Y, fp)
+        return pressure_and_speed(rho, Y, fp, *out)
 
     f = walled_forest(2, seed=4)
     u = batch(np.random.default_rng(14), f.nleaves, 2, MILD, "C")

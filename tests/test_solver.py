@@ -437,7 +437,7 @@ class TestStep:
         # before the last; without gravity the half-steps drop out
         calls = []
         monkeypatch.setattr(solver, "sweep", lambda f, u, axis, dt, *a, **k: calls.append(("xyz"[axis], dt)) or u)
-        monkeypatch.setattr(solver, "gravity_op", lambda u, dt, g: calls.append(("g", dt)) or u)
+        monkeypatch.setattr(solver, "gravity_op", lambda u, dt, g, out=None: calls.append(("g", dt)) or u)
         f = new_uniform(Connectivity(dim, (1,) * dim, (True,) * dim), level=1, b=1)
         solver.step(f, np.zeros((f.nleaves, 2 + dim)), SweepConfig(gravity=g, splitting=splitting), MILD, dt=1.0)
         sweep_dt = 1.0 if splitting == "lie" else 0.5
@@ -495,6 +495,29 @@ class TestStep:
         solver.step(f, u, SweepConfig(order=order, splitting="strang"), MILD)
         assert len(count) == calls
         assert sum(count) == states * f.nleaves
+
+    @pytest.mark.parametrize(
+        "dim, order, checks", [(2, 2, 4 * 3 + 1), (3, 2, 6 * 3 + 1), (2, 1, 4 + 1)], ids=["2d-o2", "3d-o2", "2d-o1"]
+    )
+    def test_each_density_checked_once(self, monkeypatch, dim, order, checks):
+        # one check for dt, then per Strang sweep: order 1 checks the cell
+        # densities once; order 2 checks them in to_primitive, the predicted
+        # face states' in mixture_pressure and the corrected ones' once more
+        check = eos._check_density
+        count = []
+
+        def counted(rho):
+            count.append(np.size(rho))
+            return check(rho)
+
+        monkeypatch.setattr(eos, "_check_density", counted)
+        f, _ = new_uniform(Connectivity(dim, (1,) * dim, (True,) * dim), level=1, b=3).refine(
+            np.array([REFINE] + [KEEP] * (2**dim - 1), dtype=np.int8)
+        )
+        alpha = 0.2 + 0.6 * np.random.default_rng(3).random(f.nleaves)
+        u = eos.state_from_pressure_alpha(1e5, alpha, np.full(dim, 0.3), MILD)
+        solver.step(f, u, SweepConfig(order=order, splitting="strang"), MILD)
+        assert len(count) == checks
 
     def test_muscl_fallback_triggers_and_logs(self, caplog):
         import logging
