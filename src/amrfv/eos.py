@@ -115,7 +115,8 @@ def _closure(rho, Y, fp: FluidPair, out=None):
     b += c
     c *= D
     # sq = sqrt(b^2 - 4 u c) in xs, then q = -(b + sign(b) sq) / 2 over it;
-    # b, less Ys cs^2 > 0, is never -0.0, so copysign picks +sq where b >= 0
+    # b ends by subtracting Ys cs^2 > 0, so it is never -0.0 and copysign
+    # picks +sq exactly where b >= 0
     sq = np.multiply(b, b, out=xs)
     np.multiply(4.0, u, out=p)
     p *= c
