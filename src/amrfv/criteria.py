@@ -43,6 +43,8 @@ class Criterion:
             raise ConfigError(f"unknown criterion kind {self.kind!r}; use one of {_KINDS}")
         if self.xi <= 0:
             raise ConfigError("criterion threshold xi must be positive")
+        if len(self.weights) != 3:
+            raise ConfigError(f"criterion weights are 3 numbers (rho, p, |u| jumps), got {len(self.weights)}")
         if self.kind == "mixed":
             if any(w < 0 for w in self.weights) or not any(self.weights):
                 raise ConfigError("mixed-criterion weights must be >= 0, not all zero")
@@ -58,9 +60,8 @@ def _jump_field(f: Forest, values: np.ndarray, relative: bool, floor: float) -> 
             denom = np.maximum(np.maximum(values[fl.lo], values[fl.hi]), floor)
             with np.errstate(divide="ignore", invalid="ignore"):
                 jump = np.where(denom > 0, jump / denom, 0.0)
-        # a wall row has no neighbor across it: jump 0
-        rows = np.concatenate([jump, np.zeros(len(fl.bc_cell))])
-        for col in fl.columns(rows):
+        # a wall row joins its cell to itself: jump 0
+        for col in fl.columns(jump):
             np.maximum(out, col, out=out)
     return out
 

@@ -11,8 +11,9 @@ each leaf locates the lattice point one step across its high face, and a
 leaf with a finer neighbour locates each fine sub-face, so every face of an
 axis is found once, from its lower leaf.  ``face_list`` is the one
 face-connectivity structure the kernels and ``balance`` use: lo-ordered face
-rows plus a per-cell slot table, so each cell reduces its own faces in a
-fixed order and a rank's flux duty is a contiguous slice of rows.
+rows, a wall being a row from its cell to itself, plus a per-cell slot table,
+so each cell reduces its own faces in a fixed order and a rank's flux duty
+is one contiguous slice of the rows between cells and one of the wall rows.
 """
 from __future__ import annotations
 
@@ -125,14 +126,19 @@ class FaceList:
     """All unique faces of one sweep axis, and each cell side's share of them.
 
     ``Forest.face_list`` builds it on first use; an adapt builds none for its
-    new forest.  Interior rows join ``lo`` (lower coordinate side) to ``hi``
-    and are ordered by ``lo``; hanging faces appear once per fine sub-face.  Wall
-    rows (non-periodic domain faces) carry the owning cell, ordered by it,
-    and which side of it the wall sits on.  ``slots[i, s]`` lists the rows
-    of [interior; wall] on side s (0 = low, 1 = high) of cell i in row
-    order.  Its last extent k is the largest face count of any cell side;
-    a side with fewer faces repeats its last row with zero ``slot_area``,
-    so the repeat changes no running min/max and adds an exact zero to sums.
+    new forest.  Each row joins ``lo`` (lower coordinate side) to ``hi``, and
+    every kernel reads every row the same way.  Rows between two cells come
+    first, ordered by ``lo``; hanging faces appear once per fine sub-face.  A
+    wall (a non-periodic domain face) is a row from its cell to itself, with
+    area dx^(d-1) and distance dx, whose end across the wall stands for the
+    cell's mirror image, the cell with its normal momentum negated.
+    ``wall_lo`` names the wall rows on a cell's low face (their lo end is the
+    mirror) and ``wall_hi`` those on its high face (their hi end is).  Wall
+    rows follow the others, ordered by cell, low face first.  ``slots[i, s]``
+    lists the rows on side s (0 = low, 1 = high) of cell i in row order.  Its
+    last extent k is the largest face count of any cell side; a side with
+    fewer faces repeats its last row with zero ``slot_area``, so the repeat
+    changes no running min/max and adds an exact zero to sums.
     """
 
     axis: int
@@ -140,14 +146,13 @@ class FaceList:
     hi: np.ndarray
     area: np.ndarray
     dist: np.ndarray  # center-to-center distance along axis
-    bc_cell: np.ndarray
-    bc_side: np.ndarray  # 0 = low face of the cell, 1 = high face
-    bc_area: np.ndarray
+    wall_lo: np.ndarray  # rows whose lo end mirrors the cell across its low face
+    wall_hi: np.ndarray  # rows whose hi end mirrors the cell across its high face
     slots: np.ndarray  # (n, 2, k), Fortran order so slot columns are contiguous
     slot_area: np.ndarray  # (n, 2, k)
 
     def columns(self, row_values: np.ndarray, out=None):
-        """Per-row values of [interior; wall] gathered one slot column at a time.
+        """Per-row values gathered one slot column at a time.
 
         Each column goes into ``out`` when given, overwriting the last one.
         """
@@ -433,11 +438,8 @@ class Forest:
         return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
 
     def _finish_face_list(self, axis: int, lo, hi, interior) -> FaceList:
-        """Areas, distances, walls and slot table of the balanced rows ``_face_rows`` found."""
+        """Walls, areas, distances and slot table of the balanced rows ``_face_rows`` found."""
         dim, n = self.dim, self.nleaves
-        dlo, dhi = self.dx[lo], self.dx[hi]
-        area = np.minimum(dlo, dhi) ** (dim - 1)
-        dist = 0.5 * (dlo + dhi)
 
         # non-periodic domain faces, ordered by cell, low side first; a low
         # wall is a leaf on the low face of a tree on the low face of the brick
@@ -445,24 +447,27 @@ class Forest:
         if not self.conn.periodic[axis]:
             edge = np.flatnonzero(self.coords[:, axis] == 0)
             low_wall[edge] = self.conn.tree_coords_many(self.tree[edge])[:, axis] == 0
-        bc_cell, bc_side = np.nonzero(np.stack([low_wall, ~interior], axis=1))
-        bc_area = self.dx[bc_cell] ** (dim - 1)
+        cell, side = np.nonzero(np.stack([low_wall, ~interior], axis=1))
+        walls = len(lo) + np.arange(len(cell))
+        wall_lo, wall_hi = walls[side == 0], walls[side == 1]
+        lo, hi = np.concatenate([lo, cell]), np.concatenate([hi, cell])
+        dlo, dhi = self.dx[lo], self.dx[hi]
+        area = np.minimum(dlo, dhi) ** (dim - 1)
+        dist = 0.5 * (dlo + dhi)
 
         # slot table: the rows each cell side touches, grouped by cell in row
-        # order; the other side's wall rows get the out-of-range key n.  It is
+        # order; a wall row's mirrored end gets the out-of-range key n.  It is
         # built as (k, 2, n) so that its transpose has contiguous slot columns.
-        row_area = np.concatenate([area, bc_area])
-        side_keys = (
-            np.concatenate([hi, np.where(bc_side == 0, bc_cell, n)]),
-            np.concatenate([lo, np.where(bc_side == 1, bc_cell, n)]),
-        )
+        side_keys = hi.copy(), lo.copy()
+        side_keys[0][wall_hi] = n
+        side_keys[1][wall_lo] = n
         order = np.concatenate([np.argsort(key, kind="stable") for key in side_keys])
         cnt = np.stack([np.bincount(key, minlength=n + 1)[:n] for key in side_keys])
-        first = np.cumsum(cnt, axis=1) - cnt + np.array([[0], [len(row_area)]])
+        first = np.cumsum(cnt, axis=1) - cnt + np.array([[0], [len(lo)]])
         j = np.arange(cnt.max())[:, None, None]
         slots = order[first + np.minimum(j, cnt - 1)]
-        slot_area = np.where(j < cnt, row_area[slots], 0.0)
-        return FaceList(axis, lo, hi, area, dist, bc_cell, bc_side, bc_area, slots.T, slot_area.T)
+        slot_area = np.where(j < cnt, area[slots], 0.0)
+        return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, slots.T, slot_area.T)
 
 
 def new_uniform(conn: Connectivity, level: int, b: int, min_level: int = 0) -> Forest:

@@ -74,8 +74,12 @@ class RunConfig:
             raise ConfigError("adapt_every must be >= 1")
         if len(self.trees) != self.dim or len(self.periodic) != self.dim:
             raise ConfigError("trees/periodic must have one entry per dimension")
+        # built once, so a bad [domain] value fails here, before the ranks
+        # check counts the trees
+        conn = Connectivity(self.dim, tuple(self.trees), tuple(self.periodic), self.tree_extent)
+        object.__setattr__(self, "connectivity", conn)
         # coarsening stops at min_level, so every rank always owns a leaf
-        min_leaves = int(np.prod(self.trees)) * 2 ** (self.dim * self.min_level)
+        min_leaves = conn.ntrees * 2 ** (self.dim * self.min_level)
         if not 1 <= self.ranks <= min_leaves:
             raise ConfigError(
                 f"ranks must lie in 1..{min_leaves}, the leaf count at min_level {self.min_level}"
@@ -89,10 +93,6 @@ class RunConfig:
         scfg = SweepConfig(self.order, self.cfl, self.gravity, self.splitting)
         object.__setattr__(self, "sweep_config", scfg)
         object.__setattr__(self, "criterion_obj", Criterion(self.criterion, self.xi, tuple(self.weights)))
-
-    @property
-    def connectivity(self) -> Connectivity:
-        return Connectivity(self.dim, tuple(self.trees), tuple(self.periodic), self.tree_extent)
 
     @property
     def adaptive(self) -> bool:

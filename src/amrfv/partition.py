@@ -60,7 +60,7 @@ def partition(f: Forest, P: int) -> PartitionMap:
 
 
 def _adjacency(f: Forest) -> tuple[np.ndarray, np.ndarray]:
-    """All face-adjacent leaf pairs (lo, hi), one entry per face."""
+    """All face-adjacent leaf pairs (lo, hi), one entry per face row (a wall pairs a leaf with itself)."""
     los, his = [], []
     for axis in range(f.dim):
         fl = f.face_list(axis)

@@ -12,9 +12,11 @@ each kernel makes one numpy call per operation over all components.  The
 MUSCL-Hancock face states of both sides form one ``(ncomp, 2n)`` block with
 one conversion, pressure and physical flux call, and one closure solve once
 corrected.  Faces come from ``Forest.face_list``: rows ordered by their
-lower-z-order cell and a per-cell slot table.  One flux call covers the
-interior rows and one the wall rows, then each cell sums its sides' slots in
-slot order from +0.0, so no bit depends on a partition.
+lower-z-order cell, wall rows after them, and a per-cell slot table.  A wall
+row's end across the wall reads the cell's own face state on the wall side
+with its normal momentum negated, so one flux call covers all rows; then
+each cell sums its sides' slots in slot order from +0.0, so no bit depends
+on a partition.
 The simulated-rank contract (a rank fluxes the rows whose lo cell it owns,
 reading owned and ghost cells only) is a property of the face list and
 ``partition.ghost_layer`` that the test suite checks, not a loop here.
@@ -201,14 +203,9 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     np.copyto(imp_max, imp)
     for axis in range(f.dim):
         fl = f.face_list(axis)
-        nf = len(fl.lo)
         with arena.scope():
-            rows, hi = arena.take(nf + len(fl.bc_cell)), arena.take(nf)
-            np.maximum(
-                imp.take(fl.lo, out=rows[:nf], mode="clip"), imp.take(fl.hi, out=hi, mode="clip"),
-                out=rows[:nf],
-            )
-            imp.take(fl.bc_cell, out=rows[nf:], mode="clip")
+            rows, hi = arena.take(2, len(fl.lo))
+            np.maximum(imp.take(fl.lo, out=rows, mode="clip"), imp.take(fl.hi, out=hi, mode="clip"), out=rows)
             for column in fl.columns(rows, out=col):
                 np.maximum(imp_max, column, out=imp_max)
     speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
@@ -224,42 +221,33 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     return dt
 
 
-def _wall_mirror(W: np.ndarray) -> np.ndarray:
-    """Ghost state across a wall: normal momentum negated (rotated frame)."""
-    G = W.copy()
-    G[..., IMX] = -G[..., IMX]
-    return G
-
-
-def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, dx: np.ndarray, out=None, arena=None) -> np.ndarray:
+def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> np.ndarray:
     """Minmod slope of primitive variables over all axis faces of each cell.
 
     Componentwise: the smallest-magnitude one-sided slope if every face
-    slope shares its sign, else zero.  Wall faces contribute the mirrored
-    ghost slope at center distance dx.  The slopes go into ``out`` when
+    slope shares its sign, else zero.  Each face row gives the slope between
+    its two ends over its center distance; the mirrored end of a wall row has
+    its normal velocity negated, so a wall gives a slope of +-2 u_n / dx in
+    that component and 0 in the others.  The slopes go into ``out`` when
     given, else into a fresh column-major array; scratch comes from
     ``arena`` when given.
     """
     fl = f.face_list(axis)
     nf = len(fl.lo)
-    cells = fl.bc_cell
     Vt = V.T
     ncomp, n = Vt.shape
     arena = arena or _Arena()
     sigma = np.empty((ncomp, n)) if out is None else out.T
     with arena.scope():
-        rows = arena.take(ncomp, nf + len(cells))
+        rows = arena.take(ncomp, nf)
         with arena.scope():
             vhi, vlo = arena.take(2, ncomp, nf)
-            np.subtract(
-                Vt.take(fl.hi, axis=1, out=vhi, mode="clip"), Vt.take(fl.lo, axis=1, out=vlo, mode="clip"),
-                out=rows[:, :nf],
-            )
-        rows[:, :nf] /= fl.dist
-        if len(cells):
-            # a mirror ghost differs only in normal velocity: slope -2*u_n/dx
-            rows[:, nf:] = 0.0
-            rows[IMX, nf:] = np.where(fl.bc_side == 1, 1.0, -1.0) * (-2.0 * Vt[IMX, cells]) / dx[cells]
+            Vt.take(fl.hi, axis=1, out=vhi, mode="clip")
+            Vt.take(fl.lo, axis=1, out=vlo, mode="clip")
+            np.negative.at(vlo[IMX], fl.wall_lo)
+            np.negative.at(vhi[IMX], fl.wall_hi)
+            np.subtract(vhi, vlo, out=rows)
+        rows /= fl.dist
         # every slot column of both cell sides, one take over the block each
         slots = fl.slots.T.reshape(-1, n)
         smin, smax, col = arena.take(3, ncomp, n)
@@ -367,7 +355,7 @@ def sweep(
             with _sec(prof, "slopes"), arena.scope():
                 V, sigma = arena.take(2, ncomp, n)
                 V = eos.to_primitive(Wq, out=V.T)
-                sigma = _minmod_sigma(f, axis, V, f.dx, out=sigma.T, arena=arena)
+                sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
                 muscl_predict(Wq, sigma, f.dx, dt, fp, V=V, out=FS.T, arena=arena)
         with _sec(prof, "eos"), arena.scope():
             # all face states in one closure solve; p and c (closure rows 3
@@ -379,45 +367,39 @@ def sweep(
         leaf = exc.index % n
         raise EosError(f"sweep on axis {axis} at {f.leaf_label(leaf)}: {exc}", index=leaf) from exc
 
-    lo, hi, cc = fl.lo, fl.hi, fl.bc_cell
+    lo, hi = fl.lo, fl.hi
     nf = len(lo)
     # the high face state of leaf i is column off + i
     off = len(p) - n
     with _sec(prof, "flux"):
-        # phase B1 (per face row): interior rows join the high face state of
-        # lo to the low face state of hi, gathered as blocks; wall rows
-        # follow them
-        flux = arena.take(ncomp, nf + len(cc))
-        row0 = 0
+        # phase B1 (per face row): each row joins the high face state of lo
+        # to the low face state of hi, gathered as blocks; the mirrored end
+        # of a wall row reads the cell's own face state on the wall side
+        # (and its p and c) with the normal momentum negated
+        flux = arena.take(ncomp, nf)
         try:
             with arena.scope():
-                ilo = np.add(lo, off, out=arena.take(nf, dtype=np.int64))
+                ilo, ihi = arena.take(2, nf, dtype=np.int64)
+                np.add(lo, off, out=ilo)
+                np.copyto(ihi, hi)
+                ilo[fl.wall_lo] -= off
+                ihi[fl.wall_hi] += off
                 WL, WR = arena.take(2, ncomp, nf)
                 pL, pR, cL, cR = arena.take(4, nf)
                 FS.take(ilo, axis=1, out=WL, mode="clip")
-                FS.take(hi, axis=1, out=WR, mode="clip")
+                FS.take(ihi, axis=1, out=WR, mode="clip")
+                np.negative.at(WL[IMX], fl.wall_lo)
+                np.negative.at(WR[IMX], fl.wall_hi)
                 riemann.suliciu_flux(
                     WL.T, WR.T, fp,
-                    p.take(ilo, out=pL, mode="clip"), p.take(hi, out=pR, mode="clip"),
-                    c.take(ilo, out=cL, mode="clip"), c.take(hi, out=cR, mode="clip"),
-                    out=flux[:, :nf].T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf),
-                )
-            if len(cc):
-                # the mirror ghost shares the cell's face state and thermodynamics
-                row0 = nf
-                high = fl.bc_side == 1
-                W = np.where(high[:, None], FS[:, off:].T[cc], FS[:, :n].T[cc])
-                pw = np.where(high, p[off:][cc], p[cc])
-                cw = np.where(high, c[off:][cc], c[cc])
-                G = _wall_mirror(W)
-                riemann.suliciu_flux(
-                    np.where(high[:, None], W, G), np.where(high[:, None], G, W), fp,
-                    pw, pw, cw, cw, out=flux[:, nf:].T,
+                    p.take(ilo, out=pL, mode="clip"), p.take(ihi, out=pR, mode="clip"),
+                    c.take(ilo, out=cL, mode="clip"), c.take(ihi, out=cR, mode="clip"),
+                    out=flux.T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf),
                 )
         except VacuumError as exc:
-            row = row0 + exc.row
-            at = " and ".join(map(f.leaf_label, (lo[row], hi[row]) if row < nf else (cc[row - nf],)))
-            raise VacuumError(f"sweep on axis {axis}, face row {row} at {at}: {exc}", row=row) from exc
+            # a wall row joins its cell to itself: name the cell once
+            at = " and ".join(map(f.leaf_label, dict.fromkeys((lo[exc.row], hi[exc.row]))))
+            raise VacuumError(f"sweep on axis {axis}, face row {exc.row} at {at}: {exc}", row=exc.row) from exc
 
         # phase B2 (per cell): each cell side sums its slots in slot order
         # from +0.0, low side minus high side; the slots are in range, and

@@ -491,19 +491,30 @@ def suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR):
     return out
 
 
+def wall_image(W):
+    """The state across a wall: a copy with the normal momentum (slot 2) negated."""
+    G = np.array(W, dtype=np.float64)
+    G[..., 2] = -G[..., 2]
+    return G
+
+
 def minmod_sigma_columns(f, axis, V, dx):
-    """Minmod slopes over every face of each cell, one component column at a time."""
+    """Minmod slopes over every face of each cell, one component column at a time.
+
+    A wall row takes the slope to the cell's wall image, -2 u_n / dx on a
+    low wall and +2 u_n / dx on a high one, from the cell alone.
+    """
     fl = f.face_list(axis)
-    nf = len(fl.lo)
-    cells = fl.bc_cell
-    sign = np.where(fl.bc_side == 1, 1.0, -1.0)
-    rows = np.empty(nf + len(cells))
+    walls = np.concatenate([fl.wall_lo, fl.wall_hi])
+    sign = np.repeat([-1.0, 1.0], [len(fl.wall_lo), len(fl.wall_hi)])
+    cells = fl.lo[walls]
+    rows = np.empty(len(fl.lo))
     sigma = np.empty_like(V)
     for i in range(V.shape[1]):
         v = V[:, i]
-        np.subtract(v[fl.hi], v[fl.lo], out=rows[:nf])
-        rows[:nf] /= fl.dist
-        rows[nf:] = sign * (-2.0 * v[cells]) / dx[cells] if i == 2 else 0.0
+        np.subtract(v[fl.hi], v[fl.lo], out=rows)
+        rows /= fl.dist
+        rows[walls] = sign * (-2.0 * v[cells]) / dx[cells] if i == 2 else 0.0
         cols = [rows[fl.slots[:, s, j]] for s in (0, 1) for j in range(fl.slots.shape[2])]
         smin = cols[0].copy()
         smax = cols[0].copy()

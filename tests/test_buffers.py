@@ -172,8 +172,8 @@ class TestOutMatchesFresh:
         arena = solver._Arena(("test",))
         for axis in range(dim):
             out = column_major_slice(f.nleaves, dim + 2)
-            got = solver._minmod_sigma(f, axis, V, f.dx, out=out, arena=arena)
-            assert_bits(got, solver._minmod_sigma(f, axis, V, f.dx))
+            got = solver._minmod_sigma(f, axis, V, out=out, arena=arena)
+            assert_bits(got, solver._minmod_sigma(f, axis, V))
             arena.reset()
         sigma = 0.3 * V * rng.normal(0.0, 1.0, V.shape)
         out = np.full((dim + 2, 2 * f.nleaves), np.nan).T

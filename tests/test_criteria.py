@@ -99,6 +99,8 @@ class TestEvaluate:
             Criterion("vorticity", 1e-3)
         with pytest.raises(ConfigError):
             Criterion("mixed", 1e-3, weights=(0.0, 0.0, 0.0))
+        with pytest.raises(ConfigError, match="weights"):
+            Criterion("mixed", 1e-3, weights=(1.0, 1.0))
         with pytest.raises(ConfigError):
             Criterion("rho_gradient", 0.0)
 

@@ -43,9 +43,12 @@ def assert_two_to_one(f):
 
 
 def slot_cells(fl, i, side):
-    """Real slot rows of cell side (i, side) and the cells across them."""
+    """Real slot rows of cell side (i, side) and the cells across them.
+
+    A wall row joins its cell to itself, so the cell is across its walls.
+    """
     rows = fl.slots[i, side][fl.slot_area[i, side] > 0]
-    across = np.concatenate([fl.hi if side else fl.lo, fl.bc_cell])[rows]
+    across = (fl.hi if side else fl.lo)[rows]
     return rows, sorted(across.tolist())
 
 
@@ -343,9 +346,13 @@ class TestLeafNeighbors:
         f = new_uniform(conn2d(), level=1, b=2)
         fl = f.face_list(0)
         rows, across = slot_cells(fl, 0, 0)
-        nf = len(fl.lo)
-        assert rows.tolist() == [nf] and across == [0]
-        assert fl.bc_side[rows[0] - nf] == 0
+        # 2 interior rows, then one wall per cell in cell order: 0 and 2
+        # have theirs on the low side, 1 and 3 on the high side
+        assert rows.tolist() == [2] and across == [0]
+        assert fl.wall_lo.tolist() == [2, 4] and fl.wall_hi.tolist() == [3, 5]
+        assert fl.lo[2:].tolist() == [0, 1, 2, 3]
+        assert fl.lo[2] == fl.hi[2] == 0
+        assert fl.area[2] == fl.dist[2] == f.dx[0]
         assert oracle_neighbors(f)[0, 0, 0] is None
 
     def test_periodic_wraps(self):
@@ -420,14 +427,14 @@ class TestFaceList:
     def test_uniform_counts(self):
         f = new_uniform(conn2d(), level=2, b=2)
         fl = f.face_list(0)
-        assert len(fl.lo) == 3 * 4  # interior x-faces
-        assert len(fl.bc_cell) == 8  # 4 per domain side
+        assert len(fl.lo) == 3 * 4 + 8  # interior x-faces, then 4 walls per domain side
+        assert len(fl.wall_lo) == len(fl.wall_hi) == 4
 
     def test_periodic_has_no_bc(self):
         f = new_uniform(conn2d(periodic=(True, True)), level=2, b=2)
         fl = f.face_list(0)
         assert len(fl.lo) == 4 * 4
-        assert len(fl.bc_cell) == 0
+        assert len(fl.wall_lo) == len(fl.wall_hi) == 0
 
     def test_hanging_faces_once_per_subface(self):
         f = new_uniform(conn2d(), level=1, b=3)
@@ -435,8 +442,9 @@ class TestFaceList:
         f, _ = oracles.balance(f)
         fl = f.face_list(0)
         # every interior face pairs distinct cells exactly once
-        pairs = set(zip(fl.lo.tolist(), fl.hi.tolist()))
-        assert len(pairs) == len(fl.lo)
+        nf = len(fl.lo) - len(fl.wall_lo) - len(fl.wall_hi)
+        pairs = set(zip(fl.lo[:nf].tolist(), fl.hi[:nf].tolist()))
+        assert len(pairs) == nf and np.all(fl.lo[:nf] != fl.hi[:nf])
         # face areas of hanging faces are the fine ones
         lv_lo = f.level[fl.lo]
         lv_hi = f.level[fl.hi]
@@ -480,8 +488,17 @@ def check_face_list(f, fl, expected):
 
     ``expected`` is the ``oracles.face_neighbors`` dict of the forest's leaves.
     """
-    nf = len(fl.lo)
-    row_area = np.concatenate([fl.area, fl.bc_area])
+    # wall rows follow the rows between two cells, ordered by cell, low side
+    # first; each joins its cell to itself with area dx^(d-1) and distance dx
+    nf = len(fl.lo) - len(fl.wall_lo) - len(fl.wall_hi)
+    walls = np.concatenate([fl.wall_lo, fl.wall_hi])
+    side_of = np.repeat([0, 1], [len(fl.wall_lo), len(fl.wall_hi)])
+    np.testing.assert_array_equal(np.sort(walls), np.arange(nf, len(fl.lo)))
+    assert np.all(np.diff((2 * fl.lo[walls] + side_of)[np.argsort(walls)]) > 0)
+    cells = fl.lo[walls]
+    np.testing.assert_array_equal(fl.hi[walls], cells)
+    np.testing.assert_array_equal(fl.area[walls], f.dx[cells] ** (f.dim - 1))
+    np.testing.assert_array_equal(fl.dist[walls], f.dx[cells])
     for side in (0, 1):
         where = f"axis {fl.axis} side {side}"
         rows, area = fl.slots[:, side], fl.slot_area[:, side]
@@ -492,16 +509,16 @@ def check_face_list(f, fl, expected):
         assert np.all(np.diff(rows, axis=1)[real[:, 1:]] > 0), where
         last = rows[np.arange(f.nleaves), nreal - 1]
         assert np.all(np.where(real, True, rows == last[:, None])), where
-        np.testing.assert_array_equal(area[real], row_area[rows[real]], err_msg=where)
+        np.testing.assert_array_equal(area[real], fl.area[rows[real]], err_msg=where)
         assert np.all(area.sum(axis=1) == f.dx ** (f.dim - 1)), where
         # every row sits in exactly one real slot of this side
-        walls = nf + np.flatnonzero(fl.bc_side == side)
-        np.testing.assert_array_equal(np.sort(rows[real]), np.concatenate([np.arange(nf), walls]))
-        across = np.concatenate([fl.hi if side else fl.lo, fl.bc_cell])[rows]
+        own = fl.wall_hi if side else fl.wall_lo
+        np.testing.assert_array_equal(np.sort(rows[real]), np.concatenate([np.arange(nf), own]))
+        across = (fl.hi if side else fl.lo)[rows]
         for i, (cells, r, k) in enumerate(zip(across.tolist(), rows.tolist(), nreal.tolist())):
             nbrs = expected[i, fl.axis, side]
             if nbrs is None:
-                assert k == 1 and r[0] >= nf and fl.bc_side[r[0] - nf] == side, f"leaf {i} {where}"
+                assert k == 1 and r[0] in own and cells[0] == i, f"leaf {i} {where}"
             else:
                 assert max(r[:k]) < nf and sorted(cells[:k]) == nbrs, f"leaf {i} {where}"
 

@@ -134,6 +134,31 @@ class TestConfig:
                 default_config("drop2d", max_level=5, min_level=1, ranks=ranks)
         assert default_config("drop2d", max_level=5, min_level=1, ranks=4).ranks == 4
 
+    def test_mixed_weights_are_three(self, tmp_path):
+        # two weights used to build and then fail to unpack mid-run
+        with pytest.raises(ConfigError, match="weights"):
+            default_config("disk_advection", criterion="mixed", weights=(1.0, 1.0))
+        p = tmp_path / "weights.ini"
+        p.write_text("[case]\nname = disk_advection\n[criterion]\nkind = mixed\nweights = 1 1\n")
+        with pytest.raises(ConfigError, match="weights"):
+            load_config(p)
+        p.write_text("[case]\nname = disk_advection\n[criterion]\nkind = mixed\nweights = 1 0 2\n")
+        assert load_config(p).criterion_obj.weights == (1.0, 0.0, 2.0)
+
+    def test_domain_checked_when_built(self):
+        # the domain is checked before the ranks check counts its trees, and
+        # the config keeps the connectivity it checked
+        for bad, named in (
+            (dict(trees=(0, 1)), "tree_dims must be positive"),
+            (dict(trees=(-2, 1)), "tree_dims must be positive"),
+            (dict(tree_extent=-1.0), "tree_extent must be positive"),
+        ):
+            with pytest.raises(ConfigError, match=named):
+                default_config("drop2d", **bad)
+        cfg = default_config("drop2d", trees=(2, 1), tree_extent=0.5)
+        assert cfg.connectivity is cfg.connectivity
+        assert cfg.connectivity == Connectivity(2, (2, 1), (False, False), 0.5)
+
 
 class TestInitCase:
     def test_smooth_values(self):

@@ -37,7 +37,7 @@ def across(f, i, axis, side):
     """Cells across leaf i's (axis, side) face from the slot table; None at a wall."""
     fl = f.face_list(axis)
     rows, cells = slot_cells(fl, i, side)
-    return None if rows.max() >= len(fl.lo) else cells
+    return None if np.isin(rows, fl.wall_hi if side else fl.wall_lo).any() else cells
 
 
 class TestEncodeDecode:

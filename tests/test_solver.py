@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amrfv import eos, solver
+from amrfv import eos, riemann, solver
 from amrfv.eos import FluidPair
 from amrfv.errors import EosError, VacuumError
 from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
@@ -27,7 +27,7 @@ def make_field(f, fp, alpha_fn, p=1e5, u=(0.0, 0.0)):
 
 def slope_x(f, u, i):
     """Limited x slope of leaf i's primitive variables, as the sweep takes it."""
-    return solver._minmod_sigma(f, 0, eos.to_primitive(u), f.dx)[i]
+    return solver._minmod_sigma(f, 0, eos.to_primitive(u))[i]
 
 
 def one_bad_leaf(bad):
@@ -148,12 +148,34 @@ class TestSweep:
         dt = 1e-2
         out = solver.sweep(f, u, 0, dt, SweepConfig(order=1), SHOCK)
         phi = flux(WL, WR, SHOCK)
-        phi_wl = flux(solver._wall_mirror(WL), WL, SHOCK)
-        phi_wr = flux(WR, solver._wall_mirror(WR), SHOCK)
+        phi_wl = flux(oracles.wall_image(WL), WL, SHOCK)
+        phi_wr = flux(WR, oracles.wall_image(WR), SHOCK)
         expected0 = WL - dt * (phi - phi_wl)
         expected1 = WR - dt * (phi_wr - phi)
         np.testing.assert_allclose(out[0], expected0, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(out[1], expected1, rtol=1e-14, atol=1e-14)
+
+    def test_order2_walls_flux_the_wall_side_face_states(self):
+        # three cells between two walls: each wall row fluxes its cell's face
+        # state on the wall side against that state's wall image
+        conn = Connectivity(2, (3, 1), (False, True), 1.0)
+        f = new_uniform(conn, level=0, b=0)
+        u = np.stack([
+            eos.state_from_pressure_alpha(p, a, np.array([v, 0.05]), SHOCK)
+            for p, a, v in ((12.0, 0.7, 0.1), (11.0, 0.5, 0.3), (10.0, 0.3, 0.2))
+        ])
+        dt = 1e-2
+        out = solver.sweep(f, u, 0, dt, SweepConfig(order=2), SHOCK)
+        sigma = oracles.minmod_sigma_columns(f, 0, eos.to_primitive(u), f.dx)
+        # u_n has a slope in both wall cells, so their two face states differ
+        assert sigma[0, 2] > 0 > sigma[2, 2]
+        low, high, fallback = oracles.muscl_predict_columns(u, sigma, f.dx, dt, SHOCK)
+        assert not fallback.any()
+        phi = [flux(oracles.wall_image(low[0]), low[0], SHOCK)]
+        phi += [flux(high[i], low[i + 1], SHOCK) for i in range(2)]
+        phi.append(flux(high[2], oracles.wall_image(high[2]), SHOCK))
+        for i in range(3):
+            np.testing.assert_allclose(out[i], u[i] - dt * (phi[i + 1] - phi[i]), rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_periodic_conservation_per_sweep(self, order):
@@ -193,6 +215,25 @@ class TestSweep:
             solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
         assert str(err.value).startswith("sweep on axis 0, face row 2 at leaf 0 (level 1, centre (0.25, 0.25)): ")
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_flux_call_covers_the_walls(self, monkeypatch, order):
+        # wall rows are face rows: one flux call takes them with the others
+        f = multi_level_forest(periodic=(False, False))
+        u = make_field(f, MILD, lambda x: 0.2 + 0.6 * x[:, 0], u=(0.3, -0.2))
+        batches = []
+        real = riemann.suliciu_flux
+
+        def counted(WL, *args, **kwargs):
+            batches.append(len(WL))
+            return real(WL, *args, **kwargs)
+
+        monkeypatch.setattr(riemann, "suliciu_flux", counted)
+        for axis in (0, 1):
+            batches.clear()
+            solver.sweep(f, u, axis, 1e-4, SweepConfig(order=order), MILD)
+            fl = f.face_list(axis)
+            assert batches == [len(fl.lo)]
+            assert len(fl.wall_lo) > 0 and len(fl.wall_hi) > 0
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_zero_density_names_the_axis_and_leaf(self, order):
