@@ -75,14 +75,13 @@ def absolute_jump_field(f: Forest, values: np.ndarray) -> np.ndarray:
 
 
 def evaluate(crit: Criterion, f: Forest, u: np.ndarray, fp: FluidPair) -> np.ndarray:
-    """Per-leaf criterion values C(W)_i."""
-    rho = u[:, 0]
-    Y = u[:, 1] / rho
-    if crit.kind == "alpha_gradient":
-        alpha = eos.solve_alpha(rho, Y, fp)
-        return absolute_jump_field(f, alpha)
+    """Per-leaf criterion values C(W)_i; an EosError names a leaf whose density is bad."""
+    rho = eos._check_density(u[:, 0], f.leaf_label)
     if crit.kind == "rho_gradient":
         return relative_jump_field(f, rho)
+    Y = u[:, 1] / rho
+    if crit.kind == "alpha_gradient":
+        return absolute_jump_field(f, eos.solve_alpha(rho, Y, fp))
     a, b, c = crit.weights
     p = eos.mixture_pressure(rho, Y, fp)
     speed = np.linalg.norm(u[:, 2:] / rho[:, None], axis=1)

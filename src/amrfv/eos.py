@@ -65,12 +65,16 @@ class FluidPair:
         return self.p2_0 - self.c2**2 * self.rho2_0
 
 
-def _check_density(rho):
-    """``rho`` as floats, checked before any division by it; EosError names the first bad one."""
+def _check_density(rho, label=None):
+    """``rho`` as floats, checked before any division by it; EosError names the first bad one.
+
+    ``label(i)``, such as ``Forest.leaf_label``, names state i in the message when given.
+    """
     rho = np.asarray(rho, dtype=np.float64)
     # min and max carry a NaN through, which fails both comparisons
     if rho.size and not (rho.min() > 0 and rho.max() < np.inf):
-        raise EosError("non-positive or non-finite density", index=int(np.argmin((rho > 0) & (rho < np.inf))))
+        i = int(np.argmin((rho > 0) & (rho < np.inf)))
+        raise EosError("non-positive or non-finite density" + (f" at {label(i)}" if label else ""), index=i)
     return rho
 
 

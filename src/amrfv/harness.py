@@ -438,6 +438,10 @@ class RunResult:
     artifacts: list = field(default_factory=list)
 
 
+def _located(what: str, t: float, nstep: int, f: Forest, exc: ArithmeticError) -> ArithmeticError:
+    return ArithmeticError(f"{what} failed at t={t:.6g} (step {nstep}, {f.nleaves} leaves): {exc}")
+
+
 def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
     """Advance the configured case to t_end, producing artifacts on disk."""
     outdir = Path(cfg.output_dir)
@@ -469,14 +473,14 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
                 dt = min(dt, cfg.t_end - t)
                 u, _ = solver.step(f, u, scfg, fp, dt=dt, prof=prof)
             except ArithmeticError as exc:
-                raise ArithmeticError(
-                    f"solver failed at t={t:.6g} (step {nstep + 1}, "
-                    f"{f.nleaves} leaves): {exc}"
-                ) from exc
+                raise _located("solver", t, nstep + 1, f, exc) from exc
             t += dt
             nstep += 1
             if crit is not None and nstep % cfg.adapt_every == 0:
-                f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
+                try:
+                    f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
+                except ArithmeticError as exc:
+                    raise _located("adapt", t, nstep, f, exc) from exc
                 pm = _rebuild_comm(f, cfg, prof)
             if cfg.output_every and nstep % cfg.output_every == 0:
                 dump(f"{nstep:04d}")
@@ -500,18 +504,18 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
 # Norms and rates.
 
 
-def _alpha_of(u: np.ndarray, fp: FluidPair) -> np.ndarray:
-    rho = u[:, 0]
+def _alpha_of(f: Forest, u: np.ndarray, fp: FluidPair) -> np.ndarray:
+    rho = eos._check_density(u[:, 0], f.leaf_label)
     return eos.solve_alpha(rho, u[:, 1] / rho, fp)
 
 
 def l1_error(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> float:
     """Volume-weighted L1 norm of the alpha error."""
-    return float(np.sum(f.volumes * np.abs(_alpha_of(u, fp) - exact_alpha)))
+    return float(np.sum(f.volumes * np.abs(_alpha_of(f, u, fp) - exact_alpha)))
 
 
 def l2_error(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(f.volumes * (_alpha_of(u, fp) - exact_alpha) ** 2)))
+    return float(np.sqrt(np.sum(f.volumes * (_alpha_of(f, u, fp) - exact_alpha) ** 2)))
 
 
 def convergence_rate(errors, dxs) -> float:

@@ -1,18 +1,19 @@
 """Suliciu relaxation flux for the 1D face Riemann problem.
 
-States are conservative rows [rho, rho*Y, rho*u, (tangential momenta...)]
-already rotated so the face normal sits in the third slot.  The flux is the
+States are conservative rows [rho, rho*Y, rho*u_1, ..., rho*u_d]; the face
+normal's momentum sits in row ``normal`` (2 unless the caller says
+otherwise), and the other momenta are tangential.  The flux is the
 HLLC-family four-wave form built from a single relaxation parameter
 a = theta * max(rho_L c_L, rho_R c_R) per face.  Callers pass each state's
 mixture pressure p and Wood sound speed c, which they evaluate once per cell.
 
 Batches are ``(n, ncomp)`` arrays of any memory order, or single rows.  The
 flux kernel works on the transposed ``(ncomp, n)`` block, one numpy call per
-operation over all components, with the normal-momentum fix-ups on row 2, so
-column-major (Fortran-ordered) batches, whose transposes are C-contiguous,
-are the fast case; a C-ordered batch gives the same bits.  The sweep passes
-its reused block buffers as ``out=`` (and ``work=`` for the flux's scratch
-rows); without them the same kernel runs into fresh arrays.
+operation over all components, with the normal-momentum fix-ups on row
+``normal``, so column-major (Fortran-ordered) batches, whose transposes are
+C-contiguous, are the fast case; a C-ordered batch gives the same bits.  The
+sweep passes its reused block buffers as ``out=`` (and ``work=`` for the
+flux's scratch rows); without them the same kernel runs into fresh arrays.
 """
 from __future__ import annotations
 
@@ -23,19 +24,20 @@ from amrfv.errors import VacuumError
 __all__ = ["physical_flux", "relaxation_speed", "suliciu_flux"]
 
 
-def physical_flux(W, p, out=None):
-    """F_x of rotated states: [rho u, rho Y u, rho u^2 + p, rho u v, ...].
+def physical_flux(W, p, out=None, normal=2):
+    """Normal flux of states: every row times u, plus p in row ``normal``.
 
-    ``out`` must not overlap ``W``.
+    u is the velocity in row ``normal``: [rho u, rho Y u, ..., rho u^2 + p,
+    ...].  ``out`` must not overlap ``W``.
     """
     W = np.asarray(W, dtype=np.float64)
     F = np.empty_like(W) if out is None else out
-    # the normal velocity waits in the normal-momentum slot, scaled last
-    u = np.divide(W[..., 2], W[..., 0], out=F[..., 2])
-    np.multiply(W[..., :2], u[..., None], out=F[..., :2])
-    np.multiply(W[..., 3:], u[..., None], out=F[..., 3:])
-    u *= W[..., 2]
-    F[..., 2] += p
+    # the normal velocity waits in the normal-momentum row, scaled last
+    u = np.divide(W[..., normal], W[..., 0], out=F[..., normal])
+    np.multiply(W[..., :normal], u[..., None], out=F[..., :normal])
+    np.multiply(W[..., normal + 1:], u[..., None], out=F[..., normal + 1:])
+    u *= W[..., normal]
+    F[..., normal] += p
     return F
 
 
@@ -62,10 +64,11 @@ def relaxation_speed(WL, WR, fp, cL, cR, out=None):
 FLUX_ROWS = 9
 
 
-def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None, work=None):
-    """Relaxation flux between rotated states (single rows or batches).
+def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None, work=None, normal=2):
+    """Relaxation flux between states (single rows or batches) across a face.
 
-    Star densities are formed as rho/(1 + rho*(u* - u)/a), which reduces to
+    Row ``normal`` of each state is the face normal's momentum.  Star
+    densities are formed as rho/(1 + rho*(u* - u)/a), which reduces to
     rho exactly when both states coincide, keeping free streams bitwise
     stable.  Raises VacuumError, carrying the first offending row, if an
     intermediate density is non-positive.  The flux is written into ``out``
@@ -86,8 +89,8 @@ def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None, work=None):
     # a holds sR's row until sR, computed last, replaces it
     a = relaxation_speed(L.T, R.T, fp, cL, cR, out=work[:2])
 
-    np.divide(L[2], rhoL, out=uL)
-    np.divide(R[2], rhoR, out=uR)
+    np.divide(L[normal], rhoL, out=uL)
+    np.divide(R[normal], rhoR, out=uR)
     # u* - u_L and u* - u_R as explicit jumps so they vanish exactly when
     # WL == WR (then every star state collapses onto its base state bitwise):
     # half_du = (uR - uL) / 2 and half_dp = (pL - pR) / (2 a) make
@@ -123,20 +126,20 @@ def suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=None, work=None):
     # the (ncomp, n) blocks; star states carry u* in the normal momentum and
     # Y and the tangential velocities from their own side
     np.multiply(L, uL, out=o)
-    o[2] += pL
+    o[normal] += pL
     np.multiply(R, uR, out=term)
-    term[2] += pR
+    term[normal] += pR
     o += term
     np.divide(L, denomL, out=star)
-    np.add(L[2], mL, out=star[2])
-    star[2] /= denomL
+    np.add(L[normal], mL, out=star[normal])
+    star[normal] /= denomL
     np.subtract(star, L, out=term)
     term *= sL
     o -= term
     # the right star state replaces the left one after its last use
     np.divide(R, denomR, out=term)
-    np.add(R[2], mR, out=term[2])
-    term[2] /= denomR
+    np.add(R[normal], mR, out=term[normal])
+    term[normal] /= denomR
     np.subtract(term, star, out=star)
     star *= s0
     o -= star

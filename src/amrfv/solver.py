@@ -1,13 +1,15 @@
 """Finite-volume update on the adaptive forest.
 
-A directional sweep rotates the state so the sweep axis' momentum sits in
-slot 2, evaluates one Suliciu flux per unique face (hanging faces once per
-fine sub-face) and accumulates signed contributions scaled by face area over
-cell volume.  Second order uses minmod-limited slopes of the primitive
-variables [m1, m2, u...] and the MUSCL-Hancock half-step prediction.
+A directional sweep along an axis reads the state as it is, with that axis'
+momentum in row IMX + axis, the face normal of the flux kernels.  It
+evaluates one Suliciu flux per unique face (hanging faces once per fine
+sub-face) and accumulates signed contributions scaled by face area over cell
+volume.  Second order uses minmod-limited slopes of the primitive variables
+[m1, m2, u...] and the MUSCL-Hancock half-step prediction.
 
-A sweep is one pass over all leaves.  Its rotated copy of the state is
-column-major, so its transpose is a C-contiguous ``(ncomp, n)`` block, and
+A sweep is one pass over all leaves.  ``step`` copies the state once into
+its column-major result, whose transpose is a C-contiguous ``(ncomp, n)``
+block, and every sweep and gravity half-step updates that result in place;
 each kernel makes one numpy call per operation over all components.  The
 MUSCL-Hancock face states of both sides form one ``(ncomp, 2n)`` block with
 one conversion, pressure and physical flux call, and one closure solve once
@@ -23,16 +25,17 @@ reading owned and ghost cells only) is a property of the face list and
 
 Every block temporary of a step is carved from one flat buffer, the module's
 ``_Arena``, which lives across steps and is re-laid when the leaf or
-component count changes: the rotated state, the primitive variables and
-slopes, the face-state blocks, the closure rows, the gathered face states,
-the flux block and the slot sums.  The kernels write into those blocks
-through ``out=`` (and the flux's scratch rows through ``work=``), with the
-same operations in the same order as into fresh arrays, so once the first
-sweep of a shape has sized the buffer a step allocates only its result and
-touches no fresh pages.  Nothing returned shares memory with the buffer:
-``step`` and ``sweep`` return a fresh array or the caller's ``out=``, and a
-kernel called without ``out=`` runs into fresh arrays.  There is one buffer
-per process, so two threads must not step at the same time.
+component count changes: the primitive variables and slopes, the face-state
+blocks, the closure rows, the gathered face states, the flux block and the
+slot sums (11.75 times the state at order 2 in 2D).  The kernels write into
+those blocks through ``out=`` (and the flux's scratch rows through
+``work=``), with the same operations in the same order as into fresh
+arrays, so once the first sweep of a shape has sized the buffer a step
+allocates only its result and touches no fresh pages.  Nothing returned
+shares memory with the buffer: ``step`` and ``sweep`` return a fresh array
+or the caller's ``out=``, and a kernel called without ``out=`` runs into
+fresh arrays.  There is one buffer per process, so two threads must not
+step at the same time.
 """
 from __future__ import annotations
 
@@ -154,18 +157,6 @@ def _arena(n: int, ncomp: int) -> _Arena:
     return _ARENA
 
 
-def _roll_momenta(src: np.ndarray, dst: np.ndarray, shift: int) -> None:
-    """Copy the ``(ncomp, n)`` block ``src`` into ``dst``, momentum rows rolled.
-
-    Row IMX + j of ``dst`` is row IMX + (j + shift) % dim of ``src``: a roll by
-    the sweep axis moves its momentum into slot IMX, one by dim - axis back.
-    """
-    dim = len(src) - IMX
-    dst[:IMX] = src[:IMX]
-    dst[IMX:IMX + dim - shift] = src[IMX + shift:]
-    dst[IMX + dim - shift:] = src[IMX:IMX + shift]
-
-
 def _cell_speeds(W: np.ndarray, fp: FluidPair, out=None):
     """Mixture pressure and Wood sound speed of state rows, one closure solve.
 
@@ -244,8 +235,8 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
             vhi, vlo = arena.take(2, ncomp, nf)
             Vt.take(fl.hi, axis=1, out=vhi, mode="clip")
             Vt.take(fl.lo, axis=1, out=vlo, mode="clip")
-            np.negative.at(vlo[IMX], fl.wall_lo)
-            np.negative.at(vhi[IMX], fl.wall_hi)
+            np.negative.at(vlo[IMX + axis], fl.wall_lo)
+            np.negative.at(vhi[IMX + axis], fl.wall_hi)
             np.subtract(vhi, vlo, out=rows)
         rows /= fl.dist
         # every slot column of both cell sides, one take over the block each
@@ -278,10 +269,11 @@ def _inadmissible(WS: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
         return np.logical_or(bad[:n], bad[n:], out=out)
 
 
-def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None):
+def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None, normal=IMX):
     """Half-step MUSCL-Hancock face states from cell states and slopes.
 
-    ``V`` is ``eos.to_primitive(W)`` when the caller already has it.
+    Row ``normal`` of ``W`` is the sweep axis' momentum.  ``V`` is
+    ``eos.to_primitive(W)`` when the caller already has it.
     Returns (W_left_face, W_right_face, fallback) where ``fallback`` marks
     cells retreated to first order because a predicted state left the
     admissible set.  Both face states are halves of one column-major
@@ -315,7 +307,7 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None)
             Y = np.divide(WS[:, IRHOY], WS[:, IRHO], out=rows[0])
             p = eos.mixture_pressure(WS[:, IRHO], Y, fp, out=rows)
             # the fluxes overwrite the primitive face states
-            riemann.physical_flux(WS, p, out=S.reshape(ncomp, 2 * n).T)
+            riemann.physical_flux(WS, p, out=S.reshape(ncomp, 2 * n).T, normal=normal)
         # the face states move by -(F_R - F_L) * dt / (2 dx)
         dF, coef = arena.take(ncomp, n), arena.take(n)
         np.subtract(S[:, 1], S[:, 0], out=dF)
@@ -333,30 +325,27 @@ def sweep(
 ) -> np.ndarray:
     """One dimensional-splitting operator application along ``axis``.
 
-    The new state goes into ``out``, which may be ``u`` itself, or else into
-    a fresh column-major array.
+    Row IMX + axis of ``u`` is the face normal's momentum.  The new state
+    goes into ``out``, which may be ``u`` itself, or else into a fresh
+    column-major array.
     """
     n, ncomp = u.shape
+    normal = IMX + axis
     arena = _arena(n, ncomp)
-    with _sec(prof, "sweep"):
-        # the rotated state is a (ncomp, n) block: each component is contiguous
-        Wt = arena.take(ncomp, n)
-        _roll_momenta(u.T, Wt, axis)
-        Wq = Wt.T
-        fl = f.face_list(axis)
+    fl = f.face_list(axis)
 
     # phase A (per cell): the (ncomp, k n) block of face states, left faces
     # first, with k = order, and their pressures p and sound speeds c
     k = cfg.order
-    FS = Wt if k == 1 else arena.take(ncomp, 2 * n)
+    FS = u.T if k == 1 else arena.take(ncomp, 2 * n)
     pc = arena.take(2, k * n)
     try:
         if k == 2:
             with _sec(prof, "slopes"), arena.scope():
                 V, sigma = arena.take(2, ncomp, n)
-                V = eos.to_primitive(Wq, out=V.T)
+                V = eos.to_primitive(u, out=V.T)
                 sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
-                muscl_predict(Wq, sigma, f.dx, dt, fp, V=V, out=FS.T, arena=arena)
+                muscl_predict(u, sigma, f.dx, dt, fp, V=V, out=FS.T, arena=arena, normal=normal)
         with _sec(prof, "eos"), arena.scope():
             # all face states in one closure solve; p and c (closure rows 3
             # and 0) are kept for the flux phase, the other rows are scratch
@@ -388,13 +377,13 @@ def sweep(
                 pL, pR, cL, cR = arena.take(4, nf)
                 FS.take(ilo, axis=1, out=WL, mode="clip")
                 FS.take(ihi, axis=1, out=WR, mode="clip")
-                np.negative.at(WL[IMX], fl.wall_lo)
-                np.negative.at(WR[IMX], fl.wall_hi)
+                np.negative.at(WL[normal], fl.wall_lo)
+                np.negative.at(WR[normal], fl.wall_hi)
                 riemann.suliciu_flux(
                     WL.T, WR.T, fp,
                     p.take(ilo, out=pL, mode="clip"), p.take(ihi, out=pR, mode="clip"),
                     c.take(ilo, out=cL, mode="clip"), c.take(ihi, out=cR, mode="clip"),
-                    out=flux.T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf),
+                    out=flux.T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf), normal=normal,
                 )
         except VacuumError as exc:
             # a wall row joins its cell to itself: name the cell once
@@ -416,11 +405,9 @@ def sweep(
                 side += term
         dW -= acc
         dW /= f.volumes
-        np.add(Wt, dW, out=dW)
-    with _sec(prof, "sweep"):
         out = np.empty((ncomp, n)).T if out is None else out
-        _roll_momenta(dW, out.T, f.dim - axis)
-        return out
+        np.add(u.T, dW, out=out.T)
+    return out
 
 
 def gravity_op(u: np.ndarray, dt: float, g: float, out=None) -> np.ndarray:
@@ -441,9 +428,8 @@ def step(
 ) -> tuple[np.ndarray, float]:
     """Advance one time step with the configured splitting sequence.
 
-    The new state is the step's one fresh (column-major) array: the first
-    sweep writes it, and the later sweeps and gravity half-steps update it
-    in place.
+    The new state is the step's one fresh (column-major) array: a copy of
+    ``u`` that every sweep and gravity half-step updates in place.
     """
     if dt is None:
         dt = compute_dt(f, u, cfg, fp, prof=prof)
@@ -456,18 +442,19 @@ def step(
     else:
         axes = [*range(f.dim), *reversed(range(f.dim))]
         sweep_dt, gravity_after = 0.5 * dt, (0, len(axes) - 2)
-    out = np.empty(u.shape[::-1]).T
+    with _sec(prof, "sweep"):
+        u = u.copy(order="F")
     for i, axis in enumerate(axes):
-        u = sweep(f, u, axis, sweep_dt, cfg, fp, prof=prof, out=out)
+        sweep(f, u, axis, sweep_dt, cfg, fp, prof=prof, out=u)
         for j in gravity_after:
             if cfg.gravity and j == i:
-                u = gravity_op(u, dt, cfg.gravity, out=u)
+                gravity_op(u, dt, cfg.gravity, out=u)
     return u, dt
 
 
 def total_entropy(f: Forest, u: np.ndarray, fp: FluidPair) -> float:
     """Sum of |K_i| (rho F(rho, Y) + rho |u|^2 / 2) over all leaves."""
-    rho = u[:, IRHO]
+    rho = eos._check_density(u[:, IRHO], f.leaf_label)
     Y = u[:, IRHOY] / rho
     F = eos.free_energy(rho, Y, fp)
     kinetic = 0.5 * np.sum(u[:, IMX:] ** 2, axis=1) / rho

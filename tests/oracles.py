@@ -443,14 +443,14 @@ def csv_text(f, u, fp, point, direction):
 # kernels worked on whole (ncomp, n) blocks.  They share the EOS conversions
 # and the physical flux with the library, and nothing else.
 
-def suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR):
-    """Relaxation flux between rotated states, one component column at a time."""
+def suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR, normal=2):
+    """Relaxation flux across a face whose normal momentum is column ``normal``, one column at a time."""
     WL = np.asarray(WL, dtype=np.float64)
     WR = np.asarray(WR, dtype=np.float64)
     rhoL, rhoR = WL[..., 0], WR[..., 0]
     a = fp.theta * np.maximum(rhoL * cL, rhoR * cR)
-    uL = WL[..., 2] / rhoL
-    uR = WR[..., 2] / rhoR
+    uL = WL[..., normal] / rhoL
+    uR = WR[..., normal] / rhoR
     half_du = 0.5 * (uR - uL)
     half_dp = 0.5 * (pL - pR) / a
     duL = half_du + half_dp
@@ -469,7 +469,7 @@ def suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR):
         wl, wr, o = WL[..., i], WR[..., i], out[..., i]
         np.multiply(wl, uL, out=o)
         np.multiply(wr, uR, out=term)
-        if i == 2:
+        if i == normal:
             o += pL
             term += pR
             np.divide(wl + mL, denomL, out=starL)
@@ -491,10 +491,10 @@ def suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR):
     return out
 
 
-def wall_image(W):
-    """The state across a wall: a copy with the normal momentum (slot 2) negated."""
+def wall_image(W, normal=2):
+    """The state across a wall: a copy with the normal momentum (column ``normal``) negated."""
     G = np.array(W, dtype=np.float64)
-    G[..., 2] = -G[..., 2]
+    G[..., normal] = -G[..., normal]
     return G
 
 
@@ -502,7 +502,8 @@ def minmod_sigma_columns(f, axis, V, dx):
     """Minmod slopes over every face of each cell, one component column at a time.
 
     A wall row takes the slope to the cell's wall image, -2 u_n / dx on a
-    low wall and +2 u_n / dx on a high one, from the cell alone.
+    low wall and +2 u_n / dx on a high one, from the cell alone; u_n is the
+    velocity in column 2 + axis.
     """
     fl = f.face_list(axis)
     walls = np.concatenate([fl.wall_lo, fl.wall_hi])
@@ -514,7 +515,7 @@ def minmod_sigma_columns(f, axis, V, dx):
         v = V[:, i]
         np.subtract(v[fl.hi], v[fl.lo], out=rows)
         rows /= fl.dist
-        rows[walls] = sign * (-2.0 * v[cells]) / dx[cells] if i == 2 else 0.0
+        rows[walls] = sign * (-2.0 * v[cells]) / dx[cells] if i == 2 + axis else 0.0
         cols = [rows[fl.slots[:, s, j]] for s in (0, 1) for j in range(fl.slots.shape[2])]
         smin = cols[0].copy()
         smax = cols[0].copy()
@@ -526,8 +527,11 @@ def minmod_sigma_columns(f, axis, V, dx):
     return sigma
 
 
-def muscl_predict_columns(W, sigma, dx, dt, fp, V=None):
-    """MUSCL-Hancock face states, each side and component separately; (WfL, WfR, fallback)."""
+def muscl_predict_columns(W, sigma, dx, dt, fp, V=None, normal=2):
+    """MUSCL-Hancock face states, each side and component separately; (WfL, WfR, fallback).
+
+    Column ``normal`` of ``W`` is the sweep axis' momentum.
+    """
     from amrfv import eos, riemann
 
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
@@ -551,8 +555,8 @@ def muscl_predict_columns(W, sigma, dx, dt, fp, V=None):
     WR[fallback] = W[fallback]
     pL = eos.mixture_pressure(WL[:, 0], WL[:, 1] / WL[:, 0], fp)
     pR = eos.mixture_pressure(WR[:, 0], WR[:, 1] / WR[:, 0], fp)
-    WfL = riemann.physical_flux(WL, pL)
-    WfR = riemann.physical_flux(WR, pR)
+    WfL = riemann.physical_flux(WL, pL, normal=normal)
+    WfR = riemann.physical_flux(WR, pR, normal=normal)
     scale = 0.5 * dt / dx
     for i in range(V.shape[1]):
         dF = WfR[:, i] - WfL[:, i]

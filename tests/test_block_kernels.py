@@ -3,8 +3,9 @@
 The flux, slope and MUSCL-Hancock kernels make one numpy call per operation
 over a whole ``(ncomp, n)`` block, and MUSCL-Hancock handles both face sides
 in one ``(ncomp, 2n)`` block.  ``tests/oracles.py`` keeps the same kernels
-written one component column at a time.  Every case compares int64 views,
-so it checks every bit, signed zeros included.
+written one component column at a time.  The flux and MUSCL-Hancock cases
+run with the face normal on each axis' momentum row.  Every case compares
+int64 views, so it checks every bit, signed zeros included.
 """
 import numpy as np
 import pytest
@@ -41,10 +42,10 @@ def p_and_c(W, fp):
     return eos._pressure_and_speed(W[..., 0], W[..., 1] / W[..., 0], fp)
 
 
-def walled_forest(dim, seed):
-    """Two-level refined forest, walls on axis 0, hanging faces on every axis."""
+def walled_forest(dim, seed, walls=(0,)):
+    """Two-level refined forest, walls on the ``walls`` axes, hanging faces on every axis."""
     rng = np.random.default_rng(seed)
-    conn = Connectivity(dim, (1,) * dim, (False,) + (True,) * (dim - 1), 1.0)
+    conn = Connectivity(dim, (1,) * dim, tuple(a not in walls for a in range(dim)), 1.0)
     f = new_uniform(conn, level=1, b=4)
     for _ in range(2):
         marks = rng.choice([KEEP, REFINE], p=[0.6, 0.4], size=f.nleaves).astype(np.int8)
@@ -61,12 +62,13 @@ class TestFlux:
         fp, rng = FLUIDS[fluid], np.random.default_rng(dim)
         WL, WR = batch(rng, 200, dim, fp, order), batch(rng, 200, dim, fp, order)
         (pL, cL), (pR, cR) = p_and_c(WL, fp), p_and_c(WR, fp)
-        expected = oracles.suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR)
-        assert_bits(riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR), expected)
-        # into the head of a larger column-major block, as the sweep writes it
-        out = np.empty((dim + 2, 203)).T
-        riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=out[:200])
-        assert_bits(out[:200], expected)
+        for normal in range(2, 2 + dim):
+            expected = oracles.suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR, normal=normal)
+            assert_bits(riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR, normal=normal), expected)
+            # into the head of a larger column-major block, as the sweep writes it
+            out = np.empty((dim + 2, 203)).T
+            riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR, out=out[:200], normal=normal)
+            assert_bits(out[:200], expected)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_single_rows(self, dim):
@@ -84,26 +86,30 @@ class TestFlux:
         # a wall row joins a face state to its mirror, on either side of it
         rng = np.random.default_rng(6)
         W = batch(rng, 50, 2, AIR_WATER, order, speed=5.0)
-        G = oracles.wall_image(W)
         p, c = p_and_c(W, AIR_WATER)
-        for A, B in ((W, G), (G, W)):
-            got = riemann.suliciu_flux(A, B, AIR_WATER, p, p, c, c)
-            assert_bits(got, oracles.suliciu_flux_columns(A, B, AIR_WATER, p, p, c, c))
+        for normal in (2, 3):
+            G = oracles.wall_image(W, normal)
+            for A, B in ((W, G), (G, W)):
+                got = riemann.suliciu_flux(A, B, AIR_WATER, p, p, c, c, normal=normal)
+                assert_bits(got, oracles.suliciu_flux_columns(A, B, AIR_WATER, p, p, c, c, normal=normal))
 
 
 class TestSlopes:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_hanging_faces_and_walls(self, dim, order):
-        f = walled_forest(dim, seed=dim)
-        rng = np.random.default_rng(7)
-        V = eos.to_primitive(batch(rng, f.nleaves, dim, MILD, order, speed=3.0))
-        V = np.asfortranarray(V) if order == "F" else np.ascontiguousarray(V)
-        assert len(f.face_list(0).wall_lo) > 0 and len(f.face_list(0).wall_hi) > 0
-        assert max(f.face_list(axis).slots.shape[2] for axis in range(dim)) >= 2
-        for axis in range(dim):
-            got = solver._minmod_sigma(f, axis, V)
-            assert_bits(got, oracles.minmod_sigma_columns(f, axis, V, f.dx))
+        # walls on axis 0, then on every axis, where each axis mirrors its own velocity
+        for walled in ((0,), range(dim)):
+            f = walled_forest(dim, seed=dim, walls=walled)
+            rng = np.random.default_rng(7)
+            V = eos.to_primitive(batch(rng, f.nleaves, dim, MILD, order, speed=3.0))
+            V = np.asfortranarray(V) if order == "F" else np.ascontiguousarray(V)
+            for axis in walled:
+                assert len(f.face_list(axis).wall_lo) > 0 and len(f.face_list(axis).wall_hi) > 0
+            assert max(f.face_list(axis).slots.shape[2] for axis in range(dim)) >= 2
+            for axis in range(dim):
+                got = solver._minmod_sigma(f, axis, V)
+                assert_bits(got, oracles.minmod_sigma_columns(f, axis, V, f.dx))
 
     def test_non_finite_slopes_are_zero_in_both(self):
         f = walled_forest(2, seed=3)
@@ -128,12 +134,13 @@ class TestMuscl:
         sigma = 0.3 * V * rng.normal(0.0, 1.0, V.shape)
         dx = np.full(n, 0.5)
         kw = {"V": V} if given_v else {}
-        got = solver.muscl_predict(W, sigma, dx, 1e-3, MILD, **kw)
-        expected = oracles.muscl_predict_columns(W, sigma, dx, 1e-3, MILD, **kw)
-        for a, b in zip(got, expected):
-            assert_bits(a, b)
-        # each component column of both face-state halves is contiguous
-        assert got[0].strides[0] == got[1].strides[0] == 8
+        for normal in range(2, 2 + dim):
+            got = solver.muscl_predict(W, sigma, dx, 1e-3, MILD, normal=normal, **kw)
+            expected = oracles.muscl_predict_columns(W, sigma, dx, 1e-3, MILD, normal=normal, **kw)
+            for a, b in zip(got, expected):
+                assert_bits(a, b)
+            # each component column of both face-state halves is contiguous
+            assert got[0].strides[0] == got[1].strides[0] == 8
 
     def test_single_row(self):
         rng = np.random.default_rng(12)

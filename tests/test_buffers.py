@@ -77,7 +77,31 @@ def test_second_step_allocates_only_its_result():
     assert peak <= 2 * u.nbytes
 
 
+def test_step_buffer_holds_no_copy_of_the_state():
+    # 4,096 leaves, 2D order-2 Strang: the sweeps read and update the step's
+    # result in place, so the buffer holds no copy of the state; one more
+    # state-sized block would take it to 12.75 times the state
+    f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=6, b=6)
+    u, _ = solver.step(f, smooth_state(f), STRANG2, MILD)
+    u, _ = solver.step(f, u, STRANG2, MILD)
+    assert solver._ARENA.buf.nbytes <= 11.75 * u.nbytes
+
+
 class TestNoAliasing:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sweep_into_its_input_or_a_fresh_array(self, dim, order):
+        # the same bits either way, and a fresh result leaves the input untouched
+        f = walled_forest(dim, seed=dim)
+        u = np.asfortranarray(smooth_state(f))
+        kept = u.copy()
+        for axis in range(dim):
+            fresh = solver.sweep(f, u, axis, 1e-4, SweepConfig(order=order), MILD)
+            assert_bits(u, kept)
+            inplace = u.copy(order="F")
+            assert solver.sweep(f, inplace, axis, 1e-4, SweepConfig(order=order), MILD, out=inplace) is inplace
+            assert_bits(inplace, fresh)
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_step_and_sweep_results_survive_the_next_call(self, order):
         f = walled_forest(2, seed=1)

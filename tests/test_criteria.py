@@ -4,7 +4,7 @@ import pytest
 from amrfv import criteria, eos, harness
 from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
-from amrfv.errors import ConfigError
+from amrfv.errors import ConfigError, EosError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
 
 import oracles
@@ -93,6 +93,17 @@ class TestEvaluate:
         mixed = evaluate(Criterion("mixed", 1e-5), f, u, MILD)
         rho_only = evaluate(Criterion("rho_gradient", 1e-5), f, u, MILD)
         assert np.all(mixed >= rho_only - 1e-15)
+
+    @pytest.mark.parametrize("kind", ["alpha_gradient", "rho_gradient", "mixed"])
+    def test_zero_density_names_the_leaf(self, kind):
+        # every kind checks the density before anything divides by it
+        f = random_balanced(seed=5)
+        u = eos.state_from_pressure_alpha(1e5, np.full(f.nleaves, 0.4), np.array([1.0, 0.0]), MILD)
+        u[6, 0] = 0.0
+        with pytest.raises(EosError) as err:
+            evaluate(Criterion(kind, xi=1e-5), f, u, MILD)
+        assert str(err.value) == f"non-positive or non-finite density at {f.leaf_label(6)}"
+        assert err.value.index == 6
 
     def test_bad_criterion(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from amrfv import eos, harness, solver, vtkio
-from amrfv.errors import ConfigError
+from amrfv.errors import ConfigError, EosError
 from amrfv.forest import REFINE, Connectivity, Forest, new_uniform
 from amrfv.harness import (
     compression_rate,
@@ -222,6 +222,15 @@ class TestNormsAndRates:
         assert l1_error(setup.forest, setup.field, cfg.fluids, exact) < 1e-12
         assert l2_error(setup.forest, setup.field, cfg.fluids, exact) < 1e-12
 
+    @pytest.mark.parametrize("norm", [l1_error, l2_error])
+    def test_zero_density_names_the_leaf(self, norm):
+        setup = init_case(small_smooth())
+        setup.field[5, 0] = 0.0
+        exact = setup.exact_alpha(setup.forest.centers, 0.0)
+        with pytest.raises(EosError) as err:
+            norm(setup.forest, setup.field, setup.fluids, exact)
+        assert str(err.value) == f"non-positive or non-finite density at {setup.forest.leaf_label(5)}"
+
     def test_two_point_slope(self):
         assert convergence_rate([2.0, 1.0], [0.2, 0.1]) == pytest.approx(1.0)
 
@@ -258,6 +267,27 @@ class TestRun:
         assert str(err.value) == (
             "solver failed at t=0 (step 1, 64 leaves): "
             "non-finite or non-positive time step at leaf 10 (level 3, centre (0.0625, 0.4375))"
+        )
+
+    def test_adapt_failure_names_the_step_and_the_leaf(self, monkeypatch):
+        # the step before an adapt leaves a zero density at leaf 4: the
+        # criterion names the leaf, and the run names the time and the step
+        step, seen = solver.step, []
+
+        def emptying_step(f, u, *args, **kwargs):
+            u, dt = step(f, u, *args, **kwargs)
+            u[4, 0] = 0.0
+            seen.append((f, dt))
+            return u, dt
+
+        monkeypatch.setattr(solver, "step", emptying_step)
+        cfg = default_config("disk_advection", max_level=4, min_level=2, adapt_every=1, t_end=0.1)
+        with pytest.raises(ArithmeticError) as err:
+            run(cfg, write_outputs=False)
+        [(f, dt)] = seen
+        assert str(err.value) == (
+            f"adapt failed at t={dt:.6g} (step 1, {f.nleaves} leaves): "
+            f"non-positive or non-finite density at {f.leaf_label(4)}"
         )
 
     def test_rank_count_leaves_physics_unchanged(self):

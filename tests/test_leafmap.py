@@ -33,6 +33,9 @@ def random_marks(rng, f):
 
 
 def adapt_with_marks(monkeypatch, f, u, marks):
+    # the fields are not states (their densities take both signs), so the
+    # criterion, which rejects a non-positive density, is skipped with the marks
+    monkeypatch.setattr(harness, "evaluate", lambda *a: None)
     monkeypatch.setattr(harness, "mark", lambda *a: marks)
     return harness.adapt_mesh(f, u, CRIT, MILD, f.min_level, f.b)
 

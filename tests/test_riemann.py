@@ -22,10 +22,10 @@ def speed(W, fp):
     return eos.wood_sound_speed(W[..., 0], W[..., 1] / W[..., 0], fp)
 
 
-def flux(WL, WR, fp):
+def flux(WL, WR, fp, normal=2):
     """Suliciu flux with both states' pressures and Wood speeds evaluated here."""
     pL, pR, cL, cR = pressure(WL, fp), pressure(WR, fp), speed(WL, fp), speed(WR, fp)
-    return riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR)
+    return riemann.suliciu_flux(WL, WR, fp, pL, pR, cL, cR, normal=normal)
 
 
 class TestRelaxationSpeed:
@@ -100,6 +100,47 @@ class TestSuliciuFlux:
         WR = state(10.0, 0.5, [-50.0, 0.0], SHOCK)
         with pytest.raises(VacuumError):
             flux(WL, WR, SHOCK)
+
+
+@pytest.mark.parametrize("dim, normal", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+class TestNormalRow:
+    """A kernel told the normal row gives the bits of the default call on the
+    states with that row moved to row 2 (the other momenta keep their order)."""
+
+    @staticmethod
+    def to_row_2(dim, normal):
+        return [0, 1, normal, *(m for m in range(2, 2 + dim) if m != normal)]
+
+    @staticmethod
+    def batches(dim, normal, n=60):
+        # left states rush towards the right ones along the normal; row 7
+        # converges hard enough to overrun the relaxation bound
+        rng = np.random.default_rng(dim + normal)
+        vel = rng.normal(0.0, 1.0, (2, n, dim))
+        vel[0, 7, normal - 2], vel[1, 7, normal - 2] = 50.0, -50.0
+        vel[:, ::5, normal - 2] = -0.0
+        return [state(10.0 + rng.random(n), rng.uniform(0.1, 0.9, n), v, SHOCK) for v in vel]
+
+    def test_physical_flux(self, dim, normal):
+        W, _ = self.batches(dim, normal)
+        p = pressure(W, SHOCK)
+        perm = self.to_row_2(dim, normal)
+        got = riemann.physical_flux(W, p, normal=normal)[:, perm]
+        np.testing.assert_array_equal(got.view(np.int64), riemann.physical_flux(W[:, perm], p).view(np.int64))
+
+    def test_suliciu_flux(self, dim, normal):
+        WL, WR = (W[8:] for W in self.batches(dim, normal))
+        perm = self.to_row_2(dim, normal)
+        got = flux(WL, WR, SHOCK, normal=normal)[:, perm]
+        np.testing.assert_array_equal(got.view(np.int64), flux(WL[:, perm], WR[:, perm], SHOCK).view(np.int64))
+
+    def test_vacuum_row(self, dim, normal):
+        WL, WR = self.batches(dim, normal)
+        perm = self.to_row_2(dim, normal)
+        for args in ((WL, WR, SHOCK, normal), (WL[:, perm], WR[:, perm], SHOCK)):
+            with pytest.raises(VacuumError) as err:
+                flux(*args)
+            assert err.value.row == 7
 
 
 class TestShockTubeSelfConvergence:

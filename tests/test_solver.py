@@ -156,26 +156,29 @@ class TestSweep:
         np.testing.assert_allclose(out[1], expected1, rtol=1e-14, atol=1e-14)
 
     def test_order2_walls_flux_the_wall_side_face_states(self):
-        # three cells between two walls: each wall row fluxes its cell's face
-        # state on the wall side against that state's wall image
-        conn = Connectivity(2, (3, 1), (False, True), 1.0)
-        f = new_uniform(conn, level=0, b=0)
-        u = np.stack([
-            eos.state_from_pressure_alpha(p, a, np.array([v, 0.05]), SHOCK)
-            for p, a, v in ((12.0, 0.7, 0.1), (11.0, 0.5, 0.3), (10.0, 0.3, 0.2))
-        ])
-        dt = 1e-2
-        out = solver.sweep(f, u, 0, dt, SweepConfig(order=2), SHOCK)
-        sigma = oracles.minmod_sigma_columns(f, 0, eos.to_primitive(u), f.dx)
-        # u_n has a slope in both wall cells, so their two face states differ
-        assert sigma[0, 2] > 0 > sigma[2, 2]
-        low, high, fallback = oracles.muscl_predict_columns(u, sigma, f.dx, dt, SHOCK)
-        assert not fallback.any()
-        phi = [flux(oracles.wall_image(low[0]), low[0], SHOCK)]
-        phi += [flux(high[i], low[i + 1], SHOCK) for i in range(2)]
-        phi.append(flux(high[2], oracles.wall_image(high[2]), SHOCK))
-        for i in range(3):
-            np.testing.assert_allclose(out[i], u[i] - dt * (phi[i + 1] - phi[i]), rtol=1e-14, atol=1e-14)
+        # three cells between two walls, across x and then across y: each
+        # wall row fluxes its cell's face state on the wall side against that
+        # state's wall image, which negates the momentum of the sweep axis
+        for axis in (0, 1):
+            n = 2 + axis
+            trees, periodic = ((3, 1), (False, True)) if axis == 0 else ((1, 3), (True, False))
+            f = new_uniform(Connectivity(2, trees, periodic, 1.0), level=0, b=0)
+            u = np.stack([
+                eos.state_from_pressure_alpha(p, a, np.array((v, 0.05) if axis == 0 else (0.05, v)), SHOCK)
+                for p, a, v in ((12.0, 0.7, 0.1), (11.0, 0.5, 0.3), (10.0, 0.3, 0.2))
+            ])
+            dt = 1e-2
+            out = solver.sweep(f, u, axis, dt, SweepConfig(order=2), SHOCK)
+            sigma = oracles.minmod_sigma_columns(f, axis, eos.to_primitive(u), f.dx)
+            # u_n has a slope in both wall cells, so their two face states differ
+            assert sigma[0, n] > 0 > sigma[2, n]
+            low, high, fallback = oracles.muscl_predict_columns(u, sigma, f.dx, dt, SHOCK, normal=n)
+            assert not fallback.any()
+            phi = [flux(oracles.wall_image(low[0], n), low[0], SHOCK, n)]
+            phi += [flux(high[i], low[i + 1], SHOCK, n) for i in range(2)]
+            phi.append(flux(high[2], oracles.wall_image(high[2], n), SHOCK, n))
+            for i in range(3):
+                np.testing.assert_allclose(out[i], u[i] - dt * (phi[i + 1] - phi[i]), rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_periodic_conservation_per_sweep(self, order):
@@ -615,3 +618,9 @@ class TestEntropy:
             s = solver.total_entropy(f, u, fp)
             assert s <= s_prev + 1e-10
             s_prev = s
+
+    def test_zero_density_names_the_leaf(self):
+        f, u = one_bad_leaf(0.0)
+        with pytest.raises(EosError) as err:
+            solver.total_entropy(f, u, MILD)
+        assert str(err.value) == f"non-positive or non-finite density at {BAD_LEAF}"
