@@ -10,10 +10,11 @@ projects the solution once.  There is one neighbour query, ``_face_rows``:
 each leaf locates the lattice point one step across its high face, and a
 leaf with a finer neighbour locates each fine sub-face, so every face of an
 axis is found once, from its lower leaf.  ``face_list`` is the one
-face-connectivity structure the kernels and ``balance`` use: lo-ordered face
-rows, a wall being a row from its cell to itself, plus a per-cell slot table,
-so each cell reduces its own faces in a fixed order and a rank's flux duty
-is one contiguous slice of the rows between cells and one of the wall rows.
+face-connectivity structure the kernels and ``balance`` use: row i is cell
+i's first high face, then a tail of the other sub-faces and the low walls by
+cell (a wall is a row from its cell to itself), plus a per-cell slot table,
+so kernels read each head row's lo end in place, each cell reduces its own
+faces in a fixed order and a rank fluxes one slice of the head and the tail.
 """
 from __future__ import annotations
 
@@ -127,18 +128,21 @@ class FaceList:
 
     ``Forest.face_list`` builds it on first use; an adapt builds none for its
     new forest.  Each row joins ``lo`` (lower coordinate side) to ``hi``, and
-    every kernel reads every row the same way.  Rows between two cells come
-    first, ordered by ``lo``; hanging faces appear once per fine sub-face.  A
-    wall (a non-periodic domain face) is a row from its cell to itself, with
-    area dx^(d-1) and distance dx, whose end across the wall stands for the
-    cell's mirror image, the cell with its normal momentum negated.
-    ``wall_lo`` names the wall rows on a cell's low face (their lo end is the
-    mirror) and ``wall_hi`` those on its high face (their hi end is).  Wall
-    rows follow the others, ordered by cell, low face first.  ``slots[i, s]``
-    lists the rows on side s (0 = low, 1 = high) of cell i in row order.  Its
-    last extent k is the largest face count of any cell side; a side with
-    fewer faces repeats its last row with zero ``slot_area``, so the repeat
-    changes no running min/max and adds an exact zero to sums.
+    every kernel reads every row the same way.  Hanging faces appear once per
+    fine sub-face.  A wall (a non-periodic domain face) is a row from its cell
+    to itself, with area dx^(d-1) and distance dx, whose end across the wall
+    stands for the cell's mirror image, the cell with its normal momentum
+    negated.  ``wall_lo`` names the wall rows on a cell's low face (their lo
+    end is the mirror) and ``wall_hi`` those on its high face (their hi end is).
+    The head, rows i < n, holds cell i's first high face (the first sub-face
+    of a hanging face, or the high wall) in row i, so ``lo[:n] == arange(n)``
+    and kernels read the head's lo ends in place.  The tail holds the other
+    sub-faces and the low walls, ordered by lo cell, a cell's sub-faces first:
+    a rank owning cells [a, b) fluxes head rows [a, b) and one tail slice.
+    ``slots[i, s]`` lists the rows on side s (0 = low, 1 = high) of cell i in
+    row order, so ``slots[i, 1, 0] == i``.  Its last extent k is the largest
+    face count of a cell side; a side with fewer faces repeats its last row
+    with zero ``slot_area``: no change to a running min/max, +0.0 to sums.
     """
 
     axis: int
@@ -152,12 +156,16 @@ class FaceList:
     slot_area: np.ndarray  # (n, 2, k)
 
     def columns(self, row_values: np.ndarray, out=None):
-        """Per-row values gathered one slot column at a time.
+        """Per-row values one slot column at a time, low side first.
 
-        Each column goes into ``out`` when given, overwriting the last one.
+        Slot 0 of the high side is the head, ``row_values[:n]`` itself; every
+        other column is gathered into ``out`` when given, overwriting the last.
         """
-        k = self.slots.shape[2]
-        return (row_values.take(self.slots[:, s, j], out=out, mode="clip") for s in (0, 1) for j in range(k))
+        n, _, k = self.slots.shape
+        return (
+            row_values[:n] if (s, j) == (1, 0) else row_values.take(self.slots[:, s, j], out=out, mode="clip")
+            for s in (0, 1) for j in range(k)
+        )
 
 
 class Forest:
@@ -390,19 +398,18 @@ class Forest:
         levels apart shows from its lower leaf: as a gap of -2 or less, of +2
         or more, or as a sub-face in a leaf two levels finer.
 
-        Returns ``(lo, hi, interior, named)``: the lo-ordered rows, the
-        interior mask of the high faces, and the querying leaf a face-list
-        error names (None on a balanced axis).
+        Returns ``(lo, hi, interior, named)``: the rows, one per interior
+        high face (its first sub-face) by lo cell, then the other sub-faces by
+        lo cell; the interior mask of the high faces; and the querying leaf a
+        face-list error names (None on a balanced axis).
         """
         dim = self.dim
         ntree, pts, interior = self._adjacent_points(axis)
         ii = np.flatnonzero(interior)
-        nb = self.locate(ntree[ii], pts[ii])
+        lo = ii
+        hi = nb = self.locate(ntree[ii], pts[ii])
         dlvl = self.level[nb] - self.level[ii]
         m = 1 << (dim - 1)
-        counts = np.where(dlvl == 1, m, 1)
-        lo = np.repeat(ii, counts)
-        hi = np.repeat(nb, counts)
         fin = np.flatnonzero(dlvl == 1)
         deep = np.zeros(0, dtype=np.int64)
         if len(fin):
@@ -412,10 +419,10 @@ class Forest:
             src = ii[fin]
             h = self.sizes[src] // 2
             sub_pts = pts[src][:, None, :] + offs[None, :, :] * h[:, None, None]
-            idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim))
-            deep = src[(self.level[idx] != np.repeat(self.level[src] + 1, m)).reshape(-1, m).any(axis=1)]
-            first = np.cumsum(counts)[fin] - m
-            hi[(first[:, None] + np.arange(m)).ravel()] = idx
+            idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim)).reshape(-1, m)
+            deep = src[(self.level[idx] != self.level[src, None] + 1).any(axis=1)]
+            nb[fin] = idx[:, 0]
+            lo, hi = np.concatenate([ii, np.repeat(src, m - 1)]), np.concatenate([nb, idx[:, 1:].ravel()])
         wide = ii[np.abs(dlvl) > 1]
         named = wide.min() if len(wide) else deep.min() if len(deep) else None
         return lo, hi, interior, named
@@ -438,19 +445,25 @@ class Forest:
         return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
 
     def _finish_face_list(self, axis: int, lo, hi, interior) -> FaceList:
-        """Walls, areas, distances and slot table of the balanced rows ``_face_rows`` found."""
+        """Head and tail rows, areas, distances and slot table of the balanced rows ``_face_rows`` found."""
         dim, n = self.dim, self.nleaves
 
-        # non-periodic domain faces, ordered by cell, low side first; a low
-        # wall is a leaf on the low face of a tree on the low face of the brick
+        # head row i: cell i's first high (sub-)face or wall; the tail: other
+        # sub-faces, then low walls (a leaf on the low face of a tree on the
+        # low face of the brick), by cell
         low_wall = np.zeros(n, dtype=bool)
         if not self.conn.periodic[axis]:
             edge = np.flatnonzero(self.coords[:, axis] == 0)
             low_wall[edge] = self.conn.tree_coords_many(self.tree[edge])[:, axis] == 0
-        cell, side = np.nonzero(np.stack([low_wall, ~interior], axis=1))
-        walls = len(lo) + np.arange(len(cell))
-        wall_lo, wall_hi = walls[side == 0], walls[side == 1]
-        lo, hi = np.concatenate([lo, cell]), np.concatenate([hi, cell])
+        ni = np.count_nonzero(interior)
+        head_hi = np.arange(n)
+        head_hi[interior] = hi[:ni]
+        cells = np.flatnonzero(low_wall)
+        order = np.argsort(np.concatenate([lo[ni:], cells]), kind="stable")
+        tail_lo, tail_hi = (np.concatenate([ends[ni:], cells])[order] for ends in (lo, hi))
+        wall_lo = n + np.flatnonzero(order >= len(order) - len(cells))
+        wall_hi = np.flatnonzero(~interior)
+        lo, hi = np.concatenate([np.arange(n), tail_lo]), np.concatenate([head_hi, tail_hi])
         dlo, dhi = self.dx[lo], self.dx[hi]
         area = np.minimum(dlo, dhi) ** (dim - 1)
         dist = 0.5 * (dlo + dhi)

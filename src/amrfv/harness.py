@@ -34,7 +34,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PHASES = ("sweep", "slopes", "flux", "eos", "mark", "adapt", "partition", "faces", "ghost", "io")
+PHASES = ("sweep", "slopes", "flux", "eos", "dt", "mark", "adapt", "partition", "faces", "ghost", "io")
 
 
 @dataclass(frozen=True)

@@ -11,26 +11,24 @@ A sweep is one pass over all leaves.  ``step`` copies the state once into
 its column-major result, whose transpose is a C-contiguous ``(ncomp, n)``
 block, and every sweep and gravity half-step updates that result in place;
 each kernel makes one numpy call per operation over all components.  The
-MUSCL-Hancock face states of both sides form one ``(ncomp, 2n)`` block with
-one conversion, pressure and physical flux call, and one closure solve once
-corrected.  Faces come from ``Forest.face_list``: rows ordered by their
-lower-z-order cell, wall rows after them, and a per-cell slot table.  A wall
+face states of both sides, their pressures and sound speeds form one
+``(ncomp + 2, 2n)`` block (one conversion, pressure and physical flux call,
+and one closure solve once corrected).  Faces come from ``Forest.face_list``:
+row i starts at cell i, so the flux and slope kernels read the head's lo
+ends in place and gather only the hi ends and the tail's lo ends.  A wall
 row's end across the wall reads the cell's own face state on the wall side
 with its normal momentum negated, so one flux call covers all rows; then
-each cell sums its sides' slots in slot order from +0.0, so no bit depends
-on a partition.
-The simulated-rank contract (a rank fluxes the rows whose lo cell it owns,
-reading owned and ghost cells only) is a property of the face list and
-``partition.ghost_layer`` that the test suite checks, not a loop here.
+each cell sums its sides' slots in slot order, so no bit depends on a
+partition.  The simulated-rank contract (a rank fluxes the rows whose lo
+cell it owns, reading owned and ghost cells only) is a property of the face
+list and ``partition.ghost_layer`` that the test suite checks.
 
 Every block temporary of a step is carved from one flat buffer, the module's
 ``_Arena``, which lives across steps and is re-laid when the leaf or
-component count changes: the primitive variables and slopes, the face-state
-blocks, the closure rows, the gathered face states, the flux block and the
-slot sums (11.75 times the state at order 2 in 2D).  The kernels write into
-those blocks through ``out=`` (and the flux's scratch rows through
-``work=``), with the same operations in the same order as into fresh
-arrays, so once the first sweep of a shape has sized the buffer a step
+component count changes (10.03 times the state at order 2 on a uniform 2D
+mesh).  The kernels write into it through ``out=`` (``work=`` for the
+flux's scratch rows) with the same operations in the same order as into
+fresh arrays, so once the first sweep of a shape has sized the buffer a step
 allocates only its result and touches no fresh pages.  Nothing returned
 shares memory with the buffer: ``step`` and ``sweep`` return a fresh array
 or the caller's ``out=``, and a kernel called without ``out=`` runs into
@@ -86,7 +84,7 @@ def _sec(prof, name: str):
 class _Arena:
     """One flat float buffer handed out front to back as C-contiguous blocks.
 
-    ``take`` carves float, int64 or bool blocks, and a ``with arena.scope():``
+    ``take`` carves float, int64 or bool blocks, and a ``with arena:``
     block hands back everything taken inside it.  A request past the end of
     the buffer gets a fresh array and raises the high-water mark, which
     ``reset`` then grows the buffer to, so only the first sweep of a shape
@@ -119,9 +117,6 @@ class _Arena:
         self.views[at] = view, end
         self.top = end
         return view
-
-    def scope(self):
-        return self
 
     def __enter__(self):
         self.marks.append(self.top)
@@ -157,16 +152,6 @@ def _arena(n: int, ncomp: int) -> _Arena:
     return _ARENA
 
 
-def _cell_speeds(W: np.ndarray, fp: FluidPair, out=None):
-    """Mixture pressure and Wood sound speed of state rows, one closure solve.
-
-    They land in ``out[3]`` and ``out[0]`` of the six closure rows ``out``.
-    """
-    rho = eos._check_density(W[:, IRHO])
-    Y = np.divide(W[:, IRHOY], rho, out=None if out is None else out[0])
-    return eos._pressure_and_speed(rho, Y, fp, out)
-
-
 def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=None) -> float:
     """Global time step C * min_i dx_i / (|u_i| + a_i/rho_i).
 
@@ -178,9 +163,9 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     stability bound for the whole splitting sequence.
     """
     n = f.nleaves
-    arena = _arena(n, u.shape[1])
-    rho = u[:, IRHO]
     with _sec(prof, "eos"):
+        arena = _arena(n, u.shape[1])
+        rho = u[:, IRHO]
         rows = arena.take(6, n)
         # a bad density gives a bad Y here, but the sound speed rejects it first
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,27 +174,48 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
             c = eos.wood_sound_speed(rho, rows[0], fp, out=rows)
         except EosError as exc:
             raise EosError(f"time step at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
-    imp, imp_max, col = arena.take(3, n)
-    np.multiply(rho, c, out=imp)
-    np.copyto(imp_max, imp)
-    for axis in range(f.dim):
-        fl = f.face_list(axis)
-        with arena.scope():
-            rows, hi = arena.take(2, len(fl.lo))
-            np.maximum(imp.take(fl.lo, out=rows, mode="clip"), imp.take(fl.hi, out=hi, mode="clip"), out=rows)
-            for column in fl.columns(rows, out=col):
-                np.maximum(imp_max, column, out=imp_max)
-    speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
-    speed /= rho
-    imp_max *= fp.theta
-    imp_max /= rho
-    speed += imp_max
-    dts = np.divide(f.dx, speed, out=speed)
-    dt = cfg.cfl * float(dts.min())
+    with _sec(prof, "dt"):
+        imp, imp_max, col = arena.take(3, n)
+        np.multiply(rho, c, out=imp)
+        np.copyto(imp_max, imp)
+        for axis in range(f.dim):
+            fl = f.face_list(axis)
+            with arena:
+                rows = imp.take(fl.hi, out=arena.take(len(fl.lo)), mode="clip")
+                np.maximum(_lo_ends(fl, imp[None], 0, arena)[0], rows, out=rows)
+                for column in fl.columns(rows, out=col):
+                    np.maximum(imp_max, column, out=imp_max)
+        speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
+        speed /= rho
+        imp_max *= fp.theta
+        imp_max /= rho
+        speed += imp_max
+        dts = np.divide(f.dx, speed, out=speed)
+        dt = cfg.cfl * float(dts.min())
     if not np.isfinite(dt) or dt <= 0:
         first = int(np.argmin((dts > 0) & (dts < np.inf)))
         raise ArithmeticError(f"non-finite or non-positive time step at {f.leaf_label(first)}")
     return dt
+
+
+def _lo_ends(fl, block: np.ndarray, off: int, arena: _Arena) -> np.ndarray:
+    """Column ``off + i`` of ``block`` for each face row's lo cell i, column i for a low wall.
+
+    Without a tail, the head's view in place; else one C-contiguous block from
+    ``arena``, as kernels on row-strided views cost more per call on small meshes.
+    """
+    (nrow, _), n, nf = block.shape, len(fl.slots), len(fl.lo)
+    if nf == n:
+        return block[:, off:off + n]
+    ends = arena.take(nrow, nf)
+    np.copyto(ends[:, :n], block[:, off:off + n])
+    with arena:
+        at = fl.lo[n:]
+        if off:
+            at = np.add(at, off, out=arena.take(nf - n, dtype=np.int64))
+            at[fl.wall_lo - n] -= off
+        np.copyto(ends[:, n:], block.take(at, axis=1, out=arena.take(nrow, nf - n), mode="clip"))
+    return ends
 
 
 def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> np.ndarray:
@@ -229,39 +235,40 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
     ncomp, n = Vt.shape
     arena = arena or _Arena()
     sigma = np.empty((ncomp, n)) if out is None else out.T
-    with arena.scope():
+    with arena:
         rows = arena.take(ncomp, nf)
-        with arena.scope():
-            vhi, vlo = arena.take(2, ncomp, nf)
-            Vt.take(fl.hi, axis=1, out=vhi, mode="clip")
-            Vt.take(fl.lo, axis=1, out=vlo, mode="clip")
+        with arena:
+            vhi = Vt.take(fl.hi, axis=1, out=arena.take(ncomp, nf), mode="clip")
+            vlo = _lo_ends(fl, Vt, 0, arena)
             np.negative.at(vlo[IMX + axis], fl.wall_lo)
             np.negative.at(vhi[IMX + axis], fl.wall_hi)
             np.subtract(vhi, vlo, out=rows)
         rows /= fl.dist
-        # every slot column of both cell sides, one take over the block each
+        # every slot column of both cell sides, one take over the block each,
+        # but slot 0 of the high side (slots[1]): the head, in place
         slots = fl.slots.T.reshape(-1, n)
         smin, smax, col = arena.take(3, ncomp, n)
-        rows.take(slots[0], axis=1, out=smin, mode="clip")
-        np.copyto(smax, smin)
-        for slot in slots[1:]:
+        rows.take(slots[0], axis=1, out=col, mode="clip")
+        np.minimum(rows[:, :n], col, out=smin)
+        np.maximum(rows[:, :n], col, out=smax)
+        for slot in slots[2:]:
             rows.take(slot, axis=1, out=col, mode="clip")
             np.minimum(smin, col, out=smin)
             np.maximum(smax, col, out=smax)
-        # smin where it is positive, smax where it is negative, else +0.0;
-        # a NaN passes neither test, and an infinite slope becomes +0.0 too
-        mask = arena.take(ncomp, n, dtype=bool)
-        sigma.fill(0.0)
-        np.copyto(sigma, smax, where=np.less(smax, 0.0, out=mask))
-        np.copyto(sigma, smin, where=np.greater(smin, 0.0, out=mask))
-        np.copyto(sigma, 0.0, where=np.isinf(sigma, out=mask))
+        # smin where it is positive, smax where it is negative, else +0.0
+        # (+= 0.0 turns -0.0 into +0.0); a NaN slope makes both NaN, which
+        # fmax turns into 0.0, and an infinite slope becomes +0.0 too
+        np.fmax(smin, 0.0, out=sigma)
+        np.fmin(sigma, smax, out=sigma)
+        sigma += 0.0
+        np.copyto(sigma, 0.0, where=np.isinf(sigma, out=arena.take(ncomp, n, dtype=bool)))
     return sigma.T
 
 
 def _inadmissible(WS: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
     """Cells with a face state outside the admissible set, in the stacked ``(2n, ncomp)`` ``WS``."""
     n = len(out)
-    with arena.scope():
+    with arena:
         bad, test = arena.take(2, 2 * n, dtype=bool)
         np.less_equal(WS[:, IRHO], 0, out=bad)
         bad |= np.less_equal(WS[:, IRHOY], 0, out=test)
@@ -290,7 +297,7 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
     WS = np.empty((ncomp, 2 * n)).T if out is None else out
     C = WS.T.reshape(ncomp, 2, n, copy=False)
     fallback = arena.take(n, dtype=bool)
-    with arena.scope():
+    with arena:
         # left (S[:, 0]) and right (S[:, 1]) primitive face states, S[:, 1]
         # first holding sigma dx / 2; converted, they go to C
         S = arena.take(ncomp, 2, n)
@@ -302,7 +309,7 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
         # inadmissible reconstructions retreat to first order before any EOS call
         if np.any(_inadmissible(WS, fallback, arena)):
             C[:, :, fallback] = W.T[:, None, fallback]
-        with arena.scope():
+        with arena:
             rows = arena.take(6, 2 * n)
             Y = np.divide(WS[:, IRHOY], WS[:, IRHO], out=rows[0])
             p = eos.mixture_pressure(WS[:, IRHO], Y, fp, out=rows)
@@ -334,23 +341,27 @@ def sweep(
     arena = _arena(n, ncomp)
     fl = f.face_list(axis)
 
-    # phase A (per cell): the (ncomp, k n) block of face states, left faces
-    # first, with k = order, and their pressures p and sound speeds c
+    # phase A (per cell): the (ncomp + 2, k n) block of face states, left
+    # faces first with k = order, then their pressures p and sound speeds c
     k = cfg.order
-    FS = u.T if k == 1 else arena.take(ncomp, 2 * n)
-    pc = arena.take(2, k * n)
+    B = arena.take(ncomp + 2, k * n)
+    FS, p, c = B[:ncomp], B[ncomp], B[ncomp + 1]
     try:
         if k == 2:
-            with _sec(prof, "slopes"), arena.scope():
+            with _sec(prof, "slopes"), arena:
                 V, sigma = arena.take(2, ncomp, n)
                 V = eos.to_primitive(u, out=V.T)
                 sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
                 muscl_predict(u, sigma, f.dx, dt, fp, V=V, out=FS.T, arena=arena, normal=normal)
-        with _sec(prof, "eos"), arena.scope():
-            # all face states in one closure solve; p and c (closure rows 3
-            # and 0) are kept for the flux phase, the other rows are scratch
+        with _sec(prof, "eos"), arena:
+            if k == 1:
+                np.copyto(FS, u.T)
+            # all face states in one closure solve from Y; p and c (closure
+            # rows 3 and 0) are kept for the flux phase, the others are scratch
             rows = arena.take(4, k * n)
-            p, c = _cell_speeds(FS.T, fp, (pc[1], rows[0], rows[1], pc[0], rows[2], rows[3]))
+            rho = eos._check_density(FS[IRHO])
+            Y = np.divide(FS[IRHOY], rho, out=c)
+            eos._pressure_and_speed(rho, Y, fp, (c, rows[0], rows[1], p, rows[2], rows[3]))
     except EosError as exc:
         # a stacked (2n) batch holds the left faces first, so row i is leaf i % n
         leaf = exc.index % n
@@ -359,30 +370,24 @@ def sweep(
     lo, hi = fl.lo, fl.hi
     nf = len(lo)
     # the high face state of leaf i is column off + i
-    off = len(p) - n
+    off = k * n - n
     with _sec(prof, "flux"):
         # phase B1 (per face row): each row joins the high face state of lo
-        # to the low face state of hi, gathered as blocks; the mirrored end
-        # of a wall row reads the cell's own face state on the wall side
-        # (and its p and c) with the normal momentum negated
+        # to the low face state of hi, with their p and c; a wall row's
+        # mirrored end reads the cell's own face state on the wall side with
+        # the normal momentum negated
         flux = arena.take(ncomp, nf)
         try:
-            with arena.scope():
-                ilo, ihi = arena.take(2, nf, dtype=np.int64)
-                np.add(lo, off, out=ilo)
+            with arena:
+                ihi = arena.take(nf, dtype=np.int64)
                 np.copyto(ihi, hi)
-                ilo[fl.wall_lo] -= off
                 ihi[fl.wall_hi] += off
-                WL, WR = arena.take(2, ncomp, nf)
-                pL, pR, cL, cR = arena.take(4, nf)
-                FS.take(ilo, axis=1, out=WL, mode="clip")
-                FS.take(ihi, axis=1, out=WR, mode="clip")
-                np.negative.at(WL[normal], fl.wall_lo)
-                np.negative.at(WR[normal], fl.wall_hi)
+                L = _lo_ends(fl, B, off, arena)
+                R = B.take(ihi, axis=1, out=arena.take(ncomp + 2, nf), mode="clip")
+                np.negative.at(L[normal], fl.wall_lo)
+                np.negative.at(R[normal], fl.wall_hi)
                 riemann.suliciu_flux(
-                    WL.T, WR.T, fp,
-                    p.take(ilo, out=pL, mode="clip"), p.take(ihi, out=pR, mode="clip"),
-                    c.take(ilo, out=cL, mode="clip"), c.take(ihi, out=cR, mode="clip"),
+                    L[:ncomp].T, R[:ncomp].T, fp, L[ncomp], R[ncomp], L[ncomp + 1], R[ncomp + 1],
                     out=flux.T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf), normal=normal,
                 )
         except VacuumError as exc:
@@ -390,16 +395,17 @@ def sweep(
             at = " and ".join(map(f.leaf_label, dict.fromkeys((lo[exc.row], hi[exc.row]))))
             raise VacuumError(f"sweep on axis {axis}, face row {exc.row} at {at}: {exc}", row=exc.row) from exc
 
-        # phase B2 (per cell): each cell side sums its slots in slot order
-        # from +0.0, low side minus high side; the slots are in range, and
+        # phase B2 (per cell): each cell side sums its slots in slot order,
+        # low side (from +0.0, so never -0.0) minus high side (from its own
+        # head row), so no sign of a zero shows; the slots are in range, and
         # mode="clip" lets take fill ``term`` without an intermediate copy
         nslot = fl.slots.shape[2]
         coef = np.multiply(dt, fl.slot_area, out=arena.take(nslot, 2, n).T)
         dW, acc, term = arena.take(3, ncomp, n)
         dW.fill(0.0)
-        acc.fill(0.0)
+        np.multiply(flux[:, :n], coef[:, 1, 0], out=acc)
         for s, side in enumerate((dW, acc)):
-            for j in range(nslot):
+            for j in range(s, nslot):
                 flux.take(fl.slots[:, s, j], axis=1, out=term, mode="clip")
                 term *= coef[:, s, j]
                 side += term

@@ -5,6 +5,7 @@ import pytest
 
 from amrfv.errors import ConfigError, ContractError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_uniform
+from amrfv.partition import partition
 
 import oracles
 from oracles import PointerForest, face_neighbors
@@ -346,13 +347,13 @@ class TestLeafNeighbors:
         f = new_uniform(conn2d(), level=1, b=2)
         fl = f.face_list(0)
         rows, across = slot_cells(fl, 0, 0)
-        # 2 interior rows, then one wall per cell in cell order: 0 and 2
-        # have theirs on the low side, 1 and 3 on the high side
-        assert rows.tolist() == [2] and across == [0]
-        assert fl.wall_lo.tolist() == [2, 4] and fl.wall_hi.tolist() == [3, 5]
-        assert fl.lo[2:].tolist() == [0, 1, 2, 3]
-        assert fl.lo[2] == fl.hi[2] == 0
-        assert fl.area[2] == fl.dist[2] == f.dx[0]
+        # one head row per cell, its high face: 1 and 3 have a high wall;
+        # then the tail, the low walls of 0 and 2
+        assert rows.tolist() == [4] and across == [0]
+        assert fl.wall_lo.tolist() == [4, 5] and fl.wall_hi.tolist() == [1, 3]
+        assert fl.lo.tolist() == [0, 1, 2, 3, 0, 2]
+        assert fl.hi.tolist() == [1, 1, 3, 3, 0, 2]
+        assert fl.area[4] == fl.dist[4] == f.dx[0]
         assert oracle_neighbors(f)[0, 0, 0] is None
 
     def test_periodic_wraps(self):
@@ -442,9 +443,9 @@ class TestFaceList:
         f, _ = oracles.balance(f)
         fl = f.face_list(0)
         # every interior face pairs distinct cells exactly once
-        nf = len(fl.lo) - len(fl.wall_lo) - len(fl.wall_hi)
-        pairs = set(zip(fl.lo[:nf].tolist(), fl.hi[:nf].tolist()))
-        assert len(pairs) == nf and np.all(fl.lo[:nf] != fl.hi[:nf])
+        inner = np.setdiff1d(np.arange(len(fl.lo)), np.concatenate([fl.wall_lo, fl.wall_hi]))
+        pairs = set(zip(fl.lo[inner].tolist(), fl.hi[inner].tolist()))
+        assert len(pairs) == len(inner) and np.all(fl.lo[inner] != fl.hi[inner])
         # face areas of hanging faces are the fine ones
         lv_lo = f.level[fl.lo]
         lv_hi = f.level[fl.hi]
@@ -457,20 +458,52 @@ class TestFaceList:
         # walled, several trees, against the lattice oracle; plus the
         # one-sided forest: its only hanging faces are seen from their fine
         # (lo) side, so the coarse hi side alone needs k = 2
-        forests = [
-            random_balanced(conn2d(trees=(2, 1), periodic=(True, False)), seed=8, rounds=1),
-            random_balanced(conn2d(trees=(2, 2)), seed=3),
-            random_balanced(conn2d(trees=(1, 2), periodic=(True, True)), seed=4),
-            random_balanced(conn3d(trees=(2, 1, 1)), seed=5),
-            random_balanced(conn3d(trees=(1, 1, 2), periodic=(True, False, True)), seed=6),
-        ]
-        one_sided = new_uniform(conn2d(), level=1, b=3)
-        one_sided, _ = one_sided.refine(marks_array(one_sided, [(0, REFINE)]))
-        forests.append(one_sided)
-        for f in forests:
+        for f in layout_forests():
             expected = oracle_neighbors(f)
             for axis in range(f.dim):
                 check_face_list(f, f.face_list(axis), expected)
+
+    def test_head_and_tail(self):
+        # row i < n starts at cell i and is slot 0 of its high side; walls
+        # on a high face are head rows, those on a low face tail rows; and a
+        # rank owning cells [a, b) fluxes head rows [a, b) plus one
+        # contiguous slice of the tail; in the last forest, three coarse cells
+        # have a hanging high face with three sub-faces in the tail
+        corner = new_uniform(conn3d(), level=1, b=3)
+        corner, _ = corner.refine(marks_array(corner, [(7, REFINE)]))
+        tails = 0
+        for f in layout_forests() + [corner]:
+            n = f.nleaves
+            for axis in range(f.dim):
+                fl = f.face_list(axis)
+                nf = len(fl.lo)
+                np.testing.assert_array_equal(fl.lo[:n], np.arange(n))
+                np.testing.assert_array_equal(fl.slots[:, 1, 0], np.arange(n))
+                assert np.all((fl.wall_hi >= 0) & (fl.wall_hi < n))
+                assert np.all((fl.wall_lo >= n) & (fl.wall_lo < nf))
+                tails += nf > n
+                for P in (2, 3, 5):
+                    offsets = partition(f, P).offsets
+                    for a, b in zip(offsets[:-1], offsets[1:]):
+                        owned = np.flatnonzero((fl.lo >= a) & (fl.lo < b))
+                        head, tail = owned[owned < n], owned[owned >= n]
+                        np.testing.assert_array_equal(head, np.arange(a, b))
+                        assert len(tail) == 0 or tail[-1] - tail[0] == len(tail) - 1
+        assert tails > 10
+
+
+def layout_forests():
+    """Random balanced forests, 2D and 3D, periodic and walled, several trees; and a one-sided one."""
+    forests = [
+        random_balanced(conn2d(trees=(2, 1), periodic=(True, False)), seed=8, rounds=1),
+        random_balanced(conn2d(trees=(2, 2)), seed=3),
+        random_balanced(conn2d(trees=(1, 2), periodic=(True, True)), seed=4),
+        random_balanced(conn3d(trees=(2, 1, 1)), seed=5),
+        random_balanced(conn3d(trees=(1, 1, 2), periodic=(True, False, True)), seed=6),
+    ]
+    one_sided = new_uniform(conn2d(), level=1, b=3)
+    one_sided, _ = one_sided.refine(marks_array(one_sided, [(0, REFINE)]))
+    return forests + [one_sided]
 
 
 def random_balanced(conn, seed, rounds=2):
@@ -484,21 +517,29 @@ def random_balanced(conn, seed, rounds=2):
 
 
 def check_face_list(f, fl, expected):
-    """Slot table of ``fl`` against the oracle's neighbours of every cell side.
+    """Row layout and slot table of ``fl`` against the oracle's neighbours of every cell side.
 
     ``expected`` is the ``oracles.face_neighbors`` dict of the forest's leaves.
     """
-    # wall rows follow the rows between two cells, ordered by cell, low side
-    # first; each joins its cell to itself with area dx^(d-1) and distance dx
-    nf = len(fl.lo) - len(fl.wall_lo) - len(fl.wall_hi)
+    n, nf = f.nleaves, len(fl.lo)
+    # head row i starts at cell i, slot 0 of its high side; the tail follows,
+    # ordered by lo cell, a cell's sub-faces ahead of its low wall
+    np.testing.assert_array_equal(fl.lo[:n], np.arange(n))
+    np.testing.assert_array_equal(fl.slots[:, 1, 0], np.arange(n))
+    low_wall = np.zeros(nf, dtype=bool)
+    low_wall[fl.wall_lo] = True
+    assert np.all(np.diff(2 * fl.lo[n:] + low_wall[n:]) >= 0)
+    # high walls are head rows and low walls tail rows, one per cell at most;
+    # each joins its cell to itself with area dx^(d-1) and distance dx
+    assert np.all(fl.wall_hi < n) and np.all(np.diff(fl.wall_hi) > 0)
+    assert np.all(fl.wall_lo >= n) and np.all(np.diff(fl.lo[fl.wall_lo]) > 0)
     walls = np.concatenate([fl.wall_lo, fl.wall_hi])
-    side_of = np.repeat([0, 1], [len(fl.wall_lo), len(fl.wall_hi)])
-    np.testing.assert_array_equal(np.sort(walls), np.arange(nf, len(fl.lo)))
-    assert np.all(np.diff((2 * fl.lo[walls] + side_of)[np.argsort(walls)]) > 0)
     cells = fl.lo[walls]
     np.testing.assert_array_equal(fl.hi[walls], cells)
     np.testing.assert_array_equal(fl.area[walls], f.dx[cells] ** (f.dim - 1))
     np.testing.assert_array_equal(fl.dist[walls], f.dx[cells])
+    wall = np.zeros(nf, dtype=bool)
+    wall[walls] = True
     for side in (0, 1):
         where = f"axis {fl.axis} side {side}"
         rows, area = fl.slots[:, side], fl.slot_area[:, side]
@@ -511,16 +552,17 @@ def check_face_list(f, fl, expected):
         assert np.all(np.where(real, True, rows == last[:, None])), where
         np.testing.assert_array_equal(area[real], fl.area[rows[real]], err_msg=where)
         assert np.all(area.sum(axis=1) == f.dx ** (f.dim - 1)), where
-        # every row sits in exactly one real slot of this side
-        own = fl.wall_hi if side else fl.wall_lo
-        np.testing.assert_array_equal(np.sort(rows[real]), np.concatenate([np.arange(nf), own]))
+        # every row sits in exactly one real slot of this side, but the walls
+        # whose end on this side is the mirror
+        own, other = (fl.wall_hi, fl.wall_lo) if side else (fl.wall_lo, fl.wall_hi)
+        np.testing.assert_array_equal(np.sort(rows[real]), np.setdiff1d(np.arange(nf), other))
         across = (fl.hi if side else fl.lo)[rows]
         for i, (cells, r, k) in enumerate(zip(across.tolist(), rows.tolist(), nreal.tolist())):
             nbrs = expected[i, fl.axis, side]
             if nbrs is None:
                 assert k == 1 and r[0] in own and cells[0] == i, f"leaf {i} {where}"
             else:
-                assert max(r[:k]) < nf and sorted(cells[:k]) == nbrs, f"leaf {i} {where}"
+                assert not wall[r[:k]].any() and sorted(cells[:k]) == nbrs, f"leaf {i} {where}"
 
 
 class TestExtremeDepth:

@@ -1,3 +1,4 @@
+import time
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -342,6 +343,27 @@ class TestRun:
         res = run(replace(cfg, t_end=0.0, output_dir=str(tmp_path)))
         assert res.steps == 0 and res.profile.seconds["io"] > 0
         assert 0.9 * res.profile.wall <= res.profile.covered <= res.profile.wall
+
+    def test_time_step_is_booked_under_dt(self, monkeypatch):
+        # compute_dt books its face maxima and speeds under "dt" and its
+        # closure under "eos"; together they cover nearly all of its time
+        cfg = default_config("disk_advection", max_level=5, min_level=3, t_end=0.1)
+        spent, booked = [0.0], [0.0]
+        real = solver.compute_dt
+
+        def timed(f, u, scfg, fp, prof=None):
+            before = prof.seconds["dt"] + prof.seconds["eos"]
+            t0 = time.perf_counter()
+            try:
+                return real(f, u, scfg, fp, prof=prof)
+            finally:
+                spent[0] += time.perf_counter() - t0
+                booked[0] += prof.seconds["dt"] + prof.seconds["eos"] - before
+
+        monkeypatch.setattr(solver, "compute_dt", timed)
+        res = run(cfg, write_outputs=False)
+        assert res.steps > 0 and res.profile.seconds["dt"] > 0
+        assert booked[0] >= 0.8 * spent[0]
 
     def test_adapted_face_lists_are_built_under_faces(self, monkeypatch):
         # an adapt builds no face list for its new forest: the rebuild that

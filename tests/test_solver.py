@@ -211,12 +211,13 @@ class TestSweep:
         assert "leaf 0 (level 1, centre (0.25, 0.25)) and leaf 1 (level 1, centre (0.75, 0.25))" in msg
         assert "non-positive star density" in msg
         # a uniform rush into the low wall: the interior rows are free
-        # streams, and the first wall row (after the 2 interior ones) names its cell
+        # streams, and the first low wall row (the tail, after the 4 head
+        # rows) names its cell
         vel[:, 0] = -50.0
         u = eos.state_from_pressure_alpha(10.0, np.full(f.nleaves, 0.5), vel, SHOCK)
         with pytest.raises(VacuumError) as err:
             solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
-        assert str(err.value).startswith("sweep on axis 0, face row 2 at leaf 0 (level 1, centre (0.25, 0.25)): ")
+        assert str(err.value).startswith("sweep on axis 0, face row 4 at leaf 0 (level 1, centre (0.25, 0.25)): ")
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_one_flux_call_covers_the_walls(self, monkeypatch, order):
@@ -329,6 +330,32 @@ class TestSlopes:
                 expected[k] = col.max()
         got = slope_x(f, u, i)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_special_slopes_match_the_column_oracle(self, dim):
+        # primitive values of +-0, +-inf, NaN, subnormals and small normals
+        # make face slopes of every such kind; the selection by fmax, fmin
+        # and += 0.0 equals the oracle's sign masks bit for bit
+        rng = np.random.default_rng(40 + dim)
+        conn = Connectivity(dim, (2,) + (1,) * (dim - 1), (False,) + (True,) * (dim - 1), 1.0)
+        f = new_uniform(conn, level=1, b=3)
+        for _ in range(2):
+            f, _ = oracles.balance(f.refine(rng.choice([KEEP, REFINE], size=f.nleaves).astype(np.int8))[0])
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 3e-310, -7e-310, 1e-300, -2e-300])
+        V = pool[rng.integers(0, len(pool), (f.nleaves, dim + 2))]
+        # and columns where every slope is subnormal, of one sign or mixed
+        V[:, 0] = rng.integers(1, 6, f.nleaves) * 1e-310
+        V[:, 1] = rng.permutation(f.nleaves) * 5e-324
+        sigmas = []
+        for axis in range(dim):
+            with np.errstate(all="ignore"):
+                sigmas.append(solver._minmod_sigma(f, axis, V))
+                want = oracles.minmod_sigma_columns(f, axis, V, f.dx)
+            np.testing.assert_array_equal(sigmas[-1].view(np.int64), want.view(np.int64))
+        got = np.concatenate(sigmas)
+        assert (got > 0).any() and (got < 0).any() and (got == 0).any()
+        assert ((got != 0) & (np.abs(got) < np.finfo(float).tiny)).any()
+        assert not np.signbit(got[got == 0]).any()
 
 
 class TestMusclPredict:
