@@ -202,19 +202,19 @@ def _lo_ends(fl, block: np.ndarray, off: int, arena: _Arena) -> np.ndarray:
     """Column ``off + i`` of ``block`` for each face row's lo cell i, column i for a low wall.
 
     Without a tail, the head's view in place; else one C-contiguous block from
-    ``arena``, as kernels on row-strided views cost more per call on small meshes.
+    ``arena``, as kernels on row-strided views cost more per call on small
+    meshes, plus the tail's scratch, both held to the end of the caller's scope.
     """
     (nrow, _), n, nf = block.shape, len(fl.slots), len(fl.lo)
     if nf == n:
         return block[:, off:off + n]
     ends = arena.take(nrow, nf)
     np.copyto(ends[:, :n], block[:, off:off + n])
-    with arena:
-        at = fl.lo[n:]
-        if off:
-            at = np.add(at, off, out=arena.take(nf - n, dtype=np.int64))
-            at[fl.wall_lo - n] -= off
-        np.copyto(ends[:, n:], block.take(at, axis=1, out=arena.take(nrow, nf - n), mode="clip"))
+    at = fl.lo[n:]
+    if off:
+        at = np.add(at, off, out=arena.take(nf - n, dtype=np.int64))
+        at[fl.wall_lo - n] -= off
+    np.copyto(ends[:, n:], block.take(at, axis=1, out=arena.take(nrow, nf - n), mode="clip"))
     return ends
 
 
