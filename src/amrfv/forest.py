@@ -18,6 +18,7 @@ faces in a fixed order and a rank fluxes one slice of the head and the tail.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,13 +80,6 @@ class Connectivity:
         for a in range(self.dim):
             out[..., a] = rem % self.tree_dims[a]
             rem = rem // self.tree_dims[a]
-        return out
-
-    def tree_ids_many(self, tcoords: np.ndarray) -> np.ndarray:
-        tcoords = np.asarray(tcoords, dtype=np.int64)
-        out = np.zeros(tcoords.shape[:-1], dtype=np.int64)
-        for a in reversed(range(self.dim)):
-            out = out * self.tree_dims[a] + tcoords[..., a]
         return out
 
 
@@ -171,14 +165,14 @@ class FaceList:
 class Forest:
     """Immutable macro-mesh plus z-order-sorted leaf arrays."""
 
-    def __init__(self, conn, b, min_level, tree, level, coords, validate=True):
+    def __init__(self, conn, b, min_level, tree, level, coords, validate=True, keys=None):
+        """``keys``, the leaves' Morton keys, are encoded from ``coords`` when not given."""
         self.conn = conn
         self.b = int(b)
         self.min_level = int(min_level)
         self.tree = np.asarray(tree, dtype=np.int64)
         self.level = np.asarray(level, dtype=np.int64)
         self.coords = np.asarray(coords, dtype=np.int64)
-        self.keys = morton.encode_many(self.coords)
         self._face_lists: dict[int, FaceList] = {}
 
         if not 0 <= self.b <= morton.MAX_B[conn.dim]:
@@ -190,14 +184,15 @@ class Forest:
             )
         if not 0 <= self.min_level <= self.b:
             raise ConfigError("min_level must lie in [0, b]")
+        if validate:
+            self._validate()
+        self.keys = morton.encode_many(self.coords) if keys is None else keys
         # z-order invariant is load-bearing for every query; always verify
         order = (self.tree[:-1] < self.tree[1:]) | (
             (self.tree[:-1] == self.tree[1:]) & (self.keys[:-1] < self.keys[1:])
         )
         if not np.all(order):
             raise ContractError("leaf array is not strictly (tree, z-order) sorted")
-        if validate:
-            self._validate()
 
     def _validate(self):
         if np.any((self.level < 0) | (self.level > self.b)):
@@ -252,26 +247,6 @@ class Forest:
         query = (tree_ids << (self.dim * self.b)) | morton.encode_many(points)
         return np.searchsorted(self._tree_keys, query, side="right") - 1
 
-    def _adjacent_points(self, axis: int):
-        """One lattice point just across each leaf's high face on ``axis``.
-
-        Returns (tree_ids, points, interior) where ``interior`` is False on
-        non-periodic domain faces; entries there are left unusable.
-        """
-        pts = self.coords.copy()
-        pts[:, axis] += self.sizes
-        ntree = self.tree.copy()
-        cross = np.flatnonzero(pts[:, axis] == np.int64(1) << self.b)
-        interior = np.ones(self.nleaves, dtype=bool)
-        if len(cross):
-            tc = self.conn.tree_coords_many(self.tree[cross])
-            step = tc[:, axis] + 1
-            tc[:, axis] = step % self.conn.tree_dims[axis]
-            ntree[cross] = self.conn.tree_ids_many(tc)
-            pts[cross, axis] = 0
-            interior[cross] = self.conn.periodic[axis] | (step < self.conn.tree_dims[axis])
-        return ntree, pts, interior
-
     # -- adaptation ----------------------------------------------------------
 
     def refine(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
@@ -283,18 +258,21 @@ class Forest:
         m = 1 << self.dim
         counts = np.where(do, m, 1)
         src = np.repeat(np.arange(self.nleaves), counts)
-        pos = np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
-        new_level = self.level[src] + do[src]
-        h = np.where(do[src], np.int64(1) << (self.b - new_level), 0)
-        offs = ((pos[:, None] >> np.arange(self.dim)[None, :]) & 1) * h[:, None]
+        # child id pos of a refined leaf, 0 for a kept one, goes in the new
+        # level's bit slot: of each anchor coordinate and of the key.  (A take
+        # along axis 0 gathers rows far faster than fancy indexing.)
+        pos = np.arange(len(src)) - (np.cumsum(counts) - counts).take(src)
+        shift = (self.b - self.level - do).take(src)
+        unit = (np.arange(m)[:, None] >> np.arange(self.dim)) & 1
         f = Forest(
             self.conn,
             self.b,
             self.min_level,
-            self.tree[src],
-            new_level,
-            self.coords[src] + offs,
+            self.tree.take(src),
+            self.b - shift,
+            self.coords.take(src, axis=0) + (unit.take(pos, axis=0) << shift[:, None]),
             validate=False,
+            keys=self.keys.take(src) | pos << self.dim * shift,
         )
         return f, LeafMap(src, np.ones_like(src))
 
@@ -304,45 +282,52 @@ class Forest:
         if len(marks) != self.nleaves:
             raise ContractError("marks not aligned with leaves")
         starts, in_group = self.sibling_groups((marks == COARSEN) & (self.level > self.min_level))
-        is_start = np.zeros(self.nleaves, dtype=bool)
-        is_start[starts] = True
-        keep = ~in_group | is_start
-        # child 0 shares the parent anchor, so coords pass through unchanged
+        keep = ~in_group
+        keep[starts] = True
+        kept = np.flatnonzero(keep)
+        merged = in_group.take(kept)
+        # child 0 shares the parent anchor and key, so both pass through unchanged
         f = Forest(
             self.conn,
             self.b,
             self.min_level,
-            self.tree[keep],
-            self.level[keep] - is_start[keep],
-            self.coords[keep],
+            self.tree.take(kept),
+            self.level.take(kept) - merged,
+            self.coords.take(kept, axis=0),
             validate=False,
+            keys=self.keys.take(kept),
         )
-        return f, LeafMap(np.flatnonzero(keep), np.where(is_start[keep], 1 << self.dim, 1))
+        return f, LeafMap(kept, np.where(merged, 1 << self.dim, 1))
+
+    @cached_property
+    def sibling_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each leaf's child id, its key's d bits in its level's slot, and its parent's key."""
+        shift = self.dim * (self.b - self.level)
+        slot = np.left_shift(np.int64((1 << self.dim) - 1), shift)
+        return (self.keys & slot) >> shift, self.keys & ~slot
+
+    @cached_property
+    def _sibling_starts(self) -> np.ndarray:
+        """First leaf of each complete sibling group: 2^d consecutive leaves of one parent."""
+        cid, pkey = self.sibling_ids
+        m = 1 << self.dim
+        # leaves i and i + 1 are siblings
+        sib = (pkey[1:] == pkey[:-1]) & (self.level[1:] == self.level[:-1]) & (self.tree[1:] == self.tree[:-1])
+        whole = cid[: max(self.nleaves - m + 1, 0)] == 0
+        for j in range(m - 1):
+            whole &= sib[j : j + len(whole)]
+        return np.flatnonzero(whole)
 
     def sibling_groups(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complete sibling groups whose 2^d leaves all lie in ``members``.
 
         Returns the first leaf of each group and the mask of all their leaves.
         """
-        m = 1 << self.dim
-        n = self.nleaves
-        lowbit = (self.coords >> (self.b - self.level)[:, None]) & 1
-        cid = (lowbit << np.arange(self.dim)[None, :]).sum(axis=1)
-        pkey = self.keys & ~np.left_shift(np.int64(m - 1), self.dim * (self.b - self.level))
-        cand = np.flatnonzero(members & (cid == 0) & (np.arange(n) + m <= n))
-        good = np.ones(len(cand), dtype=bool)
-        for j in range(1, m):
-            idx = cand + j
-            good &= (
-                members[idx]
-                & (self.tree[idx] == self.tree[cand])
-                & (self.level[idx] == self.level[cand])
-                & (pkey[idx] == pkey[cand])
-            )
-        starts = cand[good]
-        in_group = np.zeros(n, dtype=bool)
-        in_group[(starts[:, None] + np.arange(m)).ravel()] = True
-        return starts, in_group
+        groups = self._sibling_starts[:, None] + np.arange(1 << self.dim)
+        groups = groups[members.take(groups).all(axis=1)]
+        in_group = np.zeros(self.nleaves, dtype=bool)
+        in_group[groups] = True
+        return groups[:, 0], in_group
 
     def balance(self, level: np.ndarray) -> np.ndarray:
         """Least levels t >= ``level``, 2:1 across this balanced forest's face rows.
@@ -358,11 +343,12 @@ class Forest:
         ends = np.concatenate([fl.lo for fl in rows] + [fl.hi for fl in rows])
         across = np.concatenate([fl.hi for fl in rows] + [fl.lo for fl in rows])
         groups = np.flatnonzero(t < self.level).reshape(-1, 1 << self.dim)
+        own = self.level.take(groups[:, 0])  # a group's common level
         for top in range(int(t.max()), int(t.min()) + 1, -1):
-            near = ends[t[across] == top]
-            t[near] = np.maximum(t[near], top - 1)
-            kept = groups[(t[groups] >= self.level[groups]).any(axis=1)]
-            t[kept] = np.maximum(t[kept], self.level[kept])
+            near = ends[t.take(across) == top]
+            t[near] = np.maximum(t.take(near), top - 1)
+            kept = groups[t.take(groups).max(axis=1) >= own]
+            t[kept] = np.maximum(t.take(kept), self.level.take(kept))
         return t
 
     def adapt(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
@@ -391,41 +377,42 @@ class Forest:
     def _face_rows(self, axis: int):
         """Face rows of ``axis``, each found from its lower leaf.
 
-        One ``locate`` across every leaf's high face gives the neighbour and
-        the level gap; a row with a finer neighbour splits into its fine
-        sub-faces, located at the unit offsets {0, 1} on the transverse axes
-        scaled by the fine size.  Each pair of face neighbours two or more
-        levels apart shows from its lower leaf: as a gap of -2 or less, of +2
-        or more, or as a sub-face in a leaf two levels finer.
+        One ``locate`` of the lattice point just across every leaf's high face
+        (wrapped into the next tree; a point on a non-periodic domain face
+        wraps too, and is not interior) gives the neighbour and the level gap;
+        a row with a finer neighbour splits into its fine sub-faces, the others
+        located at the unit offsets {0, 1} on the transverse axes scaled by the
+        fine size.  Each pair of face neighbours two or more levels apart shows
+        from its lower leaf: as a gap of -2 or less, of +2 or more, or as a
+        sub-face in a leaf two levels finer.
 
-        Returns ``(lo, hi, interior, named)``: the rows, one per interior
-        high face (its first sub-face) by lo cell, then the other sub-faces by
-        lo cell; the interior mask of the high faces; and the querying leaf a
-        face-list error names (None on a balanced axis).
+        Returns ``(lo, hi, interior, named)``: the rows, one per leaf (its
+        first sub-face, or itself at a wall) by lo cell, then the other
+        sub-faces by lo cell; the interior mask of the high faces; and the
+        querying leaf a face-list error names (None on a balanced axis).
         """
-        dim = self.dim
-        ntree, pts, interior = self._adjacent_points(axis)
-        ii = np.flatnonzero(interior)
-        lo = ii
-        hi = nb = self.locate(ntree[ii], pts[ii])
-        dlvl = self.level[nb] - self.level[ii]
-        m = 1 << (dim - 1)
-        fin = np.flatnonzero(dlvl == 1)
-        deep = np.zeros(0, dtype=np.int64)
-        if len(fin):
-            offs = np.zeros((m, dim), dtype=np.int64)
-            taxes = [a for a in range(dim) if a != axis]
-            offs[:, taxes] = (np.arange(m)[:, None] >> np.arange(dim - 1)) & 1
-            src = ii[fin]
-            h = self.sizes[src] // 2
-            sub_pts = pts[src][:, None, :] + offs[None, :, :] * h[:, None, None]
-            idx = self.locate(np.repeat(ntree[src], m), sub_pts.reshape(-1, dim)).reshape(-1, m)
-            deep = src[(self.level[idx] != self.level[src, None] + 1).any(axis=1)]
-            nb[fin] = idx[:, 0]
-            lo, hi = np.concatenate([ii, np.repeat(src, m - 1)]), np.concatenate([nb, idx[:, 1:].ravel()])
-        wide = ii[np.abs(dlvl) > 1]
+        dim, m, n, conn = self.dim, 1 << (self.dim - 1), self.nleaves, self.conn
+        pts = self.coords.copy()
+        pts[:, axis] += self.sizes
+        out = pts[:, axis] >> self.b  # 1 where the point leaves its tree
+        pts[:, axis] &= (1 << self.b) - 1
+        stride, dims = math.prod(conn.tree_dims[:axis]), conn.tree_dims[axis]
+        last = np.arange(conn.ntrees) // stride % dims == dims - 1  # the trees on the brick's high face
+        ntree = self.tree + out * np.where(last, (1 - dims) * stride, stride).take(self.tree)
+        interior = (out == 0) | (conn.periodic[axis] | ~last).take(self.tree)
+        nb = self.locate(ntree, pts)
+        dlvl = self.level.take(nb) - self.level
+        fin = np.flatnonzero((dlvl == 1) & interior)
+        # sub-face j of a leaf is anchored at bit t of j on its t-th transverse
+        # axis; (a take along axis 0 gathers rows far faster than fancy indexing)
+        offs = np.array([[j >> (a - (a > axis)) & (a != axis) for a in range(dim)] for j in range(1, m)])
+        sub_pts = pts.take(fin, axis=0)[:, None] + offs * (self.sizes.take(fin) >> 1)[:, None, None]
+        sub = self.locate(ntree.take(fin).repeat(m - 1), sub_pts.reshape(-1, dim))
+        deep = fin[(self.level.take(sub).reshape(-1, m - 1) != self.level.take(fin)[:, None] + 1).any(axis=1)]
+        wide = np.flatnonzero((np.abs(dlvl) > 1) & interior)
         named = wide.min() if len(wide) else deep.min() if len(deep) else None
-        return lo, hi, interior, named
+        cells = np.arange(n)
+        return np.concatenate([cells, fin.repeat(m - 1)]), np.concatenate([np.where(interior, nb, cells), sub]), interior, named
 
     def face_list(self, axis: int) -> FaceList:
         """Faces along ``axis`` with the per-cell slot table (cached)."""
@@ -446,40 +433,43 @@ class Forest:
 
     def _finish_face_list(self, axis: int, lo, hi, interior) -> FaceList:
         """Head and tail rows, areas, distances and slot table of the balanced rows ``_face_rows`` found."""
-        dim, n = self.dim, self.nleaves
-
-        # head row i: cell i's first high (sub-)face or wall; the tail: other
-        # sub-faces, then low walls (a leaf on the low face of a tree on the
-        # low face of the brick), by cell
-        low_wall = np.zeros(n, dtype=bool)
-        if not self.conn.periodic[axis]:
-            edge = np.flatnonzero(self.coords[:, axis] == 0)
-            low_wall[edge] = self.conn.tree_coords_many(self.tree[edge])[:, axis] == 0
-        ni = np.count_nonzero(interior)
-        head_hi = np.arange(n)
-        head_hi[interior] = hi[:ni]
-        cells = np.flatnonzero(low_wall)
-        order = np.argsort(np.concatenate([lo[ni:], cells]), kind="stable")
-        tail_lo, tail_hi = (np.concatenate([ends[ni:], cells])[order] for ends in (lo, hi))
-        wall_lo = n + np.flatnonzero(order >= len(order) - len(cells))
+        dim, n, m = self.dim, self.nleaves, 1 << (self.dim - 1)
+        src = lo[n :: m - 1]  # the leaves with a finer high neighbour
         wall_hi = np.flatnonzero(~interior)
-        lo, hi = np.concatenate([np.arange(n), tail_lo]), np.concatenate([head_hi, tail_hi])
-        dlo, dhi = self.dx[lo], self.dx[hi]
+
+        # cnt: each cell's face count on its low side (the rows reaching it,
+        # or its low wall if none does; a high wall's hi end is its mirror)
+        # and on its high side (its head row and its other sub-faces).  Its
+        # tail rows: those sub-faces, then that low wall
+        reach = np.bincount(hi, minlength=n)
+        reach[wall_hi] -= 1
+        cnt = np.ones((2, n), dtype=np.int64)
+        cnt[1, src] = m
+        np.maximum(reach, 1, out=cnt[0])
+        tail = cnt[1] - (reach > 0)
+        end = n + np.cumsum(tail)
+        cells = np.arange(n)
+        lo, head = np.concatenate([cells, cells.repeat(tail)]), hi
+        hi = lo.copy()
+        hi[:n] = head[:n]
+        hi[(end - tail).take(src)[:, None] + np.arange(m - 1)] = head[n:].reshape(-1, m - 1)
+        wall_lo = end[reach == 0] - 1
+        dlo, dhi = self.dx.take(lo), self.dx.take(hi)
         area = np.minimum(dlo, dhi) ** (dim - 1)
         dist = 0.5 * (dlo + dhi)
 
-        # slot table: the rows each cell side touches, grouped by cell in row
-        # order; a wall row's mirrored end gets the out-of-range key n.  It is
-        # built as (k, 2, n) so that its transpose has contiguous slot columns.
-        side_keys = hi.copy(), lo.copy()
-        side_keys[0][wall_hi] = n
-        side_keys[1][wall_lo] = n
-        order = np.concatenate([np.argsort(key, kind="stable") for key in side_keys])
-        cnt = np.stack([np.bincount(key, minlength=n + 1)[:n] for key in side_keys])
-        first = np.cumsum(cnt, axis=1) - cnt + np.array([[0], [len(lo)]])
-        j = np.arange(cnt.max())[:, None, None]
-        slots = order[first + np.minimum(j, cnt - 1)]
-        slot_area = np.where(j < cnt, area[slots], 0.0)
+        # slot table, built as (k, 2, n) so that its transpose has contiguous
+        # slot columns.  The low side lists the rows whose hi end is the cell
+        # in row order, from one sort of the rows by (hi end, row); the high
+        # side lists the head row, then the sub-faces that open the tail
+        j = np.arange(cnt.max())[:, None]
+        key = hi << 32 | np.arange(len(hi))
+        key[wall_hi] = n << 32
+        slots = np.empty((len(j), 2, n), dtype=np.int64)
+        slots[:, 0] = (np.sort(key) & 0xFFFFFFFF).take(np.cumsum(cnt[0]) - cnt[0] + np.minimum(j, cnt[0] - 1))
+        above = np.minimum(j, cnt[1] - 1)
+        slots[:, 1] = np.where(above == 0, cells, end - tail - 1 + above)
+        slot_area = np.where(j[:, None] < cnt, area.take(slots), 0.0)
         return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, slots.T, slot_area.T)
 
 
@@ -501,4 +491,5 @@ def new_uniform(conn: Connectivity, level: int, b: int, min_level: int = 0) -> F
         tree,
         np.full(conn.ntrees * per_tree, level, dtype=np.int64),
         np.tile(coords, (conn.ntrees, 1)),
+        keys=np.tile(keys, conn.ntrees),
     )

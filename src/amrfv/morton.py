@@ -5,9 +5,14 @@ An octant is anchored at its lower corner on the integer lattice
 refinement level.  Anchors of level-``l`` octants are multiples of
 ``2**(b - l)`` on every axis.  Keys interleave coordinate bits with
 x in the lowest position (bit ``d*i`` of the key is bit ``i`` of x),
-so sorting by key traverses leaves along the z-order curve.  The octant
-arithmetic built on the keys (children, parents, face neighbours) lives in
-``Forest.refine``, ``Forest.coarsen`` and ``Forest.face_list``.
+so sorting by key traverses leaves along the z-order curve.  A key is
+encoded once, when its octant first appears: ``new_uniform`` enumerates its
+keys, and ``Forest.refine`` and ``Forest.coarsen`` derive their leaves' keys
+by octant arithmetic (a child's key sets the child id in its level's d-bit
+slot of the parent's key; a merged parent keeps its child 0's key), as do
+child ids and parent keys (``Forest.sibling_ids``).  Face neighbours are the
+one query by coordinates: ``Forest.face_list`` encodes the lattice points
+across each high face and locates them among the keys.
 """
 from __future__ import annotations
 
@@ -20,10 +25,11 @@ MAX_B = {2: 31, 3: 21}
 
 
 class DomainError(ValueError):
-    """Lattice dimension other than 2 or 3."""
+    """Lattice dimension other than 2 or 3, or a coordinate outside [0, 2**MAX_B[dim])."""
 
 
-# encode/decode via magic-bit spreading
+# decode via magic-bit compaction; encode via a table of the magic-bit
+# spreading of every _BITS-bit value
 
 def _spread2(v: np.ndarray) -> np.ndarray:
     # inserts one zero bit between the low 32 bits of v
@@ -67,19 +73,37 @@ def _compact3(v: np.ndarray) -> np.ndarray:
     return v
 
 
+_BITS = 11
+# row a of a table holds the key bits at axis a of every _BITS-bit value
+_SPREAD = {
+    2: _spread2(np.arange(1 << _BITS)) << np.arange(2)[:, None],
+    3: _spread3(np.arange(1 << _BITS)) << np.arange(3)[:, None],
+}
+
+
 def encode_many(coords: np.ndarray) -> np.ndarray:
-    """Morton keys for an (N, d) int array of lattice coordinates."""
+    """Morton keys for an (N, d) int array of lattice coordinates in [0, 2**MAX_B[d])."""
     coords = np.asarray(coords, dtype=np.int64)
     dim = coords.shape[-1]
-    if dim == 2:
-        return _spread2(coords[..., 0]) | (_spread2(coords[..., 1]) << 1)
-    if dim == 3:
-        return (
-            _spread3(coords[..., 0])
-            | (_spread3(coords[..., 1]) << 1)
-            | (_spread3(coords[..., 2]) << 2)
+    if dim not in MAX_B:
+        raise DomainError(f"dimension must be 2 or 3, got {dim}")
+    # a negative coordinate views as an unsigned one of 2**63 or more
+    top = int(coords.view(np.uint64).max(initial=0))
+    if top >> MAX_B[dim]:
+        rows = coords.reshape(-1, dim)
+        bad = np.flatnonzero((rows.view(np.uint64) >> MAX_B[dim]).any(axis=1))[0]
+        raise DomainError(
+            f"row {bad} of the lattice coordinates, {tuple(rows[bad].tolist())}, "
+            f"lies outside [0, 2**{MAX_B[dim]})"
         )
-    raise DomainError(f"dimension must be 2 or 3, got {dim}")
+    # each _BITS-bit chunk of the coordinates fills d * _BITS bits of the key
+    for low in range(0, top.bit_length() or 1, _BITS):
+        chunk = coords >> low & ((1 << _BITS) - 1) if top >> _BITS else coords
+        part = _SPREAD[dim][0].take(chunk[..., 0])
+        for a in range(1, dim):
+            part |= _SPREAD[dim][a].take(chunk[..., a])
+        keys = keys | part << dim * low if low else part
+    return keys
 
 
 def decode_many(keys: np.ndarray, dim: int) -> np.ndarray:
