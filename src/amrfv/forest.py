@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -81,6 +81,15 @@ class Connectivity:
             out[..., a] = rem % self.tree_dims[a]
             rem = rem // self.tree_dims[a]
         return out
+
+
+@cache
+def _high_trees(conn: Connectivity, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per tree: the id step to the tree across its high face on ``axis``
+    (around the brick at its high end), and whether that face is a wall."""
+    stride, dims = math.prod(conn.tree_dims[:axis]), conn.tree_dims[axis]
+    last = np.arange(conn.ntrees) // stride % dims == dims - 1
+    return np.where(last, (1 - dims) * stride, stride), last & (not conn.periodic[axis])
 
 
 @dataclass(frozen=True)
@@ -187,11 +196,10 @@ class Forest:
         if validate:
             self._validate()
         self.keys = morton.encode_many(self.coords) if keys is None else keys
-        # z-order invariant is load-bearing for every query; always verify
-        order = (self.tree[:-1] < self.tree[1:]) | (
-            (self.tree[:-1] == self.tree[1:]) & (self.keys[:-1] < self.keys[1:])
-        )
-        if not np.all(order):
+        # combined keys ``tree * 2**(dim*b) + key``, which ``locate`` searches;
+        # the z-order invariant is load-bearing for every query, so always verify
+        self._tree_keys = (self.tree << (conn.dim * self.b)) | self.keys
+        if not np.all(self._tree_keys[1:] > self._tree_keys[:-1]):
             raise ContractError("leaf array is not strictly (tree, z-order) sorted")
 
     def _validate(self):
@@ -219,11 +227,6 @@ class Forest:
     def sizes(self) -> np.ndarray:
         """Leaf edge length on the level-b lattice."""
         return np.int64(1) << (self.b - self.level)
-
-    @cached_property
-    def _tree_keys(self) -> np.ndarray:
-        """Sorted combined keys ``tree * 2**(dim*b) + key`` of the leaves."""
-        return (self.tree << (self.dim * self.b)) | self.keys
 
     @cached_property
     def dx(self) -> np.ndarray:
@@ -323,7 +326,8 @@ class Forest:
 
         Returns the first leaf of each group and the mask of all their leaves.
         """
-        groups = self._sibling_starts[:, None] + np.arange(1 << self.dim)
+        starts = self._sibling_starts if members.any() else np.zeros(0, dtype=np.int64)
+        groups = starts[:, None] + np.arange(1 << self.dim)
         groups = groups[members.take(groups).all(axis=1)]
         in_group = np.zeros(self.nleaves, dtype=bool)
         in_group[groups] = True
@@ -345,10 +349,9 @@ class Forest:
         groups = np.flatnonzero(t < self.level).reshape(-1, 1 << self.dim)
         own = self.level.take(groups[:, 0])  # a group's common level
         for top in range(int(t.max()), int(t.min()) + 1, -1):
-            near = ends[t.take(across) == top]
-            t[near] = np.maximum(t.take(near), top - 1)
+            np.maximum.at(t, ends[t.take(across) == top], top - 1)
             kept = groups[t.take(groups).max(axis=1) >= own]
-            t[kept] = np.maximum(t.take(kept), self.level.take(kept))
+            np.maximum.at(t, kept, self.level.take(kept))
         return t
 
     def adapt(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
@@ -386,44 +389,32 @@ class Forest:
         from its lower leaf: as a gap of -2 or less, of +2 or more, or as a
         sub-face in a leaf two levels finer.
 
-        Returns ``(lo, hi, interior, named)``: the rows, one per leaf (its
-        first sub-face, or itself at a wall) by lo cell, then the other
-        sub-faces by lo cell; the interior mask of the high faces; and the
-        querying leaf a face-list error names (None on a balanced axis).
+        Returns ``(lo, hi, interior)``: the rows, one per leaf (its first
+        sub-face, or itself at a wall) by lo cell, then the other sub-faces by
+        lo cell, and the interior mask of the high faces.
         """
-        dim, m, n, conn = self.dim, 1 << (self.dim - 1), self.nleaves, self.conn
+        dim, m, n = self.dim, 1 << (self.dim - 1), self.nleaves
         pts = self.coords.copy()
         pts[:, axis] += self.sizes
         out = pts[:, axis] >> self.b  # 1 where the point leaves its tree
         pts[:, axis] &= (1 << self.b) - 1
-        stride, dims = math.prod(conn.tree_dims[:axis]), conn.tree_dims[axis]
-        last = np.arange(conn.ntrees) // stride % dims == dims - 1  # the trees on the brick's high face
-        ntree = self.tree + out * np.where(last, (1 - dims) * stride, stride).take(self.tree)
-        interior = (out == 0) | (conn.periodic[axis] | ~last).take(self.tree)
+        step, wall = _high_trees(self.conn, axis)
+        ntree = self.tree + out * step.take(self.tree)
+        interior = (out & wall.take(self.tree)) == 0
         nb = self.locate(ntree, pts)
-        dlvl = self.level.take(nb) - self.level
-        fin = np.flatnonzero((dlvl == 1) & interior)
+        fin = np.flatnonzero((self.level.take(nb) == self.level + 1) & interior)
         # sub-face j of a leaf is anchored at bit t of j on its t-th transverse
         # axis; (a take along axis 0 gathers rows far faster than fancy indexing)
         offs = np.array([[j >> (a - (a > axis)) & (a != axis) for a in range(dim)] for j in range(1, m)])
         sub_pts = pts.take(fin, axis=0)[:, None] + offs * (self.sizes.take(fin) >> 1)[:, None, None]
         sub = self.locate(ntree.take(fin).repeat(m - 1), sub_pts.reshape(-1, dim))
-        deep = fin[(self.level.take(sub).reshape(-1, m - 1) != self.level.take(fin)[:, None] + 1).any(axis=1)]
-        wide = np.flatnonzero((np.abs(dlvl) > 1) & interior)
-        named = wide.min() if len(wide) else deep.min() if len(deep) else None
         cells = np.arange(n)
-        return np.concatenate([cells, fin.repeat(m - 1)]), np.concatenate([np.where(interior, nb, cells), sub]), interior, named
+        return np.concatenate([cells, fin.repeat(m - 1)]), np.concatenate([np.where(interior, nb, cells), sub]), interior
 
     def face_list(self, axis: int) -> FaceList:
         """Faces along ``axis`` with the per-cell slot table (cached)."""
         if axis not in self._face_lists:
-            lo, hi, interior, named = self._face_rows(axis)
-            if named is not None:
-                raise ContractError(
-                    f"face list on axis {axis} requires a 2:1-balanced forest: "
-                    f"{self.leaf_label(int(named))} has a face neighbour two or more levels away"
-                )
-            self._face_lists[axis] = self._finish_face_list(axis, lo, hi, interior)
+            self._face_lists[axis] = self._finish_face_list(axis, *self._face_rows(axis))
         return self._face_lists[axis]
 
     def leaf_label(self, i: int) -> str:
@@ -452,11 +443,19 @@ class Forest:
         lo, head = np.concatenate([cells, cells.repeat(tail)]), hi
         hi = lo.copy()
         hi[:n] = head[:n]
-        hi[(end - tail).take(src)[:, None] + np.arange(m - 1)] = head[n:].reshape(-1, m - 1)
+        tail_first = (end - tail).take(src)  # the first tail row of each leaf in src
+        hi[tail_first[:, None] + np.arange(m - 1)] = head[n:].reshape(-1, m - 1)
         wall_lo = end[reach == 0] - 1
         dlo, dhi = self.dx.take(lo), self.dx.take(hi)
-        area = np.minimum(dlo, dhi) ** (dim - 1)
+        near = np.minimum(dlo, dhi)
+        area = near ** (dim - 1)
         dist = 0.5 * (dlo + dhi)
+        wide = dist > 1.5 * near  # the ends' levels differ by 2 or more
+        if wide.any():
+            raise ContractError(
+                f"face list on axis {axis} requires a 2:1-balanced forest: "
+                f"{self.leaf_label(int(lo[wide].min()))} has a face neighbour two or more levels away"
+            )
 
         # slot table, built as (k, 2, n) so that its transpose has contiguous
         # slot columns.  The low side lists the rows whose hi end is the cell
@@ -466,10 +465,12 @@ class Forest:
         key = hi << 32 | np.arange(len(hi))
         key[wall_hi] = n << 32
         slots = np.empty((len(j), 2, n), dtype=np.int64)
-        slots[:, 0] = (np.sort(key) & 0xFFFFFFFF).take(np.cumsum(cnt[0]) - cnt[0] + np.minimum(j, cnt[0] - 1))
-        above = np.minimum(j, cnt[1] - 1)
-        slots[:, 1] = np.where(above == 0, cells, end - tail - 1 + above)
-        slot_area = np.where(j[:, None] < cnt, area.take(slots), 0.0)
+        first = np.cumsum(cnt[0]) - cnt[0]
+        slots[:, 0] = (np.sort(key) & 0xFFFFFFFF).take(first + np.minimum(j, cnt[0] - 1))
+        slots[:, 1] = cells
+        slots[1:, 1, src] = tail_first + np.arange(len(j) - 1)[:, None]
+        slot_area = area.take(slots)
+        slot_area *= j[:, None] < cnt
         return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, slots.T, slot_area.T)
 
 

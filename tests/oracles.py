@@ -607,7 +607,7 @@ def balance(f):
     while True:
         coarse = np.zeros(f.nleaves, dtype=bool)
         for axis in range(f.dim):
-            lo, hi, _, _ = f._face_rows(axis)
+            lo, hi, _ = f._face_rows(axis)
             gap = f.level[hi] - f.level[lo]
             coarse[np.where(gap > 0, lo, hi)[np.abs(gap) >= 2]] = True
         if not coarse.any():
