@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from amrfv import morton
 from amrfv.errors import ConfigError, ContractError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_uniform
 from amrfv.partition import partition
@@ -258,6 +259,38 @@ class TestAdapt:
         for axis in range(dim):
             f2.face_list(axis)
         assert len(sizes) == 2 * dim
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_encodes_only_the_located_points(self, monkeypatch, dim):
+        # refine and coarsen derive the new forest's keys from the old ones:
+        # an adapt over cached face lists encodes nothing, and building the
+        # new forest's face lists encodes once per locate, two per axis
+        encoded, located = [], []
+        encode_many, locate = morton.encode_many, Forest.locate
+
+        def counted_encode(coords):
+            encoded.append(len(coords))
+            return encode_many(coords)
+
+        def counted_locate(self, tree_ids, points):
+            located.append(len(points))
+            return locate(self, tree_ids, points)
+
+        # a refine at the low corner and a merge at the high corner, which
+        # balance leaves as they are
+        f = new_uniform(conn2d() if dim == 2 else conn3d(), level=3, b=5)
+        for axis in range(dim):
+            f.face_list(axis)
+        m = 1 << dim
+        marks = marks_array(f, [(0, REFINE)] + [(f.nleaves - m + j, COARSEN) for j in range(m)])
+        monkeypatch.setattr(morton, "encode_many", counted_encode)
+        monkeypatch.setattr(Forest, "locate", counted_locate)
+        f2, _ = f.adapt(marks)
+        assert (encoded, located) == ([], [])
+        assert (f2.nleaves, f2.level.min(), f2.level.max()) == (f.nleaves, 2, 4)
+        for axis in range(dim):
+            f2.face_list(axis)
+        assert encoded == located and len(located) == 2 * dim
 
     def test_kept_member_keeps_its_whole_group(self):
         # the level-2 group of the low-left quadrant and the two level-3

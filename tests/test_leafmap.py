@@ -47,17 +47,17 @@ def assert_same(fa, ua, fb, ub):
     np.testing.assert_array_equal(bits(ua), bits(ub))
 
 
-@pytest.mark.parametrize(
-    "conn, b, min_level",
-    [
-        (Connectivity(2, (1, 1), (True, True)), 5, 0),
-        (Connectivity(2, (2, 1), (False, True)), 5, 1),
-        (Connectivity(2, (1, 3), (False, False), 0.5), 4, 0),
-        (Connectivity(3, (1, 2, 1), (False, False, True)), 4, 0),
-        (Connectivity(3, (2, 1, 1), (False, False, False)), 3, 1),
-    ],
-    ids=["2d_periodic", "2d_walls_two_trees", "2d_walls_three_trees", "3d_walls_two_trees", "3d_walled_box"],
-)
+# (connectivity, b, min_level) of the adapt fuzz tests
+CONNECTIVITIES = {
+    "2d_periodic": (Connectivity(2, (1, 1), (True, True)), 5, 0),
+    "2d_walls_two_trees": (Connectivity(2, (2, 1), (False, True)), 5, 1),
+    "2d_walls_three_trees": (Connectivity(2, (1, 3), (False, False), 0.5), 4, 0),
+    "3d_walls_two_trees": (Connectivity(3, (1, 2, 1), (False, False, True)), 4, 0),
+    "3d_walled_box": (Connectivity(3, (2, 1, 1), (False, False, False)), 3, 1),
+}
+
+
+@pytest.mark.parametrize("conn, b, min_level", list(CONNECTIVITIES.values()), ids=list(CONNECTIVITIES))
 def test_single_projection_matches_sequential_chain(conn, b, min_level):
     rng = np.random.default_rng(b * 10 + conn.dim + conn.ntrees)
     shared = 0

@@ -9,8 +9,10 @@ from amrfv import morton
 from amrfv.errors import ConfigError
 from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_uniform
 
+import oracles
 from oracles import deinterleave_oracle, interleave_oracle, zorder_traversal
 from test_forest import oracle_neighbors, slot_cells
+from test_leafmap import CONNECTIVITIES, random_marks
 
 
 def encode(coords):
@@ -67,6 +69,33 @@ class TestEncodeDecode:
             Forest(c, 32, 0, [0], [0], [[0, 0]])
         with pytest.raises(morton.DomainError):
             morton.encode_many(np.zeros((1, 4), dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "coords, bad",
+        [
+            # 2**32 + 1 aliased to 1, the key of (1, 0); y = 2**31 gave a negative key
+            ([[0, 0], [2**32 + 1, 0]], 1),
+            ([[5, 2**31]], 0),
+            ([[2**31 - 1, 2**31 - 1], [1, 2], [-1, 0]], 2),
+            # x = 2**21 gave key 0 in 3D
+            ([[2**21, 0, 0]], 0),
+            ([[0, 0, 0], [2**21 - 1, 2**21 - 1, 2**21 - 1], [3, -2, 1], [2**22, 0, 0]], 2),
+        ],
+        ids=["2d_wraps_32_bits", "2d_sign_bit", "2d_negative", "3d_wraps_21_bits", "3d_first_of_two"],
+    )
+    def test_coordinates_outside_the_lattice_rejected(self, coords, bad):
+        dim = len(coords[0])
+        with pytest.raises(morton.DomainError, match=rf"row {bad} .*\({coords[bad][0]}, .* outside \[0, 2\*\*{morton.MAX_B[dim]}\)"):
+            morton.encode_many(np.array(coords))
+        # the rows before it are in range and encode as they did
+        good = morton.encode_many(np.array(coords[:bad], dtype=np.int64).reshape(-1, dim))
+        assert good.tolist() == [interleave_oracle(c, morton.MAX_B[dim]) for c in coords[:bad]]
+
+    def test_empty_and_widest_coordinates(self):
+        assert morton.encode_many(np.zeros((0, 3), dtype=np.int64)).tolist() == []
+        top = (1 << 31) - 1
+        assert encode((top, top)) == (1 << 62) - 1
+        assert encode((0, top)) == interleave_oracle((0, top), 31)
 
     @pytest.mark.parametrize("dim,b", [(2, 4), (3, 3)])
     def test_exhaustive_roundtrip_vs_oracle(self, dim, b):
@@ -195,3 +224,67 @@ class TestZOrder:
         kids, _ = f.refine(np.array([REFINE]))
         for key, level in zip(kids.keys.tolist(), kids.level.tolist()):
             assert (int(f.keys[0]), int(f.level[0])) < (key, level)
+
+
+def fresh_sibling_ids(f):
+    """Child ids and parent keys from the anchors alone: the bits of each
+    anchor at its level's place, and the key of the anchor with them cleared."""
+    shift = (f.b - f.level)[:, None]
+    cid = (((f.coords >> shift) & 1) << np.arange(f.dim)).sum(axis=1)
+    return cid, morton.encode_many(f.coords & ~(np.int64(1) << shift))
+
+
+def assert_keys_derived(f):
+    """Keys as encoded from the anchors; shared sibling ids and complete groups as computed afresh."""
+    np.testing.assert_array_equal(f.keys, morton.encode_many(f.coords))
+    cid, pkey = fresh_sibling_ids(f)
+    np.testing.assert_array_equal(f.sibling_ids[0], cid)
+    np.testing.assert_array_equal(f.sibling_ids[1], pkey)
+    m = 1 << f.dim
+    same = [(f.tree[i], f.level[i], pkey[i]) for i in range(f.nleaves)]
+    whole = [i for i in range(f.nleaves - m + 1) if cid[i] == 0 and len(set(same[i : i + m])) == 1]
+    assert f.sibling_groups(np.ones(f.nleaves, dtype=bool))[0].tolist() == whole
+
+
+class TestDerivedKeys:
+    """refine, coarsen and adapt hand the new forest keys derived by octant
+    arithmetic and share the sibling ids; both must equal a fresh computation."""
+
+    @pytest.mark.parametrize("name", sorted(CONNECTIVITIES))
+    def test_fuzz_refine_coarsen_adapt(self, name):
+        conn, b, min_level = CONNECTIVITIES[name]
+        rng = np.random.default_rng(sorted(CONNECTIVITIES).index(name))
+        for start in (min_level + 1, min_level + 2):
+            f = new_uniform(conn, level=start, b=b, min_level=min_level)
+            assert_keys_derived(f)
+            for _ in range(10):
+                op = rng.choice(["refine", "coarsen", "adapt"])
+                f, _ = getattr(f, op)(random_marks(rng, f))
+                assert_keys_derived(f)
+                if op != "adapt":  # the next adapt needs a balanced forest
+                    f, _ = oracles.balance(f)
+                    assert_keys_derived(f)
+
+    def test_roots_of_different_trees_are_no_siblings(self):
+        # 2^d level-0 leaves in a row share child id 0, parent key 0 and level
+        for dim in (2, 3):
+            f = new_uniform(Connectivity(dim, (2,) * dim, (True,) * dim), level=0, b=3)
+            assert_keys_derived(f)
+            assert f.sibling_groups(np.ones(f.nleaves, dtype=bool))[0].tolist() == []
+
+    def test_max_b_leaves_in_the_last_tree(self):
+        # two trees at b = 31: the last tree's keys reach 2**62 - 1 and its
+        # combined (tree, key) index 2**63 - 1
+        b = morton.MAX_B[2]
+        f = new_uniform(Connectivity(2, (2, 1), (False, False)), level=1, b=b)
+        while f.level[-1] < b:
+            marks = marked(f, KEEP)
+            marks[-1] = REFINE
+            f, _ = f.refine(marks)
+            assert_keys_derived(f)
+        assert f.tree[-1] == 1 and f.keys[-1] == (1 << 2 * b) - 1
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            f, _ = f.adapt(random_marks(rng, f))
+            assert_keys_derived(f)
+
