@@ -196,10 +196,9 @@ class Forest:
         if validate:
             self._validate()
         self.keys = morton.encode_many(self.coords) if keys is None else keys
-        # combined keys ``tree * 2**(dim*b) + key``, which ``locate`` searches;
-        # the z-order invariant is load-bearing for every query, so always verify
-        self._tree_keys = (self.tree << (conn.dim * self.b)) | self.keys
-        if not np.all(self._tree_keys[1:] > self._tree_keys[:-1]):
+        # z-order invariant is load-bearing for every query; always verify
+        tree_keys = (self.tree << (conn.dim * self.b)) | self.keys
+        if not np.all(tree_keys[1:] > tree_keys[:-1]):
             raise ContractError("leaf array is not strictly (tree, z-order) sorted")
 
     def _validate(self):
@@ -227,6 +226,11 @@ class Forest:
     def sizes(self) -> np.ndarray:
         """Leaf edge length on the level-b lattice."""
         return np.int64(1) << (self.b - self.level)
+
+    @cached_property
+    def _tree_keys(self) -> np.ndarray:
+        """Sorted combined keys ``tree * 2**(dim*b) + key`` of the leaves."""
+        return (self.tree << (self.dim * self.b)) | self.keys
 
     @cached_property
     def dx(self) -> np.ndarray:
@@ -465,8 +469,10 @@ class Forest:
         key = hi << 32 | np.arange(len(hi))
         key[wall_hi] = n << 32
         slots = np.empty((len(j), 2, n), dtype=np.int64)
+        key.sort()
+        key &= 0xFFFFFFFF
         first = np.cumsum(cnt[0]) - cnt[0]
-        slots[:, 0] = (np.sort(key) & 0xFFFFFFFF).take(first + np.minimum(j, cnt[0] - 1))
+        slots[:, 0] = key.take(first + np.minimum(j, cnt[0] - 1))
         slots[:, 1] = cells
         slots[1:, 1, src] = tail_first + np.arange(len(j) - 1)[:, None]
         slot_area = area.take(slots)
