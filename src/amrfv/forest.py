@@ -2,11 +2,11 @@
 
 The leaf array is kept sorted by (tree id, Morton key); refinement and
 coarsening splice children / merged parents in place, which preserves the
-z-order without re-sorting.  ``adapt`` refines, coarsens and 2:1-balances
-in level space: ``balance`` lifts each leaf's wanted level to the least 2:1
-fixed point over the old forest's face rows, one refine and one coarsen make
-it, and one ``LeafMap`` (each new leaf averages a span of old leaves)
-projects the solution once.  There is one neighbour query, ``_face_rows``:
+z-order without re-sorting, and derive the new keys from the old ones.
+``adapt`` refines, coarsens and 2:1-balances in level space: ``balance``
+lifts each leaf's wanted level to the least 2:1 fixed point over the old
+forest's face rows, one refine and one coarsen make it, and one ``LeafMap``
+(each new leaf averages a span of old leaves) projects the solution once.  There is one neighbour query, ``_face_rows``:
 each leaf locates the lattice point one step across its high face, and a
 leaf with a finer neighbour locates each fine sub-face, so every face of an
 axis is found once, from its lower leaf.  ``face_list`` is the one
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +72,17 @@ class Connectivity:
     def domain_extents(self) -> tuple[float, ...]:
         return tuple(t * self.tree_extent for t in self.tree_dims)
 
+    @cached_property
+    def high_faces(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis and tree: the id step to the tree across its high face
+        (around the brick at its high end), and whether that face is a wall."""
+        out = []
+        for axis, (dims, periodic) in enumerate(zip(self.tree_dims, self.periodic)):
+            stride = math.prod(self.tree_dims[:axis])
+            last = np.arange(self.ntrees) // stride % dims == dims - 1
+            out.append((np.where(last, (1 - dims) * stride, stride), last & (not periodic)))
+        return tuple(out)
+
     def tree_coords_many(self, tids: np.ndarray) -> np.ndarray:
         """Brick coordinates of tree ids (x fastest)."""
         tids = np.asarray(tids, dtype=np.int64)
@@ -81,15 +92,6 @@ class Connectivity:
             out[..., a] = rem % self.tree_dims[a]
             rem = rem // self.tree_dims[a]
         return out
-
-
-@cache
-def _high_trees(conn: Connectivity, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per tree: the id step to the tree across its high face on ``axis``
-    (around the brick at its high end), and whether that face is a wall."""
-    stride, dims = math.prod(conn.tree_dims[:axis]), conn.tree_dims[axis]
-    last = np.arange(conn.ntrees) // stride % dims == dims - 1
-    return np.where(last, (1 - dims) * stride, stride), last & (not conn.periodic[axis])
 
 
 @dataclass(frozen=True)
@@ -330,6 +332,7 @@ class Forest:
 
         Returns the first leaf of each group and the mask of all their leaves.
         """
+        # a forest that merges nothing never computes its groups
         starts = self._sibling_starts if members.any() else np.zeros(0, dtype=np.int64)
         groups = starts[:, None] + np.arange(1 << self.dim)
         groups = groups[members.take(groups).all(axis=1)]
@@ -402,13 +405,12 @@ class Forest:
         pts[:, axis] += self.sizes
         out = pts[:, axis] >> self.b  # 1 where the point leaves its tree
         pts[:, axis] &= (1 << self.b) - 1
-        step, wall = _high_trees(self.conn, axis)
+        step, wall = self.conn.high_faces[axis]
         ntree = self.tree + out * step.take(self.tree)
         interior = (out & wall.take(self.tree)) == 0
         nb = self.locate(ntree, pts)
         fin = np.flatnonzero((self.level.take(nb) == self.level + 1) & interior)
-        # sub-face j of a leaf is anchored at bit t of j on its t-th transverse
-        # axis; (a take along axis 0 gathers rows far faster than fancy indexing)
+        # sub-face j of a leaf is anchored at bit t of j on its t-th transverse axis
         offs = np.array([[j >> (a - (a > axis)) & (a != axis) for a in range(dim)] for j in range(1, m)])
         sub_pts = pts.take(fin, axis=0)[:, None] + offs * (self.sizes.take(fin) >> 1)[:, None, None]
         sub = self.locate(ntree.take(fin).repeat(m - 1), sub_pts.reshape(-1, dim))
@@ -427,7 +429,11 @@ class Forest:
         return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
 
     def _finish_face_list(self, axis: int, lo, hi, interior) -> FaceList:
-        """Head and tail rows, areas, distances and slot table of the balanced rows ``_face_rows`` found."""
+        """Head and tail rows, areas, distances and slot table of the rows ``_face_rows`` found.
+
+        A ContractError names the first leaf with a face neighbour two or more
+        levels away.
+        """
         dim, n, m = self.dim, self.nleaves, 1 << (self.dim - 1)
         src = lo[n :: m - 1]  # the leaves with a finer high neighbour
         wall_hi = np.flatnonzero(~interior)
@@ -466,7 +472,7 @@ class Forest:
         # in row order, from one sort of the rows by (hi end, row); the high
         # side lists the head row, then the sub-faces that open the tail
         j = np.arange(cnt.max())[:, None]
-        key = hi << 32 | np.arange(len(hi))
+        key = hi << 32 | np.arange(len(hi))  # fewer than 2**31 leaves and 2**32 rows
         key[wall_hi] = n << 32
         slots = np.empty((len(j), 2, n), dtype=np.int64)
         key.sort()

@@ -5,14 +5,15 @@ An octant is anchored at its lower corner on the integer lattice
 refinement level.  Anchors of level-``l`` octants are multiples of
 ``2**(b - l)`` on every axis.  Keys interleave coordinate bits with
 x in the lowest position (bit ``d*i`` of the key is bit ``i`` of x),
-so sorting by key traverses leaves along the z-order curve.  A key is
-encoded once, when its octant first appears: ``new_uniform`` enumerates its
-keys, and ``Forest.refine`` and ``Forest.coarsen`` derive their leaves' keys
-by octant arithmetic (a child's key sets the child id in its level's d-bit
-slot of the parent's key; a merged parent keeps its child 0's key), as do
-child ids and parent keys (``Forest.sibling_ids``).  Face neighbours are the
-one query by coordinates: ``Forest.face_list`` encodes the lattice points
-across each high face and locates them among the keys.
+so sorting by key traverses leaves along the z-order curve.  A forest
+encodes its leaves' keys only when it is built from anchors alone:
+``new_uniform`` enumerates its keys and decodes the anchors from them,
+``Forest.refine`` gives a child its parent's key with the child id in the d
+bits of its level's slot, ``Forest.coarsen`` gives a merged parent its child
+0's key, and ``Forest.sibling_ids`` reads each leaf's child id and parent key
+off its key.  Face neighbours come from arithmetic on anchors (the lattice
+point one leaf size across a high face, or a fine sub-face's anchor); those
+points are encoded and located among the sorted keys (``Forest.locate``).
 """
 from __future__ import annotations
 
