@@ -272,18 +272,21 @@ class TestDerivedKeys:
             assert_keys_derived(f)
             assert f.sibling_groups(np.ones(f.nleaves, dtype=bool))[0].tolist() == []
 
-    def test_max_b_leaves_in_the_last_tree(self):
-        # two trees at b = 31: the last tree's keys reach 2**62 - 1 and its
-        # combined (tree, key) index 2**63 - 1
-        b = morton.MAX_B[2]
-        f = new_uniform(Connectivity(2, (2, 1), (False, False)), level=1, b=b)
+    @pytest.mark.parametrize("dim, trees", [(2, (2, 1)), (3, (1, 1, 1))])
+    def test_max_b_leaves_in_the_last_tree(self, dim, trees):
+        # at b = MAX_B the last tree's top corner has key 2**(dim*b) - 1 and
+        # the combined (tree, key) index reaches 2**63 - 1
+        b = morton.MAX_B[dim]
+        conn = Connectivity(dim, trees, (False,) * dim)
+        f = new_uniform(conn, level=1, b=b)
         while f.level[-1] < b:
             marks = marked(f, KEEP)
             marks[-1] = REFINE
             f, _ = f.refine(marks)
             assert_keys_derived(f)
-        assert f.tree[-1] == 1 and f.keys[-1] == (1 << 2 * b) - 1
-        rng = np.random.default_rng(31)
+        assert f.tree[-1] == conn.ntrees - 1 and f.keys[-1] == (1 << dim * b) - 1
+        assert f._tree_keys[-1] == (1 << 63) - 1
+        rng = np.random.default_rng(b)
         for _ in range(6):
             f, _ = f.adapt(random_marks(rng, f))
             assert_keys_derived(f)
