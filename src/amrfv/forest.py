@@ -254,7 +254,7 @@ class Forest:
         """Index of the leaf containing each lattice point of its tree."""
         tree_ids = np.asarray(tree_ids, dtype=np.int64)
         query = (tree_ids << (self.dim * self.b)) | morton.encode_many(points)
-        return np.searchsorted(self._tree_keys, query, side="right") - 1
+        return self._tree_keys.searchsorted(query, side="right") - 1
 
     # -- adaptation ----------------------------------------------------------
 
@@ -268,9 +268,9 @@ class Forest:
         counts = np.where(do, m, 1)
         src = np.repeat(np.arange(self.nleaves), counts)
         # child id pos of a refined leaf, 0 for a kept one, goes in the new
-        # level's bit slot: of each anchor coordinate and of the key.  (A take
-        # along axis 0 gathers rows far faster than fancy indexing.)
-        pos = np.arange(len(src)) - (np.cumsum(counts) - counts).take(src)
+        # level's bit slot: of each anchor coordinate and of the key.  (Takes
+        # and array methods skip numpy's fancy-indexing and Python layers.)
+        pos = np.arange(len(src)) - (counts.cumsum() - counts).take(src)
         shift = (self.b - self.level - do).take(src)
         unit = (np.arange(m)[:, None] >> np.arange(self.dim)) & 1
         f = Forest(
@@ -293,7 +293,7 @@ class Forest:
         starts, in_group = self.sibling_groups((marks == COARSEN) & (self.level > self.min_level))
         keep = ~in_group
         keep[starts] = True
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         merged = in_group.take(kept)
         # child 0 shares the parent anchor and key, so both pass through unchanged
         f = Forest(
@@ -325,7 +325,7 @@ class Forest:
         whole = cid[: max(self.nleaves - m + 1, 0)] == 0
         for j in range(m - 1):
             whole &= sib[j : j + len(whole)]
-        return np.flatnonzero(whole)
+        return whole.nonzero()[0]
 
     def sibling_groups(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Complete sibling groups whose 2^d leaves all lie in ``members``.
@@ -353,7 +353,7 @@ class Forest:
         rows = [self.face_list(axis) for axis in range(self.dim)]
         ends = np.concatenate([fl.lo for fl in rows] + [fl.hi for fl in rows])
         across = np.concatenate([fl.hi for fl in rows] + [fl.lo for fl in rows])
-        groups = np.flatnonzero(t < self.level).reshape(-1, 1 << self.dim)
+        groups = (t < self.level).nonzero()[0].reshape(-1, 1 << self.dim)
         own = self.level.take(groups[:, 0])  # a group's common level
         for top in range(int(t.max()), int(t.min()) + 1, -1):
             np.maximum.at(t, ends[t.take(across) == top], top - 1)
@@ -409,7 +409,7 @@ class Forest:
         ntree = self.tree + out * step.take(self.tree)
         interior = (out & wall.take(self.tree)) == 0
         nb = self.locate(ntree, pts)
-        fin = np.flatnonzero((self.level.take(nb) == self.level + 1) & interior)
+        fin = ((self.level.take(nb) == self.level + 1) & interior).nonzero()[0]
         # sub-face j of a leaf is anchored at bit t of j on its t-th transverse axis
         offs = np.array([[j >> (a - (a > axis)) & (a != axis) for a in range(dim)] for j in range(1, m)])
         sub_pts = pts.take(fin, axis=0)[:, None] + offs * (self.sizes.take(fin) >> 1)[:, None, None]
@@ -436,7 +436,7 @@ class Forest:
         """
         dim, n, m = self.dim, self.nleaves, 1 << (self.dim - 1)
         src = lo[n :: m - 1]  # the leaves with a finer high neighbour
-        wall_hi = np.flatnonzero(~interior)
+        wall_hi = (~interior).nonzero()[0]
 
         # cnt: each cell's face count on its low side (the rows reaching it,
         # or its low wall if none does; a high wall's hi end is its mirror)
@@ -448,7 +448,7 @@ class Forest:
         cnt[1, src] = m
         np.maximum(reach, 1, out=cnt[0])
         tail = cnt[1] - (reach > 0)
-        end = n + np.cumsum(tail)
+        end = n + tail.cumsum()
         cells = np.arange(n)
         lo, head = np.concatenate([cells, cells.repeat(tail)]), hi
         hi = lo.copy()
@@ -477,7 +477,7 @@ class Forest:
         slots = np.empty((len(j), 2, n), dtype=np.int64)
         key.sort()
         key &= 0xFFFFFFFF
-        first = np.cumsum(cnt[0]) - cnt[0]
+        first = cnt[0].cumsum() - cnt[0]
         slots[:, 0] = key.take(first + np.minimum(j, cnt[0] - 1))
         slots[:, 1] = cells
         slots[1:, 1, src] = tail_first + np.arange(len(j) - 1)[:, None]
