@@ -19,7 +19,7 @@ faces in a fixed order and a rank fluxes one slice of the head and the tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -143,7 +143,8 @@ class FaceList:
     of a hanging face, or the high wall) in row i, so ``lo[:n] == arange(n)``
     and kernels read the head's lo ends in place.  The tail holds the other
     sub-faces and the low walls, ordered by lo cell, a cell's sub-faces first:
-    a rank owning cells [a, b) fluxes head rows [a, b) and one tail slice.
+    a rank or a cell block (``blocks``) owning cells [a, b) fluxes head rows
+    [a, b) and one tail slice.
     ``slots[i, s]`` lists the rows on side s (0 = low, 1 = high) of cell i in
     row order, so ``slots[i, 1, 0] == i``.  Its last extent k is the largest
     face count of a cell side; a side with fewer faces repeats its last row
@@ -159,6 +160,33 @@ class FaceList:
     wall_hi: np.ndarray  # rows whose hi end mirrors the cell across its high face
     slots: np.ndarray  # (n, 2, k), Fortran order so slot columns are contiguous
     slot_area: np.ndarray  # (n, 2, k)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def blocks(self, count: int):
+        """``(cells, ranges, ends)`` of ``count`` nearly equal cell blocks (cached).
+
+        Block j owns cells [a, b) = ``cells[j]``; ``ranges`` lists the rows of
+        each block, head rows [a, b) then its tail slice (one range where they
+        meet), as ``(r0, r1, wall_lo, wall_hi)``, its wall rows counted from r0.
+        ``ends`` places each row's lo and hi end where each block lists its
+        cells twice from column 2a, low sides then high sides: at the lo cell's
+        high side and the hi cell's low side, a wall's mirror at the wall side.
+        """
+        if count not in self._blocks:
+            n = len(self.slots)
+            cells = np.arange(count + 1) * n // count
+            tail = n + self.lo[n:].searchsorted(cells)
+            ranges = [
+                (r0, r1, *(w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in (self.wall_lo, self.wall_hi)))
+                for a, b, ta, tb in zip(cells.tolist(), cells[1:].tolist(), tail.tolist(), tail[1:].tolist())
+                for r0, r1 in ([(a, tb)] if b == ta else [(a, b), (ta, tb)]) if r0 < r1
+            ]
+            low, high = (np.arange(n) + c.repeat(np.diff(cells)) for c in (cells[:-1], cells[1:]))
+            ends = np.stack([high.take(self.lo), low.take(self.hi)])
+            ends[0, self.wall_lo] = low.take(self.lo.take(self.wall_lo))
+            ends[1, self.wall_hi] = high.take(self.hi.take(self.wall_hi))
+            self._blocks[count] = list(zip(cells.tolist(), cells[1:].tolist())), ranges, ends
+        return self._blocks[count]
 
     def columns(self, row_values: np.ndarray, out=None):
         """Per-row values one slot column at a time, low side first.

@@ -7,33 +7,42 @@ sub-face) and accumulates signed contributions scaled by face area over cell
 volume.  Second order uses minmod-limited slopes of the primitive variables
 [m1, m2, u...] and the MUSCL-Hancock half-step prediction.
 
-A sweep is one pass over all leaves.  ``step`` copies the state once into
-its column-major result, whose transpose is a C-contiguous ``(ncomp, n)``
-block, and every sweep and gravity half-step updates that result in place;
-each kernel makes one numpy call per operation over all components.  The
-face states of both sides, their pressures and sound speeds form one
-``(ncomp + 2, 2n)`` block (one conversion, pressure and physical flux call,
-and one closure solve once corrected).  Faces come from ``Forest.face_list``:
-row i starts at cell i, so the flux and slope kernels read the head's lo
-ends in place and gather only the hi ends and the tail's lo ends.  A wall
-row's end across the wall reads the cell's own face state on the wall side
-with its normal momentum negated, so one flux call covers all rows; then
-each cell sums its sides' slots in slot order, so no bit depends on a
-partition.  The simulated-rank contract (a rank fluxes the rows whose lo
-cell it owns, reading owned and ghost cells only) is a property of the face
-list and ``partition.ghost_layer`` that the test suite checks.
+``step`` copies the state once into its column-major result, whose
+transpose is a C-contiguous ``(ncomp, n)`` block, and every sweep and
+gravity half-step updates that result in place.  A sweep runs each phase
+over contiguous Morton blocks [a, b) of at most ``_BLOCK`` cells, so that a
+block's temporaries stay in a core's L2 cache: the primitives, the slope
+rows of each block's face rows, per block the minmod reduction, the
+MUSCL-Hancock prediction and the closure, the fluxes of each block's face
+rows, per block the slot sums and the update.  A phase that reads other
+blocks' results waits for the phase before it in every block.  Each kernel
+makes one numpy call per operation over all components of a block.  A
+block's face states of both sides, their pressures and sound speeds are
+its columns of one ``(ncomp + 2, 2n)`` block (one conversion, pressure and
+physical flux call, and one closure solve once corrected).  Faces come from
+``Forest.face_list``: row i starts at cell i, so the flux and slope kernels
+read the head's lo ends in place and gather only the hi ends and the tail's
+lo ends.  A wall row's end across the wall reads the cell's own face state
+on the wall side with its normal momentum negated, so one flux call covers
+a range of rows; then each cell sums its sides' slots in slot order, so no
+bit depends on the blocks or on a partition.  The simulated-rank contract
+(a rank fluxes the rows whose lo cell it owns, reading owned and ghost
+cells only) is a property of the face list and ``partition.ghost_layer``
+that the test suite checks.
 
 Every block temporary of a step is carved from one flat buffer, the module's
 ``_Arena``, which lives across steps and is re-laid when the leaf or
-component count changes (10.03 times the state at order 2 on a uniform 2D
-mesh).  The kernels write into it through ``out=`` (``work=`` for the
-flux's scratch rows) with the same operations in the same order as into
-fresh arrays, so once the first sweep of a shape has sized the buffer a step
-allocates only its result and touches no fresh pages.  Nothing returned
-shares memory with the buffer: ``step`` and ``sweep`` return a fresh array
-or the caller's ``out=``, and a kernel called without ``out=`` runs into
-fresh arrays.  There is one buffer per process, so two threads must not
-step at the same time.
+component count changes; each cell block hands its scratch back at its end.
+At order 2 on a uniform 2D mesh the buffer is 10.03 times the state in one
+block and 6.78 times it at 65,536 leaves in four, where only the face
+states, primitives, slopes and slope rows span all leaves.  The kernels
+write into it through ``out=`` (``work=`` for the flux's scratch rows) with
+the same operations in the same order as into fresh arrays, so once the
+first sweep of a shape has sized the buffer a step allocates only its
+result and touches no fresh pages.  Nothing returned shares memory with the
+buffer: ``step`` and ``sweep`` return a fresh array or the caller's
+``out=``, and a kernel called without ``out=`` runs into fresh arrays.
+There is one buffer per process, so two threads must not step at once.
 """
 from __future__ import annotations
 
@@ -89,8 +98,8 @@ class _Arena:
     the buffer gets a fresh array and raises the high-water mark, which
     ``reset`` then grows the buffer to, so only the first sweep of a shape
     allocates.  Each block view is made once and looked up after that: a
-    sweep takes a few dozen blocks, and on a mesh of a thousand leaves
-    making their views anew cost about a tenth of the sweep.  An arena
+    sweep takes a few dozen blocks per cell block, and on a mesh of a
+    thousand leaves making their views anew cost about a tenth of the sweep.  An arena
     without a key keeps no buffer: every block it hands out is fresh.
     """
 
@@ -134,6 +143,13 @@ class _Arena:
 
 _ARENA = _Arena()
 
+_BLOCK = 16384  # the most cells in a block of a sweep's phases
+
+
+def _blocks(fl):
+    """``fl.blocks`` for blocks of at most ``_BLOCK`` cells."""
+    return fl.blocks(-(-len(fl.slots) // _BLOCK))
+
 
 def _arena(n: int, ncomp: int) -> _Arena:
     """The module's arena for ``n`` leaves of ``ncomp`` components, reset.
@@ -166,23 +182,26 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     with _sec(prof, "eos"):
         arena = _arena(n, u.shape[1])
         rho = u[:, IRHO]
-        rows = arena.take(6, n)
-        # a bad density gives a bad Y here, but the sound speed rejects it first
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(u[:, IRHOY], rho, out=rows[0])
-        try:
-            c = eos.wood_sound_speed(rho, rows[0], fp, out=rows)
-        except EosError as exc:
-            raise EosError(f"time step at {f.leaf_label(exc.index)}: {exc}", index=exc.index) from exc
-    with _sec(prof, "dt"):
         imp, imp_max, col = arena.take(3, n)
-        np.multiply(rho, c, out=imp)
+        for a, b in _blocks(f.face_list(0))[0]:
+            with arena:
+                rows, r = arena.take(6, b - a), rho[a:b]
+                # a bad density gives a bad Y here, but the sound speed rejects it first
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(u[a:b, IRHOY], r, out=rows[0])
+                try:
+                    c = eos.wood_sound_speed(r, rows[0], fp, out=rows)
+                except EosError as exc:
+                    leaf = a + exc.index
+                    raise EosError(f"time step at {f.leaf_label(leaf)}: {exc}", index=leaf) from exc
+                np.multiply(r, c, out=imp[a:b])
+    with _sec(prof, "dt"):
         np.copyto(imp_max, imp)
         for axis in range(f.dim):
             fl = f.face_list(axis)
             with arena:
                 rows = imp.take(fl.hi, out=arena.take(len(fl.lo)), mode="clip")
-                np.maximum(_lo_ends(fl, imp[None], 0, arena)[0], rows, out=rows)
+                np.maximum(_lo_ends(fl, imp[None], fl.lo, 0, len(fl.lo), arena)[0], rows, out=rows)
                 for column in fl.columns(rows, out=col):
                     np.maximum(imp_max, column, out=imp_max)
         speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
@@ -198,23 +217,22 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     return dt
 
 
-def _lo_ends(fl, block: np.ndarray, off: int, arena: _Arena) -> np.ndarray:
-    """Column ``off + i`` of ``block`` for each face row's lo cell i, column i for a low wall.
+def _lo_ends(fl, block: np.ndarray, los: np.ndarray, r0: int, r1: int, arena: _Arena) -> np.ndarray:
+    """Columns ``los[r0:r1]`` of ``block``, the lo ends of face rows [r0, r1).
 
-    Without a tail, the head's view in place; else one C-contiguous block from
+    Head rows alone read their view in place; else one C-contiguous block from
     ``arena``, as kernels on row-strided views cost more per call on small
     meshes, plus the tail's scratch, both held to the end of the caller's scope.
     """
-    (nrow, _), n, nf = block.shape, len(fl.slots), len(fl.lo)
-    if nf == n:
-        return block[:, off:off + n]
-    ends = arena.take(nrow, nf)
-    np.copyto(ends[:, :n], block[:, off:off + n])
-    at = fl.lo[n:]
-    if off:
-        at = np.add(at, off, out=arena.take(nf - n, dtype=np.int64))
-        at[fl.wall_lo - n] -= off
-    np.copyto(ends[:, n:], block.take(at, axis=1, out=arena.take(nrow, nf - n), mode="clip"))
+    h = max(min(r1, len(fl.slots)) - r0, 0)
+    if h == r1 - r0:
+        return block[:, los[r0]:los[r0] + h]
+    tail = block.take(los[r0 + h:r1], axis=1, out=arena.take(len(block), r1 - r0 - h), mode="clip")
+    if not h:
+        return tail
+    ends = arena.take(len(block), r1 - r0)
+    np.copyto(ends[:, :h], block[:, los[r0]:los[r0] + h])
+    np.copyto(ends[:, h:], tail)
     return ends
 
 
@@ -225,43 +243,48 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
     slope shares its sign, else zero.  Each face row gives the slope between
     its two ends over its center distance; the mirrored end of a wall row has
     its normal velocity negated, so a wall gives a slope of +-2 u_n / dx in
-    that component and 0 in the others.  The slopes go into ``out`` when
-    given, else into a fresh column-major array; scratch comes from
+    that component and 0 in the others.  All slope rows come first, a block's
+    rows at a time, then each block's reduction.  The slopes go into ``out``
+    when given, else into a fresh column-major array; scratch comes from
     ``arena`` when given.
     """
     fl = f.face_list(axis)
-    nf = len(fl.lo)
     Vt = V.T
     ncomp, n = Vt.shape
     arena = arena or _Arena()
     sigma = np.empty((ncomp, n)) if out is None else out.T
+    cells, ranges, _ = _blocks(fl)
     with arena:
-        rows = arena.take(ncomp, nf)
-        with arena:
-            vhi = Vt.take(fl.hi, axis=1, out=arena.take(ncomp, nf), mode="clip")
-            vlo = _lo_ends(fl, Vt, 0, arena)
-            np.negative.at(vlo[IMX + axis], fl.wall_lo)
-            np.negative.at(vhi[IMX + axis], fl.wall_hi)
-            np.subtract(vhi, vlo, out=rows)
-        rows /= fl.dist
-        # every slot column of both cell sides, one take over the block each,
-        # but slot 0 of the high side (slots[1]): the head, in place
-        slots = fl.slots.T.reshape(-1, n)
-        smin, smax, col = arena.take(3, ncomp, n)
-        rows.take(slots[0], axis=1, out=col, mode="clip")
-        np.minimum(rows[:, :n], col, out=smin)
-        np.maximum(rows[:, :n], col, out=smax)
-        for slot in slots[2:]:
-            rows.take(slot, axis=1, out=col, mode="clip")
-            np.minimum(smin, col, out=smin)
-            np.maximum(smax, col, out=smax)
-        # smin where it is positive, smax where it is negative, else +0.0
-        # (+= 0.0 turns -0.0 into +0.0); a NaN slope makes both NaN, which
-        # fmax turns into 0.0, and an infinite slope becomes +0.0 too
-        np.fmax(smin, 0.0, out=sigma)
-        np.fmin(sigma, smax, out=sigma)
-        sigma += 0.0
-        np.copyto(sigma, 0.0, where=np.isinf(sigma, out=arena.take(ncomp, n, dtype=bool)))
+        rows = arena.take(ncomp, len(fl.lo))
+        for r0, r1, wall_lo, wall_hi in ranges:
+            with arena:
+                vhi = Vt.take(fl.hi[r0:r1], axis=1, out=arena.take(ncomp, r1 - r0), mode="clip")
+                vlo = _lo_ends(fl, Vt, fl.lo, r0, r1, arena)
+                np.negative.at(vlo[IMX + axis], wall_lo)
+                np.negative.at(vhi[IMX + axis], wall_hi)
+                np.subtract(vhi, vlo, out=(seg := rows[:, r0:r1]))
+            seg /= fl.dist[r0:r1]
+        for a, b in cells:
+            with arena:
+                # every slot column of both cell sides, one take over the block
+                # each, but slot 0 of the high side (slots[1]): the head, in place
+                slots = fl.slots[a:b].T.reshape(-1, b - a)
+                smin, smax, col = arena.take(3, ncomp, b - a)
+                rows.take(slots[0], axis=1, out=col, mode="clip")
+                np.minimum(rows[:, a:b], col, out=smin)
+                np.maximum(rows[:, a:b], col, out=smax)
+                for slot in slots[2:]:
+                    rows.take(slot, axis=1, out=col, mode="clip")
+                    np.minimum(smin, col, out=smin)
+                    np.maximum(smax, col, out=smax)
+                # smin where it is positive, smax where it is negative, else +0.0
+                # (+= 0.0 turns -0.0 into +0.0); a NaN slope makes both NaN, which
+                # fmax turns into 0.0, and an infinite slope becomes +0.0 too
+                sig = sigma[:, a:b]
+                np.fmax(smin, 0.0, out=sig)
+                np.fmin(sig, smax, out=sig)
+                sig += 0.0
+                np.copyto(sig, 0.0, where=np.isinf(sig, out=arena.take(ncomp, b - a, dtype=bool)))
     return sigma.T
 
 
@@ -340,79 +363,87 @@ def sweep(
     normal = IMX + axis
     arena = _arena(n, ncomp)
     fl = f.face_list(axis)
+    cells, ranges, ends = _blocks(fl)
 
-    # phase A (per cell): the (ncomp + 2, k n) block of face states, left
-    # faces first with k = order, then their pressures p and sound speeds c
+    # phase A (per cell block [a, b)): columns [k a, k b) of B hold the face
+    # states of its cells, left faces first with k = order, over their
+    # pressures p and sound speeds c
     k = cfg.order
     B = arena.take(ncomp + 2, k * n)
-    FS, p, c = B[:ncomp], B[ncomp], B[ncomp + 1]
+    a, m = 0, n
     try:
-        if k == 2:
-            with _sec(prof, "slopes"), arena:
-                V, sigma = arena.take(2, ncomp, n)
-                V = eos.to_primitive(u, out=V.T)
-                sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
-                muscl_predict(u, sigma, f.dx, dt, fp, V=V, out=FS.T, arena=arena, normal=normal)
-        with _sec(prof, "eos"), arena:
-            if k == 1:
-                np.copyto(FS, u.T)
-            # all face states in one closure solve from Y; p and c (closure
-            # rows 3 and 0) are kept for the flux phase, the others are scratch
-            rows = arena.take(4, k * n)
-            rho = eos._check_density(FS[IRHO])
-            Y = np.divide(FS[IRHOY], rho, out=c)
-            eos._pressure_and_speed(rho, Y, fp, (c, rows[0], rows[1], p, rows[2], rows[3]))
+        with arena:
+            if k == 2:
+                with _sec(prof, "slopes"):
+                    V, sigma = arena.take(2, ncomp, n)
+                    V = eos.to_primitive(u, out=V.T)
+                    sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
+            for a, b in cells:
+                m, Bk = b - a, B[:, k * a:k * b]
+                FS, p, c = Bk[:ncomp], Bk[ncomp], Bk[ncomp + 1]
+                if k == 2:
+                    with _sec(prof, "slopes"), arena:
+                        muscl_predict(
+                            u[a:b], sigma[a:b], f.dx[a:b], dt, fp, V=V[a:b], out=FS.T, arena=arena, normal=normal
+                        )
+                with _sec(prof, "eos"), arena:
+                    if k == 1:
+                        np.copyto(FS, u.T[:, a:b])
+                    # all face states in one closure solve from Y; p and c (closure
+                    # rows 3 and 0) are kept for the flux phase, the others are scratch
+                    rows = arena.take(4, k * m)
+                    rho = eos._check_density(FS[IRHO])
+                    Y = np.divide(FS[IRHOY], rho, out=c)
+                    eos._pressure_and_speed(rho, Y, fp, (c, rows[0], rows[1], p, rows[2], rows[3]))
     except EosError as exc:
-        # a stacked (2n) batch holds the left faces first, so row i is leaf i % n
-        leaf = exc.index % n
+        # a stacked (k m) batch holds the left faces first, so row i is leaf a + i % m
+        leaf = a + exc.index % m
         raise EosError(f"sweep on axis {axis} at {f.leaf_label(leaf)}: {exc}", index=leaf) from exc
 
-    lo, hi = fl.lo, fl.hi
-    nf = len(lo)
-    # the high face state of leaf i is column off + i
-    off = k * n - n
     with _sec(prof, "flux"):
-        # phase B1 (per face row): each row joins the high face state of lo
-        # to the low face state of hi, with their p and c; a wall row's
-        # mirrored end reads the cell's own face state on the wall side with
-        # the normal momentum negated
-        flux = arena.take(ncomp, nf)
+        # phase B1 (per row range of a cell block [a, b)): each row joins the
+        # high face state of lo to the low face state of hi, with their p and
+        # c; a wall row's mirrored end reads the cell's own face state on the
+        # wall side with the normal momentum negated
+        flux = arena.take(ncomp, len(fl.lo))
+        los, his = (fl.lo, fl.hi) if k == 1 else ends
         try:
-            with arena:
-                ihi = arena.take(nf, dtype=np.int64)
-                np.copyto(ihi, hi)
-                ihi[fl.wall_hi] += off
-                L = _lo_ends(fl, B, off, arena)
-                R = B.take(ihi, axis=1, out=arena.take(ncomp + 2, nf), mode="clip")
-                np.negative.at(L[normal], fl.wall_lo)
-                np.negative.at(R[normal], fl.wall_hi)
-                riemann.suliciu_flux(
-                    L[:ncomp].T, R[:ncomp].T, fp, L[ncomp], R[ncomp], L[ncomp + 1], R[ncomp + 1],
-                    out=flux.T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, nf), normal=normal,
-                )
+            for r0, r1, wall_lo, wall_hi in ranges:
+                with arena:
+                    L = _lo_ends(fl, B, los, r0, r1, arena)
+                    R = B.take(his[r0:r1], axis=1, out=arena.take(ncomp + 2, r1 - r0), mode="clip")
+                    np.negative.at(L[normal], wall_lo)
+                    np.negative.at(R[normal], wall_hi)
+                    riemann.suliciu_flux(
+                        L[:ncomp].T, R[:ncomp].T, fp, L[ncomp], R[ncomp], L[ncomp + 1], R[ncomp + 1],
+                        out=flux[:, r0:r1].T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, r1 - r0), normal=normal,
+                    )
         except VacuumError as exc:
             # a wall row joins its cell to itself: name the cell once
-            at = " and ".join(map(f.leaf_label, dict.fromkeys((lo[exc.row], hi[exc.row]))))
-            raise VacuumError(f"sweep on axis {axis}, face row {exc.row} at {at}: {exc}", row=exc.row) from exc
+            row = r0 + exc.row
+            at = " and ".join(map(f.leaf_label, dict.fromkeys((fl.lo[row], fl.hi[row]))))
+            raise VacuumError(f"sweep on axis {axis}, face row {row} at {at}: {exc}", row=row) from exc
 
-        # phase B2 (per cell): each cell side sums its slots in slot order,
-        # low side (from +0.0, so never -0.0) minus high side (from its own
-        # head row), so no sign of a zero shows; the slots are in range, and
-        # mode="clip" lets take fill ``term`` without an intermediate copy
+        # phase B2 (per cell block): each cell side sums its slots in slot
+        # order, low side (from +0.0, so never -0.0) minus high side (from its
+        # own head row), so no sign of a zero shows; the slots are in range,
+        # and mode="clip" lets take fill ``term`` without an intermediate copy
         nslot = fl.slots.shape[2]
-        coef = np.multiply(dt, fl.slot_area, out=arena.take(nslot, 2, n).T)
-        dW, acc, term = arena.take(3, ncomp, n)
-        dW.fill(0.0)
-        np.multiply(flux[:, :n], coef[:, 1, 0], out=acc)
-        for s, side in enumerate((dW, acc)):
-            for j in range(s, nslot):
-                flux.take(fl.slots[:, s, j], axis=1, out=term, mode="clip")
-                term *= coef[:, s, j]
-                side += term
-        dW -= acc
-        dW /= f.volumes
         out = np.empty((ncomp, n)).T if out is None else out
-        np.add(u.T, dW, out=out.T)
+        for a, b in cells:
+            with arena:
+                coef = np.multiply(dt, fl.slot_area[a:b], out=arena.take(nslot, 2, b - a).T)
+                dW, acc, term = arena.take(3, ncomp, b - a)
+                dW.fill(0.0)
+                np.multiply(flux[:, a:b], coef[:, 1, 0], out=acc)
+                for s, side in enumerate((dW, acc)):
+                    for j in range(s, nslot):
+                        flux.take(fl.slots[a:b, s, j], axis=1, out=term, mode="clip")
+                        term *= coef[:, s, j]
+                        side += term
+                dW -= acc
+                dW /= f.volumes[a:b]
+                np.add(u.T[:, a:b], dW, out=out.T[:, a:b])
     return out
 
 

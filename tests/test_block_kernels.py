@@ -4,14 +4,18 @@ The flux, slope and MUSCL-Hancock kernels make one numpy call per operation
 over a whole ``(ncomp, n)`` block, and MUSCL-Hancock handles both face sides
 in one ``(ncomp, 2n)`` block.  ``tests/oracles.py`` keeps the same kernels
 written one component column at a time.  The flux and MUSCL-Hancock cases
-run with the face normal on each axis' momentum row.  Every case compares
-int64 views, so it checks every bit, signed zeros included.
+run with the face normal on each axis' momentum row.  A sweep runs its
+phases over cell blocks, and a step cut into many small blocks must give the
+bits of one block.  Every case compares int64 views, so it checks every bit,
+signed zeros included.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from amrfv import eos, riemann, solver
+from amrfv import eos, harness, riemann, solver
 from amrfv.errors import EosError
 from amrfv.eos import FluidPair
 from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
@@ -193,3 +197,32 @@ def test_stacked_eos_error_names_its_leaf(monkeypatch):
         solver.sweep(f, u, 1, 1e-6, SweepConfig(order=2), MILD)
     assert err.value.index == 3
     assert str(err.value) == f"sweep on axis 1 at {f.leaf_label(3)}: injected"
+
+
+# walls and gravity; hanging faces with k = 2; 3D with walls and k = 4 on x and y
+BLOCKED_CASES = {"drop2d": {}, "disk_advection": {}, "dambreak3d": dict(max_level=4, min_level=2)}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+def test_blocks_give_the_bits_of_one_block(monkeypatch, case):
+    # block boundaries cut through head rows, tail slices, wall rows and the
+    # cells whose slots reach into other blocks; dt and the step are unchanged
+    cfg = harness.default_config(case, **BLOCKED_CASES[case])
+    setup = harness.init_case(cfg)
+    f, u, fp = setup.forest, setup.field, setup.fluids
+    for axis in range(f.dim):
+        fl = f.face_list(axis)
+        cells, ranges, _ = fl.blocks(-(-f.nleaves // 7))
+        assert len(ranges) > len(cells)  # tail slices
+        assert sum(len(r[2]) for r in ranges) == len(fl.wall_lo) and sum(len(r[3]) for r in ranges) == len(fl.wall_hi)
+    assert case == "disk_advection" or len(f.face_list(0).wall_lo) > 0
+    for order in (1, 2):
+        for splitting in ("lie", "strang"):
+            scfg = dataclasses.replace(cfg.sweep_config, order=order, splitting=splitting)
+            monkeypatch.setattr(solver, "_BLOCK", f.nleaves)
+            expected, dt = solver.step(f, u, scfg, fp)
+            for block in (7, 64, 1000):
+                monkeypatch.setattr(solver, "_BLOCK", block)
+                got, got_dt = solver.step(f, u, scfg, fp)
+                assert got_dt == dt
+                assert_bits(got, expected)

@@ -88,6 +88,35 @@ def test_step_buffer_holds_no_copy_of_the_state():
     assert solver._ARENA.buf.nbytes <= 10.03125 * u.nbytes
 
 
+def test_second_step_in_blocks_allocates_only_its_result(monkeypatch):
+    # 4,096 leaves in blocks of 1,024: each block hands its scratch back to
+    # the buffer.  Beside the result, a ufunc whose operands' row strides
+    # differ (a block's columns of the face-state block and the block's own
+    # scratch) gets numpy iterator buffers, at most getbufsize() elements for
+    # each of three operands, freed when it returns (2.55 times the state
+    # here at the peak)
+    monkeypatch.setattr(solver, "_BLOCK", 1024)
+    f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=6, b=6)
+    u, _ = solver.step(f, smooth_state(f), STRANG2, MILD)
+    tracemalloc.start()
+    try:
+        solver.step(f, u, STRANG2, MILD)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= u.nbytes + 3 * 8 * np.getbufsize() + 16384
+
+
+def test_step_buffer_of_four_blocks():
+    # 65,536 leaves in four blocks of 16,384: the face states, primitives,
+    # slopes and slope rows span all leaves, the other scratch one block, so
+    # the buffer is 6.78 times the state where one block needs 10.03 times
+    f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=8, b=8)
+    u, _ = solver.step(f, smooth_state(f), STRANG2, MILD)
+    u, _ = solver.step(f, u, STRANG2, MILD)
+    assert solver._ARENA.buf.nbytes <= 6.78125 * u.nbytes
+
+
 class TestNoAliasing:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("dim", [2, 3])

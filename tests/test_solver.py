@@ -248,6 +248,70 @@ class TestSweep:
         assert err.value.index == 3
 
 
+class TestErrorsInLaterBlocks:
+    """With blocks of 2 or 3 cells, an error in a later block names the global leaf or row."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_zero_density_names_the_leaf(self, monkeypatch, order):
+        # 7 leaves in blocks [0, 2), [2, 4), [4, 7): leaf 3 is cell 1 of the second
+        monkeypatch.setattr(solver, "_BLOCK", 3)
+        f, u = one_bad_leaf(0.0)
+        with pytest.raises(EosError) as err:
+            solver.sweep(f, u, 1, 1e-6, SweepConfig(order=order), MILD)
+        assert str(err.value) == f"sweep on axis 1 at {BAD_LEAF}: non-positive or non-finite density"
+        assert err.value.index == 3
+        with pytest.raises(EosError) as err:
+            solver.compute_dt(f, u, SweepConfig(), MILD)
+        assert str(err.value) == f"time step at {BAD_LEAF}: non-positive or non-finite density"
+        assert err.value.index == 3
+
+    def test_closure_failure_names_the_leaf(self, monkeypatch):
+        # a block's face states share one closure call, left faces first: a
+        # failure at the right face state of its cell 1 is row m + 1
+        monkeypatch.setattr(solver, "_BLOCK", 3)
+        f, u = one_bad_leaf(0.0)
+        u[3] = u[2]
+        real = eos._pressure_and_speed
+        calls = []
+
+        def fail_in_the_second_block(rho, Y, fp, *out):
+            calls.append(np.size(rho))
+            if len(calls) == 2:
+                raise EosError("injected", index=np.size(rho) // 2 + 1)
+            return real(rho, Y, fp, *out)
+
+        monkeypatch.setattr(eos, "_pressure_and_speed", fail_in_the_second_block)
+        with pytest.raises(EosError) as err:
+            solver.sweep(f, u, 1, 1e-6, SweepConfig(order=2), MILD)
+        assert calls == [4, 4]
+        assert err.value.index == 3
+        assert str(err.value) == f"sweep on axis 1 at {BAD_LEAF}: injected"
+
+    def test_vacuum_error_names_the_global_row(self, monkeypatch):
+        # 4 leaves in blocks [0, 2) and [2, 4); on axis 0, block 0 has head
+        # rows 0-1 and tail row 4 (leaf 0's low wall), block 1 head rows 2-3
+        # and tail row 5 (leaf 2's low wall)
+        monkeypatch.setattr(solver, "_BLOCK", 2)
+        f = new_uniform(conn2d(periodic=(False, False)), level=1, b=1)
+        assert f.face_list(0).blocks(2)[1][2][:2] == (2, 4)
+        vel = np.zeros((f.nleaves, 2))
+        # leaves 2 and 3 collide on head row 2
+        vel[2:, 0] = 50.0, -50.0
+        u = eos.state_from_pressure_alpha(10.0, np.full(f.nleaves, 0.5), vel, SHOCK)
+        with pytest.raises(VacuumError) as err:
+            solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
+        assert err.value.row == 2
+        labels = "leaf 2 (level 1, centre (0.25, 0.75)) and leaf 3 (level 1, centre (0.75, 0.75))"
+        assert str(err.value).startswith(f"sweep on axis 0, face row 2 at {labels}: ")
+        # leaf 2 alone rushes into its low wall, tail row 5
+        vel[2:, 0] = -50.0, 0.0
+        u = eos.state_from_pressure_alpha(10.0, np.full(f.nleaves, 0.5), vel, SHOCK)
+        with pytest.raises(VacuumError) as err:
+            solver.sweep(f, u, 0, 1e-3, SweepConfig(order=1), SHOCK)
+        assert err.value.row == 5
+        assert str(err.value).startswith("sweep on axis 0, face row 5 at leaf 2 (level 1, centre (0.25, 0.75)): ")
+
+
 class TestSlopes:
     def test_linear_field_exact_gradient(self):
         f = new_uniform(conn2d(periodic=(False, True)), level=3, b=3)
