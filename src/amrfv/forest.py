@@ -165,27 +165,31 @@ class FaceList:
     def blocks(self, count: int):
         """``(cells, ranges, ends)`` of ``count`` nearly equal cell blocks (cached).
 
-        Block j owns cells [a, b) = ``cells[j]``; ``ranges`` lists the rows of
-        each block, head rows [a, b) then its tail slice (one range where they
-        meet), as ``(r0, r1, wall_lo, wall_hi)``, its wall rows counted from r0.
-        ``ends`` places each row's lo and hi end where each block lists its
-        cells twice from column 2a, low sides then high sides: at the lo cell's
-        high side and the hi cell's low side, a wall's mirror at the wall side.
+        Block j owns cells [a, b) = ``cells[j]`` and, in ``ranges``, head rows
+        [a, b) and its tail slice (one range where they meet) as ``(r0, r1,
+        wall_lo, wall_hi)``, its wall rows counted from r0.  ``ends`` holds the
+        rows' lo and hi ends where each block lists its cells twice from column
+        2a, low then high sides: the lo cell's high side, the hi cell's low side,
+        and for a wall's mirror the cell's side on the wall.
         """
         if count not in self._blocks:
             n = len(self.slots)
-            cells = np.arange(count + 1) * n // count
-            tail = n + self.lo[n:].searchsorted(cells)
-            ranges = [
-                (r0, r1, *(w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in (self.wall_lo, self.wall_hi)))
-                for a, b, ta, tb in zip(cells.tolist(), cells[1:].tolist(), tail.tolist(), tail[1:].tolist())
-                for r0, r1 in ([(a, tb)] if b == ta else [(a, b), (ta, tb)]) if r0 < r1
-            ]
-            low, high = (np.arange(n) + c.repeat(np.diff(cells)) for c in (cells[:-1], cells[1:]))
-            ends = np.stack([high.take(self.lo), low.take(self.hi)])
-            ends[0, self.wall_lo] = low.take(self.lo.take(self.wall_lo))
-            ends[1, self.wall_hi] = high.take(self.hi.take(self.wall_hi))
-            self._blocks[count] = list(zip(cells.tolist(), cells[1:].tolist())), ranges, ends
+            cells = [j * n // count for j in range(count + 1)]
+            tail = (self.lo[n:].searchsorted(cells) + n).tolist()
+            # the lo cells of a block's rows lie in the block, hi cells anywhere
+            walls, ranges, ends = (self.wall_lo, self.wall_hi), [], np.array([self.lo, self.hi])
+            if count > 1:
+                ends[1] += np.repeat(cells[:-1], np.diff(cells)).take(self.hi)
+            for a, b, ta, tb in zip(cells, cells[1:], tail, tail[1:]):
+                for r0, r1 in [(a, tb)] if b == ta else [(a, b), (ta, tb)]:
+                    if r0 == r1:
+                        continue
+                    wall_lo, wall_hi = (w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in walls)
+                    ends[0, r0:r1] += b
+                    ends[0, wall_lo + r0] -= b - a
+                    ends[1, wall_hi + r0] += b - a
+                    ranges.append((r0, r1, wall_lo, wall_hi))
+            self._blocks[count] = list(zip(cells, cells[1:])), ranges, ends
         return self._blocks[count]
 
     def columns(self, row_values: np.ndarray, out=None):

@@ -12,14 +12,13 @@ transpose is a C-contiguous ``(ncomp, n)`` block, and every sweep and
 gravity half-step updates that result in place.  A sweep runs each phase
 over contiguous Morton blocks [a, b) of at most ``_BLOCK`` cells, so that a
 block's temporaries stay in a core's L2 cache: the primitives, the slope
-rows of each block's face rows, per block the minmod reduction, the
-MUSCL-Hancock prediction and the closure, the fluxes of each block's face
-rows, per block the slot sums and the update.  A phase that reads other
-blocks' results waits for the phase before it in every block.  Each kernel
-makes one numpy call per operation over all components of a block.  A
-block's face states of both sides, their pressures and sound speeds are
-its columns of one ``(ncomp + 2, 2n)`` block (one conversion, pressure and
-physical flux call, and one closure solve once corrected).  Faces come from
+rows, the minmod reduction, MUSCL-Hancock prediction and closure, the
+fluxes, the slot sums and update; a phase that reads other blocks' results
+waits for the phase before it in every block.  Each kernel makes one numpy
+call per operation over all components of a block, whose face states of
+both sides, pressures and sound speeds are its columns of one
+``(ncomp + 2, 2n)`` block (one conversion, pressure and physical flux call,
+and one closure solve once corrected).  Faces come from
 ``Forest.face_list``: row i starts at cell i, so the flux and slope kernels
 read the head's lo ends in place and gather only the hi ends and the tail's
 lo ends.  A wall row's end across the wall reads the cell's own face state
@@ -192,8 +191,7 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
                 try:
                     c = eos.wood_sound_speed(r, rows[0], fp, out=rows)
                 except EosError as exc:
-                    leaf = a + exc.index
-                    raise EosError(f"time step at {f.leaf_label(leaf)}: {exc}", index=leaf) from exc
+                    raise EosError(f"time step at {f.leaf_label(a + exc.index)}: {exc}", index=a + exc.index) from exc
                 np.multiply(r, c, out=imp[a:b])
     with _sec(prof, "dt"):
         np.copyto(imp_max, imp)
@@ -201,7 +199,8 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
             fl = f.face_list(axis)
             with arena:
                 rows = imp.take(fl.hi, out=arena.take(len(fl.lo)), mode="clip")
-                np.maximum(_lo_ends(fl, imp[None], fl.lo, 0, len(fl.lo), arena)[0], rows, out=rows)
+                np.maximum(imp, rows[:n], out=rows[:n])
+                np.maximum(imp.take(fl.lo[n:], out=arena.take(len(fl.lo) - n), mode="clip"), rows[n:], out=rows[n:])
                 for column in fl.columns(rows, out=col):
                     np.maximum(imp_max, column, out=imp_max)
         speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
@@ -228,8 +227,6 @@ def _lo_ends(fl, block: np.ndarray, los: np.ndarray, r0: int, r1: int, arena: _A
     if h == r1 - r0:
         return block[:, los[r0]:los[r0] + h]
     tail = block.take(los[r0 + h:r1], axis=1, out=arena.take(len(block), r1 - r0 - h), mode="clip")
-    if not h:
-        return tail
     ends = arena.take(len(block), r1 - r0)
     np.copyto(ends[:, :h], block[:, los[r0]:los[r0] + h])
     np.copyto(ends[:, h:], tail)
