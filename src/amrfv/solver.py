@@ -177,12 +177,12 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     velocity component bounded, and the largest component is the sharp
     stability bound for the whole splitting sequence.
     """
-    n = f.nleaves
+    n, fls = f.nleaves, [f.face_list(axis) for axis in range(f.dim)]
     with _sec(prof, "eos"):
         arena = _arena(n, u.shape[1])
         rho = u[:, IRHO]
         imp, imp_max, col = arena.take(3, n)
-        for a, b in _blocks(f.face_list(0))[0]:
+        for a, b in _blocks(fls[0])[0]:
             with arena:
                 rows, r = arena.take(6, b - a), rho[a:b]
                 # a bad density gives a bad Y here, but the sound speed rejects it first
@@ -195,8 +195,7 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
                 np.multiply(r, c, out=imp[a:b])
     with _sec(prof, "dt"):
         np.copyto(imp_max, imp)
-        for axis in range(f.dim):
-            fl = f.face_list(axis)
+        for fl in fls:
             with arena:
                 rows = imp.take(fl.hi, out=arena.take(len(fl.lo)), mode="clip")
                 np.maximum(imp, rows[:n], out=rows[:n])
