@@ -97,9 +97,9 @@ class _Arena:
     the buffer gets a fresh array and raises the high-water mark, which
     ``reset`` then grows the buffer to, so only the first sweep of a shape
     allocates.  Each block view is made once and looked up after that: a
-    sweep takes a few dozen blocks per cell block, and on a mesh of a
-    thousand leaves making their views anew cost about a tenth of the sweep.  An arena
-    without a key keeps no buffer: every block it hands out is fresh.
+    sweep takes a few dozen of them per cell block, and on a mesh of a
+    thousand leaves making their views anew cost about a tenth of the sweep.
+    An arena without a key keeps no buffer: every block it hands out is fresh.
     """
 
     def __init__(self, key=None):
