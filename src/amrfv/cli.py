@@ -11,13 +11,16 @@ from amrfv.errors import ConfigError
 from amrfv.partition import metrics_csv
 
 
-def _parse_range(text: str) -> list[int]:
-    """'4:7', '4..7' or '4,5,6,7' -> [4, 5, 6, 7]."""
-    text = text.replace("..", ":")
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",")]
+def _parse_range(flag: str, text: str) -> list[int]:
+    """'4:7', '4..7' or '4,5,6,7' -> [4, 5, 6, 7]; a ConfigError names ``flag`` if malformed or empty."""
+    lo, colon, hi = text.replace("..", ":").partition(":")
+    try:
+        values = list(range(int(lo), int(hi) + 1)) if colon else [int(t) for t in lo.split(",")]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"{flag} {text!r} is not a non-empty range of integers, such as 4:7 or 4,5,6,7")
+    return values
 
 
 def _fmt(x: float) -> str:
@@ -45,9 +48,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    levels, orders = _parse_range("--levels", args.levels), _parse_range("--orders", args.orders)
     cfg = harness.load_config(args.config)
-    levels = _parse_range(args.levels)
-    orders = [int(t) for t in args.orders.split(",")]
     out = harness.converge_study(cfg, levels, orders)
     lines = ["order,level,dx,l1,l2"]
     for order in orders:
@@ -66,8 +68,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_compare_amr(args) -> int:
+    comps = _parse_range("--compression", args.compression)
     cfg = harness.load_config(args.config)
-    comps = _parse_range(args.compression)
     rows = harness.compare_amr_study(cfg, args.xi, comps)
     lines = ["compression,xi,l1,cells,uniform_cells,compression_rate,steps"]
     for r in rows:
@@ -87,8 +89,8 @@ def cmd_compare_amr(args) -> int:
 
 
 def cmd_bench_partition(args) -> int:
+    ranks = _parse_range("--ranks", args.ranks)
     cfg = harness.load_config(args.config)
-    ranks = [int(t) for t in args.ranks.split(",")]
     out = harness.bench_partition_study(cfg, ranks)
     print(f"mesh cells: {out['cells']}")
     outdir = Path(cfg.output_dir)

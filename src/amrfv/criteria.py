@@ -55,9 +55,10 @@ def _jump_field(f: Forest, values: np.ndarray, relative: bool, floor: float) -> 
     out = np.zeros(f.nleaves)
     for axis in range(f.dim):
         fl = f.face_list(axis)
-        jump = np.abs(values[fl.lo] - values[fl.hi])
+        lo, hi = values.take(fl.lo), values.take(fl.hi)
+        jump = np.abs(lo - hi)
         if relative:
-            denom = np.maximum(np.maximum(values[fl.lo], values[fl.hi]), floor)
+            denom = np.maximum(np.maximum(lo, hi), floor)
             with np.errstate(divide="ignore", invalid="ignore"):
                 jump = np.where(denom > 0, jump / denom, 0.0)
         # a wall row joins its cell to itself: jump 0

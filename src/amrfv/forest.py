@@ -136,9 +136,10 @@ class FaceList:
     every kernel reads every row the same way.  Hanging faces appear once per
     fine sub-face.  A wall (a non-periodic domain face) is a row from its cell
     to itself, with area dx^(d-1) and distance dx, whose end across the wall
-    stands for the cell's mirror image, the cell with its normal momentum
-    negated.  ``wall_lo`` names the wall rows on a cell's low face (their lo
-    end is the mirror) and ``wall_hi`` those on its high face (their hi end is).
+    stands for the cell's mirror image: the row's other end with its normal
+    momentum negated, the one wall rule of every kernel.  ``wall_lo`` names
+    the wall rows on a cell's low face (their lo end is the mirror) and
+    ``wall_hi`` those on its high face (their hi end is).
     The head, rows i < n, holds cell i's first high face (the first sub-face
     of a hanging face, or the high wall) in row i, so ``lo[:n] == arange(n)``
     and kernels read the head's lo ends in place.  The tail holds the other
@@ -163,33 +164,24 @@ class FaceList:
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def blocks(self, count: int):
-        """``(cells, ranges, ends)`` of ``count`` nearly equal cell blocks (cached).
+        """``(cells, ranges)`` of ``count`` nearly equal cell blocks (cached).
 
         Block j owns cells [a, b) = ``cells[j]`` and, in ``ranges``, head rows
         [a, b) and its tail slice (one range where they meet) as ``(r0, r1,
-        wall_lo, wall_hi)``, its wall rows counted from r0.  ``ends`` holds the
-        rows' lo and hi ends where each block lists its cells twice from column
-        2a, low then high sides: the lo cell's high side, the hi cell's low side,
-        and for a wall's mirror the cell's side on the wall.
+        wall_lo, wall_hi)``, its wall rows counted from r0.  The lo cells of a
+        block's rows lie in the block, the hi cells anywhere.
         """
         if count not in self._blocks:
             n = len(self.slots)
             cells = [j * n // count for j in range(count + 1)]
             tail = (self.lo[n:].searchsorted(cells) + n).tolist()
-            # the lo cells of a block's rows lie in the block, hi cells anywhere
-            walls, ranges, ends = (self.wall_lo, self.wall_hi), [], np.array([self.lo, self.hi])
-            if count > 1:
-                ends[1] += np.repeat(cells[:-1], np.diff(cells)).take(self.hi)
+            ranges = []
             for a, b, ta, tb in zip(cells, cells[1:], tail, tail[1:]):
                 for r0, r1 in [(a, tb)] if b == ta else [(a, b), (ta, tb)]:
-                    if r0 == r1:
-                        continue
-                    wall_lo, wall_hi = (w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in walls)
-                    ends[0, r0:r1] += b
-                    ends[0, wall_lo + r0] -= b - a
-                    ends[1, wall_hi + r0] += b - a
-                    ranges.append((r0, r1, wall_lo, wall_hi))
-            self._blocks[count] = list(zip(cells, cells[1:])), ranges, ends
+                    if r0 < r1:
+                        walls = (w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in (self.wall_lo, self.wall_hi))
+                        ranges.append((r0, r1, *walls))
+            self._blocks[count] = list(zip(cells, cells[1:])), ranges
         return self._blocks[count]
 
     def columns(self, row_values: np.ndarray, out=None):

@@ -15,15 +15,17 @@ block's temporaries stay in a core's L2 cache: the primitives, the slope
 rows, the minmod reduction, MUSCL-Hancock prediction and closure, the
 fluxes, the slot sums and update; a phase that reads other blocks' results
 waits for the phase before it in every block.  Each kernel makes one numpy
-call per operation over all components of a block, whose face states of
-both sides, pressures and sound speeds are its columns of one
-``(ncomp + 2, 2n)`` block (one conversion, pressure and physical flux call,
-and one closure solve once corrected).  Faces come from
-``Forest.face_list``: row i starts at cell i, so the flux and slope kernels
-read the head's lo ends in place and gather only the hi ends and the tail's
-lo ends.  A wall row's end across the wall reads the cell's own face state
-on the wall side with its normal momentum negated, so one flux call covers
-a range of rows; then each cell sums its sides' slots in slot order, so no
+call per operation over all components of a block.  The face states of
+both sides, pressures and sound speeds of all cells share one side-major
+``(ncomp + 2, k, n)`` block, k = order, whose column i of side s holds cell
+i's face state on side s, so a cell block is its columns of every side
+(one conversion, pressure and physical flux call, and one closure solve
+once corrected).  Faces come from ``Forest.face_list``, and one gather,
+``_ends``, reads the ends of a range of face rows: a row joins its lo
+cell's high side to its hi cell's low side, and a wall row's end across the
+wall is its other end with the normal momentum negated, so one flux call
+covers a range of rows.  Row i starts at cell i, so the head's lo ends are
+read in place.  Then each cell sums its sides' slots in slot order, so no
 bit depends on the blocks or on a partition.  The simulated-rank contract
 (a rank fluxes the rows whose lo cell it owns, reading owned and ghost
 cells only) is a property of the face list and ``partition.ghost_layer``
@@ -197,10 +199,9 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
         np.copyto(imp_max, imp)
         for fl in fls:
             with arena:
-                rows = imp.take(fl.hi, out=arena.take(len(fl.lo)), mode="clip")
-                np.maximum(imp, rows[:n], out=rows[:n])
-                np.maximum(imp.take(fl.lo[n:], out=arena.take(len(fl.lo) - n), mode="clip"), rows[n:], out=rows[n:])
-                for column in fl.columns(rows, out=col):
+                # both ends of a wall row are its cell, whose impedance has no sign
+                lo, hi = _ends(fl, imp[None], 0, 0, len(fl.lo), (), (), 0, arena)
+                for column in fl.columns(np.maximum(lo[0], hi[0], out=hi[0]), out=col):
                     np.maximum(imp_max, column, out=imp_max)
         speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
         speed /= rho
@@ -215,21 +216,31 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     return dt
 
 
-def _lo_ends(fl, block: np.ndarray, los: np.ndarray, r0: int, r1: int, arena: _Arena) -> np.ndarray:
-    """Columns ``los[r0:r1]`` of ``block``, the lo ends of face rows [r0, r1).
+def _ends(fl, block, shift: int, r0: int, r1: int, wall_lo, wall_hi, normal: int, arena: _Arena):
+    """The lo and hi ends of face rows [r0, r1), each a ``(len(block), r1 - r0)`` block.
 
-    Head rows alone read their view in place; else one C-contiguous block from
-    ``arena``, as kernels on row-strided views cost more per call on small
-    meshes, plus the tail's scratch, both held to the end of the caller's scope.
+    A row's hi end is column ``hi`` of ``block`` and its lo end column
+    ``lo + shift``: in a sweep's side-major face-state block, the hi cell's
+    low side and the lo cell's high side.  A wall row's end across the wall
+    (``wall_lo``, ``wall_hi``, counted from r0) is its other end with row
+    ``normal`` negated.  The ends come from ``arena``, held to the end of the
+    caller's scope, but head rows alone read their lo ends in place (low
+    walls lie in the tail, so nothing writes there).  ``block`` is
+    C-contiguous, as ``take`` copies any other source whole.
     """
     h = max(min(r1, len(fl.slots)) - r0, 0)
-    if h == r1 - r0:
-        return block[:, los[r0]:los[r0] + h]
-    tail = block.take(los[r0 + h:r1], axis=1, out=arena.take(len(block), r1 - r0 - h), mode="clip")
-    ends = arena.take(len(block), r1 - r0)
-    np.copyto(ends[:, :h], block[:, los[r0]:los[r0] + h])
-    np.copyto(ends[:, h:], tail)
-    return ends
+    hi = block.take(fl.hi[r0:r1], axis=1, out=arena.take(len(block), r1 - r0), mode="clip")
+    lo = block[:, r0 + shift:r0 + shift + h]
+    if h < r1 - r0:
+        # one C-contiguous block, as kernels on row-strided views cost more per call on small meshes
+        los = np.add(fl.lo[r0 + h:r1], shift, out=arena.take(r1 - r0 - h, dtype=np.int64))
+        tail = block.take(los, axis=1, out=arena.take(len(block), r1 - r0 - h), mode="clip")
+        lo = np.concatenate((lo, tail), axis=1, out=arena.take(len(block), r1 - r0))
+    for ends, other, walls in ((lo, hi, wall_lo), (hi, lo, wall_hi)):
+        if len(walls):
+            ends[:, walls] = other[:, walls]
+            np.negative.at(ends[normal], walls)
+    return lo, hi
 
 
 def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> np.ndarray:
@@ -249,15 +260,12 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
     ncomp, n = Vt.shape
     arena = arena or _Arena()
     sigma = np.empty((ncomp, n)) if out is None else out.T
-    cells, ranges, _ = _blocks(fl)
+    cells, ranges = _blocks(fl)
     with arena:
         rows = arena.take(ncomp, len(fl.lo))
         for r0, r1, wall_lo, wall_hi in ranges:
             with arena:
-                vhi = Vt.take(fl.hi[r0:r1], axis=1, out=arena.take(ncomp, r1 - r0), mode="clip")
-                vlo = _lo_ends(fl, Vt, fl.lo, r0, r1, arena)
-                np.negative.at(vlo[IMX + axis], wall_lo)
-                np.negative.at(vhi[IMX + axis], wall_hi)
+                vlo, vhi = _ends(fl, Vt, 0, r0, r1, wall_lo, wall_hi, IMX + axis, arena)
                 np.subtract(vhi, vlo, out=(seg := rows[:, r0:r1]))
             seg /= fl.dist[r0:r1]
         for a, b in cells:
@@ -284,15 +292,14 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
     return sigma.T
 
 
-def _inadmissible(WS: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
-    """Cells with a face state outside the admissible set, in the stacked ``(2n, ncomp)`` ``WS``."""
-    n = len(out)
+def _inadmissible(C: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
+    """Cells with a face state outside the admissible set, a side per row of the ``(ncomp, 2, n)`` ``C``."""
     with arena:
-        bad, test = arena.take(2, 2 * n, dtype=bool)
-        np.less_equal(WS[:, IRHO], 0, out=bad)
-        bad |= np.less_equal(WS[:, IRHOY], 0, out=test)
-        bad |= np.greater_equal(WS[:, IRHOY], WS[:, IRHO], out=test)
-        return np.logical_or(bad[:n], bad[n:], out=out)
+        bad, test = arena.take(2, 2, len(out), dtype=bool)
+        np.less_equal(C[IRHO], 0, out=bad)
+        bad |= np.less_equal(C[IRHOY], 0, out=test)
+        bad |= np.greater_equal(C[IRHOY], C[IRHO], out=test)
+        return np.logical_or(bad[0], bad[1], out=out)
 
 
 def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None, normal=IMX):
@@ -302,9 +309,10 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
     ``eos.to_primitive(W)`` when the caller already has it.
     Returns (W_left_face, W_right_face, fallback) where ``fallback`` marks
     cells retreated to first order because a predicted state left the
-    admissible set.  Both face states are halves of one column-major
-    ``(2n, ncomp)`` batch, left faces first: ``out`` when given, else a
-    fresh one.  Scratch, and ``fallback``, come from ``arena`` when given.
+    admissible set.  Both face states are the sides of one ``(n, 2, ncomp)``
+    batch, left faces first: ``out`` when given, else a fresh one whose
+    transpose is C-contiguous.  Scratch, and ``fallback``, come from
+    ``arena`` when given.
     """
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=np.float64))
@@ -313,8 +321,8 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
     arena = arena or _Arena()
     if V is None:
         V = eos.to_primitive(W, out=arena.take(ncomp, n).T)
-    WS = np.empty((ncomp, 2 * n)).T if out is None else out
-    C = WS.T.reshape(ncomp, 2, n, copy=False)
+    WS = np.empty((ncomp, 2, n)).T if out is None else out
+    C = WS.T
     fallback = arena.take(n, dtype=bool)
     with arena:
         # left (S[:, 0]) and right (S[:, 1]) primitive face states, S[:, 1]
@@ -324,26 +332,26 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
         half *= dx
         np.subtract(V.T, half, out=S[:, 0])
         np.add(V.T, half, out=half)
-        eos.from_primitive(S.reshape(ncomp, 2 * n).T, out=WS)
+        eos.from_primitive(S.T, out=WS)
         # inadmissible reconstructions retreat to first order before any EOS call
-        if np.any(_inadmissible(WS, fallback, arena)):
+        if np.any(_inadmissible(C, fallback, arena)):
             C[:, :, fallback] = W.T[:, None, fallback]
         with arena:
-            rows = arena.take(6, 2 * n)
-            Y = np.divide(WS[:, IRHOY], WS[:, IRHO], out=rows[0])
-            p = eos.mixture_pressure(WS[:, IRHO], Y, fp, out=rows)
+            rows = arena.take(6, 2, n)
+            Y = np.divide(C[IRHOY], C[IRHO], out=rows[0])
+            p = eos.mixture_pressure(C[IRHO], Y, fp, out=rows)
             # the fluxes overwrite the primitive face states
-            riemann.physical_flux(WS, p, out=S.reshape(ncomp, 2 * n).T, normal=normal)
+            riemann.physical_flux(WS, p.T, out=S.T, normal=normal)
         # the face states move by -(F_R - F_L) * dt / (2 dx)
         dF, coef = arena.take(ncomp, n), arena.take(n)
         np.subtract(S[:, 1], S[:, 0], out=dF)
         dF *= np.divide(0.5 * dt, dx, out=coef)
         np.subtract(C, dF[:, None], out=C)
-    fallback |= _inadmissible(WS, arena.take(n, dtype=bool), arena)
+    fallback |= _inadmissible(C, arena.take(n, dtype=bool), arena)
     if np.any(fallback):
         log.debug("MUSCL positivity fallback on %d cells", int(fallback.sum()))
         C[:, :, fallback] = W.T[:, None, fallback]
-    return WS[:n], WS[n:], fallback
+    return WS[:, 0], WS[:, 1], fallback
 
 
 def sweep(
@@ -359,13 +367,13 @@ def sweep(
     normal = IMX + axis
     arena = _arena(n, ncomp)
     fl = f.face_list(axis)
-    cells, ranges, ends = _blocks(fl)
+    cells, ranges = _blocks(fl)
 
-    # phase A (per cell block [a, b)): columns [k a, k b) of B hold the face
-    # states of its cells, left faces first with k = order, over their
-    # pressures p and sound speeds c
+    # phase A (per cell block [a, b)): columns a:b of each side of B hold the
+    # face states of its cells, side 0 the left faces when k = order is 2,
+    # over their pressures p and sound speeds c
     k = cfg.order
-    B = arena.take(ncomp + 2, k * n)
+    B = arena.take(ncomp + 2, k, n)
     a, m = 0, n
     try:
         with arena:
@@ -375,7 +383,7 @@ def sweep(
                     V = eos.to_primitive(u, out=V.T)
                     sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
             for a, b in cells:
-                m, Bk = b - a, B[:, k * a:k * b]
+                m, Bk = b - a, B[:, :, a:b]
                 FS, p, c = Bk[:ncomp], Bk[ncomp], Bk[ncomp + 1]
                 if k == 2:
                     with _sec(prof, "slopes"), arena:
@@ -384,32 +392,28 @@ def sweep(
                         )
                 with _sec(prof, "eos"), arena:
                     if k == 1:
-                        np.copyto(FS, u.T[:, a:b])
+                        np.copyto(FS[:, 0], u.T[:, a:b])
                     # all face states in one closure solve from Y; p and c (closure
                     # rows 3 and 0) are kept for the flux phase, the others are scratch
-                    rows = arena.take(4, k * m)
+                    rows = arena.take(4, k, m)
                     rho = eos._check_density(FS[IRHO])
                     Y = np.divide(FS[IRHOY], rho, out=c)
                     eos._pressure_and_speed(rho, Y, fp, (c, rows[0], rows[1], p, rows[2], rows[3]))
     except EosError as exc:
-        # a stacked (k m) batch holds the left faces first, so row i is leaf a + i % m
+        # the (k, m) batch holds side i // m of leaf a + i % m at flat index i
         leaf = a + exc.index % m
         raise EosError(f"sweep on axis {axis} at {f.leaf_label(leaf)}: {exc}", index=leaf) from exc
 
     with _sec(prof, "flux"):
         # phase B1 (per row range of a cell block [a, b)): each row joins the
         # high face state of lo to the low face state of hi, with their p and
-        # c; a wall row's mirrored end reads the cell's own face state on the
-        # wall side with the normal momentum negated
+        # c, gathered from B's columns with side s of cell i at s n + i
         flux = arena.take(ncomp, len(fl.lo))
-        los, his = (fl.lo, fl.hi) if k == 1 else ends
+        flat = B.reshape(ncomp + 2, k * n)
         try:
             for r0, r1, wall_lo, wall_hi in ranges:
                 with arena:
-                    L = _lo_ends(fl, B, los, r0, r1, arena)
-                    R = B.take(his[r0:r1], axis=1, out=arena.take(ncomp + 2, r1 - r0), mode="clip")
-                    np.negative.at(L[normal], wall_lo)
-                    np.negative.at(R[normal], wall_hi)
+                    L, R = _ends(fl, flat, (k - 1) * n, r0, r1, wall_lo, wall_hi, normal, arena)
                     riemann.suliciu_flux(
                         L[:ncomp].T, R[:ncomp].T, fp, L[ncomp], R[ncomp], L[ncomp + 1], R[ncomp + 1],
                         out=flux[:, r0:r1].T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, r1 - r0), normal=normal,

@@ -1,0 +1,105 @@
+"""One sha256 per run of a fixed list of configs, to compare two commits bit for bit.
+
+Run it from the repository root with the package on the path:
+
+    PYTHONPATH=src python tests/fingerprint.py [name ...]
+
+Each line is ``<hash>  <name>``.  A hash covers, in order: every face list
+the run builds (its axis and all its arrays, in build order), then the final
+tree ids, levels, coords and Morton keys, the final field as int64 bits,
+``t`` and the step count.  Two commits that print the same lines computed the
+same bits.  The three benchmark workloads appear with their parameters at
+seeds 1-3 written out, so this file reads nothing of the benchmark's code.
+pytest does not collect it; the whole list takes about half a minute.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+
+import numpy as np
+
+from amrfv import harness
+from amrfv.forest import Forest
+
+_LAMBDA = {"lambda": 1e-07}
+
+
+def _uniform(x0, y0):
+    params = dict(x0=x0, y0=y0, ux=1.0, uy=1.0, p=1e5, **_LAMBDA)
+    return dict(
+        case="smooth_advection", t_end=0.012, max_level=8, min_level=8, order=2, splitting="strang", ranks=1,
+        case_params=params,
+    )
+
+
+def _disk(x0, y0, radius):
+    params = dict(x0=x0, y0=y0, radius=radius, ux=1.0, uy=1.0, p=1e5, **_LAMBDA)
+    return dict(
+        case="disk_advection", t_end=0.165, max_level=7, min_level=3, adapt_every=2, criterion="rho_gradient",
+        ranks=4, output_every=25, case_params=params,
+    )
+
+
+def _drop(x0, y0, radius):
+    params = dict(x0=x0, y0=y0, radius=radius, bath_height=0.4, p=1e5, **_LAMBDA)
+    return dict(case="drop2d", t_end=1.7e-06, adapt_every=2, criterion="alpha_gradient", ranks=1, case_params=params)
+
+
+RUNS = {
+    "uniform_advection:1": _uniform(0.5876415658716079, 0.5805155452839523),
+    "uniform_advection:2": _uniform(0.6031330573230036, 0.3987070393330561),
+    "uniform_advection:3": _uniform(0.36574411426385345, 0.5000665113390843),
+    "adaptive_disk:1": _disk(0.37036452416788246, 0.47355992276545866, 0.09902128317392347),
+    "adaptive_disk:2": _disk(0.462237339890458, 0.4720056661350043, 0.09812249093916958),
+    "adaptive_disk:3": _disk(0.3832340529234401, 0.5561177004351924, 0.10189385758907851),
+    "drop_gravity:1": _drop(0.5727622551345105, 0.6873783242310003, 0.1013467955220089),
+    "drop_gravity:2": _drop(0.5011368864625672, 0.6867138672560064, 0.10066506901584478),
+    "drop_gravity:3": _drop(0.49166645822229565, 0.7191716826566239, 0.09832820971837242),
+    "disk_advection:ranks=4": dict(case="disk_advection", t_end=0.2, ranks=4),
+    "disk_advection:mixed": dict(case="disk_advection", t_end=0.2, criterion="mixed"),
+    "drop2d:strang": dict(case="drop2d", t_end=2e-4),
+    "drop2d:lie": dict(case="drop2d", t_end=1e-4, splitting="lie"),
+    "drop2d:order1": dict(case="drop2d", t_end=1e-4, order=1),
+    "dambreak3d:1e-4": dict(case="dambreak3d", t_end=1e-4),
+    "dambreak3d:2e-5": dict(case="dambreak3d", t_end=2e-5),
+    "shock_tube": dict(case="shock_tube"),
+    "double_rarefaction": dict(case="double_rarefaction"),
+    "smooth_advection": dict(case="smooth_advection", t_end=0.1),
+}
+
+
+def fingerprint(overrides: dict) -> str:
+    """The sha256 of one run, face lists first (see the module docstring)."""
+    h = hashlib.sha256()
+    finish = Forest._finish_face_list
+
+    def hashed(self, axis, *rows):
+        fl = finish(self, axis, *rows)
+        h.update(str(fl.axis).encode())
+        for fld in dataclasses.fields(fl):
+            if fld.init and fld.name != "axis":
+                h.update(np.ascontiguousarray(getattr(fl, fld.name)).tobytes())
+        return fl
+
+    Forest._finish_face_list = hashed
+    try:
+        res = harness.run(harness.default_config(**overrides), write_outputs=False)
+    finally:
+        Forest._finish_face_list = finish
+    f = res.forest
+    for a in (f.tree, f.level, f.coords, f.keys, np.asarray(res.field, dtype=np.float64).view(np.int64)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(f"{res.t!r} {res.steps}".encode())
+    return h.hexdigest()
+
+
+def main(names) -> int:
+    for name in names or RUNS:
+        print(f"{fingerprint(RUNS[name])}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,12 +2,13 @@
 
 The flux, slope and MUSCL-Hancock kernels make one numpy call per operation
 over a whole ``(ncomp, n)`` block, and MUSCL-Hancock handles both face sides
-in one ``(ncomp, 2n)`` block.  ``tests/oracles.py`` keeps the same kernels
+in one ``(ncomp, 2, n)`` block.  ``tests/oracles.py`` keeps the same kernels
 written one component column at a time.  The flux and MUSCL-Hancock cases
 run with the face normal on each axis' momentum row.  A sweep runs its
 phases over cell blocks, and a step cut into many small blocks must give the
 bits of one block.  Every case compares int64 views, so it checks every bit,
-signed zeros included.
+signed zeros included, but a whole sweep against one built face row by face
+row from those kernels, whose sums add in another order.
 """
 import dataclasses
 
@@ -179,6 +180,51 @@ class TestMuscl:
         np.testing.assert_array_equal(got[0][fallback], W[fallback])
 
 
+def rows_of_a_sweep(f, u, axis, dt, fp, order):
+    """A sweep face row by face row, from the column-at-a-time kernels.
+
+    Each row joins the high face state of its lo cell to the low face state
+    of its hi cell; a wall row joins the cell's face state on the wall side
+    to its wall image.  Each row's flux leaves its lo cell and enters its hi
+    cell, scaled by area over volume; a wall row touches its cell once.
+    """
+    fl, normal = f.face_list(axis), 2 + axis
+    low = high = u
+    if order == 2:
+        sigma = oracles.minmod_sigma_columns(f, axis, eos.to_primitive(u), f.dx)
+        low, high, _ = oracles.muscl_predict_columns(u, sigma, f.dx, dt, fp, normal=normal)
+    WL, WR = high[fl.lo], low[fl.hi]
+    WL[fl.wall_lo] = oracles.wall_image(low[fl.lo[fl.wall_lo]], normal)
+    WR[fl.wall_hi] = oracles.wall_image(high[fl.hi[fl.wall_hi]], normal)
+    (pL, cL), (pR, cR) = p_and_c(WL, fp), p_and_c(WR, fp)
+    phi = oracles.suliciu_flux_columns(WL, WR, fp, pL, pR, cL, cR, normal=normal) * fl.area[:, None]
+    into_hi, out_of_lo = np.ones(len(fl.lo), bool), np.ones(len(fl.lo), bool)
+    into_hi[fl.wall_hi], out_of_lo[fl.wall_lo] = False, False
+    du = np.zeros_like(u)
+    np.add.at(du, fl.hi[into_hi], phi[into_hi])
+    np.subtract.at(du, fl.lo[out_of_lo], phi[out_of_lo])
+    return u + dt * du / f.volumes[:, None]
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweep_joins_the_face_states_of_each_row(monkeypatch, dim, order, block):
+    # hanging faces on every axis (tail rows), walls on every axis, in one
+    # block and in blocks of 7 cells; the slot sums add in another order
+    f = walled_forest(dim, seed=dim, walls=range(dim))
+    x = 2 * np.pi * f.centers
+    vel = 0.3 * np.cos(x + np.arange(dim))
+    u = eos.state_from_pressure_alpha(1e5 + 2 * np.sin(x[:, -1]), 0.3 + 0.4 * np.sin(x[:, 0]) ** 2, vel, MILD)
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    for axis in range(dim):
+        fl = f.face_list(axis)
+        assert len(fl.lo) - len(fl.wall_lo) > f.nleaves  # hanging sub-faces in the tail
+        got = solver.sweep(f, u, axis, 1e-4, SweepConfig(order=order), MILD)
+        expected = rows_of_a_sweep(f, u, axis, 1e-4, MILD, order)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+
 def test_stacked_eos_error_names_its_leaf(monkeypatch):
     # the corrected face states of both sides share one closure call, left
     # faces first: a failure at the right face state of leaf 3 is row n + 3
@@ -212,9 +258,18 @@ def test_blocks_give_the_bits_of_one_block(monkeypatch, case):
     f, u, fp = setup.forest, setup.field, setup.fluids
     for axis in range(f.dim):
         fl = f.face_list(axis)
-        cells, ranges, _ = fl.blocks(-(-f.nleaves // 7))
+        cells, ranges = fl.blocks(-(-f.nleaves // 7))
         assert len(ranges) > len(cells)  # tail slices
-        assert sum(len(r[2]) for r in ranges) == len(fl.wall_lo) and sum(len(r[3]) for r in ranges) == len(fl.wall_hi)
+        # the ranges cover every row once, the head's and the tail's each in
+        # increasing order; each names its own wall rows, counted from r0
+        bounds = [(r0, r1) for r0, r1, _, _ in ranges]
+        assert [r for r0, r1 in sorted(bounds) for r in range(r0, r1)] == list(range(len(fl.lo)))
+        for part in ([b for b in bounds if b[0] < f.nleaves], [b for b in bounds if b[0] >= f.nleaves]):
+            assert part == sorted(part)
+        for r0, r1, wall_lo, wall_hi in ranges:
+            for walls, every in ((wall_lo, fl.wall_lo), (wall_hi, fl.wall_hi)):
+                assert np.all((walls >= 0) & (walls < r1 - r0))
+                np.testing.assert_array_equal(walls + r0, every[(every >= r0) & (every < r1)])
     assert case == "disk_advection" or len(f.face_list(0).wall_lo) > 0
     for order in (1, 2):
         for splitting in ("lie", "strang"):

@@ -230,7 +230,7 @@ class TestOutMatchesFresh:
             assert_bits(got, solver._minmod_sigma(f, axis, V))
             arena.reset()
         sigma = 0.3 * V * rng.normal(0.0, 1.0, V.shape)
-        out = np.full((dim + 2, 2 * f.nleaves), np.nan).T
+        out = np.full((dim + 2, 2, f.nleaves), np.nan).T
         got = solver.muscl_predict(W, sigma, f.dx, 1e-3, MILD, V=V, out=out, arena=arena)
         assert np.shares_memory(got[0], out) and np.shares_memory(got[1], out)
         for a, b in zip(got, solver.muscl_predict(W, sigma, f.dx, 1e-3, MILD, V=V)):

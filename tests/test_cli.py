@@ -75,6 +75,18 @@ class TestStudies:
             assert csv.splitlines()[0] == "rank,leaves,frontier,ratio,components"
 
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("converge", "--levels", "4:"), ("bench-partition", "--ranks", "1,x"), ("compare-amr", "--compression", "2:1")],
+    )
+    def test_malformed_or_empty_range_fails(self, tiny_disk, tmp_path, capsys, command, flag, value):
+        assert main([command, tiny_disk, flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} {value!r} is not a non-empty range of integers, such as 4:7 or 4,5,6,7\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 class TestShippedConfigs:
     def test_shock_tube_config_runs(self, tmp_path, capsys):
         # shipped config, shortened and redirected
