@@ -15,17 +15,15 @@ block's temporaries stay in a core's L2 cache: the primitives, the slope
 rows, the minmod reduction, MUSCL-Hancock prediction and closure, the
 fluxes, the slot sums and update; a phase that reads other blocks' results
 waits for the phase before it in every block.  Each kernel makes one numpy
-call per operation over all components of a block.  The face states of
-both sides, pressures and sound speeds of all cells share one side-major
-``(ncomp + 2, k, n)`` block, k = order, whose column i of side s holds cell
-i's face state on side s, so a cell block is its columns of every side
-(one conversion, pressure and physical flux call, and one closure solve
-once corrected).  Faces come from ``Forest.face_list``, and one gather,
-``_ends``, reads the ends of a range of face rows: a row joins its lo
-cell's high side to its hi cell's low side, and a wall row's end across the
-wall is its other end with the normal momentum negated, so one flux call
-covers a range of rows.  Row i starts at cell i, so the head's lo ends are
-read in place.  Then each cell sums its sides' slots in slot order, so no
+call per operation over all components of a block.  The face states,
+pressures and sound speeds of all cells share one side-major
+``(ncomp + 2, k, n)`` block, k = order, so a cell block is its columns of
+each side (one conversion, pressure and physical flux call, and one closure
+solve once corrected).  Faces come from ``Forest.face_list``, and one
+gather, ``_ends``, reads the ends of a range of rows, the lo cell's high
+side and the hi cell's low side: a wall row's end across the wall is its
+other end with the normal momentum negated, so one flux call covers a range
+of rows.  Then each cell sums its sides' slots in slot order, so no
 bit depends on the blocks or on a partition.  The simulated-rank contract
 (a rank fluxes the rows whose lo cell it owns, reading owned and ghost
 cells only) is a property of the face list and ``partition.ghost_layer``
@@ -217,16 +215,14 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
 
 
 def _ends(fl, block, shift: int, r0: int, r1: int, wall_lo, wall_hi, normal: int, arena: _Arena):
-    """The lo and hi ends of face rows [r0, r1), each a ``(len(block), r1 - r0)`` block.
+    """Lo and hi ends of face rows [r0, r1): columns ``lo + shift`` and ``hi`` of ``block``.
 
-    A row's hi end is column ``hi`` of ``block`` and its lo end column
-    ``lo + shift``: in a sweep's side-major face-state block, the hi cell's
-    low side and the lo cell's high side.  A wall row's end across the wall
-    (``wall_lo``, ``wall_hi``, counted from r0) is its other end with row
-    ``normal`` negated.  The ends come from ``arena``, held to the end of the
-    caller's scope, but head rows alone read their lo ends in place (low
-    walls lie in the tail, so nothing writes there).  ``block`` is
-    C-contiguous, as ``take`` copies any other source whole.
+    In a sweep's side-major face states, the lo cell's high side and the hi
+    cell's low side.  A wall row's end across the wall (``wall_lo``,
+    ``wall_hi``, counted from r0) is its other end with row ``normal``
+    negated.  Head rows alone read their lo ends in place (low walls lie in
+    the tail); all other ends are C-contiguous blocks from ``arena``, held to
+    the end of the caller's scope.  ``take`` copies a strided ``block`` whole.
     """
     h = max(min(r1, len(fl.slots)) - r0, 0)
     hi = block.take(fl.hi[r0:r1], axis=1, out=arena.take(len(block), r1 - r0), mode="clip")
@@ -235,11 +231,12 @@ def _ends(fl, block, shift: int, r0: int, r1: int, wall_lo, wall_hi, normal: int
         # one C-contiguous block, as kernels on row-strided views cost more per call on small meshes
         los = np.add(fl.lo[r0 + h:r1], shift, out=arena.take(r1 - r0 - h, dtype=np.int64))
         tail = block.take(los, axis=1, out=arena.take(len(block), r1 - r0 - h), mode="clip")
-        lo = np.concatenate((lo, tail), axis=1, out=arena.take(len(block), r1 - r0))
+        lo = np.concatenate((lo, tail), axis=1, out=arena.take(len(block), r1 - r0)) if h else tail
     for ends, other, walls in ((lo, hi, wall_lo), (hi, lo, wall_hi)):
         if len(walls):
-            ends[:, walls] = other[:, walls]
-            np.negative.at(ends[normal], walls)
+            image = other.take(walls, axis=1, out=arena.take(len(block), len(walls)), mode="clip")
+            np.negative(image[normal], out=image[normal])
+            ends[:, walls] = image
     return lo, hi
 
 
