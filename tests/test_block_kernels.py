@@ -7,8 +7,9 @@ written one component column at a time.  The flux and MUSCL-Hancock cases
 run with the face normal on each axis' momentum row.  A sweep runs its
 phases over cell blocks, and a step cut into many small blocks must give the
 bits of one block.  Every case compares int64 views, so it checks every bit,
-signed zeros included, but a whole sweep against one built face row by face
-row from those kernels, whose sums add in another order.
+signed zeros included.  Only a whole sweep, against one built face row by face
+row from those kernels, is compared within rounding: its sums add in another
+order.
 """
 import dataclasses
 

@@ -74,7 +74,6 @@ class TestStudies:
             csv = (tmp_path / "out" / f"partition_P{P}.csv").read_text()
             assert csv.splitlines()[0] == "rank,leaves,frontier,ratio,components"
 
-
     @pytest.mark.parametrize(
         "command, flag, value",
         [("converge", "--levels", "4:"), ("bench-partition", "--ranks", "1,x"), ("compare-amr", "--compression", "2:1")],
