@@ -251,20 +251,24 @@ def state_from_pressure_alpha(p, alpha, u, fp: FluidPair):
     """Conservative state rows from (p, alpha, velocity) at equilibrium.
 
     ``alpha`` may be an array; ``u`` is a (dim,) vector or (N, dim) array.
+    A pressure at or below a fluid's vacuum raises EosError with the index of
+    the first such state.
     """
     p = np.asarray(p, dtype=np.float64)
     alpha = np.clip(np.asarray(alpha, dtype=np.float64), EPS_Y, 1.0 - EPS_Y)
     rho1 = fp.rho1_0 + (p - fp.p1_0) / fp.c1**2
     rho2 = fp.rho2_0 + (p - fp.p2_0) / fp.c2**2
-    if np.any(rho1 <= 0) or np.any(rho2 <= 0):
-        raise EosError("pressure below vacuum for one fluid")
-    rho = alpha * rho1 + (1.0 - alpha) * rho2
-    rhoY = alpha * rho1
+    bad = np.minimum(rho1, rho2) <= 0
+    if bad.any():
+        i = int(bad.argmax())
+        fluids = " and ".join(f"fluid {k}" for k, r in ((1, rho1), (2, rho2)) if r.flat[i] <= 0)
+        raise EosError(f"pressure {float(p.flat[i])!r} below vacuum for {fluids}", index=i)
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        u = np.broadcast_to(u, rho.shape + u.shape)
-    W = np.empty(rho.shape + (2 + u.shape[-1],), dtype=np.float64)
-    W[..., 0] = rho
-    W[..., 1] = rhoY
-    W[..., 2:] = rho[..., None] * u
+    W = np.empty(np.broadcast_shapes(p.shape, alpha.shape) + (2 + u.shape[-1],), dtype=np.float64)
+    # rho = alpha rho1 + (1 - alpha) rho2, and rho Y = alpha rho1
+    rhoY = np.multiply(alpha, rho1, out=W[..., 1])
+    rho = np.multiply(1.0 - alpha, rho2, out=W[..., 0])
+    rho += rhoY
+    for a in range(u.shape[-1]):  # a column at a time: numpy runs an (n, dim) broadcast dim items per call
+        np.multiply(rho, u[..., a], out=W[..., 2 + a])
     return W

@@ -83,14 +83,14 @@ class Connectivity:
             out.append((np.where(last, (1 - dims) * stride, stride), last & (not periodic)))
         return tuple(out)
 
-    def tree_coords_many(self, tids: np.ndarray) -> np.ndarray:
-        """Brick coordinates of tree ids (x fastest)."""
-        tids = np.asarray(tids, dtype=np.int64)
-        out = np.empty(tids.shape + (self.dim,), dtype=np.int64)
-        rem = tids
-        for a in range(self.dim):
-            out[..., a] = rem % self.tree_dims[a]
-            rem = rem // self.tree_dims[a]
+    @cached_property
+    def tree_origins(self) -> np.ndarray:
+        """``(ntrees, dim)`` low corner of each tree: its brick coordinates (x fastest) times the extent."""
+        out = np.empty((self.ntrees, self.dim))
+        rem = np.arange(self.ntrees)
+        for a, dims in enumerate(self.tree_dims):
+            out[:, a] = rem % dims * self.tree_extent
+            rem = rem // dims
         return out
 
 
@@ -222,8 +222,9 @@ class Forest:
         if validate:
             self._validate()
         self.keys = morton.encode_many(self.coords) if keys is None else keys
-        # z-order invariant is load-bearing for every query; always verify
-        tree_keys = (self.tree << (conn.dim * self.b)) | self.keys
+        # z-order invariant is load-bearing for every query; always verify.
+        # ``locate`` searches these combined keys ``tree * 2**(dim*b) + key``
+        self._tree_keys = tree_keys = (self.tree << (conn.dim * self.b)) | self.keys
         if not np.all(tree_keys[1:] > tree_keys[:-1]):
             raise ContractError("leaf array is not strictly (tree, z-order) sorted")
 
@@ -254,11 +255,6 @@ class Forest:
         return np.int64(1) << (self.b - self.level)
 
     @cached_property
-    def _tree_keys(self) -> np.ndarray:
-        """Sorted combined keys ``tree * 2**(dim*b) + key`` of the leaves."""
-        return (self.tree << (self.dim * self.b)) | self.keys
-
-    @cached_property
     def dx(self) -> np.ndarray:
         return self.conn.tree_extent * (self.sizes / float(1 << self.b))
 
@@ -268,9 +264,10 @@ class Forest:
 
     @cached_property
     def centers(self) -> np.ndarray:
-        origin = self.conn.tree_coords_many(self.tree) * self.conn.tree_extent
-        scale = self.conn.tree_extent / float(1 << self.b)
-        return origin + (self.coords + 0.5 * self.sizes[:, None]) * scale
+        out = self.coords + 0.5 * self.sizes[:, None]
+        out *= self.conn.tree_extent / float(1 << self.b)
+        out += self.conn.tree_origins.take(self.tree, axis=0)
+        return out
 
     # -- point location ------------------------------------------------------
 
@@ -528,5 +525,6 @@ def new_uniform(conn: Connectivity, level: int, b: int, min_level: int = 0) -> F
         tree,
         np.full(conn.ntrees * per_tree, level, dtype=np.int64),
         np.tile(coords, (conn.ntrees, 1)),
+        validate=False,  # valid by construction, once the arguments are
         keys=np.tile(keys, conn.ntrees),
     )

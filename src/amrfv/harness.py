@@ -21,7 +21,7 @@ import numpy as np
 from amrfv import eos, solver, vtkio
 from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
-from amrfv.errors import ConfigError
+from amrfv.errors import ConfigError, EosError
 from amrfv.forest import KEEP, REFINE, Connectivity, Forest, new_uniform
 from amrfv.partition import PartitionMap, balance_metrics, ghost_layer, metrics_csv, partition
 from amrfv.solver import SweepConfig
@@ -228,17 +228,30 @@ class Profile:
 # Initial conditions.
 
 
+def _radius(x, x0):
+    """Distance of each point of ``x`` to ``x0``, sqrt(dx dx + dy dy [+ dz dz]): the bits of
+    ``np.linalg.norm(x - x0, axis=1)``, summed in the same order, one column at a time."""
+    x = np.atleast_2d(x)
+    r = np.zeros(len(x))
+    for a, c in enumerate(x0):
+        d = x[:, a] - c
+        r += np.multiply(d, d, out=d)
+    return np.sqrt(r, out=r)
+
+
 def _smooth_alpha(x, p, x0):
-    # cos^4 dome of radius 0.3 around x0, decaying smoothly into lambda
+    # cos^4 dome of radius 0.3 around x0, decaying smoothly into lambda; the
+    # dome is evaluated only where it is kept
     lam = p["lambda"]
-    r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
-    bump = lam + (1.0 - lam) * np.cos(np.pi * r / 0.6) ** 4
-    return np.where(r <= 0.3, bump, lam)
+    r = _radius(x, x0)
+    out = np.full(len(r), lam, dtype=np.float64)
+    dome = (r <= 0.3).nonzero()[0]
+    out[dome] = lam + (1.0 - lam) * np.cos(np.pi * r.take(dome) / 0.6) ** 4
+    return out
 
 
 def _disk_alpha(x, p, x0):
-    r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
-    return np.where(r < p["radius"], 1.0 - p["lambda"], p["lambda"])
+    return np.where(_radius(x, x0) < p["radius"], 1.0 - p["lambda"], p["lambda"])
 
 
 # A sampler maps (cfg, forest, merged [case] parameters, domain extents) to
@@ -372,7 +385,10 @@ def _sample_case(cfg: RunConfig, f: Forest) -> tuple[np.ndarray, Callable | None
     """Field sampled at cell centers plus the exact alpha profile if known."""
     case = _CASES[cfg.case]
     ext = np.array(cfg.connectivity.domain_extents)
-    return case.sample(cfg, f, {**case.params, **cfg.case_params}, ext)
+    try:
+        return case.sample(cfg, f, {**case.params, **cfg.case_params}, ext)
+    except EosError as exc:
+        raise EosError(f"initial state: {exc} at {f.leaf_label(exc.index)}", index=exc.index) from exc
 
 
 def init_case(cfg: RunConfig) -> CaseSetup:
@@ -490,9 +506,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
         "%s: t=%.6g in %d steps, %d leaves", cfg.case, t, nstep, f.nleaves
     )
     if setup.exact_alpha is not None:
-        exact = setup.exact_alpha(f.centers, t)
-        result.l1_alpha = l1_error(f, u, fp, exact)
-        result.l2_alpha = l2_error(f, u, fp, exact)
+        result.l1_alpha, result.l2_alpha = _error_norms(f, u, fp, setup.exact_alpha(f.centers, t))
     if write_outputs:
         # the reports come after the wall closes and are not booked
         (outdir / f"{cfg.case}_profile.csv").write_text(prof.csv())
@@ -504,18 +518,20 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
 # Norms and rates.
 
 
-def _alpha_of(f: Forest, u: np.ndarray, fp: FluidPair) -> np.ndarray:
+def _error_norms(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> tuple[float, float]:
+    """Volume-weighted L1 and L2 norms of the alpha error, off one closure solve."""
     rho = eos._check_density(u[:, 0], f.leaf_label)
-    return eos.solve_alpha(rho, u[:, 1] / rho, fp)
+    err = eos.solve_alpha(rho, u[:, 1] / rho, fp) - exact_alpha
+    return float(np.sum(f.volumes * np.abs(err))), float(np.sqrt(np.sum(f.volumes * err**2)))
 
 
 def l1_error(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> float:
     """Volume-weighted L1 norm of the alpha error."""
-    return float(np.sum(f.volumes * np.abs(_alpha_of(f, u, fp) - exact_alpha)))
+    return _error_norms(f, u, fp, exact_alpha)[0]
 
 
 def l2_error(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(f.volumes * (_alpha_of(f, u, fp) - exact_alpha) ** 2)))
+    return _error_norms(f, u, fp, exact_alpha)[1]
 
 
 def convergence_rate(errors, dxs) -> float:

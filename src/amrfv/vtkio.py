@@ -31,7 +31,7 @@ def _rows(line: str, values) -> str:
 def _boxes(f: Forest):
     """Low and high corner of every leaf box."""
     scale = f.conn.tree_extent / float(1 << f.b)
-    origin = f.conn.tree_coords_many(f.tree) * f.conn.tree_extent
+    origin = f.conn.tree_origins.take(f.tree, axis=0)
     return origin + f.coords * scale, origin + (f.coords + f.sizes[:, None]) * scale
 
 

@@ -5,12 +5,18 @@ Run it from the repository root with the package on the path:
     PYTHONPATH=src python tests/fingerprint.py [name ...]
 
 Each line is ``<hash>  <name>``.  A hash covers, in order: every face list
-the run builds (its axis and all its arrays, in build order), then the final
-tree ids, levels, coords and Morton keys, the final field as int64 bits,
-``t`` and the step count.  Two commits that print the same lines computed the
-same bits.  The three benchmark workloads appear with their parameters at
-seeds 1-3 written out, so this file reads nothing of the benchmark's code.
-pytest does not collect it; the whole list takes about half a minute.
+the run builds (its axis and all its arrays, in build order) with the
+initial forest and field in their place (after the face lists of the
+pre-adapt), then the final forest and field, ``t``, the step count and the
+two alpha error norms.  A forest is its tree ids, levels, coords and Morton
+keys, a field its int64 bits.  Two commits that print the same lines
+computed the same bits.  The three benchmark workloads appear with their
+parameters at seeds 1-3 written out, so this file reads nothing of the
+benchmark's code.  ``drop2d:mixed`` weights the mixed criterion so that its
+pressure and speed terms each refine cells the density term leaves (without
+either term the final mesh differs), and ``drop2d:1e-4`` is the same run
+under the case's own criterion.  pytest does not collect this file; the
+whole list takes about half a minute.
 """
 from __future__ import annotations
 
@@ -58,7 +64,8 @@ RUNS = {
     "drop_gravity:2": _drop(0.5011368864625672, 0.6867138672560064, 0.10066506901584478),
     "drop_gravity:3": _drop(0.49166645822229565, 0.7191716826566239, 0.09832820971837242),
     "disk_advection:ranks=4": dict(case="disk_advection", t_end=0.2, ranks=4),
-    "disk_advection:mixed": dict(case="disk_advection", t_end=0.2, criterion="mixed"),
+    "drop2d:mixed": dict(case="drop2d", t_end=1e-4, criterion="mixed", weights=(1.0, 1000.0, 0.1)),
+    "drop2d:1e-4": dict(case="drop2d", t_end=1e-4),
     "drop2d:strang": dict(case="drop2d", t_end=2e-4),
     "drop2d:lie": dict(case="drop2d", t_end=1e-4, splitting="lie"),
     "drop2d:order1": dict(case="drop2d", t_end=1e-4, order=1),
@@ -70,10 +77,15 @@ RUNS = {
 }
 
 
+def _update(h, f: Forest, u: np.ndarray):
+    for a in (f.tree, f.level, f.coords, f.keys, np.asarray(u, dtype=np.float64).view(np.int64)):
+        h.update(np.ascontiguousarray(a).tobytes())
+
+
 def fingerprint(overrides: dict) -> str:
-    """The sha256 of one run, face lists first (see the module docstring)."""
+    """The sha256 of one run, in the order of the module docstring."""
     h = hashlib.sha256()
-    finish = Forest._finish_face_list
+    finish, init_case = Forest._finish_face_list, harness.init_case
 
     def hashed(self, axis, *rows):
         fl = finish(self, axis, *rows)
@@ -83,15 +95,18 @@ def fingerprint(overrides: dict) -> str:
                 h.update(np.ascontiguousarray(getattr(fl, fld.name)).tobytes())
         return fl
 
-    Forest._finish_face_list = hashed
+    def hashed_init(cfg):
+        setup = init_case(cfg)
+        _update(h, setup.forest, setup.field)
+        return setup
+
+    Forest._finish_face_list, harness.init_case = hashed, hashed_init
     try:
         res = harness.run(harness.default_config(**overrides), write_outputs=False)
     finally:
-        Forest._finish_face_list = finish
-    f = res.forest
-    for a in (f.tree, f.level, f.coords, f.keys, np.asarray(res.field, dtype=np.float64).view(np.int64)):
-        h.update(np.ascontiguousarray(a).tobytes())
-    h.update(f"{res.t!r} {res.steps}".encode())
+        Forest._finish_face_list, harness.init_case = finish, init_case
+    _update(h, res.forest, res.field)
+    h.update(f"{res.t!r} {res.steps} {res.l1_alpha!r} {res.l2_alpha!r}".encode())
     return h.hexdigest()
 
 

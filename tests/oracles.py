@@ -364,7 +364,7 @@ def _boxes_and_fields(f, u, fp):
     from amrfv import eos
 
     scale = f.conn.tree_extent / float(1 << f.b)
-    origin = f.conn.tree_coords_many(f.tree) * f.conn.tree_extent
+    origin = np.stack(np.unravel_index(f.tree, f.conn.tree_dims, order="F"), axis=1) * f.conn.tree_extent
     lo = origin + f.coords * scale
     hi = origin + (f.coords + f.sizes[:, None]) * scale
     rho = u[:, 0]
@@ -631,3 +631,41 @@ def sequential_adapt(f, marks, u):
     u = coarsen_projection(u, cmap.first, cmap.counts)
     f4, bmap = balance(f3)
     return f4, refine_projection(u, np.bincount(bmap.first, minlength=f3.nleaves))
+
+
+# ---------------------------------------------------------------------------
+# Initial conditions as first written: a norm and a dome over every point,
+# np.where to choose, and the state rows from whole-array products.
+
+
+def smooth_alpha(x, p, x0):
+    """cos^4 dome of radius 0.3 around x0 over lambda, the dome evaluated at every point."""
+    lam = p["lambda"]
+    r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
+    bump = lam + (1.0 - lam) * np.cos(np.pi * r / 0.6) ** 4
+    return np.where(r <= 0.3, bump, lam)
+
+
+def disk_alpha(x, p, x0):
+    r = np.linalg.norm(np.atleast_2d(x) - x0, axis=1)
+    return np.where(r < p["radius"], 1.0 - p["lambda"], p["lambda"])
+
+
+def state_from_pressure_alpha(p, alpha, u, fp, eps_y):
+    """Rows [rho, rho Y, rho u...] at pressure p and volume fraction alpha clipped into (eps_y, 1 - eps_y)."""
+    p = np.asarray(p, dtype=np.float64)
+    alpha = np.clip(np.asarray(alpha, dtype=np.float64), eps_y, 1.0 - eps_y)
+    rho1 = fp.rho1_0 + (p - fp.p1_0) / fp.c1**2
+    rho2 = fp.rho2_0 + (p - fp.p2_0) / fp.c2**2
+    if np.any(rho1 <= 0) or np.any(rho2 <= 0):
+        raise ArithmeticError("pressure below vacuum for one fluid")
+    rho = alpha * rho1 + (1.0 - alpha) * rho2
+    rhoY = alpha * rho1
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim == 1:
+        u = np.broadcast_to(u, rho.shape + u.shape)
+    W = np.empty(rho.shape + (2 + u.shape[-1],), dtype=np.float64)
+    W[..., 0] = rho
+    W[..., 1] = rhoY
+    W[..., 2:] = rho[..., None] * u
+    return W

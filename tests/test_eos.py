@@ -9,6 +9,7 @@ from amrfv import eos
 from amrfv.errors import ConfigError, EosError
 from amrfv.eos import EPS_Y, FluidPair
 
+import oracles
 from oracles import bisect_alpha, equilibrium_p_c, stiffened_p
 
 AIR_WATER = FluidPair(p1_0=1e5, rho1_0=1.0, c1=340.0, p2_0=1e5, rho2_0=1e3, c2=1500.0)
@@ -308,3 +309,34 @@ class TestStateConstruction:
     def test_vacuum_pressure_raises(self):
         with pytest.raises(EosError):
             eos.state_from_pressure_alpha(-1e9, 0.5, np.zeros(2), MILD)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scalar_p", [True, False])
+    def test_state_from_pressure_alpha_matches_the_oracle_bit_for_bit(self, dim, scalar_p):
+        rng = np.random.default_rng(2 * dim + scalar_p)
+        n = 1000
+        # MILD's vacuum pressures lie 9 and 18 below 1e5; alpha runs past both clip ends
+        p = 1e5 if scalar_p else 1e5 + rng.uniform(-5.0, 5.0, n)
+        for alpha in (rng.uniform(-0.1, 1.1, n), 0.3):
+            for u in (rng.normal(size=dim), rng.normal(size=(n, dim))):
+                if np.ndim(u) == 2 and np.ndim(p) == np.ndim(alpha) == 0:
+                    continue
+                got = eos.state_from_pressure_alpha(p, alpha, u, MILD)
+                want = oracles.state_from_pressure_alpha(p, alpha, u, MILD, EPS_Y)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_vacuum_names_the_first_state_and_its_fluids(self):
+        # MILD's fluid 1 reaches vacuum at p = 1e5 - 9, fluid 2 at 1e5 - 18
+        p = np.array([1e5, 99985.0, 99980.0, 99985.0])
+        for press, fp, first, message in (
+            (p, MILD, 1, "pressure 99985.0 below vacuum for fluid 1"),
+            (p, swapped(MILD), 1, "pressure 99985.0 below vacuum for fluid 2"),
+            (p[2:], MILD, 0, "pressure 99980.0 below vacuum for fluid 1 and fluid 2"),
+        ):
+            with pytest.raises(EosError) as err:
+                eos.state_from_pressure_alpha(press, 0.5, np.zeros(2), fp)
+            assert err.value.index == first and str(err.value) == message
+        with pytest.raises(EosError) as err:
+            eos.state_from_pressure_alpha(99980.0, np.full(3, 0.5), np.zeros(2), MILD)
+        assert err.value.index == 0

@@ -72,6 +72,20 @@ class TestNewUniform:
         f = new_uniform(conn3d(trees=(2, 1, 1)), level=2, b=3)
         assert f.nleaves == 2 * 8**2
 
+    @pytest.mark.parametrize("dim, trees", [(2, (1, 1)), (2, (3, 2)), (3, (1, 1, 1)), (3, (2, 1, 3))])
+    def test_builds_a_valid_forest(self, dim, trees):
+        # new_uniform skips Forest._validate; its forests must pass it
+        for level, b, periodic in ((0, 0, False), (1, 3, True), (2, 2, False), (3, 5, True)):
+            conn = Connectivity(dim, trees, (periodic,) * dim, 0.5)
+            f = new_uniform(conn, level=level, b=b, min_level=level // 2)
+            f._validate()
+            assert f.nleaves == conn.ntrees << dim * level
+            np.testing.assert_array_equal(f.keys, morton.encode_many(f.coords))
+            # centres from the tree origins, each tree's brick coordinates x fastest
+            origin = np.stack(np.unravel_index(f.tree, trees, order="F"), axis=1) * 0.5
+            want = origin + (f.coords + 0.5 * f.sizes[:, None]) * (0.5 / (1 << b))
+            np.testing.assert_array_equal(f.centers.view(np.int64), want.view(np.int64))
+
     def test_bad_levels(self):
         with pytest.raises(ConfigError):
             new_uniform(conn2d(), level=4, b=3)

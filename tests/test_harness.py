@@ -206,6 +206,31 @@ class TestInitCase:
         np.testing.assert_allclose(p[inside], 20.0, rtol=1e-12)
         np.testing.assert_allclose(p[~inside], 10.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_samplers_match_the_oracles_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        x0 = rng.uniform(0.3, 0.7, dim)
+        p = {"lambda": 1e-7, "radius": 0.1}
+        d = rng.normal(size=(400, dim))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        x = np.concatenate([rng.uniform(0.0, 1.0, (2000, dim)), x0 + 0.3 * d, x0 + 0.1 * d, x0[None]])
+        r = np.linalg.norm(x - x0, axis=1)
+        # many points lie exactly on the dome's rim and on the disk's
+        assert np.count_nonzero(r == 0.3) > 100 and np.count_nonzero(r == 0.1) > 100
+        assert harness._radius(x, x0).view(np.int64).tolist() == r.view(np.int64).tolist()
+        for new, old in ((harness._smooth_alpha, oracles.smooth_alpha), (harness._disk_alpha, oracles.disk_alpha)):
+            np.testing.assert_array_equal(new(x, p, x0).view(np.int64), old(x, p, x0).view(np.int64))
+
+    @pytest.mark.parametrize("param, leaf", [("p_out", "leaf 0 (level 0, centre (0.0078125, 0.0078125))"),
+                                             ("p_in", "leaf 16 (level 0, centre (0.257812, 0.0078125))")])
+    def test_vacuum_initial_state_names_the_leaf(self, param, leaf):
+        # both fluids of the shock tube reach vacuum at p = 6
+        cfg = default_config("shock_tube", case_params={param: 5.0})
+        with pytest.raises(EosError) as err:
+            init_case(cfg)
+        assert str(err.value) == f"initial state: pressure 5.0 below vacuum for fluid 1 and fluid 2 at {leaf}"
+        assert err.value.index == int(leaf.split()[1])
+
     def test_t_end_zero_initial_output_only(self, tmp_path):
         cfg = small_smooth(t_end=0.0, output_dir=str(tmp_path))
         res = run(cfg)
@@ -222,6 +247,17 @@ class TestNormsAndRates:
         exact = setup.exact_alpha(setup.forest.centers, 0.0)
         assert l1_error(setup.forest, setup.field, cfg.fluids, exact) < 1e-12
         assert l2_error(setup.forest, setup.field, cfg.fluids, exact) < 1e-12
+
+    def test_run_solves_the_closure_once_for_both_norms(self, monkeypatch):
+        cfg = small_smooth()
+        solves = []
+        solve = eos.solve_alpha
+        monkeypatch.setattr(eos, "solve_alpha", lambda *args: solves.append(1) or solve(*args))
+        res = run(cfg, write_outputs=False)
+        assert len(solves) == 1
+        exact = init_case(cfg).exact_alpha(res.forest.centers, res.t)
+        assert res.l1_alpha == l1_error(res.forest, res.field, cfg.fluids, exact) > 0
+        assert res.l2_alpha == l2_error(res.forest, res.field, cfg.fluids, exact) > 0
 
     @pytest.mark.parametrize("norm", [l1_error, l2_error])
     def test_zero_density_names_the_leaf(self, norm):
