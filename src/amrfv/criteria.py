@@ -112,14 +112,9 @@ def mark(
         max_level = f.b
     marks = np.full(f.nleaves, KEEP, dtype=np.int8)
     marks[(values > xi) & (f.level < max_level)] = REFINE
-    low = (values <= xi) & (f.level > min_level)
-    marks[low] = COARSEN
-    # Coarsen survives only where the full sibling group is low; partial
-    # groups are demoted so forests without the group intact keep the cells.
-    # forest.coarsen enforces the group rule; Keep is restored here so the
-    # marks themselves honor the all-siblings condition.
-    _, tagged = f.sibling_groups(low)
-    marks[(marks == COARSEN) & ~tagged] = KEEP
+    # Coarsen only where the full sibling group is low, the rule forest.coarsen
+    # enforces; a floor at the finest level (refine only) computes no groups
+    marks[f.sibling_groups((values <= xi) & (f.level > min_level))[1]] = COARSEN
     return marks
 
 

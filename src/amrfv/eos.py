@@ -96,7 +96,7 @@ def _closure(rho, Y, fp: FluidPair, out=None):
     if out is None:
         out = _six(rho, Y)
     Yc, x1, x2, p, u, c = out
-    np.clip(Y, EPS_Y, 1.0 - EPS_Y, out=Yc)
+    np.minimum(np.maximum(Y, EPS_Y, out=Yc), 1.0 - EPS_Y, out=Yc)  # np.clip's bits, without its wrappers
     # s belongs to the fluid with the larger A_k, o to the other one; 1 - Yc
     # waits in p until the pressure is due
     k1, k2 = (fp.p1_0, fp.rho1_0, fp.c1, Yc), (fp.p2_0, fp.rho2_0, fp.c2, np.subtract(1.0, Yc, out=p))
@@ -200,7 +200,7 @@ def to_primitive(W, out=None):
     V = np.empty_like(W) if out is None else out
     m1, m2 = V[..., 0], V[..., 1]
     # the clamped Y waits in the m2 slot
-    Yc = np.clip(np.divide(W[..., 1], rho, out=m2), EPS_Y, 1.0 - EPS_Y, out=m2)
+    Yc = np.minimum(np.maximum(np.divide(W[..., 1], rho, out=m2), EPS_Y, out=m2), 1.0 - EPS_Y, out=m2)
     np.multiply(rho, Yc, out=m1)
     np.subtract(1.0, Yc, out=m2)
     np.multiply(rho, m2, out=m2)

@@ -40,6 +40,9 @@ __all__ = [
 
 # per-leaf adaptation tags
 KEEP, REFINE, COARSEN = 0, 1, 2
+# per (dim, axis): sub-face j > 0 of a high face, in fine sizes from the first, sits at bit t of j on transverse axis t
+_SUB_FACES = {(d, ax): np.array([[j >> (a - (a > ax)) & (a != ax) for a in range(d)] for j in range(1, 1 << (d - 1))])
+              for d in (2, 3) for ax in range(d)}
 
 
 @dataclass(frozen=True)
@@ -273,18 +276,20 @@ class Forest:
 
     def locate(self, tree_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Index of the leaf containing each lattice point of its tree."""
-        tree_ids = np.asarray(tree_ids, dtype=np.int64)
-        query = (tree_ids << (self.dim * self.b)) | morton.encode_many(points)
+        query = np.left_shift(tree_ids, self.dim * self.b, dtype=np.int64)
+        query |= morton.encode_many(points)
         return self._tree_keys.searchsorted(query, side="right") - 1
 
     # -- adaptation ----------------------------------------------------------
 
     def refine(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
-        """Replace each Refine-marked leaf below level b by its 2^d children."""
+        """Replace each Refine-marked leaf below level b by its 2^d children; with none, return ``self``."""
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
             raise ContractError("marks not aligned with leaves")
         do = (marks == REFINE) & (self.level < self.b)
+        if not do.any():
+            return self, LeafMap(np.arange(self.nleaves), np.ones(self.nleaves, dtype=np.int64))
         m = 1 << self.dim
         counts = np.where(do, m, 1)
         src = np.repeat(np.arange(self.nleaves), counts)
@@ -307,11 +312,13 @@ class Forest:
         return f, LeafMap(src, np.ones_like(src))
 
     def coarsen(self, marks: np.ndarray) -> tuple["Forest", LeafMap]:
-        """Merge complete sibling groups where all children are marked Coarsen."""
+        """Merge complete sibling groups where all children are marked Coarsen; with none, return ``self``."""
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
             raise ContractError("marks not aligned with leaves")
         starts, in_group = self.sibling_groups((marks == COARSEN) & (self.level > self.min_level))
+        if not len(starts):
+            return self, LeafMap(np.arange(self.nleaves), np.ones(self.nleaves, dtype=np.int64))
         keep = ~in_group
         keep[starts] = True
         kept = keep.nonzero()[0]
@@ -353,11 +360,11 @@ class Forest:
 
         Returns the first leaf of each group and the mask of all their leaves.
         """
-        # a forest that merges nothing never computes its groups
-        starts = self._sibling_starts if members.any() else np.zeros(0, dtype=np.int64)
-        groups = starts[:, None] + np.arange(1 << self.dim)
-        groups = groups[members.take(groups).all(axis=1)]
         in_group = np.zeros(self.nleaves, dtype=bool)
+        if not members.any():  # a forest that merges nothing never computes its groups
+            return np.zeros(0, dtype=np.int64), in_group
+        groups = self._sibling_starts[:, None] + np.arange(1 << self.dim)
+        groups = groups[members.take(groups).all(axis=1)]
         in_group[groups] = True
         return groups[:, 0], in_group
 
@@ -389,7 +396,7 @@ class Forest:
         Coarsen sibling group above ``min_level``) or its own; ``balance``
         lifts the levels, one refine and one coarsen make them.  A new leaf
         whose old leaf wanted to merge takes the mean of its group, merged or
-        not; any other takes its old leaf.
+        not; any other takes its old leaf.  The result is a new forest, even unchanged.
         """
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
@@ -398,6 +405,9 @@ class Forest:
         t = self.balance(self.level + ((marks == REFINE) & (self.level < self.b)) - merge)
         f, rmap = self.refine(np.where(t > self.level, REFINE, KEEP))
         f, cmap = f.coarsen(np.where(t < self.level, COARSEN, KEEP)[rmap.first])
+        if f is self:  # nothing changed, but a new forest builds its own face lists
+            f = Forest(self.conn, self.b, self.min_level, self.tree, self.level, self.coords,
+                       validate=False, keys=self.keys)
         src = rmap.first[cmap.first]
         first = np.arange(self.nleaves)
         first[merge] = np.repeat(starts, 1 << self.dim)
@@ -410,33 +420,33 @@ class Forest:
 
         One ``locate`` of the lattice point just across every leaf's high face
         (wrapped into the next tree; a point on a non-periodic domain face
-        wraps too, and is not interior) gives the neighbour and the level gap;
-        a row with a finer neighbour splits into its fine sub-faces, the others
-        located at the unit offsets {0, 1} on the transverse axes scaled by the
-        fine size.  Each pair of face neighbours two or more levels apart shows
-        from its lower leaf: as a gap of -2 or less, of +2 or more, or as a
-        sub-face in a leaf two levels finer.
+        wraps too, and is a wall) gives the neighbour and the level gap; a
+        row with a finer neighbour splits into its fine sub-faces, the others
+        located (if any) at the unit offsets {0, 1} on the transverse axes
+        scaled by the fine size.  Each pair of face neighbours two or more
+        levels apart shows from its lower leaf: as a gap of -2 or less, of +2
+        or more, or as a sub-face in a leaf two levels finer.
 
-        Returns ``(lo, hi, interior)``: the rows, one per leaf (its first
-        sub-face, or itself at a wall) by lo cell, then the other sub-faces by
-        lo cell, and the interior mask of the high faces.
+        Returns ``(head, fin, sub, wall_hi)``: each leaf's first high face's hi
+        end (itself at a wall), the leaves with a finer high neighbour, the hi
+        ends of their other sub-faces by lo cell, and the high-wall leaves.
         """
-        dim, m, n = self.dim, 1 << (self.dim - 1), self.nleaves
+        dim, m = self.dim, 1 << (self.dim - 1)
         pts = self.coords.copy()
         pts[:, axis] += self.sizes
-        out = pts[:, axis] >> self.b  # 1 where the point leaves its tree
+        ntree = pts[:, axis] >> self.b  # 1 where the point leaves its tree; then the tree it lies in
         pts[:, axis] &= (1 << self.b) - 1
         step, wall = self.conn.high_faces[axis]
-        ntree = self.tree + out * step.take(self.tree)
-        interior = (out & wall.take(self.tree)) == 0
-        nb = self.locate(ntree, pts)
-        fin = ((self.level.take(nb) == self.level + 1) & interior).nonzero()[0]
-        # sub-face j of a leaf is anchored at bit t of j on its t-th transverse axis
-        offs = np.array([[j >> (a - (a > axis)) & (a != axis) for a in range(dim)] for j in range(1, m)])
-        sub_pts = pts.take(fin, axis=0)[:, None] + offs * (self.sizes.take(fin) >> 1)[:, None, None]
-        sub = self.locate(ntree.take(fin).repeat(m - 1), sub_pts.reshape(-1, dim))
-        cells = np.arange(n)
-        return np.concatenate([cells, fin.repeat(m - 1)]), np.concatenate([np.where(interior, nb, cells), sub]), interior
+        wall_hi = np.logical_and(ntree, wall.take(self.tree)).nonzero()[0]
+        ntree *= step.take(self.tree)
+        ntree += self.tree
+        head = self.locate(ntree, pts)
+        head[wall_hi] = wall_hi  # a wall joins its cell to itself, never to a finer leaf
+        fin = (self.level.take(head) == self.level + 1).nonzero()[0]
+        if not len(fin):
+            return head, fin, fin, wall_hi
+        sub_pts = pts.take(fin, axis=0)[:, None] + _SUB_FACES[dim, axis] * (self.sizes.take(fin) >> 1)[:, None, None]
+        return head, fin, self.locate(ntree.take(fin).repeat(m - 1), sub_pts.reshape(-1, dim)), wall_hi
 
     def face_list(self, axis: int) -> FaceList:
         """Faces along ``axis`` with the per-cell slot table (cached)."""
@@ -449,44 +459,42 @@ class Forest:
         centre = ", ".join(f"{v:.6g}" for v in self.centers[i])
         return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
 
-    def _finish_face_list(self, axis: int, lo, hi, interior) -> FaceList:
+    def _finish_face_list(self, axis: int, head, fin, sub, wall_hi) -> FaceList:
         """Head and tail rows, areas, distances and slot table of the rows ``_face_rows`` found.
 
         A ContractError names the first leaf with a face neighbour two or more
         levels away.
         """
         dim, n, m = self.dim, self.nleaves, 1 << (self.dim - 1)
-        src = lo[n :: m - 1]  # the leaves with a finer high neighbour
-        wall_hi = (~interior).nonzero()[0]
 
         # cnt: each cell's face count on its low side (the rows reaching it,
         # or its low wall if none does; a high wall's hi end is its mirror)
         # and on its high side (its head row and its other sub-faces).  Its
         # tail rows: those sub-faces, then that low wall
-        reach = np.bincount(hi, minlength=n)
+        reach = np.bincount(np.concatenate([head, sub]), minlength=n)
         reach[wall_hi] -= 1
+        low_wall = reach == 0
         cnt = np.ones((2, n), dtype=np.int64)
-        cnt[1, src] = m
+        cnt[1, fin] = m
         np.maximum(reach, 1, out=cnt[0])
-        tail = cnt[1] - (reach > 0)
-        end = n + tail.cumsum()
+        tail = cnt[1] - ~low_wall
+        end = tail.cumsum() + n
         cells = np.arange(n)
-        lo, head = np.concatenate([cells, cells.repeat(tail)]), hi
-        hi = lo.copy()
-        hi[:n] = head[:n]
-        tail_first = (end - tail).take(src)  # the first tail row of each leaf in src
-        hi[tail_first[:, None] + np.arange(m - 1)] = head[n:].reshape(-1, m - 1)
-        wall_lo = end[reach == 0] - 1
+        lo = np.concatenate([cells, cells.repeat(tail)])
+        hi = np.concatenate([head, lo[n:]])
+        tail_first = end.take(fin) - tail.take(fin)  # the first tail row of each leaf in fin
+        hi[tail_first[:, None] + np.arange(m - 1)] = sub.reshape(-1, m - 1)
+        wall_lo = end[low_wall] - 1
         dlo, dhi = self.dx.take(lo), self.dx.take(hi)
         near = np.minimum(dlo, dhi)
-        area = near ** (dim - 1)
-        dist = 0.5 * (dlo + dhi)
-        wide = dist > 1.5 * near  # the ends' levels differ by 2 or more
+        dist = np.multiply(0.5, np.add(dlo, dhi, out=dlo), out=dlo)  # 0.5 * (dlo + dhi), in place
+        wide = dist > np.multiply(near, 1.5, out=dhi)  # the ends' levels differ by 2 or more
         if wide.any():
             raise ContractError(
                 f"face list on axis {axis} requires a 2:1-balanced forest: "
                 f"{self.leaf_label(int(lo[wide].min()))} has a face neighbour two or more levels away"
             )
+        area = near if dim == 2 else np.square(near, out=near)  # near ** (dim - 1)
 
         # slot table, built as (k, 2, n) so that its transpose has contiguous
         # slot columns.  The low side lists the rows whose hi end is the cell
@@ -499,9 +507,9 @@ class Forest:
         key.sort()
         key &= 0xFFFFFFFF
         first = cnt[0].cumsum() - cnt[0]
-        slots[:, 0] = key.take(first + np.minimum(j, cnt[0] - 1))
+        key.take(first + np.minimum(j, cnt[0] - 1), out=slots[:, 0], mode="clip")  # clip: no buffer for out
         slots[:, 1] = cells
-        slots[1:, 1, src] = tail_first + np.arange(len(j) - 1)[:, None]
+        slots[1:, 1, fin] = tail_first + j[:-1]
         slot_area = area.take(slots)
         slot_area *= j[:, None] < cnt
         return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, slots.T, slot_area.T)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import logging
 import time
-from contextlib import contextmanager
 from typing import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -22,8 +21,8 @@ from amrfv import eos, solver, vtkio
 from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError, EosError
-from amrfv.forest import KEEP, REFINE, Connectivity, Forest, new_uniform
-from amrfv.partition import PartitionMap, balance_metrics, ghost_layer, metrics_csv, partition
+from amrfv.forest import Connectivity, Forest, new_uniform
+from amrfv.partition import PartitionMap, adjacency, balance_metrics, ghost_layer, metrics_csv, partition
 from amrfv.solver import SweepConfig
 
 __all__ = [
@@ -188,6 +187,19 @@ def load_config(path) -> RunConfig:
     return default_config(case, **ov)
 
 
+class _Timed:
+    """Adds the seconds of a ``with`` body to ``book[key]``, also when the body raises."""
+
+    def __init__(self, book: dict, key: str):
+        self.book, self.key = book, key
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.book[self.key] += time.perf_counter() - self.t0
+
+
 class Profile:
     """Cumulative seconds per pipeline phase plus loop wall time."""
 
@@ -195,21 +207,11 @@ class Profile:
         self.seconds = {p: 0.0 for p in PHASES}
         self.wall = 0.0
 
-    @contextmanager
-    def section(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] += time.perf_counter() - t0
+    def section(self, name: str) -> _Timed:
+        return _Timed(self.seconds, name)
 
-    @contextmanager
-    def walltime(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.wall += time.perf_counter() - t0
+    def walltime(self) -> _Timed:
+        return _Timed(vars(self), "wall")  # this profile's own ``wall``
 
     @property
     def covered(self) -> float:
@@ -258,6 +260,17 @@ def _disk_alpha(x, p, x0):
 # the field at the cell centres and the exact alpha profile, if one is known.
 
 
+def _wrap_shift(centers, shift, ext):
+    """``(centers - shift) % ext`` for centres in (0, ext), bit for bit: a shift below one extent moves a centre
+    out of [0, ext) by less than ext, where one exact add of ext or -ext is the remainder; longer ones take %."""
+    x = np.subtract(centers, shift, order="F")  # one contiguous pass per axis
+    if not (np.abs(shift) < ext).all():
+        return np.remainder(x, ext, out=x)
+    for col, s, e in zip(x.T, shift, ext):  # back into [0, e) from the side s points to
+        np.add(col, e if s > 0 else -e, out=col, where=col < 0 if s > 0 else col >= e)
+    return x
+
+
 def _advected(alpha):
     """Sampler of an alpha(pos, p, x0) profile carried by the uniform velocity."""
 
@@ -271,7 +284,7 @@ def _advected(alpha):
         field = eos.state_from_pressure_alpha(p["p"], profile(f.centers), vel, cfg.fluids)
 
         def exact(centers, t):
-            return profile((centers - t * vel) % ext)
+            return profile(_wrap_shift(centers, t * vel, ext))
 
         return field, exact
 
@@ -399,10 +412,11 @@ def init_case(cfg: RunConfig) -> CaseSetup:
         crit = cfg.criterion_obj
         for _ in range(cfg.max_level - cfg.min_level):
             vals = evaluate(crit, f, field, cfg.fluids)
-            marks = mark(f, vals, crit.xi, cfg.min_level, cfg.max_level)
-            if not np.any(marks == REFINE):
+            # a coarsening floor at max_level: the pre-adapt only refines, so a mark is Keep (0) or Refine
+            marks = mark(f, vals, crit.xi, cfg.max_level, cfg.max_level)
+            if not marks.any():
                 break
-            f, _ = f.adapt(np.where(marks == REFINE, REFINE, KEEP))
+            f, _ = f.adapt(marks)
             field, _ = _sample_case(cfg, f)  # resample, not project: exact IC
     return CaseSetup(f, field, cfg.fluids, exact)
 
@@ -435,8 +449,9 @@ def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
         for axis in range(f.dim):
             f.face_list(axis)
     with prof.section("ghost"):
+        pairs = adjacency(f)
         for r in range(pm.P):
-            ghost_layer(f, pm, r)  # the simulated decomposition's ghost sets; no sweep reads them
+            ghost_layer(f, pm, r, pairs=pairs)  # the simulated decomposition's ghost sets; no sweep reads them
     return pm
 
 

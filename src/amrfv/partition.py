@@ -16,7 +16,8 @@ import numpy as np
 from amrfv.errors import ConfigError
 from amrfv.forest import Forest
 
-__all__ = ["PartitionMap", "GhostLayer", "partition", "ghost_layer", "balance_metrics", "RankMetrics", "metrics_csv"]
+__all__ = ["PartitionMap", "GhostLayer", "partition", "adjacency", "ghost_layer", "balance_metrics", "RankMetrics",
+           "metrics_csv"]
 
 
 @dataclass(frozen=True)
@@ -51,28 +52,20 @@ def partition(f: Forest, P: int) -> PartitionMap:
         raise ConfigError(f"rank count must be >= 1, got {P}")
     if P > n:
         raise ConfigError(f"cannot split {n} leaves over {P} ranks")
-    base, extra = divmod(n, P)
-    sizes = [base + 1 if r < extra else base for r in range(P)]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    return PartitionMap(tuple(offsets))
+    base, extra = divmod(n, P)  # the first ``extra`` ranks own one leaf more
+    return PartitionMap(tuple(r * base + min(r, extra) for r in range(P + 1)))
 
 
-def _adjacency(f: Forest) -> tuple[np.ndarray, np.ndarray]:
+def adjacency(f: Forest) -> tuple[np.ndarray, np.ndarray]:
     """All face-adjacent leaf pairs (lo, hi), one entry per face row (a wall pairs a leaf with itself)."""
-    los, his = [], []
-    for axis in range(f.dim):
-        fl = f.face_list(axis)
-        los.append(fl.lo)
-        his.append(fl.hi)
-    return np.concatenate(los), np.concatenate(his)
+    rows = [f.face_list(axis) for axis in range(f.dim)]
+    return np.concatenate([fl.lo for fl in rows]), np.concatenate([fl.hi for fl in rows])
 
 
-def ghost_layer(f: Forest, pm: PartitionMap, rank: int) -> GhostLayer:
-    """Leaves outside the rank's range that neighbor an owned leaf."""
+def ghost_layer(f: Forest, pm: PartitionMap, rank: int, pairs=None) -> GhostLayer:
+    """Leaves outside the rank's range that neighbor an owned leaf; ``pairs`` may hand in ``adjacency(f)``."""
     lo_idx, hi_idx = pm.range(rank)
-    a, b = _adjacency(f)
+    a, b = adjacency(f) if pairs is None else pairs
     own_a = (a >= lo_idx) & (a < hi_idx)
     own_b = (b >= lo_idx) & (b < hi_idx)
     ghosts = np.concatenate([b[own_a & ~own_b], a[own_b & ~own_a]])
@@ -111,7 +104,7 @@ def _component_count(f: Forest, lo_idx: int, hi_idx: int, a: np.ndarray, b: np.n
 
 def balance_metrics(f: Forest, pm: PartitionMap) -> list[RankMetrics]:
     """Per-rank load, frontier-cell count and ratio, component count."""
-    a, b = _adjacency(f)
+    a, b = adjacency(f)
     owner_a = pm.owner_of(a)
     owner_b = pm.owner_of(b)
     out = []

@@ -292,11 +292,10 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
 def _inadmissible(C: np.ndarray, out: np.ndarray, arena: _Arena) -> np.ndarray:
     """Cells with a face state outside the admissible set, a side per row of the ``(ncomp, 2, n)`` ``C``."""
     with arena:
-        bad, test = arena.take(2, 2, len(out), dtype=bool)
-        np.less_equal(C[IRHO], 0, out=bad)
-        bad |= np.less_equal(C[IRHOY], 0, out=test)
-        bad |= np.greater_equal(C[IRHOY], C[IRHO], out=test)
-        return np.logical_or(bad[0], bad[1], out=out)
+        bad = arena.take(3, 2, len(out), dtype=bool)
+        np.less_equal(C[IRHO : IRHOY + 1], 0, out=bad[:2])  # rho <= 0, rho Y <= 0
+        np.greater_equal(C[IRHOY], C[IRHO], out=bad[2])  # rho Y >= rho
+        return np.logical_or.reduce(bad, axis=(0, 1), out=out)
 
 
 def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None, normal=IMX):
@@ -331,7 +330,7 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
         np.add(V.T, half, out=half)
         eos.from_primitive(S.T, out=WS)
         # inadmissible reconstructions retreat to first order before any EOS call
-        if np.any(_inadmissible(C, fallback, arena)):
+        if _inadmissible(C, fallback, arena).any():
             C[:, :, fallback] = W.T[:, None, fallback]
         with arena:
             rows = arena.take(6, 2, n)
@@ -345,7 +344,7 @@ def muscl_predict(W, sigma, dx, dt, fp: FluidPair, V=None, out=None, arena=None,
         dF *= np.divide(0.5 * dt, dx, out=coef)
         np.subtract(C, dF[:, None], out=C)
     fallback |= _inadmissible(C, arena.take(n, dtype=bool), arena)
-    if np.any(fallback):
+    if fallback.any():
         log.debug("MUSCL positivity fallback on %d cells", int(fallback.sum()))
         C[:, :, fallback] = W.T[:, None, fallback]
     return WS[:, 0], WS[:, 1], fallback

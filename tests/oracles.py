@@ -596,9 +596,10 @@ def carry_marks(marks, per_old):
 def balance(f):
     """2:1 face balance by passes: refine the coarse side of every violation until none is left.
 
-    A pass runs ``Forest._face_rows`` on every axis; the coarse side of a
-    violation is the lower-level end of each row whose level gap is 2 or
-    more.  Returns the balanced forest and the ``LeafMap`` from ``f``: each
+    A pass runs ``Forest._face_rows`` on every axis and lays its parts out
+    as rows (the head rows, then each finer-neighbour leaf's other
+    sub-faces); the coarse side of a violation is the lower-level end of
+    each row whose level gap is 2 or more.  Returns the balanced forest and the ``LeafMap`` from ``f``: each
     new leaf copies the old leaf it lies in.
     """
     from amrfv.forest import KEEP, REFINE, LeafMap
@@ -607,7 +608,9 @@ def balance(f):
     while True:
         coarse = np.zeros(f.nleaves, dtype=bool)
         for axis in range(f.dim):
-            lo, hi, _ = f._face_rows(axis)
+            head, fin, sub, _ = f._face_rows(axis)
+            lo = np.concatenate([np.arange(f.nleaves), fin.repeat((1 << (f.dim - 1)) - 1)])
+            hi = np.concatenate([head, sub])
             gap = f.level[hi] - f.level[lo]
             coarse[np.where(gap > 0, lo, hi)[np.abs(gap) >= 2]] = True
         if not coarse.any():

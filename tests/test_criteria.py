@@ -5,7 +5,7 @@ from amrfv import criteria, eos, harness
 from amrfv.criteria import Criterion, evaluate, mark, project_solution
 from amrfv.eos import FluidPair
 from amrfv.errors import ConfigError, EosError
-from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, new_uniform
+from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_uniform
 
 import oracles
 from test_forest import oracle_neighbors
@@ -141,6 +141,62 @@ class TestMark:
         vals = np.full(f.nleaves, 1.0)
         marks = mark(f, vals, xi=0.5, max_level=2)
         assert np.all(marks == KEEP)
+
+    @staticmethod
+    def mark_oracle(f, values, xi, min_level, max_level):
+        """Per leaf: Refine above xi below max_level; Coarsen where the leaf's
+        complete sibling group (all 2^d children of one parent are leaves) lies
+        above min_level with every value at or below xi; else Keep."""
+        groups = {}
+        for i, (t, lev, c) in enumerate(zip(f.tree.tolist(), f.level.tolist(), f.coords.tolist())):
+            if lev > 0:
+                groups.setdefault((t, lev, *(x >> (f.b - lev + 1) for x in c)), []).append(i)
+        out = []
+        for i, (t, lev, c) in enumerate(zip(f.tree.tolist(), f.level.tolist(), f.coords.tolist())):
+            group = groups.get((t, lev, *(x >> (f.b - lev + 1) for x in c)), [])
+            if values[i] > xi and lev < max_level:
+                out.append(REFINE)
+            elif lev > min_level and len(group) == 1 << f.dim and all(values[j] <= xi for j in group):
+                out.append(COARSEN)
+            else:
+                out.append(KEEP)
+        return out
+
+    @staticmethod
+    def random_values(f, seed, xi):
+        # a third equal to xi or NaN, neither of which refines
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0, 2 * xi, f.nleaves)
+        vals[rng.random(f.nleaves) < 0.15] = xi
+        vals[rng.random(f.nleaves) < 0.15] = np.nan
+        return vals
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_leaf_oracle(self, seed):
+        f = random_balanced(seed=seed, level=2 if seed % 2 else 1)
+        xi = 0.5
+        vals = self.random_values(f, seed, xi)
+        # and without a value above xi, so that whole groups coarsen
+        no_refine = np.where(vals > xi, 0.25 * xi, vals)
+        for v in (vals, no_refine):
+            for floor, top in [(0, f.b), (1, 3), (2, f.b)]:
+                assert mark(f, v, xi, floor, top).tolist() == self.mark_oracle(f, v, xi, floor, top)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_refine_only_floor(self, seed):
+        # a coarsening floor at the finest level gives the Refine marks of
+        # the full marks, re-masked to Refine or Keep, and computes no groups
+        f = random_balanced(seed=seed, level=2 if seed % 2 else 1)
+        xi = 0.5
+        vals = self.random_values(f, seed, xi)
+        no_refine = np.where(vals > xi, 0.25 * xi, vals)
+        for v in (vals, no_refine):
+            g = Forest(f.conn, f.b, f.min_level, f.tree, f.level, f.coords)
+            only = mark(g, v, xi, f.b, f.b)
+            assert "_sibling_starts" not in vars(g)
+            full = mark(f, v, xi, 0, f.b)
+            assert (full == COARSEN).any() or v is vals
+            assert only.tolist() == np.where(full == REFINE, REFINE, KEEP).tolist()
 
     def test_monotone_in_xi(self):
         f = random_balanced(seed=9)

@@ -262,6 +262,22 @@ class TestPrimitiveConversion:
         np.testing.assert_allclose(back, W, rtol=1e-12, atol=1e-300)
 
 
+def test_clamps_give_the_bits_of_clip():
+    # the closure and to_primitive clamp Y as np.maximum then np.minimum;
+    # NaN, both infinities, both zeros, the bounds and their neighbours
+    edges = [np.nan, np.inf, -np.inf, 0.0, -0.0, EPS_Y, 1.0 - EPS_Y, 0.5, 1.0, -1.0, 2.0]
+    edges += [np.nextafter(EPS_Y, 0), np.nextafter(EPS_Y, 1), np.nextafter(1 - EPS_Y, 0), np.nextafter(1 - EPS_Y, 2)]
+    Y = np.concatenate([edges, np.random.default_rng(7).uniform(-0.5, 1.5, 300)])
+    expected = np.clip(Y, EPS_Y, 1.0 - EPS_Y).view(np.int64)
+    rho = np.ones_like(Y)
+    with np.errstate(all="ignore"):
+        Yc = eos._closure(rho, Y, MILD)[0]
+    np.testing.assert_array_equal(Yc.view(np.int64), expected)
+    # at rho = 1, to_primitive's m1 = rho Yc is the clamped Y itself
+    V = eos.to_primitive(np.stack([rho, Y, np.zeros_like(Y), np.zeros_like(Y)], axis=-1))
+    np.testing.assert_array_equal(V[:, 0].view(np.int64), expected)
+
+
 class TestFreeEnergy:
     def test_reference_density_is_zero(self):
         assert eos.free_energy(0.5, 0.5, IDENTICAL, rho_ref=0.5) == pytest.approx(0.0, abs=1e-12)

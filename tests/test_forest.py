@@ -133,6 +133,59 @@ class TestRefine:
             assert leaves_list(f) == oracle.leaves()
 
 
+class TestNothingToDo:
+    """Refine and coarsen with no work return their own forest; an adapt returns a new one."""
+
+    def forests(self):
+        yield new_uniform(conn2d(), level=2, b=2)  # every leaf at b
+        yield random_balanced(conn2d(trees=(2, 1), periodic=(True, False)), seed=8)
+        yield random_balanced(conn3d(), seed=5, rounds=1)
+
+    @staticmethod
+    def assert_identity(f, g, lmap):
+        assert g is f
+        assert (lmap.first.tolist(), lmap.counts.tolist()) == (list(range(f.nleaves)), [1] * f.nleaves)
+
+    def test_refine_without_refines(self):
+        for f in self.forests():
+            keep = np.full(f.nleaves, KEEP, dtype=np.int8)
+            self.assert_identity(f, *f.refine(keep))
+            self.assert_identity(f, *f.refine(np.where(f.level == f.b, REFINE, COARSEN)))  # none below b
+
+    def test_coarsen_without_merges(self):
+        for f in self.forests():
+            marks = np.full(f.nleaves, COARSEN, dtype=np.int8)
+            marks[np.arange(0, f.nleaves, 1 << f.dim)] = KEEP  # each sibling group loses a member
+            self.assert_identity(f, *f.coarsen(marks))
+            g = new_uniform(f.conn, level=1, b=3, min_level=1)  # the groups lie at min_level
+            self.assert_identity(g, *g.coarsen(np.full(g.nleaves, COARSEN, dtype=np.int8)))
+
+    def test_adapt_without_changes_returns_a_new_forest(self):
+        for f in self.forests():
+            built = [f.face_list(axis) for axis in range(f.dim)]
+            g, lmap = f.adapt(np.full(f.nleaves, KEEP, dtype=np.int8))
+            assert g is not f and g._face_lists == {}
+            assert leaves_list(g) == leaves_list(f) and np.array_equal(g.keys, f.keys)
+            assert (lmap.first.tolist(), lmap.counts.tolist()) == (list(range(f.nleaves)), [1] * f.nleaves)
+            for axis, fl in enumerate(built):
+                assert g.face_list(axis) is not fl
+                check_face_list(g, g.face_list(axis), oracle_neighbors(g))
+
+    def test_refine_only_adapt_makes_no_merge(self, monkeypatch):
+        # the refined forest is the adapt's result: coarsen makes no copy of it
+        f = random_balanced(conn2d(periodic=(True, True)), seed=2)
+        made = []
+        init = Forest.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Forest, "__init__", counted)
+        g, _ = f.adapt(marks_array(f, [(0, REFINE)]))
+        assert made == [g]
+
+
 class TestCoarsen:
     def test_merge_to_root(self):
         f = new_uniform(conn2d(), level=1, b=2)
@@ -278,7 +331,8 @@ class TestAdapt:
     def test_encodes_only_the_located_points(self, monkeypatch, dim):
         # refine and coarsen derive the new forest's keys from the old ones:
         # an adapt over cached face lists encodes nothing, and building the
-        # new forest's face lists encodes once per locate, two per axis
+        # new forest's face lists encodes once per locate: one per axis, and
+        # one more per axis where a leaf has a finer high neighbour
         encoded, located = [], []
         encode_many, locate = morton.encode_many, Forest.locate
 
@@ -302,9 +356,28 @@ class TestAdapt:
         f2, _ = f.adapt(marks)
         assert (encoded, located) == ([], [])
         assert (f2.nleaves, f2.level.min(), f2.level.max()) == (f.nleaves, 2, 4)
+        finer = 0
         for axis in range(dim):
-            f2.face_list(axis)
-        assert encoded == located and len(located) == 2 * dim
+            head = f2.face_list(axis).hi[: f2.nleaves]
+            finer += bool((f2.level.take(head) > f2.level).any())
+        assert encoded == located and len(located) == dim + finer
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_uniform_face_lists_locate_once_per_axis(self, monkeypatch, dim):
+        # no leaf of a uniform forest has a finer neighbour, so no axis makes
+        # a sub-face query
+        sizes = []
+        locate = Forest.locate
+
+        def counted(self, tree_ids, points):
+            sizes.append(len(points))
+            return locate(self, tree_ids, points)
+
+        f = new_uniform(conn2d(trees=(2, 1)) if dim == 2 else conn3d(periodic=(True, False, True)), level=2, b=4)
+        monkeypatch.setattr(Forest, "locate", counted)
+        for axis in range(dim):
+            check_face_list(f, f.face_list(axis), oracle_neighbors(f))
+        assert sizes == [f.nleaves] * dim
 
     def test_kept_member_keeps_its_whole_group(self):
         # the level-2 group of the low-left quadrant and the two level-3

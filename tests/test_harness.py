@@ -240,6 +240,54 @@ class TestInitCase:
         assert "smooth_advection_final.vtk" in names
 
 
+class TestProfile:
+    def test_books_a_section_that_raises(self):
+        prof = harness.Profile()
+        with pytest.raises(ZeroDivisionError):
+            with prof.walltime():
+                with prof.section("flux"):
+                    time.sleep(0.002)
+                    1 / 0
+        assert prof.seconds["flux"] >= 0.002 and prof.wall >= prof.seconds["flux"]
+        assert prof.covered == prof.seconds["flux"]
+
+    def test_sections_nest_and_add_up(self):
+        prof = harness.Profile()
+        with prof.section("io"):
+            with prof.section("io"):
+                time.sleep(0.001)
+        first = prof.seconds["io"]
+        with prof.section("io"):
+            pass
+        assert prof.seconds["io"] >= first >= 0.002
+
+
+class TestWrapShift:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gives_the_bits_of_remainder(self, dim):
+        rng = np.random.default_rng(dim)
+        ext = np.array([1.0, 2.0, 0.75][:dim])
+        centers = rng.random((500, dim)) * ext
+        centers[7], centers[9] = 0.25 * ext, 0.5 * ext  # dyadic: the shifts below land on -ext and on ext exactly
+        shifts = [
+            0.3 * ext,  # forward, below one extent
+            -0.7 * ext,  # backward
+            np.nextafter(ext, 0),  # just below one extent
+            centers[5],  # lands exactly on 0
+            centers[9] - ext,  # lands exactly on ext
+            -centers[11],
+            centers[7] + ext,  # longer: lands exactly on -ext, on %
+            2.5 * ext,
+            -3.25 * ext,
+            np.where(np.arange(dim) == 0, 0.4, -1.6) * ext,  # one axis longer than its extent
+            np.zeros(dim),
+        ]
+        for shift in shifts:
+            got = harness._wrap_shift(centers, shift, ext)
+            expected = (centers - shift) % ext
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestNormsAndRates:
     def test_zero_error(self):
         cfg = small_smooth()

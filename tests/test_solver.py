@@ -422,6 +422,24 @@ class TestSlopes:
         assert not np.signbit(got[got == 0]).any()
 
 
+def test_inadmissible_matches_the_per_element_oracle():
+    # a side is inadmissible where rho <= 0, rho Y <= 0 or rho Y >= rho; a
+    # NaN fails no comparison, so it alone marks nothing
+    special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, 0.5, -1.0, 1e-300]
+    pairs = np.array([(r, ry) for r in special for ry in special + [r]])
+    rng = np.random.default_rng(5)
+    n = 3 * len(pairs)
+    C = rng.uniform(-0.2, 1.2, (4, 2, n))
+    sides = rng.permutation(2 * n)[: 2 * len(pairs)]
+    C[:2].reshape(2, -1)[:, sides] = np.concatenate([pairs, pairs]).T
+    expected = [
+        any(r <= 0 or ry <= 0 or ry >= r for r, ry in zip(C[0, :, i].tolist(), C[1, :, i].tolist())) for i in range(n)
+    ]
+    out = np.zeros(n, dtype=bool)
+    assert solver._inadmissible(C, out, solver._Arena()) is out
+    assert out.tolist() == expected
+
+
 class TestMusclPredict:
     def test_zero_slope_identity(self):
         W = eos.state_from_pressure_alpha(1e5, 0.4, np.array([1.0, 2.0]), MILD)
