@@ -168,14 +168,14 @@ def _arena(n: int, ncomp: int) -> _Arena:
 
 
 def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=None) -> float:
-    """Global time step C * min_i dx_i / (|u_i| + a_i/rho_i).
+    """Global time step C * min_i dx_i / (|u_i| + a_i/rho_i): one full-dt sweep's bound.
 
     The relaxation parameter a_i takes the largest acoustic impedance
     rho*c over the cell and its face neighbors, matching the face-level
     a = theta*max(rho_L c_L, rho_R c_R) seen by the flux.  |u_i| is the
-    max-norm: sweeps are one-dimensional, so each needs only its own
-    velocity component bounded, and the largest component is the sharp
-    stability bound for the whole splitting sequence.
+    max-norm: sweeps are one-dimensional, so each needs only its own velocity
+    component bounded, and the largest component bounds any sweep at full dt
+    (Lie's, and Strang's middle one); a half sweep is within half the bound.
     """
     n, fls = f.nleaves, [f.face_list(axis) for axis in range(f.dim)]
     with _sec(prof, "eos"):
@@ -459,25 +459,25 @@ def gravity_op(u: np.ndarray, dt: float, g: float, out=None) -> np.ndarray:
 def step(
     f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, dt: float | None = None, prof=None
 ) -> tuple[np.ndarray, float]:
-    """Advance one time step with the configured splitting sequence.
+    """Advance one time step: Lie x(dt) y(dt), or Strang x(dt/2) y(dt) x(dt/2).
 
-    The new state is the step's one fresh (column-major) array: a copy of
-    ``u`` that every sweep and gravity half-step updates in place.
+    In 3D, Lie adds z(dt) and Strang is x y z(dt) y x.  The new state is the
+    step's one fresh (column-major) array: a copy of ``u`` that every sweep
+    and gravity half-step updates in place.
     """
     if dt is None:
         dt = compute_dt(f, u, cfg, fp, prof=prof)
-    # Lie: one full sweep per axis, then both gravity half-steps.  Strang:
-    # palindromic half sweeps, one gravity half-step after the first sweep
-    # and one before the last
+    # Lie: one full sweep per axis, then both gravity half-steps.  Strang
+    # (1968): half sweeps around one full-dt sweep of the last axis, a gravity
+    # half-step after the first sweep and one before the last (xgygx, xgyzygx)
     if cfg.splitting == "lie":
-        axes = list(range(f.dim))
-        sweep_dt, gravity_after = dt, (f.dim - 1, f.dim - 1)
+        sweeps, gravity_after = [(axis, dt) for axis in range(f.dim)], (f.dim - 1, f.dim - 1)
     else:
-        axes = [*range(f.dim), *reversed(range(f.dim))]
-        sweep_dt, gravity_after = 0.5 * dt, (0, len(axes) - 2)
+        half = [(axis, 0.5 * dt) for axis in range(f.dim - 1)]
+        sweeps, gravity_after = [*half, (f.dim - 1, dt), *reversed(half)], (0, 2 * f.dim - 3)
     with _sec(prof, "sweep"):
         u = u.copy(order="F")
-    for i, axis in enumerate(axes):
+    for i, (axis, sweep_dt) in enumerate(sweeps):
         sweep(f, u, axis, sweep_dt, cfg, fp, prof=prof, out=u)
         for j in gravity_after:
             if cfg.gravity and j == i:

@@ -11,8 +11,11 @@ Each round times ``harness.run`` (``harness.init_case`` with ``--setup``) once
 on each side, and the side that goes first alternates from round to round,
 after one untimed warm-up call per side.  For each name it prints both
 medians, the median of the per-round ratios change/base with its quartiles,
-and the number of rounds the change was faster.  pytest does not collect
-this file.
+and the number of rounds the change was faster.  Without ``--setup`` it also
+prints each side's steps and leaf-steps (leaves summed over the steps) of
+its warm-up run, and marks the name when they differ: a change that moves
+the bits can move the step count or the adapted mesh, and then the time
+ratio is not a ratio per leaf-step.  pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -61,19 +64,30 @@ def _timed(call, cfg) -> float:
     return time.perf_counter() - t0
 
 
-def pairs(sides, name: str, rounds: int, setup: bool) -> tuple[list[float], list[float]]:
-    """Seconds per round of (base, change) on the config ``RUNS[name]``."""
-    calls = []
+def warm_up(h, call, cfg) -> tuple[int, int] | None:
+    """One untimed call: a run's steps, from its ``RunResult``, and its leaf-steps; None for a set-up."""
+    step, leaves = h.solver.step, []
+    h.solver.step = lambda f, *a, **k: leaves.append(f.nleaves) or step(f, *a, **k)
+    try:
+        res = call(cfg)
+    finally:
+        h.solver.step = step
+    return (res.steps, sum(leaves)) if isinstance(res, h.RunResult) else None
+
+
+def pairs(sides, name: str, rounds: int, setup: bool):
+    """Seconds per round of (base, change) on the config ``RUNS[name]``, and each side's ``warm_up``."""
+    calls, counts = [], []
     for h in sides:
         cfg = h.default_config(**RUNS[name])
         call = h.init_case if setup else (lambda c, h=h: h.run(c, write_outputs=False))
-        call(cfg)  # warm-up
+        counts.append(warm_up(h, call, cfg))
         calls.append((call, cfg))
     times = ([], [])
     for r in range(rounds):
         for s in (0, 1) if r % 2 == 0 else (1, 0):
             times[s].append(_timed(*calls[s]))
-    return times
+    return times, counts
 
 
 def main(argv=None) -> int:
@@ -90,7 +104,7 @@ def main(argv=None) -> int:
         what = "init_case" if args.setup else "run"
         print(f"{what}, {args.rounds} alternating rounds; base {args.base}, ratio = change/base")
         for name in args.names:
-            base, change = pairs(sides, name, args.rounds, args.setup)
+            (base, change), counts = pairs(sides, name, args.rounds, args.setup)
             ratios = [c / b for b, c in zip(base, change)]
             q1, _, q3 = statistics.quantiles(ratios, n=4)
             wins = sum(c < b for b, c in zip(base, change))
@@ -99,6 +113,10 @@ def main(argv=None) -> int:
                 f"ratio {statistics.median(ratios):.3f} [{q1:.3f}, {q3:.3f}], change faster in {wins}/{args.rounds}",
                 flush=True,
             )
+            if not args.setup:
+                (bs, bl), (cs, cl) = counts
+                differ = "  <- counts differ: the ratio is per run, not per leaf-step" if counts[0] != counts[1] else ""
+                print(f"  steps base {bs}, change {cs}; leaf-steps base {bl}, change {cl}{differ}", flush=True)
     return 0
 
 
