@@ -553,8 +553,8 @@ class TestStep:
         n, axis = 32, dim - 1
         conn = Connectivity(dim, (1,) * axis + (n,), (True,) * dim, 1.0 / n)
         f = new_uniform(conn, level=0, b=0)
-        y = f.centers[:, axis]
-        inside = (y > 0.25) & (y < 0.75)
+        x = f.centers[:, axis]
+        inside = (x > 0.25) & (x < 0.75)
         u = eos.state_from_pressure_alpha(np.where(inside, 14.0, 10.0), np.where(inside, 0.7, 0.3), np.zeros(dim), fp)
         dx = 1.0 / n
         dt = 0.25 * dx
