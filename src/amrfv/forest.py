@@ -134,8 +134,8 @@ class LeafMap:
 class FaceList:
     """All unique faces of one sweep axis, and each cell side's share of them.
 
-    ``Forest.face_list`` builds it on first use; an adapt builds none for its
-    new forest.  Each row joins ``lo`` (lower coordinate side) to ``hi``, and
+    ``Forest.face_list`` builds it on first use; an adapt that changes a leaf
+    builds none.  Each row joins ``lo`` (lower coordinate side) to ``hi``, and
     every kernel reads every row the same way.  Hanging faces appear once per
     fine sub-face.  A wall (a non-periodic domain face) is a row from its cell
     to itself, with area dx^(d-1) and distance dx, whose end across the wall
@@ -396,7 +396,8 @@ class Forest:
         Coarsen sibling group above ``min_level``) or its own; ``balance``
         lifts the levels, one refine and one coarsen make them.  A new leaf
         whose old leaf wanted to merge takes the mean of its group, merged or
-        not; any other takes its old leaf.  The result is a new forest, even unchanged.
+        not; any other takes its old leaf.  When the balanced levels equal the
+        old ones the result is this forest, with the face lists it has built.
         """
         marks = np.asarray(marks)
         if len(marks) != self.nleaves:
@@ -405,9 +406,6 @@ class Forest:
         t = self.balance(self.level + ((marks == REFINE) & (self.level < self.b)) - merge)
         f, rmap = self.refine(np.where(t > self.level, REFINE, KEEP))
         f, cmap = f.coarsen(np.where(t < self.level, COARSEN, KEEP)[rmap.first])
-        if f is self:  # nothing changed, but a new forest builds its own face lists
-            f = Forest(self.conn, self.b, self.min_level, self.tree, self.level, self.coords,
-                       validate=False, keys=self.keys)
         src = rmap.first[cmap.first]
         first = np.arange(self.nleaves)
         first[merge] = np.repeat(starts, 1 << self.dim)

@@ -1,10 +1,9 @@
 """Case setup, time-loop orchestration, error norms, profiling and studies.
 
-The run pipeline follows: compute dt -> step -> (every ``adapt_every`` steps:
-evaluate/mark -> adapt (refine, coarsen and 2:1 balance in one level-space
-step) -> project -> repartition -> face lists -> ghost rebuild) -> periodic
-output.  Runs are deterministic for a fixed configuration and rank count,
-and physics outputs are independent of the rank count.
+The run pipeline follows: (before a forest's first step: face lists -> ghost rebuild) -> compute dt -> step ->
+(every ``adapt_every`` steps: evaluate/mark -> adapt (refine, coarsen and 2:1 balance in one level-space step) ->
+project -> repartition, if the mesh changed) -> periodic output.  So nothing is built for a mesh that never steps.
+Runs are deterministic for a fixed configuration and rank count, and physics outputs are independent of the rank count.
 """
 from __future__ import annotations
 
@@ -430,21 +429,22 @@ def adapt_mesh(
     max_level: int,
     prof: Profile | None = None,
 ) -> tuple[Forest, np.ndarray]:
-    """One mark -> adapt -> project pipeline pass."""
+    """One mark -> adapt -> project pipeline pass; an adapt that changes no leaf returns ``f`` itself."""
     prof = prof or Profile()
     with prof.section("mark"):
         vals = evaluate(crit, f, u, fp)
         marks = mark(f, vals, crit.xi, min_level, max_level)
     with prof.section("adapt"):
         f2, lmap = f.adapt(marks)
-        u = project_solution(f, f2, lmap, u)
+        if f2 is not f or lmap.counts.max() > 1:  # a kept, wanted merge still takes its group's mean
+            u = project_solution(f, f2, lmap, u)
     return f2, u
 
 
-def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile) -> PartitionMap:
-    """Repartition, build the face lists of a new forest and rebuild the ghost layers."""
+def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile, pm: PartitionMap | None = None) -> PartitionMap:
+    """Build the face lists and ghost layers of a forest about to step, on its partition ``pm`` (made if not given)."""
     with prof.section("partition"):
-        pm = partition(f, cfg.ranks)
+        pm = pm or partition(f, cfg.ranks)
     with prof.section("faces"):
         for axis in range(f.dim):
             f.face_list(axis)
@@ -474,7 +474,7 @@ def _located(what: str, t: float, nstep: int, f: Forest, exc: ArithmeticError) -
 
 
 def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
-    """Advance the configured case to t_end, producing artifacts on disk."""
+    """Advance the configured case to t_end, producing artifacts on disk; a new mesh is rebuilt only if it steps."""
     outdir = Path(cfg.output_dir)
     if write_outputs:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -493,12 +493,16 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             vtkio.write_vtk(f, u, fp, path, ranks=pm.owner_of(np.arange(f.nleaves)))
             artifacts.append(path)
 
-    t, nstep = 0.0, 0
+    t, nstep, fresh = 0.0, 0, True  # fresh: f's face lists and ghost layers are not built yet
     # the wall spans every booked phase, from the first partition to the last dump
     with prof.walltime():
-        pm = _rebuild_comm(f, cfg, prof)
+        with prof.section("partition"):
+            pm = partition(f, cfg.ranks)
         dump("0000")
         while t < cfg.t_end * (1.0 - 1e-14):
+            if fresh:
+                _rebuild_comm(f, cfg, prof, pm)
+                fresh = False
             try:
                 dt = solver.compute_dt(f, u, scfg, fp, prof=prof)
                 dt = min(dt, cfg.t_end - t)
@@ -509,10 +513,13 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             nstep += 1
             if crit is not None and nstep % cfg.adapt_every == 0:
                 try:
-                    f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
+                    f2, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
                 except ArithmeticError as exc:
                     raise _located("adapt", t, nstep, f, exc) from exc
-                pm = _rebuild_comm(f, cfg, prof)
+                if f2 is not f:  # the dumps and the result need the new mesh's partition
+                    f, fresh = f2, True
+                    with prof.section("partition"):
+                        pm = partition(f, cfg.ranks)
             if cfg.output_every and nstep % cfg.output_every == 0:
                 dump(f"{nstep:04d}")
         dump("final")

@@ -8,15 +8,23 @@ Each line is ``<hash>  <name>``.  A hash covers, in order: every face list
 the run builds (its axis and all its arrays, in build order) with the
 initial forest and field in their place (after the face lists of the
 pre-adapt), then the final forest and field, ``t``, the step count and the
-two alpha error norms.  A forest is its tree ids, levels, coords and Morton
-keys, a field its int64 bits.  Two commits that print the same lines
-computed the same bits.  The three benchmark workloads appear with their
-parameters at seeds 1-3 written out, so this file reads nothing of the
-benchmark's code.  ``drop2d:mixed`` weights the mixed criterion so that its
+two alpha error norms.  A face list equal to the last one hashed on its
+axis is skipped, so rebuilding a mesh that did not change adds nothing, and
+after the run the final forest builds any face list the run left unbuilt,
+so a run that skips the rebuild after its last adapt hashes the same.  A
+forest is its tree ids, levels, coords and Morton keys, a field its int64
+bits.  Two commits that print the same lines computed the same bits.  The
+three benchmark workloads appear with their parameters at seeds 1-3
+written out, so this file reads nothing of the benchmark's code.  ``drop2d:mixed`` weights the mixed criterion so that its
 pressure and speed terms each refine cells the density term leaves (without
 either term the final mesh differs), and ``drop2d:1e-4`` is the same run
-under the case's own criterion.  pytest does not collect this file; the
-whole list takes about half a minute.
+under the case's own criterion.  ``STEPS`` adds direct calls of
+``solver.step`` that no run covers: ``step3d:gravity`` hashes three order-2
+Strang steps with gravity of a seeded random state with velocity on every
+axis, on a two-level 3D forest with walls and hanging faces on every axis,
+so a change to the z-sweep or the 3D sweep order shows.  ``tests/pairs.py``
+times ``RUNS`` only.  pytest does not collect this file; the whole list
+takes about half a minute.
 """
 from __future__ import annotations
 
@@ -26,8 +34,8 @@ import sys
 
 import numpy as np
 
-from amrfv import harness
-from amrfv.forest import Forest
+from amrfv import eos, harness, solver
+from amrfv.forest import KEEP, REFINE, Connectivity, Forest, new_uniform
 
 _LAMBDA = {"lambda": 1e-07}
 
@@ -86,13 +94,17 @@ def fingerprint(overrides: dict) -> str:
     """The sha256 of one run, in the order of the module docstring."""
     h = hashlib.sha256()
     finish, init_case = Forest._finish_face_list, harness.init_case
+    last = {}  # axis -> the bytes of the last face list hashed on it
 
     def hashed(self, axis, *rows):
         fl = finish(self, axis, *rows)
-        h.update(str(fl.axis).encode())
-        for fld in dataclasses.fields(fl):
-            if fld.init and fld.name != "axis":
-                h.update(np.ascontiguousarray(getattr(fl, fld.name)).tobytes())
+        data = [np.ascontiguousarray(getattr(fl, fld.name)).tobytes()
+                for fld in dataclasses.fields(fl) if fld.init and fld.name != "axis"]
+        if data != last.get(axis):
+            last[axis] = data
+            h.update(str(fl.axis).encode())
+            for b in data:
+                h.update(b)
         return fl
 
     def hashed_init(cfg):
@@ -103,6 +115,8 @@ def fingerprint(overrides: dict) -> str:
     Forest._finish_face_list, harness.init_case = hashed, hashed_init
     try:
         res = harness.run(harness.default_config(**overrides), write_outputs=False)
+        for axis in range(res.forest.dim):
+            res.forest.face_list(axis)
     finally:
         Forest._finish_face_list, harness.init_case = finish, init_case
     _update(h, res.forest, res.field)
@@ -110,9 +124,31 @@ def fingerprint(overrides: dict) -> str:
     return h.hexdigest()
 
 
+def step3d_gravity() -> str:
+    """The sha256 of the forest, the initial field and each step's dt and field, of three 3D steps."""
+    rng = np.random.default_rng(2022)
+    f = new_uniform(Connectivity(3, (1, 1, 1), (False, False, False)), level=2, b=3)
+    f, _ = f.adapt(np.where(rng.random(f.nleaves) < 0.3, REFINE, KEEP))  # levels 2 and 3
+    assert sorted(set(f.level.tolist())) == [2, 3]
+    fp = eos.FluidPair(1e5, 1.0, 3.0, 1e5, 2.0, 3.0)  # sound speeds near 3 in every mixture
+    vel = rng.uniform(-0.5, 0.5, (f.nleaves, 3))
+    u = eos.state_from_pressure_alpha(1e5 + rng.uniform(-1.0, 1.0, f.nleaves), rng.random(f.nleaves), vel, fp)
+    cfg = solver.SweepConfig(order=2, cfl=0.9, gravity=9.81, splitting="strang")
+    h = hashlib.sha256()
+    _update(h, f, u)
+    for _ in range(3):
+        u, dt = solver.step(f, u, cfg, fp)
+        h.update(repr(dt).encode())
+        _update(h, f, u)
+    return h.hexdigest()
+
+
+STEPS = {"step3d:gravity": step3d_gravity}
+
+
 def main(names) -> int:
-    for name in names or RUNS:
-        print(f"{fingerprint(RUNS[name])}  {name}", flush=True)
+    for name in names or [*RUNS, *STEPS]:
+        print(f"{STEPS[name]() if name in STEPS else fingerprint(RUNS[name])}  {name}", flush=True)
     return 0
 
 

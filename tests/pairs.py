@@ -15,7 +15,10 @@ and the number of rounds the change was faster.  Without ``--setup`` it also
 prints each side's steps and leaf-steps (leaves summed over the steps) of
 its warm-up run, and marks the name when they differ: a change that moves
 the bits can move the step count or the adapted mesh, and then the time
-ratio is not a ratio per leaf-step.  pytest does not collect this file.
+ratio is not a ratio per leaf-step.  Beside them it prints each side's
+face-list builds and ``ghost_layer`` calls of the same warm-up run, so a
+pair shows how much mesh rebuilding its saving comes from.  pytest does
+not collect this file.
 """
 from __future__ import annotations
 
@@ -64,15 +67,19 @@ def _timed(call, cfg) -> float:
     return time.perf_counter() - t0
 
 
-def warm_up(h, call, cfg) -> tuple[int, int] | None:
-    """One untimed call: a run's steps, from its ``RunResult``, and its leaf-steps; None for a set-up."""
-    step, leaves = h.solver.step, []
+def warm_up(h, call, cfg) -> tuple[int, int, int, int] | None:
+    """One untimed call: a run's steps, from its ``RunResult``, its leaf-steps, face-list builds and
+    ``ghost_layer`` calls; None for a set-up."""
+    step, finish, ghost_layer = h.solver.step, h.Forest._finish_face_list, h.ghost_layer
+    leaves, built, ghosts = [], [], []
     h.solver.step = lambda f, *a, **k: leaves.append(f.nleaves) or step(f, *a, **k)
+    h.Forest._finish_face_list = lambda *a, **k: built.append(1) or finish(*a, **k)
+    h.ghost_layer = lambda *a, **k: ghosts.append(1) or ghost_layer(*a, **k)
     try:
         res = call(cfg)
     finally:
-        h.solver.step = step
-    return (res.steps, sum(leaves)) if isinstance(res, h.RunResult) else None
+        h.solver.step, h.Forest._finish_face_list, h.ghost_layer = step, finish, ghost_layer
+    return (res.steps, sum(leaves), len(built), len(ghosts)) if isinstance(res, h.RunResult) else None
 
 
 def pairs(sides, name: str, rounds: int, setup: bool):
@@ -114,9 +121,13 @@ def main(argv=None) -> int:
                 flush=True,
             )
             if not args.setup:
-                (bs, bl), (cs, cl) = counts
-                differ = "  <- counts differ: the ratio is per run, not per leaf-step" if counts[0] != counts[1] else ""
-                print(f"  steps base {bs}, change {cs}; leaf-steps base {bl}, change {cl}{differ}", flush=True)
+                (bs, bl, bf, bg), (cs, cl, cf, cg) = counts
+                differ = "  <- counts differ: the ratio is per run, not per leaf-step" if (bs, bl) != (cs, cl) else ""
+                print(
+                    f"  steps base {bs}, change {cs}; leaf-steps base {bl}, change {cl}; "
+                    f"face lists base {bf}, change {cf}; ghost layers base {bg}, change {cg}{differ}",
+                    flush=True,
+                )
     return 0
 
 

@@ -134,7 +134,7 @@ class TestRefine:
 
 
 class TestNothingToDo:
-    """Refine and coarsen with no work return their own forest; an adapt returns a new one."""
+    """Refine, coarsen and adapt with no work return their own forest."""
 
     def forests(self):
         yield new_uniform(conn2d(), level=2, b=2)  # every leaf at b
@@ -160,16 +160,12 @@ class TestNothingToDo:
             g = new_uniform(f.conn, level=1, b=3, min_level=1)  # the groups lie at min_level
             self.assert_identity(g, *g.coarsen(np.full(g.nleaves, COARSEN, dtype=np.int8)))
 
-    def test_adapt_without_changes_returns_a_new_forest(self):
+    def test_adapt_without_changes_returns_its_own_forest(self):
         for f in self.forests():
             built = [f.face_list(axis) for axis in range(f.dim)]
-            g, lmap = f.adapt(np.full(f.nleaves, KEEP, dtype=np.int8))
-            assert g is not f and g._face_lists == {}
-            assert leaves_list(g) == leaves_list(f) and np.array_equal(g.keys, f.keys)
-            assert (lmap.first.tolist(), lmap.counts.tolist()) == (list(range(f.nleaves)), [1] * f.nleaves)
-            for axis, fl in enumerate(built):
-                assert g.face_list(axis) is not fl
-                check_face_list(g, g.face_list(axis), oracle_neighbors(g))
+            self.assert_identity(f, *f.adapt(np.full(f.nleaves, KEEP, dtype=np.int8)))
+            assert [f.face_list(axis) for axis in range(f.dim)] == built
+            assert all(f.face_list(axis) is fl for axis, fl in enumerate(built))
 
     def test_refine_only_adapt_makes_no_merge(self, monkeypatch):
         # the refined forest is the adapt's result: coarsen makes no copy of it

@@ -489,6 +489,49 @@ class TestRun:
         assert [(g is f2, p) for g, p in builds] == [(True, ("faces",))] * f2.dim
         assert len(queries) <= 2 * f2.dim
 
+    def test_only_a_forest_that_steps_builds_face_lists_and_ghosts(self, monkeypatch):
+        # six steps, each followed by an adapt: the fifth changes no leaf and
+        # the sixth, the last step's, makes a new mesh that never steps
+        cfg = default_config("disk_advection", max_level=5, min_level=3, adapt_every=1, t_end=0.04, ranks=4)
+        events = []
+        adapt, face_rows, step, init = Forest.adapt, Forest._face_rows, solver.step, harness.init_case
+
+        def logged(kind, call):
+            def wrapped(f, *args, **kwargs):
+                out = call(f, *args, **kwargs)
+                events.append((kind, f, out[0] if kind == "adapt" else None))
+                return out
+            return wrapped
+
+        def fresh_init(c):  # the pre-adapt's builds are not the loop's
+            setup = init(c)
+            events.clear()
+            return setup
+
+        monkeypatch.setattr(Forest, "adapt", logged("adapt", adapt))
+        monkeypatch.setattr(Forest, "_face_rows", logged("faces", face_rows))
+        monkeypatch.setattr(solver, "step", logged("step", step))
+        monkeypatch.setattr(harness, "ghost_layer", logged("ghost", harness.ghost_layer))
+        monkeypatch.setattr(harness, "partition", logged("partition", harness.partition))
+        monkeypatch.setattr(harness, "init_case", fresh_init)
+        res = run(cfg, write_outputs=False)
+
+        kinds = [k for k, _, _ in events]
+        adapts = [i for i, k in enumerate(kinds) if k == "adapt"]
+        unchanged = [i for i in adapts if events[i][2] is events[i][1]]
+        assert res.steps == len(adapts) == 6
+        assert kinds[adapts[-1]:] == ["adapt", "partition"]  # the last mesh is partitioned, never built
+        assert unchanged == adapts[4:5]
+        assert res.forest is events[-1][1] is not events[adapts[-1]][1]
+        for i in unchanged:  # the forest steps on with what it built
+            assert kinds[i + 1 : adapts[adapts.index(i) + 1]] == ["step"]
+        for i, (kind, f, _) in enumerate(events):  # each build is for the forest of the next step
+            if kind in ("faces", "ghost"):
+                assert next(g for k, g, _ in events[i:] if k == "step") is f
+        builds = [f for k, f, _ in events if k == "faces"]
+        assert len(builds) == len({id(f) for f in builds}) * 2  # once per axis and stepping forest
+        assert res.partition == partition(res.forest, cfg.ranks)
+
     def test_drop2d_gravity_smoke(self, tmp_path):
         # a few steps of the walled gravity case: liquid must gain downward
         # momentum, mass must be conserved, mesh must stay balanced

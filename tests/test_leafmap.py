@@ -96,6 +96,29 @@ def test_balance_re_refines_a_merged_parent(monkeypatch, dim):
     np.testing.assert_allclose(ua[:m], mean, rtol=0, atol=1e-14 * np.abs(u[:m]).max())
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kept_merge_without_a_change_takes_the_group_mean(monkeypatch, dim):
+    # the first 2^d leaves want to merge, and the children of leaf 2^d across
+    # their high x face keep them: the adapt changes no leaf and returns its
+    # own forest, yet the 2^d leaves still share one span and take its mean
+    m = 1 << dim
+    f = new_uniform(Connectivity(dim, (1,) * dim, (False,) * dim), level=2, b=3)
+    f, _ = f.refine(np.where(np.arange(f.nleaves) == m, REFINE, KEEP))
+    u = random_field(np.random.default_rng(dim), f.nleaves)
+    marks = np.full(f.nleaves, KEEP, dtype=np.int8)
+    marks[:m] = COARSEN
+    g, total = f.adapt(marks)
+    assert g is f
+    assert total.first[:m].tolist() == [0] * m and total.counts[:m].tolist() == [m] * m
+    fa, ua = adapt_with_marks(monkeypatch, f, u, marks)
+    assert fa is f
+    assert_same(fa, ua, *oracles.sequential_adapt(f, marks, u))
+    np.testing.assert_array_equal(bits(ua[m:]), bits(u[m:]))
+    mean = np.tile(u[:m].sum(axis=0) / m, (m, 1))
+    np.testing.assert_allclose(ua[:m], mean, rtol=0, atol=1e-14 * np.abs(u[:m]).max())
+    assert not np.array_equal(ua[:m], u[:m])
+
+
 class TestLeafMap:
     def test_refine_and_coarsen_maps(self):
         f = new_uniform(Connectivity(2, (1, 1), (False, False)), level=1, b=2)
