@@ -62,8 +62,7 @@ def _jump_field(f: Forest, values: np.ndarray, relative: bool, floor: float) -> 
             with np.errstate(divide="ignore", invalid="ignore"):
                 jump = np.where(denom > 0, jump / denom, 0.0)
         # a wall row joins its cell to itself: jump 0
-        for col in fl.columns(jump):
-            np.maximum(out, col, out=out)
+        fl.fold(np.maximum, out, jump)
     return out
 
 

@@ -12,9 +12,10 @@ leaf with a finer neighbour locates each fine sub-face, so every face of an
 axis is found once, from its lower leaf.  ``face_list`` is the one
 face-connectivity structure the kernels and ``balance`` use: row i is cell
 i's first high face, then a tail of the other sub-faces and the low walls by
-cell (a wall is a row from its cell to itself), plus a per-cell slot table,
-so kernels read each head row's lo end in place, each cell reduces its own
-faces in a fixed order and a rank fluxes one slice of the head and the tail.
+cell (a wall is a row from its cell to itself), plus each cell's first
+low-side row and a short list of the rows past a side's first, so kernels
+read each head row's lo end in place, each cell reduces its own faces in a
+fixed order and a rank fluxes one slice of the head and the tail.
 """
 from __future__ import annotations
 
@@ -149,10 +150,13 @@ class FaceList:
     sub-faces and the low walls, ordered by lo cell, a cell's sub-faces first:
     a rank or a cell block (``blocks``) owning cells [a, b) fluxes head rows
     [a, b) and one tail slice.
-    ``slots[i, s]`` lists the rows on side s (0 = low, 1 = high) of cell i in
-    row order, so ``slots[i, 1, 0] == i``.  Its last extent k is the largest
-    face count of a cell side; a side with fewer faces repeats its last row
-    with zero ``slot_area``: no change to a running min/max, +0.0 to sums.
+    A cell side's rows, in row order, are on the high side head row i and
+    then its other sub-faces, and on the low side ``low[i]`` (the first row
+    whose hi end is the cell, or its low wall) and then the later ones.
+    Hanging faces are rare, so the rows past a side's first are listed once,
+    in ``more``: the later low-side rows by hi cell and the tail sub-faces by
+    lo cell, each by cell and then row.  Kernels reduce the first rows over
+    all cells and fold in ``more`` on its cells alone.
     """
 
     axis: int
@@ -162,20 +166,22 @@ class FaceList:
     dist: np.ndarray  # center-to-center distance along axis
     wall_lo: np.ndarray  # rows whose lo end mirrors the cell across its low face
     wall_hi: np.ndarray  # rows whose hi end mirrors the cell across its high face
-    slots: np.ndarray  # (n, 2, k), Fortran order so slot columns are contiguous
-    slot_area: np.ndarray  # (n, 2, k)
+    low: np.ndarray  # (n,) each cell's first low-side row
+    more: tuple[np.ndarray, np.ndarray]  # (low side, high side) rows past a cell side's first
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def blocks(self, count: int):
         """``(cells, ranges)`` of ``count`` nearly equal cell blocks (cached).
 
-        Block j owns cells [a, b) = ``cells[j]`` and, in ``ranges``, head rows
-        [a, b) and its tail slice (one range where they meet) as ``(r0, r1,
-        wall_lo, wall_hi)``, its wall rows counted from r0.  The lo cells of a
-        block's rows lie in the block, the hi cells anywhere.
+        Block j owns cells [a, b) and, in ``ranges``, head rows [a, b) and its
+        tail slice (one range where they meet) as ``(r0, r1, wall_lo,
+        wall_hi)``, its wall rows counted from r0.  The lo cells of a block's
+        rows lie in the block, the hi cells anywhere.  ``cells[j]`` is ``(a,
+        b, more)``, where ``more`` holds, low side first, the ``(cell - a,
+        row)`` pairs of ``self.more`` whose cell lies in the block.
         """
         if count not in self._blocks:
-            n = len(self.slots)
+            n = len(self.low)
             cells = [j * n // count for j in range(count + 1)]
             tail = (self.lo[n:].searchsorted(cells) + n).tolist()
             ranges = []
@@ -184,20 +190,22 @@ class FaceList:
                     if r0 < r1:
                         walls = (w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in (self.wall_lo, self.wall_hi))
                         ranges.append((r0, r1, *walls))
-            self._blocks[count] = list(zip(cells, cells[1:])), ranges
+            sides = []
+            for ends, rows in zip((self.hi, self.lo), self.more):
+                at = ends.take(rows)
+                cut = at.searchsorted(cells).tolist()
+                sides.append([(at[i:j] - a, rows[i:j]) for a, i, j in zip(cells, cut, cut[1:])])
+            self._blocks[count] = list(zip(cells, cells[1:], zip(*sides))), ranges
         return self._blocks[count]
 
-    def columns(self, row_values: np.ndarray, out=None):
-        """Per-row values one slot column at a time, low side first.
-
-        Slot 0 of the high side is the head, ``row_values[:n]`` itself; every
-        other column is gathered into ``out`` when given, overwriting the last.
-        """
-        n, _, k = self.slots.shape
-        return (
-            row_values[:n] if (s, j) == (1, 0) else row_values.take(self.slots[:, s, j], out=out, mode="clip")
-            for s in (0, 1) for j in range(k)
-        )
+    def fold(self, ufunc, out: np.ndarray, row_values: np.ndarray) -> np.ndarray:
+        """``ufunc`` (an order-free one: max or min) of ``out`` and every row value of each cell, into ``out``."""
+        n = len(self.low)
+        ufunc(out, row_values[:n], out=out)
+        ufunc(out, row_values.take(self.low), out=out)
+        for ends, rows in zip((self.hi, self.lo), self.more):
+            ufunc.at(out, ends.take(rows), row_values.take(rows))
+        return out
 
 
 class Forest:
@@ -447,7 +455,7 @@ class Forest:
         return head, fin, self.locate(ntree.take(fin).repeat(m - 1), sub_pts.reshape(-1, dim)), wall_hi
 
     def face_list(self, axis: int) -> FaceList:
-        """Faces along ``axis`` with the per-cell slot table (cached)."""
+        """Faces along ``axis`` and the rows of each cell side (cached)."""
         if axis not in self._face_lists:
             self._face_lists[axis] = self._finish_face_list(axis, *self._face_rows(axis))
         return self._face_lists[axis]
@@ -458,30 +466,26 @@ class Forest:
         return f"leaf {i} (level {self.level[i]}, centre ({centre}))"
 
     def _finish_face_list(self, axis: int, head, fin, sub, wall_hi) -> FaceList:
-        """Head and tail rows, areas, distances and slot table of the rows ``_face_rows`` found.
+        """Head and tail rows, areas, distances and cell sides of the rows ``_face_rows`` found.
 
         A ContractError names the first leaf with a face neighbour two or more
         levels away.
         """
         dim, n, m = self.dim, self.nleaves, 1 << (self.dim - 1)
 
-        # cnt: each cell's face count on its low side (the rows reaching it,
-        # or its low wall if none does; a high wall's hi end is its mirror)
-        # and on its high side (its head row and its other sub-faces).  Its
-        # tail rows: those sub-faces, then that low wall
+        # each cell's tail rows: its other sub-faces, then its low wall if no
+        # row reaches it (a high wall's hi end is its mirror, not a reach)
         reach = np.bincount(np.concatenate([head, sub]), minlength=n)
         reach[wall_hi] -= 1
         low_wall = reach == 0
-        cnt = np.ones((2, n), dtype=np.int64)
-        cnt[1, fin] = m
-        np.maximum(reach, 1, out=cnt[0])
-        tail = cnt[1] - ~low_wall
+        tail = low_wall.astype(np.int64)
+        tail[fin] += m - 1
         end = tail.cumsum() + n
         cells = np.arange(n)
         lo = np.concatenate([cells, cells.repeat(tail)])
         hi = np.concatenate([head, lo[n:]])
-        tail_first = end.take(fin) - tail.take(fin)  # the first tail row of each leaf in fin
-        hi[tail_first[:, None] + np.arange(m - 1)] = sub.reshape(-1, m - 1)
+        subs = (end.take(fin) - tail.take(fin))[:, None] + np.arange(m - 1)  # the sub-face rows of each leaf in fin
+        hi[subs] = sub.reshape(-1, m - 1)
         wall_lo = end[low_wall] - 1
         dlo, dhi = self.dx.take(lo), self.dx.take(hi)
         near = np.minimum(dlo, dhi)
@@ -494,23 +498,16 @@ class Forest:
             )
         area = near if dim == 2 else np.square(near, out=near)  # near ** (dim - 1)
 
-        # slot table, built as (k, 2, n) so that its transpose has contiguous
-        # slot columns.  The low side lists the rows whose hi end is the cell
-        # in row order, from one sort of the rows by (hi end, row); the high
-        # side lists the head row, then the sub-faces that open the tail
-        j = np.arange(cnt.max())[:, None]
+        # the low sides' rows, max(reach, 1) per cell, from one sort of the
+        # rows by (hi end, row) with the high walls last
         key = hi << 32 | np.arange(len(hi))  # fewer than 2**31 leaves and 2**32 rows
         key[wall_hi] = n << 32
-        slots = np.empty((len(j), 2, n), dtype=np.int64)
         key.sort()
         key &= 0xFFFFFFFF
-        first = cnt[0].cumsum() - cnt[0]
-        key.take(first + np.minimum(j, cnt[0] - 1), out=slots[:, 0], mode="clip")  # clip: no buffer for out
-        slots[:, 1] = cells
-        slots[1:, 1, fin] = tail_first + j[:-1]
-        slot_area = area.take(slots)
-        slot_area *= j[:, None] < cnt
-        return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, slots.T, slot_area.T)
+        np.maximum(reach, 1, out=reach)
+        first = reach.cumsum() - reach
+        more = np.delete(key[: len(key) - len(wall_hi)], first), subs.ravel()
+        return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, key.take(first), more)
 
 
 def new_uniform(conn: Connectivity, level: int, b: int, min_level: int = 0) -> Forest:

@@ -441,10 +441,8 @@ def adapt_mesh(
     return f2, u
 
 
-def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile, pm: PartitionMap | None = None) -> PartitionMap:
-    """Build the face lists and ghost layers of a forest about to step, on its partition ``pm`` (made if not given)."""
-    with prof.section("partition"):
-        pm = pm or partition(f, cfg.ranks)
+def _rebuild_comm(f: Forest, prof: Profile, pm: PartitionMap) -> None:
+    """Build the face lists and ghost layers of a forest about to step, on its partition ``pm``."""
     with prof.section("faces"):
         for axis in range(f.dim):
             f.face_list(axis)
@@ -452,7 +450,6 @@ def _rebuild_comm(f: Forest, cfg: RunConfig, prof: Profile, pm: PartitionMap | N
         pairs = adjacency(f)
         for r in range(pm.P):
             ghost_layer(f, pm, r, pairs=pairs)  # the simulated decomposition's ghost sets; no sweep reads them
-    return pm
 
 
 @dataclass
@@ -501,7 +498,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
         dump("0000")
         while t < cfg.t_end * (1.0 - 1e-14):
             if fresh:
-                _rebuild_comm(f, cfg, prof, pm)
+                _rebuild_comm(f, prof, pm)
                 fresh = False
             try:
                 dt = solver.compute_dt(f, u, scfg, fp, prof=prof)

@@ -81,25 +81,23 @@ class RankMetrics:
     components: int
 
 
-def _component_count(f: Forest, lo_idx: int, hi_idx: int, a: np.ndarray, b: np.ndarray) -> int:
-    """Connected components of the rank's region under face adjacency."""
-    n = hi_idx - lo_idx
-    if n <= 0:
-        return 0
-    parent = list(range(n))
+def _component_counts(pm: PartitionMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of each rank's region under the face pairs (a, b) within one rank.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    both = (a >= lo_idx) & (a < hi_idx) & (b >= lo_idx) & (b < hi_idx)
-    for x, y in zip((a[both] - lo_idx).tolist(), (b[both] - lo_idx).tolist()):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-    return len({find(x) for x in range(n)})
+    Every leaf starts as its own label; each round both ends of every pair
+    take the smaller of their labels, and each label jumps to its own
+    label, until nothing moves.  Labels only fall and stay in a component,
+    so each component ends with one leaf that is its own label.
+    """
+    label = np.arange(pm.offsets[-1])
+    while True:
+        last = label.copy()
+        least = np.minimum(label.take(a), label.take(b))
+        np.minimum.at(label, a, least)
+        np.minimum.at(label, b, least)
+        label = label.take(label)
+        if np.array_equal(label, last):
+            return np.bincount(pm.owner_of(np.flatnonzero(label == np.arange(len(label)))), minlength=pm.P)
 
 
 def balance_metrics(f: Forest, pm: PartitionMap) -> list[RankMetrics]:
@@ -107,6 +105,8 @@ def balance_metrics(f: Forest, pm: PartitionMap) -> list[RankMetrics]:
     a, b = adjacency(f)
     owner_a = pm.owner_of(a)
     owner_b = pm.owner_of(b)
+    inner = owner_a == owner_b
+    comps = _component_counts(pm, a[inner], b[inner])
     out = []
     for r in range(pm.P):
         lo_idx, hi_idx = pm.range(r)
@@ -115,8 +115,7 @@ def balance_metrics(f: Forest, pm: PartitionMap) -> list[RankMetrics]:
             [a[(owner_a == r) & (owner_b != r)], b[(owner_b == r) & (owner_a != r)]]
         )
         frontier = len(np.unique(frontier_cells))
-        comps = _component_count(f, lo_idx, hi_idx, a, b)
-        out.append(RankMetrics(r, n, frontier, frontier / n if n else 0.0, comps))
+        out.append(RankMetrics(r, n, frontier, frontier / n if n else 0.0, int(comps[r])))
     return out
 
 

@@ -13,8 +13,8 @@ gravity half-step updates that result in place.  A sweep runs each phase
 over contiguous Morton blocks [a, b) of at most ``_BLOCK`` cells, so that a
 block's temporaries stay in a core's L2 cache: the primitives, the slope
 rows, the minmod reduction, MUSCL-Hancock prediction and closure, the
-fluxes, the slot sums and update; a phase that reads other blocks' results
-waits for the phase before it in every block.  Each kernel makes one numpy
+fluxes, the per-cell sums and update; a phase that reads other blocks'
+results waits for the phase before it in every block.  Each kernel makes one numpy
 call per operation over all components of a block.  The face states,
 pressures and sound speeds of all cells share one side-major
 ``(ncomp + 2, k, n)`` block, k = order, so a cell block is its columns of
@@ -23,25 +23,27 @@ solve once corrected).  Faces come from ``Forest.face_list``, and one
 gather, ``_ends``, reads the ends of a range of rows, the lo cell's high
 side and the hi cell's low side: a wall row's end across the wall is its
 other end with the normal momentum negated, so one flux call covers a range
-of rows.  Then each cell sums its sides' slots in slot order, so no
-bit depends on the blocks or on a partition.  The simulated-rank contract
-(a rank fluxes the rows whose lo cell it owns, reading owned and ghost
-cells only) is a property of the face list and ``partition.ghost_layer``
-that the test suite checks.
+of rows.  Then each cell sums each side's rows in row order, the first
+over all cells and the few others (``FaceList.more``) on their cells
+alone, so no bit depends on the blocks or on a partition.  The
+simulated-rank contract (a rank fluxes the rows whose lo cell it owns,
+reading owned and ghost cells only) is a property of the face list and
+``partition.ghost_layer`` that the test suite checks.
 
 Every block temporary of a step is carved from one flat buffer, the module's
 ``_Arena``, which lives across steps and is re-laid when the leaf or
 component count changes; each cell block hands its scratch back at its end.
 At order 2 on a uniform 2D mesh the buffer is 10.03 times the state in one
-block and 6.78 times it at 65,536 leaves in four, where only the face
-states, primitives, slopes and slope rows span all leaves.  The kernels
-write into it through ``out=`` (``work=`` for the flux's scratch rows) with
-the same operations in the same order as into fresh arrays, so once the
-first sweep of a shape has sized the buffer a step allocates only its
-result and touches no fresh pages.  Nothing returned shares memory with the
-buffer: ``step`` and ``sweep`` return a fresh array or the caller's
-``out=``, and a kernel called without ``out=`` runs into fresh arrays.
-There is one buffer per process, so two threads must not step at once.
+block and 6.53 times it at 65,536 leaves in four, where only the face
+states, primitives, slopes, slope rows and the rows' dt times area span
+all leaves.  The kernels write into it through ``out=`` (``work=`` for the
+flux's scratch rows) with the same operations in the same order as into
+fresh arrays, so once the first sweep of a shape has sized the buffer a
+step allocates only its result and touches no fresh pages.  Nothing
+returned shares memory with the buffer: ``step`` and ``sweep`` return a
+fresh array or the caller's ``out=``, and a kernel called without
+``out=`` runs into fresh arrays.  There is one buffer per process, so two
+threads must not step at once.
 """
 from __future__ import annotations
 
@@ -147,7 +149,7 @@ _BLOCK = 16384  # the most cells in a block of a sweep's phases
 
 def _blocks(fl):
     """``fl.blocks`` for blocks of at most ``_BLOCK`` cells."""
-    return fl.blocks(-(-len(fl.slots) // _BLOCK))
+    return fl.blocks(-(-len(fl.low) // _BLOCK))
 
 
 def _arena(n: int, ncomp: int) -> _Arena:
@@ -181,8 +183,8 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     with _sec(prof, "eos"):
         arena = _arena(n, u.shape[1])
         rho = u[:, IRHO]
-        imp, imp_max, col = arena.take(3, n)
-        for a, b in _blocks(fls[0])[0]:
+        imp, imp_max = arena.take(2, n)
+        for a, b, _ in _blocks(fls[0])[0]:
             with arena:
                 rows, r = arena.take(6, b - a), rho[a:b]
                 # a bad density gives a bad Y here, but the sound speed rejects it first
@@ -199,8 +201,7 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
             with arena:
                 # both ends of a wall row are its cell, whose impedance has no sign
                 lo, hi = _ends(fl, imp[None], 0, 0, len(fl.lo), (), (), 0, arena)
-                for column in fl.columns(np.maximum(lo[0], hi[0], out=hi[0]), out=col):
-                    np.maximum(imp_max, column, out=imp_max)
+                fl.fold(np.maximum, imp_max, np.maximum(lo[0], hi[0], out=hi[0]))
         speed = np.max(np.abs(u[:, IMX:].T, out=arena.take(f.dim, n)), axis=0, out=imp)
         speed /= rho
         imp_max *= fp.theta
@@ -224,7 +225,7 @@ def _ends(fl, block, shift: int, r0: int, r1: int, wall_lo, wall_hi, normal: int
     the tail); all other ends are C-contiguous blocks from ``arena``, held to
     the end of the caller's scope.  ``take`` copies a strided ``block`` whole.
     """
-    h = max(min(r1, len(fl.slots)) - r0, 0)
+    h = max(min(r1, len(fl.low)) - r0, 0)
     hi = block.take(fl.hi[r0:r1], axis=1, out=arena.take(len(block), r1 - r0), mode="clip")
     lo = block[:, r0 + shift:r0 + shift + h]
     if h < r1 - r0:
@@ -265,19 +266,21 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
                 vlo, vhi = _ends(fl, Vt, 0, r0, r1, wall_lo, wall_hi, IMX + axis, arena)
                 np.subtract(vhi, vlo, out=(seg := rows[:, r0:r1]))
             seg /= fl.dist[r0:r1]
-        for a, b in cells:
+        for a, b, extra in cells:
             with arena:
-                # every slot column of both cell sides, one take over the block
-                # each, but slot 0 of the high side (slots[1]): the head, in place
-                slots = fl.slots[a:b].T.reshape(-1, b - a)
-                smin, smax, col = arena.take(3, ncomp, b - a)
-                rows.take(slots[0], axis=1, out=col, mode="clip")
+                # the first row of each side, the high side's the head, in
+                # place, then the few rows past them on their cells alone
+                smin, smax = arena.take(2, ncomp, b - a)
+                col = rows.take(fl.low[a:b], axis=1, out=smax, mode="clip")
                 np.minimum(rows[:, a:b], col, out=smin)
                 np.maximum(rows[:, a:b], col, out=smax)
-                for slot in slots[2:]:
-                    rows.take(slot, axis=1, out=col, mode="clip")
-                    np.minimum(smin, col, out=smin)
-                    np.maximum(smax, col, out=smax)
+                for at, later in extra:
+                    if len(at):
+                        # ufunc.at on the flat block takes numpy's fast path
+                        flat = (at + (b - a) * np.arange(ncomp)[:, None]).ravel()
+                        v = rows.take(later, axis=1).ravel()
+                        np.minimum.at(smin.reshape(-1), flat, v)
+                        np.maximum.at(smax.reshape(-1), flat, v)
                 # smin where it is positive, smax where it is negative, else +0.0
                 # (+= 0.0 turns -0.0 into +0.0); a NaN slope makes both NaN, which
                 # fmax turns into 0.0, and an infinite slope becomes +0.0 too
@@ -378,7 +381,7 @@ def sweep(
                     V, sigma = arena.take(2, ncomp, n)
                     V = eos.to_primitive(u, out=V.T)
                     sigma = _minmod_sigma(f, axis, V, out=sigma.T, arena=arena)
-            for a, b in cells:
+            for a, b, _ in cells:
                 m, Bk = b - a, B[:, :, a:b]
                 FS, p, c = Bk[:ncomp], Bk[ncomp], Bk[ncomp + 1]
                 if k == 2:
@@ -420,23 +423,26 @@ def sweep(
             at = " and ".join(map(f.leaf_label, dict.fromkeys((fl.lo[row], fl.hi[row]))))
             raise VacuumError(f"sweep on axis {axis}, face row {row} at {at}: {exc}", row=row) from exc
 
-        # phase B2 (per cell block): each cell side sums its slots in slot
+        # phase B2 (per cell block): each cell side sums its rows in row
         # order, low side (from +0.0, so never -0.0) minus high side (from its
-        # own head row), so no sign of a zero shows; the slots are in range,
-        # and mode="clip" lets take fill ``term`` without an intermediate copy
-        nslot = fl.slots.shape[2]
+        # own head row), so no sign of a zero shows; the rows are in range,
+        # and mode="clip" lets take fill ``dW`` without an intermediate copy
         out = np.empty((ncomp, n)).T if out is None else out
-        for a, b in cells:
+        coef = np.multiply(dt, fl.area, out=arena.take(len(fl.lo)))
+        for a, b, extra in cells:
             with arena:
-                coef = np.multiply(dt, fl.slot_area[a:b], out=arena.take(nslot, 2, b - a).T)
-                dW, acc, term = arena.take(3, ncomp, b - a)
-                dW.fill(0.0)
-                np.multiply(flux[:, a:b], coef[:, 1, 0], out=acc)
-                for s, side in enumerate((dW, acc)):
-                    for j in range(s, nslot):
-                        flux.take(fl.slots[a:b, s, j], axis=1, out=term, mode="clip")
-                        term *= coef[:, s, j]
-                        side += term
+                dW, acc = arena.take(2, ncomp, b - a)
+                low = fl.low[a:b]
+                flux.take(low, axis=1, out=dW, mode="clip")
+                dW *= coef.take(low, out=arena.take(b - a), mode="clip")
+                dW += 0.0
+                np.multiply(flux[:, a:b], coef[a:b], out=acc)
+                for side, (at, later) in zip((dW, acc), extra):
+                    if len(at):
+                        terms = flux.take(later, axis=1)
+                        terms *= coef.take(later)
+                        flat = (at + (b - a) * np.arange(ncomp)[:, None]).ravel()
+                        np.add.at(side.reshape(-1), flat, terms.ravel())  # a cell's terms in row order
                 dW -= acc
                 dW /= f.volumes[a:b]
                 np.add(u.T[:, a:b], dW, out=out.T[:, a:b])

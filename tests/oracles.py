@@ -501,7 +501,7 @@ def wall_image(W, normal=2):
 def minmod_sigma_columns(f, axis, V, dx):
     """Minmod slopes over every face of each cell, one component column at a time.
 
-    A wall row takes the slope to the cell's wall image, -2 u_n / dx on a
+    A cell's faces are the rows with lo or hi equal to it, in any order.  A wall row takes the slope to the cell's wall image, -2 u_n / dx on a
     low wall and +2 u_n / dx on a high one, from the cell alone; u_n is the
     velocity in column 2 + axis.
     """
@@ -516,12 +516,11 @@ def minmod_sigma_columns(f, axis, V, dx):
         np.subtract(v[fl.hi], v[fl.lo], out=rows)
         rows /= fl.dist
         rows[walls] = sign * (-2.0 * v[cells]) / dx[cells] if i == 2 + axis else 0.0
-        cols = [rows[fl.slots[:, s, j]] for s in (0, 1) for j in range(fl.slots.shape[2])]
-        smin = cols[0].copy()
-        smax = cols[0].copy()
-        for col in cols[1:]:
-            np.minimum(smin, col, out=smin)
-            np.maximum(smax, col, out=smax)
+        # each cell over the rows with either end at it
+        smin, smax = np.full(len(V), np.inf), np.full(len(V), -np.inf)
+        for ends in (fl.lo, fl.hi):
+            np.minimum.at(smin, ends, rows)
+            np.maximum.at(smax, ends, rows)
         s = np.where(smin > 0.0, smin, np.where(smax < 0.0, smax, 0.0))
         sigma[:, i] = np.where(np.isfinite(s), s, 0.0)
     return sigma

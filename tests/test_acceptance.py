@@ -150,7 +150,7 @@ def _fuzz_once(rng, dim, b, rounds=3):
     for t in range(conn.ntrees):
         sel = f.tree == t
         assert float(f.volumes[sel].sum()) == pytest.approx(conn.tree_extent**dim, rel=1e-12)
-    # post-balance 2:1 on every face pair, and the face-list slot table
+    # post-balance 2:1 on every face pair, and the face list's cell sides
     # against the pointer forest's face neighbours
     leaves = oracle.leaves()
     expected = face_neighbors(leaves, dim, conn.tree_dims, conn.periodic, b)

@@ -44,12 +44,21 @@ def assert_two_to_one(f):
             assert abs(int(f.level[i]) - int(f.level[j])) <= 1, f"leaf {i} axis {axis} side {side}"
 
 
-def slot_cells(fl, i, side):
-    """Real slot rows of cell side (i, side) and the cells across them.
+def side_rows(fl, side):
+    """Each cell's rows on ``side`` (0 = low, 1 = high) as lists: its first row, then those of ``fl.more``."""
+    first = fl.low if side == 0 else np.arange(len(fl.low))
+    rows = [[r] for r in first.tolist()]
+    for r in fl.more[side].tolist():
+        rows[(fl.hi, fl.lo)[side][r]].append(r)
+    return rows
+
+
+def side_cells(fl, i, side):
+    """Rows of cell side (i, side) and the cells across them.
 
     A wall row joins its cell to itself, so the cell is across its walls.
     """
-    rows = fl.slots[i, side][fl.slot_area[i, side] > 0]
+    rows = np.array(side_rows(fl, side)[i])
     across = (fl.hi if side else fl.lo)[rows]
     return rows, sorted(across.tolist())
 
@@ -451,7 +460,7 @@ class TestLeafNeighbors:
         f = new_uniform(conn2d(), level=2, b=3)
         i = int(np.flatnonzero((f.coords[:, 0] == 2) & (f.coords[:, 1] == 2))[0])
         fl = f.face_list(0)
-        rows, across = slot_cells(fl, i, 1)
+        rows, across = side_cells(fl, i, 1)
         assert len(rows) == 1
         assert fl.area[rows[0]] == pytest.approx(0.25)
         assert fl.dist[rows[0]] == pytest.approx(0.25)
@@ -461,7 +470,7 @@ class TestLeafNeighbors:
     def test_wall_is_boundary(self):
         f = new_uniform(conn2d(), level=1, b=2)
         fl = f.face_list(0)
-        rows, across = slot_cells(fl, 0, 0)
+        rows, across = side_cells(fl, 0, 0)
         # one head row per cell, its high face: 1 and 3 have a high wall;
         # then the tail, the low walls of 0 and 2
         assert rows.tolist() == [4] and across == [0]
@@ -473,7 +482,7 @@ class TestLeafNeighbors:
 
     def test_periodic_wraps(self):
         f = new_uniform(conn2d(periodic=(True, True)), level=1, b=2)
-        rows, across = slot_cells(f.face_list(0), 0, 0)
+        rows, across = side_cells(f.face_list(0), 0, 0)
         assert [tuple(f.coords[j]) for j in across] == [(2, 0)]
         assert oracle_neighbors(f)[0, 0, 0] == across
 
@@ -483,7 +492,7 @@ class TestLeafNeighbors:
         f, _ = oracles.balance(f)
         i = int(np.flatnonzero((f.coords[:, 0] == 0) & (f.coords[:, 1] == 0) & (f.level == 1))[0])
         fl = f.face_list(0)
-        rows, across = slot_cells(fl, i, 1)
+        rows, across = side_cells(fl, i, 1)
         assert len(rows) == 2
         np.testing.assert_allclose(fl.area[rows], 0.25)  # dx_fine in 2D
         np.testing.assert_allclose(fl.dist[rows], 0.75 * 0.5)
@@ -533,7 +542,7 @@ class TestLeafNeighbors:
         f, _ = f.refine(marks_array(f, [(1, REFINE)]))
         f, _ = oracles.balance(f)
         i = int(np.flatnonzero((f.level == 1) & (f.coords == 0).all(axis=1))[0])
-        rows, across = slot_cells(f.face_list(0), i, 1)
+        rows, across = side_cells(f.face_list(0), i, 1)
         assert len(rows) == 4
         assert f.level[across].tolist() == [2] * 4
         assert oracle_neighbors(f)[i, 0, 1] == across
@@ -569,17 +578,17 @@ class TestFaceList:
         assert np.all(np.abs(lv_lo - lv_hi) <= 1)
 
     def test_matches_leaf_neighbors(self):
-        # slot neighbours of random balanced forests, 2D and 3D, periodic and
-        # walled, several trees, against the lattice oracle; plus the
-        # one-sided forest: its only hanging faces are seen from their fine
-        # (lo) side, so the coarse hi side alone needs k = 2
+        # cell-side neighbours of random balanced forests, 2D and 3D,
+        # periodic and walled, several trees, against the lattice oracle;
+        # plus the one-sided forest: its only hanging faces are seen from
+        # their fine (lo) side, so only coarse low sides have later rows
         for f in layout_forests():
             expected = oracle_neighbors(f)
             for axis in range(f.dim):
                 check_face_list(f, f.face_list(axis), expected)
 
     def test_head_and_tail(self):
-        # row i < n starts at cell i and is slot 0 of its high side; walls
+        # row i < n starts at cell i, whose first low row ends at it; walls
         # on a high face are head rows, those on a low face tail rows; and a
         # rank owning cells [a, b) fluxes head rows [a, b) plus one
         # contiguous slice of the tail; in the last forest, three coarse cells
@@ -593,7 +602,7 @@ class TestFaceList:
                 fl = f.face_list(axis)
                 nf = len(fl.lo)
                 np.testing.assert_array_equal(fl.lo[:n], np.arange(n))
-                np.testing.assert_array_equal(fl.slots[:, 1, 0], np.arange(n))
+                np.testing.assert_array_equal(fl.hi[fl.low], np.arange(n))
                 assert np.all((fl.wall_hi >= 0) & (fl.wall_hi < n))
                 assert np.all((fl.wall_lo >= n) & (fl.wall_lo < nf))
                 tails += nf > n
@@ -632,15 +641,14 @@ def random_balanced(conn, seed, rounds=2):
 
 
 def check_face_list(f, fl, expected):
-    """Row layout and slot table of ``fl`` against the oracle's neighbours of every cell side.
+    """Row layout and cell sides of ``fl`` against the oracle's neighbours of every cell side.
 
     ``expected`` is the ``oracles.face_neighbors`` dict of the forest's leaves.
     """
     n, nf = f.nleaves, len(fl.lo)
-    # head row i starts at cell i, slot 0 of its high side; the tail follows,
-    # ordered by lo cell, a cell's sub-faces ahead of its low wall
+    # head row i starts at cell i, the first row of its high side; the tail
+    # follows, ordered by lo cell, a cell's sub-faces ahead of its low wall
     np.testing.assert_array_equal(fl.lo[:n], np.arange(n))
-    np.testing.assert_array_equal(fl.slots[:, 1, 0], np.arange(n))
     low_wall = np.zeros(nf, dtype=bool)
     low_wall[fl.wall_lo] = True
     assert np.all(np.diff(2 * fl.lo[n:] + low_wall[n:]) >= 0)
@@ -655,29 +663,30 @@ def check_face_list(f, fl, expected):
     np.testing.assert_array_equal(fl.dist[walls], f.dx[cells])
     wall = np.zeros(nf, dtype=bool)
     wall[walls] = True
+    assert fl.low.shape == (n,)
     for side in (0, 1):
         where = f"axis {fl.axis} side {side}"
-        rows, area = fl.slots[:, side], fl.slot_area[:, side]
-        nreal = np.count_nonzero(area, axis=1)
-        real = np.arange(rows.shape[1]) < nreal[:, None]
-        # real slots first, in row order; zero-area slots repeat the last one
-        assert np.all((area > 0) == real), where
-        assert np.all(np.diff(rows, axis=1)[real[:, 1:]] > 0), where
-        last = rows[np.arange(f.nleaves), nreal - 1]
-        assert np.all(np.where(real, True, rows == last[:, None])), where
-        np.testing.assert_array_equal(area[real], fl.area[rows[real]], err_msg=where)
-        assert np.all(area.sum(axis=1) == f.dx ** (f.dim - 1)), where
-        # every row sits in exactly one real slot of this side, but the walls
+        near = fl.lo if side else fl.hi
+        # the rows past each side's first, once, by cell and then row
+        more = fl.more[side]
+        assert np.all(np.diff(near[more] * nf + more) > 0), where
+        lists = side_rows(fl, side)
+        # each cell side's rows in row order, with the cell at their near
+        # end; their areas tile the cell's face
+        for i, rows in enumerate(lists):
+            assert np.all(np.diff(rows) > 0) and np.all(near[rows] == i), f"leaf {i} {where}"
+        np.testing.assert_array_equal([fl.area[rows].sum() for rows in lists], f.dx ** (f.dim - 1), err_msg=where)
+        # every row sits in exactly one cell side of this side, but the walls
         # whose end on this side is the mirror
         own, other = (fl.wall_hi, fl.wall_lo) if side else (fl.wall_lo, fl.wall_hi)
-        np.testing.assert_array_equal(np.sort(rows[real]), np.setdiff1d(np.arange(nf), other))
-        across = (fl.hi if side else fl.lo)[rows]
-        for i, (cells, r, k) in enumerate(zip(across.tolist(), rows.tolist(), nreal.tolist())):
+        np.testing.assert_array_equal(np.sort(np.concatenate(lists)), np.setdiff1d(np.arange(nf), other))
+        for i, rows in enumerate(lists):
+            across = sorted((fl.hi if side else fl.lo)[rows].tolist())
             nbrs = expected[i, fl.axis, side]
             if nbrs is None:
-                assert k == 1 and r[0] in own and cells[0] == i, f"leaf {i} {where}"
+                assert len(rows) == 1 and rows[0] in own and across == [i], f"leaf {i} {where}"
             else:
-                assert not wall[r[:k]].any() and sorted(cells[:k]) == nbrs, f"leaf {i} {where}"
+                assert not wall[rows].any() and across == nbrs, f"leaf {i} {where}"
 
 
 class TestExtremeDepth:
@@ -688,7 +697,7 @@ class TestExtremeDepth:
         f, _ = f.refine(marks_array(f, [(0, REFINE)]))
         f, _ = oracles.balance(f)
         assert np.all(f.keys >= 0)  # no int64 overflow
-        rows, across = slot_cells(f.face_list(0), 0, 1)
+        rows, across = side_cells(f.face_list(0), 0, 1)
         h = 1 << (b - 2)
         assert len(rows) == 1 and f.coords[across[0]].tolist() == [h] + [0] * (dim - 1)
         assert f.dx[0] == pytest.approx(2.0 ** -(2))

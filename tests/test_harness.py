@@ -457,7 +457,7 @@ class TestRun:
         setup = init_case(cfg)
         f, u = setup.forest, setup.field
         prof = harness.Profile()
-        harness._rebuild_comm(f, cfg, prof)
+        harness._rebuild_comm(f, prof, partition(f, cfg.ranks))
         for _ in range(2):
             u, _ = solver.step(f, u, cfg.sweep_config, cfg.fluids)
         phases, builds, queries = [], [], []
@@ -484,7 +484,7 @@ class TestRun:
         monkeypatch.setattr(Forest, "_face_rows", logged)
         monkeypatch.setattr(Forest, "locate", counted)
         f2, _ = harness.adapt_mesh(f, u, cfg.criterion_obj, cfg.fluids, cfg.min_level, cfg.max_level, prof)
-        harness._rebuild_comm(f2, cfg, prof)
+        harness._rebuild_comm(f2, prof, partition(f2, cfg.ranks))
         assert f2.nleaves != f.nleaves
         assert [(g is f2, p) for g, p in builds] == [(True, ("faces",))] * f2.dim
         assert len(queries) <= 2 * f2.dim

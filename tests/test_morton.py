@@ -11,7 +11,7 @@ from amrfv.forest import COARSEN, KEEP, REFINE, Connectivity, Forest, new_unifor
 
 import oracles
 from oracles import deinterleave_oracle, interleave_oracle, zorder_traversal
-from test_forest import oracle_neighbors, slot_cells
+from test_forest import oracle_neighbors, side_cells
 from test_leafmap import CONNECTIVITIES, random_marks
 
 
@@ -36,9 +36,9 @@ def marked(f, tag):
 
 
 def across(f, i, axis, side):
-    """Cells across leaf i's (axis, side) face from the slot table; None at a wall."""
+    """Cells across leaf i's (axis, side) face from its face list; None at a wall."""
     fl = f.face_list(axis)
-    rows, cells = slot_cells(fl, i, side)
+    rows, cells = side_cells(fl, i, side)
     return None if np.isin(rows, fl.wall_hi if side else fl.wall_lo).any() else cells
 
 

@@ -120,6 +120,35 @@ class TestSweep:
         out = solver.sweep(f, u, 0, 1e-3, cfg, MILD)
         np.testing.assert_array_equal(out, u)
 
+    def test_an_infinite_flux_reaches_the_ends_of_its_rows_only(self):
+        # a finite, admissible pair of states whose momentum fluxes rho u^2 + p
+        # sum past the largest double gives an infinite flux: leaf 0, of the
+        # heavier fluid, at 7.3e153 m/s like every leaf, makes +inf on each x
+        # row it ends.  A row's other end gets +inf on its low side or -inf on
+        # its high side, not NaN, though it has fewer faces than some cells
+        f = new_uniform(conn2d(), level=2, b=4)
+        f, _ = f.adapt(np.where(np.arange(f.nleaves) == 5, REFINE, KEEP))
+        alpha = np.full(f.nleaves, 0.5)
+        alpha[0] = 1e-9
+        vel = np.zeros((f.nleaves, 2))
+        vel[:, 0] = np.sqrt(0.8e308 / 1.5)
+        u = eos.state_from_pressure_alpha(1e5, alpha, vel, MILD)
+        fl = f.face_list(0)
+        mine = (fl.lo == 0) ^ (fl.hi == 0)
+        assert np.all(np.isfinite(u)) and any(len(rows) for rows in fl.more)
+        with np.errstate(over="ignore"):
+            F = flux(u[fl.lo[mine]], u[fl.hi[mine]], MILD)
+        np.testing.assert_array_equal(F[:, 2], np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solver.sweep(f, u, 0, 1e-160, SweepConfig(order=1), MILD)
+        above, below = fl.hi[mine & (fl.lo == 0)], fl.lo[mine & (fl.hi == 0)]
+        assert len(above) and len(below)
+        np.testing.assert_array_equal(out[above, 2], np.inf)
+        np.testing.assert_array_equal(out[below, 2], -np.inf)
+        assert np.isnan(out[0, 2])  # inf in, inf out
+        rest = np.setdiff1d(np.arange(1, f.nleaves), np.concatenate([above, below]))
+        assert np.all(np.isfinite(out[rest])) and np.all(np.isfinite(out[:, :2]))
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_free_stream_multilevel_bitwise(self, order):
         f = multi_level_forest()
