@@ -5,21 +5,24 @@ An octant is anchored at its lower corner on the integer lattice
 refinement level.  Anchors of level-``l`` octants are multiples of
 ``2**(b - l)`` on every axis.  Keys interleave coordinate bits with
 x in the lowest position (bit ``d*i`` of the key is bit ``i`` of x),
-so sorting by key traverses leaves along the z-order curve.  A forest
-encodes its leaves' keys only when it is built from anchors alone:
-``new_uniform`` enumerates its keys and decodes the anchors from them,
-``Forest.refine`` gives a child its parent's key with the child id in the d
-bits of its level's slot, ``Forest.coarsen`` gives a merged parent its child
-0's key, and ``Forest.sibling_ids`` reads each leaf's child id and parent key
-off its key.  Face neighbours come from arithmetic on anchors (the lattice
-point one leaf size across a high face, or a fine sub-face's anchor); those
-points are encoded and located among the sorted keys (``Forest.locate``).
+so sorting by key traverses leaves along the z-order curve.  ``encode_many``
+spreads 11 bits of a coordinate per lookup in a table built from that rule;
+nothing decodes a key, as a forest keeps each leaf's anchor beside it.  Child
+c of an octant sits at bit a of c on axis a (``CHILDREN``): ``new_uniform``
+builds its anchors level by level from it, ``Forest.refine`` adds it to the
+parent's anchor and puts c in the d bits of the level's key slot, and the
+sub-faces and VTK corners read it.  ``Forest.coarsen`` gives a merged parent
+its child 0's anchor and key, and ``Forest.sibling_ids`` reads each leaf's
+child id and parent key off its key.  Face neighbours come from arithmetic on
+anchors (the lattice point one leaf size across a high face, or a fine
+sub-face's anchor); those points are encoded and located among the sorted
+keys (``Forest.locate``).
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MAX_B", "DomainError", "encode_many", "decode_many"]
+__all__ = ["MAX_B", "DomainError", "CHILDREN", "encode_many"]
 
 # 64-bit keys: d*b must stay below 63 bits so keys fit a signed int64.
 MAX_B = {2: 31, 3: 21}
@@ -29,57 +32,12 @@ class DomainError(ValueError):
     """Lattice dimension other than 2 or 3, or a coordinate outside [0, 2**MAX_B[dim])."""
 
 
-# decode via magic-bit compaction; encode via a table of the magic-bit
-# spreading of every _BITS-bit value
-
-def _spread2(v: np.ndarray) -> np.ndarray:
-    # inserts one zero bit between the low 32 bits of v
-    v = v & 0xFFFFFFFF
-    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
-    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
-    v = (v | (v << 2)) & 0x3333333333333333
-    v = (v | (v << 1)) & 0x5555555555555555
-    return v
-
-
-def _compact2(v: np.ndarray) -> np.ndarray:
-    v = v & 0x5555555555555555
-    v = (v ^ (v >> 1)) & 0x3333333333333333
-    v = (v ^ (v >> 2)) & 0x0F0F0F0F0F0F0F0F
-    v = (v ^ (v >> 4)) & 0x00FF00FF00FF00FF
-    v = (v ^ (v >> 8)) & 0x0000FFFF0000FFFF
-    v = (v ^ (v >> 16)) & 0x00000000FFFFFFFF
-    return v
-
-
-def _spread3(v: np.ndarray) -> np.ndarray:
-    # inserts two zero bits between the low 21 bits of v
-    v = v & 0x1FFFFF
-    v = (v | (v << 32)) & 0x1F00000000FFFF
-    v = (v | (v << 16)) & 0x1F0000FF0000FF
-    v = (v | (v << 8)) & 0x100F00F00F00F00F
-    v = (v | (v << 4)) & 0x10C30C30C30C30C3
-    v = (v | (v << 2)) & 0x1249249249249249
-    return v
-
-
-def _compact3(v: np.ndarray) -> np.ndarray:
-    v = v & 0x1249249249249249
-    v = (v ^ (v >> 2)) & 0x10C30C30C30C30C3
-    v = (v ^ (v >> 4)) & 0x100F00F00F00F00F
-    v = (v ^ (v >> 8)) & 0x1F0000FF0000FF
-    v = (v ^ (v >> 16)) & 0x1F00000000FFFF
-    v = (v ^ (v >> 32)) & 0x1FFFFF
-    return v
-
-
 _BITS = 11
-# row a of a table holds the key bits at axis a of every _BITS-bit value
-_SPREAD = {
-    2: _spread2(np.arange(1 << _BITS)) << np.arange(2)[:, None],
-    3: _spread3(np.arange(1 << _BITS)) << np.arange(3)[:, None],
-}
+# row a of a table holds the key bits at axis a of every _BITS-bit value v: bit i of v goes to bit d*i + a
+_SPREAD = {d: sum((np.arange(1 << _BITS) >> i & 1) << d * i for i in range(_BITS)) << np.arange(d)[:, None]
+           for d in (2, 3)}
+# row c holds the anchor offset of child c in child sizes: bit a of c on axis a
+CHILDREN = {d: (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 for d in (2, 3)}
 
 
 def encode_many(coords: np.ndarray) -> np.ndarray:
@@ -106,14 +64,3 @@ def encode_many(coords: np.ndarray) -> np.ndarray:
         keys = keys | part << dim * low if low else part
     return keys
 
-
-def decode_many(keys: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`encode_many`; returns an (N, d) int64 array."""
-    keys = np.asarray(keys, dtype=np.int64)
-    if dim == 2:
-        return np.stack([_compact2(keys), _compact2(keys >> 1)], axis=-1)
-    if dim == 3:
-        return np.stack(
-            [_compact3(keys), _compact3(keys >> 1), _compact3(keys >> 2)], axis=-1
-        )
-    raise DomainError(f"dimension must be 2 or 3, got {dim}")

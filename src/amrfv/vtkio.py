@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from amrfv import eos
+from amrfv import eos, morton
 from amrfv.eos import FluidPair
 from amrfv.forest import Forest
 
@@ -50,11 +50,11 @@ def write_vtk(f: Forest, u: np.ndarray, fp: FluidPair, path, ranks=None) -> None
     # 2D points and vectors carry a zero z component
     zero_z = " 0.0" * (3 - dim) + "\n"
 
-    # corner j of a leaf takes the high side on axis a where bit a of j is
-    # set.  The coordinates are >= 0, so np.unique, which merges -0.0 with
-    # 0.0, cannot change a byte; field values may be -0.0 and are not merged
+    # corner j of a leaf is the corner child j holds (high on axis a where bit
+    # a of j is set).  The coordinates are >= 0, so np.unique, which merges
+    # -0.0 with 0.0, cannot change a byte; field values may be -0.0 and are not merged
     lo, hi = _boxes(f)
-    high = (np.arange(ncorn)[:, None] >> np.arange(dim)) & 1 == 1
+    high = morton.CHILDREN[dim] == 1
     corners = np.where(high, hi[:, None, :], lo[:, None, :])
     values, inverse = np.unique(corners.ravel(), return_inverse=True)
     text = np.array([repr(v) for v in values.tolist()], dtype=object)[inverse]

@@ -20,7 +20,8 @@ def encode(coords):
 
 
 def decode(key, dim):
-    return tuple(morton.decode_many(np.array([key]), dim)[0].tolist())
+    """The lattice point of a key at the widest lattice, by the textual oracle."""
+    return deinterleave_oracle(key, dim, morton.MAX_B[dim])
 
 
 def anchors(f):
@@ -102,7 +103,6 @@ class TestEncodeDecode:
         coords = list(itertools.product(range(1 << b), repeat=dim))
         keys = morton.encode_many(np.array(coords)).tolist()
         assert keys == [interleave_oracle(c, b) for c in coords]
-        assert [tuple(c) for c in morton.decode_many(np.array(keys), dim).tolist()] == coords
         assert [deinterleave_oracle(k, dim, b) for k in keys] == coords
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
@@ -124,11 +124,14 @@ class TestEncodeDecode:
 
 class TestVectorized:
     def test_full_width_random(self):
+        # every 11-bit chunk of the table encode, against the string oracle
         rng = np.random.default_rng(7)
-        c2 = rng.integers(0, 2**31, size=(1000, 2))
-        np.testing.assert_array_equal(morton.decode_many(morton.encode_many(c2), 2), c2)
-        c3 = rng.integers(0, 2**21, size=(1000, 3))
-        np.testing.assert_array_equal(morton.decode_many(morton.encode_many(c3), 3), c3)
+        for dim in (2, 3):
+            b = morton.MAX_B[dim]
+            coords = rng.integers(0, 2**b, size=(1000, dim))
+            keys = morton.encode_many(coords).tolist()
+            assert keys == [interleave_oracle(c, b) for c in coords.tolist()]
+            assert [decode(k, dim) for k in keys] == [tuple(c) for c in coords.tolist()]
 
 
 class TestTreeArithmetic:
@@ -217,6 +220,17 @@ class TestZOrder:
             scrambled = np.array(sorted(expected))  # lexicographic, not z-order
             keyed = scrambled[np.argsort(morton.encode_many(scrambled))]
             assert [tuple(c) for c in keyed.tolist()] == expected
+
+    @pytest.mark.parametrize("dim, trees, top", [(2, (2, 1), 5), (3, (1, 1, 1), 4)])
+    def test_new_uniform_anchors_at_max_b(self, dim, trees, top):
+        # at b = MAX_B the anchors new_uniform builds from the child offsets
+        # are the deinterleaved keys, and the keys encode the anchors (a 3D
+        # lattice at MAX_B leaves room in the (tree, key) index for one tree)
+        b = morton.MAX_B[dim]
+        for level in range(top + 1):
+            f = new_uniform(Connectivity(dim, trees, (False,) * dim), level=level, b=b)
+            assert anchors(f) == [deinterleave_oracle(k, dim, b) for k in f.keys.tolist()]
+            np.testing.assert_array_equal(f.keys, morton.encode_many(f.coords))
 
     def test_morton_key_orders_ancestors_first(self):
         b = 4
