@@ -9,13 +9,17 @@ volume.  Second order uses minmod-limited slopes of the primitive variables
 
 ``step`` copies the state once into its column-major result, whose
 transpose is a C-contiguous ``(ncomp, n)`` block, and every sweep and
-gravity half-step updates that result in place.  A sweep runs each phase
-over contiguous Morton blocks [a, b) of at most ``_BLOCK`` cells, so that a
-block's temporaries stay in a core's L2 cache: the primitives, the slope
-rows, the minmod reduction, MUSCL-Hancock prediction and closure, the
-fluxes, the per-cell sums and update; a phase that reads other blocks'
-results waits for the phase before it in every block.  Each kernel makes one numpy
-call per operation over all components of a block.  The face states,
+gravity half-step updates that result in place.  Consecutive Strang steps
+may share one x sweep at dt_n/2 + dt_{n+1}/2 (``owed`` and ``close``), so
+a 2D run makes 2 sweeps per step between sync points and a 3D run 4; the
+shared sweep keeps ``compute_dt``'s bound of the state it acts on while
+dt_n/2 + dt_{n+1}/2 does.  A sweep runs each phase over contiguous Morton
+blocks [a, b) of at most ``_BLOCK`` cells, so that a block's temporaries
+stay in a core's L2 cache: the primitives, the slope rows, the minmod
+reduction, MUSCL-Hancock prediction and closure, the fluxes, the per-cell
+sums and update; a phase that reads other blocks' results waits for the
+phase before it in every block.  Each kernel makes one numpy call per
+operation over all components of a block.  The face states,
 pressures and sound speeds of all cells share one side-major
 ``(ncomp + 2, k, n)`` block, k = order, so a cell block is its columns of
 each side (one conversion, pressure and physical flux call, and one closure
@@ -157,11 +161,12 @@ def _arena(n: int, ncomp: int) -> _Arena:
 
     A new leaf or component count drops the block views; the buffer carries
     over, as an adapt changes the leaf count a little, unless the leaf count
-    fell below half, when the buffer starts again from empty.
+    fell below half or the component count changed, when the buffer starts
+    again from empty.
     """
     key = (n, ncomp)
     if _ARENA.key != key:
-        if _ARENA.key is None or 2 * n < _ARENA.key[0]:
+        if _ARENA.key is None or 2 * n < _ARENA.key[0] or ncomp != _ARENA.key[1]:
             _ARENA.buf = np.empty(0)
         _ARENA.key, _ARENA.high = key, 0
         _ARENA.views.clear()
@@ -178,6 +183,8 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
     max-norm: sweeps are one-dimensional, so each needs only its own velocity
     component bounded, and the largest component bounds any sweep at full dt
     (Lie's, and Strang's middle one); a half sweep is within half the bound.
+    An x sweep merged across a step boundary acts on ``u`` itself, so it is
+    within the bound where ``owed + dt/2`` is.
     """
     n, fls = f.nleaves, [f.face_list(axis) for axis in range(f.dim)]
     with _sec(prof, "eos"):
@@ -463,13 +470,19 @@ def gravity_op(u: np.ndarray, dt: float, g: float, out=None) -> np.ndarray:
 
 
 def step(
-    f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, dt: float | None = None, prof=None
+    f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, dt: float | None = None, prof=None,
+    owed: float = 0.0, close: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Advance one time step: Lie x(dt) y(dt), or Strang x(dt/2) y(dt) x(dt/2).
 
-    In 3D, Lie adds z(dt) and Strang is x y z(dt) y x.  The new state is the
-    step's one fresh (column-major) array: a copy of ``u`` that every sweep
-    and gravity half-step updates in place.
+    In 3D, Lie adds z(dt) and Strang is x y z(dt) y x.  Strang steps may
+    share an x sweep (LeVeque 2002, section 17.3): the first runs at
+    ``owed + dt/2``, taking in the half sweep the step before left out, and
+    ``close=False`` leaves out the last; gravity keeps its place.  The merged
+    sweep keeps ``compute_dt``'s bound of ``u`` while ``owed + dt/2`` does.
+    The defaults run every sweep of the step; Lie merges nothing.  The new
+    state is the step's one fresh (column-major) array: a copy of ``u`` that
+    every sweep and gravity half-step updates in place.
     """
     if dt is None:
         dt = compute_dt(f, u, cfg, fp, prof=prof)
@@ -477,10 +490,14 @@ def step(
     # (1968): half sweeps around one full-dt sweep of the last axis, a gravity
     # half-step after the first sweep and one before the last (xgygx, xgyzygx)
     if cfg.splitting == "lie":
+        if owed or not close:
+            raise ConfigError("Lie splitting has no half sweep to merge")
         sweeps, gravity_after = [(axis, dt) for axis in range(f.dim)], (f.dim - 1, f.dim - 1)
     else:
         half = [(axis, 0.5 * dt) for axis in range(f.dim - 1)]
-        sweeps, gravity_after = [*half, (f.dim - 1, dt), *reversed(half)], (0, 2 * f.dim - 3)
+        sweeps, gravity_after = [(0, owed + 0.5 * dt), *half[1:], (f.dim - 1, dt), *reversed(half)], (0, 2 * f.dim - 3)
+        if not close:
+            sweeps.pop()
     with _sec(prof, "sweep"):
         u = u.copy(order="F")
     for i, (axis, sweep_dt) in enumerate(sweeps):

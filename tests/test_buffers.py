@@ -133,6 +133,17 @@ def test_step_buffer_of_two_blocks_in_3d(fresh_arena):
     assert solver._ARENA.buf.nbytes <= 7.0125 * u.nbytes
 
 
+def test_a_new_component_count_starts_an_empty_buffer(fresh_arena):
+    # a 2D 65,536-leaf step, then a 3D 32,768-leaf step in the same arena:
+    # the 3D step lays out its buffer anew, 7.01 times its state as in a
+    # fresh process, where keeping the 2D buffer held 10.45 times
+    f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=8, b=8)
+    solver.step(f, smooth_state(f), STRANG2, MILD)
+    f = new_uniform(Connectivity(3, (1, 1, 1), (True, True, True)), level=5, b=5)
+    u, _ = solver.step(f, smooth_state(f), STRANG2, MILD)
+    assert solver._ARENA.buf.nbytes <= 7.0125 * u.nbytes
+
+
 class TestNoAliasing:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("dim", [2, 3])
