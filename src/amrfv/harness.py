@@ -3,9 +3,11 @@
 The run pipeline follows: (before a forest's first step: face lists -> ghost rebuild) -> compute dt -> step ->
 (every ``adapt_every`` steps: evaluate/mark -> adapt (refine, coarsen and 2:1 balance in one level-space step) ->
 project -> repartition, if the mesh changed) -> periodic output.  So nothing is built for a mesh that never steps.
-A Strang step that no sync point (t_end, an adapt or a dump) follows stays open: the next step runs its last x half
-sweep inside its own first one.  dt is then at most 2 (bound - owed), so the merged sweep keeps the bound of the
-state it acts on, and where that would halve dt, the owed half sweep runs alone before dt is computed again.
+A Strang step that no sync point (a dump or t_end) follows stays open: the next step runs its last x half sweep
+inside its own first one.  An adapt is no sync point: it marks and projects the open state, and the owed half sweep
+runs on the new forest.  dt is then at most 2 (bound - owed), so the merged sweep keeps the bound of the state it acts
+on.  Where that would halve dt, the owed half sweep runs alone, in pieces of at most the bound of the state each
+acts on (an adapt that refines can leave owed above it), each followed by a fresh bound, until the rest can merge.
 Runs are deterministic for a fixed configuration and rank count, and physics outputs are independent of the rank count.
 """
 from __future__ import annotations
@@ -474,7 +476,10 @@ def _located(what: str, t: float, nstep: int, f: Forest, exc: ArithmeticError) -
 
 
 def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
-    """Advance the configured case to t_end, producing artifacts on disk; a new mesh is rebuilt only if it steps."""
+    """Advance the configured case to t_end, producing artifacts on disk; a new mesh is rebuilt only if it steps.
+
+    Only a dump or t_end closes a Strang step.  The last log line counts the owed half sweeps that ran alone.
+    """
     outdir = Path(cfg.output_dir)
     if write_outputs:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -495,6 +500,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
 
     t, nstep, fresh = 0.0, 0, True  # fresh: f's face lists and ghost layers are not built yet
     owed, end = 0.0, cfg.t_end * (1.0 - 1e-14)  # owed: dt of the x half sweep an open step left out
+    lone = pieces = 0  # owed half sweeps that ran outside a step, and the sweeps they took
     # the wall spans every booked phase, from the first partition to the last dump
     with prof.walltime():
         with prof.section("partition"):
@@ -507,13 +513,14 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             try:
                 # the bound of the open state, which the merged sweep owed + dt/2 acts on
                 bound = solver.compute_dt(f, u, scfg, fp, prof=prof)
-                if 2 * (bound - owed) < 0.5 * bound:  # dt below half the bound costs more than a lone sweep
-                    u = solver.sweep(f, u, 0, owed, scfg, fp, prof=prof, out=u)
-                    owed, bound = 0.0, solver.compute_dt(f, u, scfg, fp, prof=prof)
+                lone += 2 * (bound - owed) < 0.5 * bound  # dt below half the bound costs more than a lone sweep
+                while 2 * (bound - owed) < 0.5 * bound:  # pieces, each within the bound of the state it acts on
+                    piece = min(owed, bound)
+                    u = solver.sweep(f, u, 0, piece, scfg, fp, prof=prof, out=u)
+                    owed, bound, pieces = owed - piece, solver.compute_dt(f, u, scfg, fp, prof=prof), pieces + 1
                 dt = min(bound, 2 * (bound - owed), cfg.t_end - t)
-                adapts = crit is not None and (nstep + 1) % cfg.adapt_every == 0
                 dumps = cfg.output_every and (nstep + 1) % cfg.output_every == 0
-                close = scfg.splitting == "lie" or not t + dt < end or adapts or dumps  # a sync point follows
+                close = scfg.splitting == "lie" or not t + dt < end or dumps  # a sync point follows
                 u, _ = solver.step(f, u, scfg, fp, dt=dt, prof=prof, owed=owed, close=close)
                 owed = 0.0 if close else 0.5 * dt
             except ArithmeticError as exc:
@@ -534,7 +541,8 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
         dump("final")
     result = RunResult(cfg, f, u, t, nstep, prof, pm, artifacts=artifacts)
     log.info(
-        "%s: t=%.6g in %d steps, %d leaves", cfg.case, t, nstep, f.nleaves
+        "%s: t=%.6g in %d steps, %d leaves; %d lone owed sweeps in %d pieces",
+        cfg.case, t, nstep, f.nleaves, lone, pieces,
     )
     if setup.exact_alpha is not None:
         result.l1_alpha, result.l2_alpha = _error_norms(f, u, fp, setup.exact_alpha(f.centers, t))

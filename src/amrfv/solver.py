@@ -11,7 +11,7 @@ volume.  Second order uses minmod-limited slopes of the primitive variables
 transpose is a C-contiguous ``(ncomp, n)`` block, and every sweep and
 gravity half-step updates that result in place.  Consecutive Strang steps
 may share one x sweep at dt_n/2 + dt_{n+1}/2 (``owed`` and ``close``), so
-a 2D run makes 2 sweeps per step between sync points and a 3D run 4; the
+a 2D run makes 2 sweeps per step between dumps and a 3D run 4; the
 shared sweep keeps ``compute_dt``'s bound of the state it acts on while
 dt_n/2 + dt_{n+1}/2 does.  A sweep runs each phase over contiguous Morton
 blocks [a, b) of at most ``_BLOCK`` cells, so that a block's temporaries
@@ -480,6 +480,7 @@ def step(
     ``owed + dt/2``, taking in the half sweep the step before left out, and
     ``close=False`` leaves out the last; gravity keeps its place.  The merged
     sweep keeps ``compute_dt``'s bound of ``u`` while ``owed + dt/2`` does.
+    ``harness.run`` closes a step only before a dump or t_end, not an adapt.
     The defaults run every sweep of the step; Lie merges nothing.  The new
     state is the step's one fresh (column-major) array: a copy of ``u`` that
     every sweep and gravity half-step updates in place.

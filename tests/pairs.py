@@ -16,9 +16,11 @@ prints each side's steps and leaf-steps (leaves summed over the steps) of
 its warm-up run, and marks the name when they differ: a change that moves
 the bits can move the step count or the adapted mesh, and then the time
 ratio is not a ratio per leaf-step.  Beside them it prints each side's
-``solver.sweep`` calls, face-list builds and ``ghost_layer`` calls of the
-same warm-up run, so a pair shows how much of its saving comes from fewer
-sweeps and how much from less mesh rebuilding.  pytest does not collect
+``solver.sweep`` calls, of which how many ran outside ``solver.step`` (the
+lone owed half sweeps and their pieces), face-list builds and
+``ghost_layer`` calls of the same warm-up run, so a pair shows how much of
+its saving comes from fewer sweeps and how much from less mesh rebuilding,
+and whether a side ran an owed half sweep alone.  pytest does not collect
 this file.
 """
 from __future__ import annotations
@@ -68,20 +70,31 @@ def _timed(call, cfg) -> float:
     return time.perf_counter() - t0
 
 
-def warm_up(h, call, cfg) -> tuple[int, int, int, int, int] | None:
-    """One untimed call: a run's steps, from its ``RunResult``, its leaf-steps, sweeps, face-list
-    builds and ``ghost_layer`` calls; None for a set-up."""
+def warm_up(h, call, cfg) -> tuple[int, int, int, int, int, int] | None:
+    """One untimed call: a run's steps, from its ``RunResult``, its leaf-steps, sweeps, sweeps
+    outside a step, face-list builds and ``ghost_layer`` calls; None for a set-up."""
     step, sweep, finish, ghost_layer = h.solver.step, h.solver.sweep, h.Forest._finish_face_list, h.ghost_layer
-    leaves, sweeps, built, ghosts = [], [], [], []
-    h.solver.step = lambda f, *a, **k: leaves.append(f.nleaves) or step(f, *a, **k)
-    h.solver.sweep = lambda *a, **k: sweeps.append(1) or sweep(*a, **k)
+    leaves, sweeps, built, ghosts, inside = [], [], [], [], [False]  # sweeps: whether each ran inside a step
+
+    def counted_step(f, *a, **k):
+        leaves.append(f.nleaves)
+        inside[0] = True
+        try:
+            return step(f, *a, **k)
+        finally:
+            inside[0] = False
+
+    h.solver.step = counted_step
+    h.solver.sweep = lambda *a, **k: sweeps.append(inside[0]) or sweep(*a, **k)
     h.Forest._finish_face_list = lambda *a, **k: built.append(1) or finish(*a, **k)
     h.ghost_layer = lambda *a, **k: ghosts.append(1) or ghost_layer(*a, **k)
     try:
         res = call(cfg)
     finally:
         h.solver.step, h.solver.sweep, h.Forest._finish_face_list, h.ghost_layer = step, sweep, finish, ghost_layer
-    return (res.steps, sum(leaves), len(sweeps), len(built), len(ghosts)) if isinstance(res, h.RunResult) else None
+    if not isinstance(res, h.RunResult):
+        return None
+    return res.steps, sum(leaves), len(sweeps), sweeps.count(False), len(built), len(ghosts)
 
 
 def pairs(sides, name: str, rounds: int, setup: bool):
@@ -123,11 +136,12 @@ def main(argv=None) -> int:
                 flush=True,
             )
             if not args.setup:
-                (bs, bl, bw, bf, bg), (cs, cl, cw, cf, cg) = counts
+                (bs, bl, bw, bo, bf, bg), (cs, cl, cw, co, cf, cg) = counts
                 differ = "  <- counts differ: the ratio is per run, not per leaf-step" if (bs, bl) != (cs, cl) else ""
                 print(
                     f"  steps base {bs}, change {cs}; leaf-steps base {bl}, change {cl}; sweeps base {bw}, change {cw}; "
-                    f"face lists base {bf}, change {cf}; ghost layers base {bg}, change {cg}{differ}",
+                    f"lone sweeps base {bo}, change {co}; face lists base {bf}, change {cf}; "
+                    f"ghost layers base {bg}, change {cg}{differ}",
                     flush=True,
                 )
     return 0

@@ -490,9 +490,9 @@ class TestRun:
         assert len(queries) <= 2 * f2.dim
 
     def test_only_a_forest_that_steps_builds_face_lists_and_ghosts(self, monkeypatch):
-        # six steps, each followed by an adapt: the fifth changes no leaf and
+        # six steps, each followed by an adapt: the fourth changes no leaf and
         # the sixth, the last step's, makes a new mesh that never steps
-        cfg = default_config("disk_advection", max_level=5, min_level=3, adapt_every=1, t_end=0.04, ranks=4)
+        cfg = default_config("disk_advection", max_level=6, min_level=3, adapt_every=1, t_end=0.02, ranks=4)
         events = []
         adapt, face_rows, step, init = Forest.adapt, Forest._face_rows, solver.step, harness.init_case
 
@@ -521,7 +521,7 @@ class TestRun:
         unchanged = [i for i in adapts if events[i][2] is events[i][1]]
         assert res.steps == len(adapts) == 6
         assert kinds[adapts[-1]:] == ["adapt", "partition"]  # the last mesh is partitioned, never built
-        assert unchanged == adapts[4:5]
+        assert unchanged == adapts[3:4]
         assert res.forest is events[-1][1] is not events[adapts[-1]][1]
         for i in unchanged:  # the forest steps on with what it built
             assert kinds[i + 1 : adapts[adapts.index(i) + 1]] == ["step"]

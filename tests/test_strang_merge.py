@@ -1,13 +1,16 @@
 """Strang steps that share one x sweep across a step boundary in ``harness.run``.
 
-A run leaves a Strang step open when no sync point (an adapt, a dump or
-t_end) follows it: the step leaves out its last x half sweep, and the next
-step runs it inside its own first x sweep, at dt_n/2 + dt_{n+1}/2.  These
-tests record the sweeps and gravity half-steps of whole runs, pin where a
-step closes, compare a run that closes every step with a hand loop of
-default steps bit for bit, and check the time-step bound of every merged
-sweep.
+A run leaves a Strang step open when no sync point (a dump or t_end) follows
+it: the step leaves out its last x half sweep, and the next step runs it
+inside its own first x sweep, at dt_n/2 + dt_{n+1}/2.  An adapt is no sync
+point: it marks and projects the open state, and the owed half sweep runs on
+the new forest.  These tests record the sweeps and gravity half-steps of
+whole runs, pin where a step closes and what an adapt receives, compare a
+run that closes every step with a hand loop of default steps bit for bit,
+and check the time-step bound of every merged sweep and of every owed half
+sweep that runs alone.
 """
+import logging
 import numpy as np
 import pytest
 
@@ -88,8 +91,9 @@ class TestSequence:
 
 
 def test_steps_close_before_every_sync_point(monkeypatch, tmp_path):
-    # adapts every third step and dumps every second: of the 12 steps, only
-    # 1, 5, 7 and 11 are followed by neither, and the last closes at t_end
+    # adapts every third step and dumps every second: of the 12 steps, the odd
+    # ones are followed by no dump, and the last closes at t_end; an adapt
+    # after step 3 or 9 acts on the open state
     events, step, adapt, write = [], solver.step, harness.adapt_mesh, vtkio.write_vtk
 
     def recorded_step(*a, owed=0.0, close=True, **k):
@@ -105,15 +109,19 @@ def test_steps_close_before_every_sync_point(monkeypatch, tmp_path):
     res = run(cfg)
     steps = [e for e in events if e[0] == "step"]
     assert len(steps) == res.steps == 12
-    assert [i + 1 for i, e in enumerate(steps) if not e[2]] == [1, 5, 7, 11]
+    assert [i + 1 for i, e in enumerate(steps) if not e[2]] == [1, 3, 5, 7, 9, 11]
     assert steps[-1][2]
-    for before, after in zip(events, events[1:]):
+    synced = [e for e in events if e[0] != "adapt"]  # an adapt is no sync point
+    for before, after in zip(synced, synced[1:]):
         if after[0] != "step":
             assert before[0] != "step" or before[2], "a sync point follows an open step"
         elif before[0] == "step" and not before[2]:
             assert after[1] > 0, "the step after an open step owes nothing"
         else:
             assert after[1] == 0.0
+    carried = [after for before, adapt, after in zip(events, events[1:], events[2:])
+               if adapt[0] == "adapt" and before[0] == "step" and not before[2]]
+    assert len(carried) == 2 and all(after[0] == "step" and after[1] > 0 for after in carried)
 
 
 @pytest.mark.parametrize("splitting,order", [("strang", 2), ("strang", 1), ("lie", 1)])
@@ -135,6 +143,92 @@ def test_closing_every_step_gives_the_bits_of_default_steps(splitting, order):
     np.testing.assert_array_equal(res.field.view(np.int64), u.view(np.int64))
 
 
+def test_closing_every_step_with_adapts_gives_the_bits_of_default_steps():
+    # a dump after every step closes it, so every adapt acts on a closed state
+    cfg = default_config("disk_advection", max_level=5, min_level=3, t_end=0.1, output_every=1)
+    res = run(cfg, write_outputs=False)
+    setup = init_case(cfg)
+    f, u, scfg, crit = setup.forest, setup.field, cfg.sweep_config, cfg.criterion_obj
+    t, steps = 0.0, 0
+    while t < cfg.t_end * (1.0 - 1e-14):
+        dt = min(solver.compute_dt(f, u, scfg, setup.fluids), cfg.t_end - t)
+        u, _ = solver.step(f, u, scfg, setup.fluids, dt=dt)
+        t, steps = t + dt, steps + 1
+        if steps % cfg.adapt_every == 0:
+            f, u = harness.adapt_mesh(f, u, crit, setup.fluids, cfg.min_level, cfg.max_level)
+    assert res.steps == steps > 3 and res.t == t and res.forest.nleaves == f.nleaves
+    np.testing.assert_array_equal(res.field.view(np.int64), u.view(np.int64))
+
+
+class TestAdaptOnTheOpenState:
+    def record(self, monkeypatch):
+        """Steps as (forest, owed, dt, close, new state), adapts as (forest in, state in, forest out), and
+        sweeps as (forest, axis, dt), in one list of events."""
+        events, step, adapt, sweep = [], solver.step, harness.adapt_mesh, solver.sweep
+
+        def recorded_step(f, *a, owed=0.0, close=True, **k):
+            out = step(f, *a, owed=owed, close=close, **k)
+            events.append(("step", f, owed, k["dt"], close, out[0]))
+            return out
+
+        def recorded_adapt(f, u, *a, **k):
+            events.append(("adapt", f, u.copy(), None))
+            out = adapt(f, u, *a, **k)
+            events[-1] = events[-1][:3] + (out[0],)
+            return out
+
+        monkeypatch.setattr(solver, "step", recorded_step)
+        monkeypatch.setattr(harness, "adapt_mesh", recorded_adapt)
+        monkeypatch.setattr(solver, "sweep", lambda f, u, axis, dt, *a, **k: events.append(("sweep", f, axis, dt))
+                            or sweep(f, u, axis, dt, *a, **k))
+        return events
+
+    def test_adapt_receives_the_state_of_the_open_step(self, monkeypatch):
+        events = self.record(monkeypatch)
+        run(default_config("disk_advection", max_level=5, min_level=3, t_end=0.1), write_outputs=False)
+        steps = [e for e in events if e[0] != "sweep"]
+        pairs = [(s, a) for s, a in zip(steps[:-2], steps[1:-1]) if a[0] == "adapt"]  # the last step closes at t_end
+        assert len(pairs) > 2
+        for s, a in pairs:
+            assert s[0] == "step" and not s[4], "an adapt follows a closed step"
+            assert a[1] is s[1]
+            np.testing.assert_array_equal(a[2].view(np.int64), s[5].view(np.int64))
+
+    def test_owed_half_sweep_runs_on_the_new_forest(self, monkeypatch):
+        events = self.record(monkeypatch)
+        run(default_config("disk_advection", max_level=5, min_level=3, t_end=0.1), write_outputs=False)
+        last = max(i for i, e in enumerate(events) if e[0] == "step")  # closes at t_end; no step follows its adapt
+        new_mesh = [i for i, e in enumerate(events[:last]) if e[0] == "adapt" and e[3] is not e[1]]
+        assert len(new_mesh) > 2
+        for i in new_mesh:
+            prev = next(e for e in reversed(events[:i]) if e[0] == "step")
+            j = next(j for j in range(i + 1, len(events)) if events[j][0] == "step")
+            nxt = events[j]
+            assert nxt[1] is events[i][3] is not prev[1]
+            assert nxt[2] == prev[3] / 2 > 0
+            # the step's sweeps come before it in the list, as it appends when it returns
+            first = next(e for e in events[i + 1 : j] if e[0] == "sweep")
+            assert first[1:] == (nxt[1], 0, nxt[2] + nxt[3] / 2)
+
+    def test_bound_below_owed_after_an_adapt_runs_it_in_pieces(self, monkeypatch, caplog):
+        # the open step of dt 0.5 owes 0.25; after the adapt the bound is
+        # 0.125, so the owed half sweep runs alone in two pieces at the bound,
+        # each followed by a fresh bound, and the last step closes at t_end
+        ops = record_ops(monkeypatch, [0.5, 0.125, 0.125, 0.125])
+        adapt = harness.adapt_mesh
+        monkeypatch.setattr(harness, "adapt_mesh", lambda *a, **k: ops.append(("adapt",)) or adapt(*a, **k))
+        with caplog.at_level(logging.INFO, logger="amrfv.harness"):
+            res = run(default_config("smooth_advection", max_level=3, min_level=2, adapt_every=1, t_end=0.625),
+                      write_outputs=False)
+        assert res.steps == 2
+        assert ops == [
+            ("x", 0.25), ("y", 0.5), ("adapt",),
+            ("x", 0.125), ("x", 0.125),  # alone, in pieces within the bounds 0.125
+            ("x", 0.0625), ("y", 0.125), ("x", 0.0625), ("adapt",),
+        ]
+        assert "1 lone owed sweeps in 2 pieces" in caplog.text
+
+
 class TestTimeStepBound:
     def test_bound_below_the_previous_dt(self, monkeypatch):
         # the bound falls to 3/4 of the previous dt, then to half of it:
@@ -154,9 +248,10 @@ class TestTimeStepBound:
         ]
 
     def test_every_merged_sweep_meets_the_bound_of_its_state(self, monkeypatch):
-        # a real run whose bound drops now and then: each merged sweep acts on
-        # the state compute_dt saw last, within its bound, and each sweep run
-        # outside a step is an owed x half sweep followed by a fresh bound
+        # a real run whose bound drops now and then, at times below the owed
+        # half sweep: each merged sweep acts on the state compute_dt saw last,
+        # within its bound, and so does each sweep run outside a step, an owed
+        # x half sweep or a piece of one, which a fresh bound follows
         seen, merged_dts, lone, inside = [], [], [], [False]
         compute_dt, sweep, step = solver.compute_dt, solver.sweep, solver.step
         factors = iter([1.0, 0.7, 1.0, 0.4] * 20)
@@ -177,7 +272,8 @@ class TestTimeStepBound:
 
         def counted_sweep(f, u, axis, dt, *a, **k):
             if not inside[0]:
-                lone.append(axis)
+                assert np.array_equal(u, seen[-1][0])
+                lone.append((axis, dt, seen[-1][1]))
             return sweep(f, u, axis, dt, *a, **k)
 
         monkeypatch.setattr(solver, "compute_dt", scaled_dt)
@@ -186,5 +282,6 @@ class TestTimeStepBound:
         res = run(default_config("smooth_advection", max_level=4, min_level=4, t_end=0.4), write_outputs=False)
         assert merged_dts and all(dt <= bound for dt, bound in merged_dts)
         assert any(dt == bound for dt, bound in merged_dts)
-        assert lone and all(axis == 0 for axis in lone)
+        assert lone and all(axis == 0 and dt <= bound for axis, dt, bound in lone)
+        assert any(dt == bound for _, dt, bound in lone)  # an owed half sweep above its bound, in pieces
         assert len(seen) == res.steps + len(lone)
