@@ -31,7 +31,7 @@ def cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
     res = harness.run(cfg)
     print(f"case {cfg.case}: t={res.t:.6g} steps={res.steps} leaves={res.forest.nleaves}")
-    print(f"compression rate {harness.compression_rate(res.forest, cfg.max_level):.4g}")
+    print(f"compression rate {harness.compression_rate(res.forest):.4g}")
     if res.l1_alpha is not None:
         print(f"L1(alpha) error {res.l1_alpha:.6e}  L2(alpha) error {res.l2_alpha:.6e}")
     if args.cut:

@@ -21,7 +21,7 @@ those buffers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class FluidPair:
     theta: float = 1.05
 
     def __post_init__(self):
+        bad = [c.name for c in fields(self) if not np.isfinite(getattr(self, c.name))]
+        if bad:
+            raise ConfigError(f"fluid constants {bad} must be finite")
         if self.c1 <= 0 or self.c2 <= 0:
             raise ConfigError("sound speeds must be positive")
         if self.rho1_0 <= 0 or self.rho2_0 <= 0:

@@ -5,8 +5,9 @@ coarsening splice children / merged parents in place, which preserves the
 z-order without re-sorting, and derive the new keys from the old ones.
 ``adapt`` refines, coarsens and 2:1-balances in level space: ``balance``
 lifts each leaf's wanted level to the least 2:1 fixed point over the old
-forest's face rows, one refine and one coarsen make it, and one ``LeafMap``
-(each new leaf averages a span of old leaves) projects the solution once.  There is one neighbour query, ``_face_rows``:
+forest's face rows, one coarsen (on the old forest's sibling groups) and one
+refine make it, and one ``LeafMap`` (each new leaf averages a span of old
+leaves) projects the solution once.  There is one neighbour query, ``_face_rows``:
 each leaf locates the lattice point one step across its high face, and a
 leaf with a finer neighbour locates each fine sub-face, so every face of an
 axis is found once, from its lower leaf.  ``face_list`` is the one
@@ -61,8 +62,8 @@ class Connectivity:
             raise ConfigError("tree_dims/periodic length must match dim")
         if any(t < 1 for t in self.tree_dims):
             raise ConfigError("tree_dims must be positive")
-        if self.tree_extent <= 0:
-            raise ConfigError("tree_extent must be positive")
+        if not 0 < self.tree_extent < np.inf:
+            raise ConfigError(f"tree_extent must be positive and finite, got {self.tree_extent}")
 
     @property
     def ntrees(self) -> int:
@@ -400,7 +401,9 @@ class Forest:
 
         Each leaf wants one level more (Refine below b), one less (a complete
         Coarsen sibling group above ``min_level``) or its own; ``balance``
-        lifts the levels, one refine and one coarsen make them.  A new leaf
+        lifts the levels.  One coarsen of this forest, on the sibling groups
+        it has found, and one refine of leaves that no merge made reach them,
+        so no other forest works out sibling groups.  A new leaf
         whose old leaf wanted to merge takes the mean of its group, merged or
         not; any other takes its old leaf.  When the balanced levels equal the
         old ones the result is this forest, with the face lists it has built.
@@ -410,9 +413,9 @@ class Forest:
             raise ContractError("marks not aligned with leaves")
         starts, merge = self.sibling_groups((marks == COARSEN) & (self.level > self.min_level))
         t = self.balance(self.level + ((marks == REFINE) & (self.level < self.b)) - merge)
-        f, rmap = self.refine(np.where(t > self.level, REFINE, KEEP))
-        f, cmap = f.coarsen(np.where(t < self.level, COARSEN, KEEP)[rmap.first])
-        src = rmap.first[cmap.first]
+        f, cmap = self.coarsen(np.where(t < self.level, COARSEN, KEEP))
+        f, rmap = f.refine(np.where(t > self.level, REFINE, KEEP)[cmap.first])
+        src = cmap.first[rmap.first]
         first = np.arange(self.nleaves)
         first[merge] = np.repeat(starts, 1 << self.dim)
         return f, LeafMap(first[src], np.where(merge, 1 << self.dim, 1)[src])

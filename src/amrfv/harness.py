@@ -1,7 +1,7 @@
-"""Case setup, time-loop orchestration, error norms, profiling and studies.
+"""Case setup, time-loop orchestration, error norms (returned in ``RunResult``), profiling and studies.
 
 The run pipeline follows: (before a forest's first step: face lists -> ghost rebuild) -> compute dt -> step ->
-(every ``adapt_every`` steps: evaluate/mark -> adapt (refine, coarsen and 2:1 balance in one level-space step) ->
+(every ``adapt_every`` steps: evaluate/mark -> adapt (coarsen, refine and 2:1 balance in one level-space step) ->
 project -> repartition, if the mesh changed) -> periodic output.  So nothing is built for a mesh that never steps.
 A Strang step that no sync point (a dump or t_end) follows stays open: the next step runs its last x half sweep
 inside its own first one.  An adapt is no sync point: it marks and projects the open state, and the owed half sweep
@@ -31,7 +31,7 @@ from amrfv.solver import SweepConfig
 
 __all__ = [
     "CASES", "RunConfig", "default_config", "load_config", "Profile", "CaseSetup", "init_case",
-    "adapt_mesh", "RunResult", "run", "l1_error", "l2_error", "convergence_rate", "compression_rate",
+    "adapt_mesh", "RunResult", "run", "convergence_rate", "compression_rate",
     "converge_study", "compare_amr_study", "bench_partition_study",
 ]
 
@@ -71,8 +71,10 @@ class RunConfig:
             raise ConfigError(f"unknown case {self.case!r}; known: {CASES}")
         if not 0 <= self.min_level <= self.max_level:
             raise ConfigError("need 0 <= min_level <= max_level")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be >= 0")
+        if not 0 <= self.t_end < np.inf:
+            raise ConfigError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if self.output_every < 0:
+            raise ConfigError(f"output_every must be >= 0 (0: no periodic dumps), got {self.output_every}")
         if self.adapt_every < 1:
             raise ConfigError("adapt_every must be >= 1")
         if len(self.trees) != self.dim or len(self.periodic) != self.dim:
@@ -416,8 +418,8 @@ def init_case(cfg: RunConfig) -> CaseSetup:
         crit = cfg.criterion_obj
         for _ in range(cfg.max_level - cfg.min_level):
             vals = evaluate(crit, f, field, cfg.fluids)
-            # a coarsening floor at max_level: the pre-adapt only refines, so a mark is Keep (0) or Refine
-            marks = mark(f, vals, crit.xi, cfg.max_level, cfg.max_level)
+            # a coarsening floor at the finest level: the pre-adapt only refines, so a mark is Keep (0) or Refine
+            marks = mark(f, vals, crit.xi, f.b)
             if not marks.any():
                 break
             f, _ = f.adapt(marks)
@@ -426,19 +428,13 @@ def init_case(cfg: RunConfig) -> CaseSetup:
 
 
 def adapt_mesh(
-    f: Forest,
-    u: np.ndarray,
-    crit: Criterion,
-    fp: FluidPair,
-    min_level: int,
-    max_level: int,
-    prof: Profile | None = None,
+    f: Forest, u: np.ndarray, crit: Criterion, fp: FluidPair, prof: Profile | None = None
 ) -> tuple[Forest, np.ndarray]:
-    """One mark -> adapt -> project pipeline pass; an adapt that changes no leaf returns ``f`` itself."""
+    """One mark -> adapt -> project pass between ``f``'s level bounds; an adapt that changes no leaf returns ``f``."""
     prof = prof or Profile()
     with prof.section("mark"):
         vals = evaluate(crit, f, u, fp)
-        marks = mark(f, vals, crit.xi, min_level, max_level)
+        marks = mark(f, vals, crit.xi)
     with prof.section("adapt"):
         f2, lmap = f.adapt(marks)
         if f2 is not f or lmap.counts.max() > 1:  # a kept, wanted merge still takes its group's mean
@@ -495,7 +491,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             return
         with prof.section("io"):
             path = outdir / f"{cfg.case}_{tag}.vtk"
-            vtkio.write_vtk(f, u, fp, path, ranks=pm.owner_of(np.arange(f.nleaves)))
+            vtkio.write_vtk(f, u, fp, path, pm.owner_of(np.arange(f.nleaves)))
             artifacts.append(path)
 
     t, nstep, fresh = 0.0, 0, True  # fresh: f's face lists and ghost layers are not built yet
@@ -529,7 +525,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
             nstep += 1
             if crit is not None and nstep % cfg.adapt_every == 0:
                 try:
-                    f2, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level, prof)
+                    f2, u = adapt_mesh(f, u, crit, fp, prof)
                 except ArithmeticError as exc:
                     raise _located("adapt", t, nstep, f, exc) from exc
                 if f2 is not f:  # the dumps and the result need the new mesh's partition
@@ -564,15 +560,6 @@ def _error_norms(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarra
     return float(np.sum(f.volumes * np.abs(err))), float(np.sqrt(np.sum(f.volumes * err**2)))
 
 
-def l1_error(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> float:
-    """Volume-weighted L1 norm of the alpha error."""
-    return _error_norms(f, u, fp, exact_alpha)[0]
-
-
-def l2_error(f: Forest, u: np.ndarray, fp: FluidPair, exact_alpha: np.ndarray) -> float:
-    return _error_norms(f, u, fp, exact_alpha)[1]
-
-
 def convergence_rate(errors, dxs) -> float:
     """Least-squares slope of log(error) against log(dx)."""
     if len(errors) < 2 or len(errors) != len(dxs):
@@ -580,9 +567,9 @@ def convergence_rate(errors, dxs) -> float:
     return float(np.polyfit(np.log(np.asarray(dxs)), np.log(np.asarray(errors)), 1)[0])
 
 
-def compression_rate(f: Forest, max_level: int) -> float:
-    """Leaf count over the equivalent uniform mesh count."""
-    return f.nleaves / (f.conn.ntrees * 2 ** (f.dim * max_level))
+def compression_rate(f: Forest) -> float:
+    """Leaf count over the count of the uniform mesh at the finest level b."""
+    return f.nleaves / (f.conn.ntrees * 2 ** (f.dim * f.b))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +622,7 @@ def compare_amr_study(cfg: RunConfig, xi: float, compressions) -> list[dict]:
                 "l1": res.l1_alpha,
                 "cells": res.forest.nleaves,
                 "uniform_cells": cfg.connectivity.ntrees * 2 ** (cfg.dim * cfg.max_level),
-                "compression_rate": compression_rate(res.forest, cfg.max_level),
+                "compression_rate": compression_rate(res.forest),
                 "steps": res.steps,
             }
         )

@@ -41,7 +41,6 @@ class PartitionMap:
 class GhostLayer:
     """Sorted indices of non-owned leaves face-adjacent to a rank's cells."""
 
-    rank: int
     indices: np.ndarray
 
 
@@ -69,7 +68,7 @@ def ghost_layer(f: Forest, pm: PartitionMap, rank: int, pairs=None) -> GhostLaye
     own_a = (a >= lo_idx) & (a < hi_idx)
     own_b = (b >= lo_idx) & (b < hi_idx)
     ghosts = np.concatenate([b[own_a & ~own_b], a[own_b & ~own_a]])
-    return GhostLayer(rank, np.unique(ghosts))
+    return GhostLayer(np.unique(ghosts))
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,8 @@ class SweepConfig:
             raise ConfigError("order must be 1 or 2")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("CFL number must lie in (0, 1]")
+        if not np.isfinite(self.gravity):
+            raise ConfigError(f"gravity must be finite, got {self.gravity}")
         if self.splitting not in ("lie", "strang"):
             raise ConfigError("splitting must be 'lie' or 'strang'")
 

@@ -43,8 +43,8 @@ def _cell_fields(u: np.ndarray, fp: FluidPair):
     return rho, Y, rho * Yc * fp.c1**2 / x1, p, u[:, 2:] / rho[:, None]
 
 
-def write_vtk(f: Forest, u: np.ndarray, fp: FluidPair, path, ranks=None) -> None:
-    """One leaf per cell; 2^d duplicated corner points per leaf."""
+def write_vtk(f: Forest, u: np.ndarray, fp: FluidPair, path, ranks: np.ndarray) -> None:
+    """One leaf per cell, with ``ranks``, its owning rank; 2^d duplicated corner points per leaf."""
     dim, n, ncorn = f.dim, f.nleaves, 1 << f.dim
     rho, Y, alpha, p, vel = _cell_fields(u, fp)
     # 2D points and vectors carry a zero z component
@@ -70,7 +70,6 @@ def write_vtk(f: Forest, u: np.ndarray, fp: FluidPair, path, ranks=None) -> None
     ]
     for name, arr in (("rho", rho), ("Y", Y), ("alpha", alpha), ("p", p)):
         parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n", _rows("%r\n", arr)]
-    ranks = np.zeros(n, dtype=np.int64) if ranks is None else ranks
     for name, arr in (("level", f.level), ("rank", ranks)):
         parts += [f"SCALARS {name} int 1\nLOOKUP_TABLE default\n", _rows("%d\n", arr)]
     parts += ["VECTORS u double\n", _rows(" ".join(["%r"] * dim) + zero_z, vel)]

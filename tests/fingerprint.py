@@ -2,9 +2,11 @@
 
 Run it from the repository root with the package on the path:
 
-    PYTHONPATH=src python tests/fingerprint.py [name ...]
+    PYTHONPATH=src python tests/fingerprint.py [--base REV] [name ...]
 
-Each line is ``<hash>  <name>``.  A hash covers, in order: every face list
+Each line is ``<hash>  <name>``.  With ``--base REV`` each line is ``<REV's hash>  <this checkout's hash>
+<name>``: REV's package is exported with ``git archive`` (``pairs.load_base``), a name whose hashes differ is
+marked, and the script exits with status 1 if any does, so one command checks a change bit for bit.  A hash covers, in order: every face list
 the run builds (its axis and its per-row arrays, ``ROW_ARRAYS``, in build
 order) with the initial forest and field in their place (after the face
 lists of the pre-adapt), then the final forest and field, ``t``, the step count and the
@@ -28,13 +30,15 @@ takes about half a minute.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from amrfv import eos, harness, solver
-from amrfv.forest import KEEP, REFINE, Connectivity, Forest, new_uniform
+from amrfv import harness
 
 _LAMBDA = {"lambda": 1e-07}
 
@@ -87,15 +91,16 @@ RUNS = {
 }
 
 
-def _update(h, f: Forest, u: np.ndarray):
+def _update(h, f, u: np.ndarray):
     for a in (f.tree, f.level, f.coords, f.keys, np.asarray(u, dtype=np.float64).view(np.int64)):
         h.update(np.ascontiguousarray(a).tobytes())
 
 
-def fingerprint(overrides: dict) -> str:
-    """The sha256 of one run, in the order of the module docstring."""
+def fingerprint(hm, overrides: dict) -> str:
+    """The sha256 of one run of the harness module ``hm``, in the order of the module docstring."""
     h = hashlib.sha256()
-    finish, init_case = Forest._finish_face_list, harness.init_case
+    Forest = hm.Forest
+    finish, init_case = Forest._finish_face_list, hm.init_case
     last = {}  # axis -> the bytes of the last face list hashed on it
 
     def hashed(self, axis, *rows):
@@ -113,23 +118,25 @@ def fingerprint(overrides: dict) -> str:
         _update(h, setup.forest, setup.field)
         return setup
 
-    Forest._finish_face_list, harness.init_case = hashed, hashed_init
+    Forest._finish_face_list, hm.init_case = hashed, hashed_init
     try:
-        res = harness.run(harness.default_config(**overrides), write_outputs=False)
+        res = hm.run(hm.default_config(**overrides), write_outputs=False)
         for axis in range(res.forest.dim):
             res.forest.face_list(axis)
     finally:
-        Forest._finish_face_list, harness.init_case = finish, init_case
+        Forest._finish_face_list, hm.init_case = finish, init_case
     _update(h, res.forest, res.field)
     h.update(f"{res.t!r} {res.steps} {res.l1_alpha!r} {res.l2_alpha!r}".encode())
     return h.hexdigest()
 
 
-def step3d_gravity() -> str:
-    """The sha256 of the forest, the initial field and each step's dt and field, of three 3D steps."""
+def step3d_gravity(hm) -> str:
+    """The sha256 of the forest, the initial field and each step's dt and field, of three 3D steps,
+    made with the solver, eos and forest of the harness module ``hm``."""
+    eos, solver, forest = hm.eos, hm.solver, sys.modules[hm.Forest.__module__]
     rng = np.random.default_rng(2022)
-    f = new_uniform(Connectivity(3, (1, 1, 1), (False, False, False)), level=2, b=3)
-    f, _ = f.adapt(np.where(rng.random(f.nleaves) < 0.3, REFINE, KEEP))  # levels 2 and 3
+    f = hm.new_uniform(hm.Connectivity(3, (1, 1, 1), (False, False, False)), level=2, b=3)
+    f, _ = f.adapt(np.where(rng.random(f.nleaves) < 0.3, forest.REFINE, forest.KEEP))  # levels 2 and 3
     assert sorted(set(f.level.tolist())) == [2, 3]
     fp = eos.FluidPair(1e5, 1.0, 3.0, 1e5, 2.0, 3.0)  # sound speeds near 3 in every mixture
     vel = rng.uniform(-0.5, 0.5, (f.nleaves, 3))
@@ -147,11 +154,35 @@ def step3d_gravity() -> str:
 STEPS = {"step3d:gravity": step3d_gravity}
 
 
-def main(names) -> int:
-    for name in names or [*RUNS, *STEPS]:
-        print(f"{STEPS[name]() if name in STEPS else fingerprint(RUNS[name])}  {name}", flush=True)
-    return 0
+def digest(hm, name: str) -> str:
+    return STEPS[name](hm) if name in STEPS else fingerprint(hm, RUNS[name])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", help="git revision to hash beside this checkout")
+    ap.add_argument("names", nargs="*", metavar="name", help="names of RUNS and STEPS (default: all)")
+    args = ap.parse_args(argv)
+    names = args.names or [*RUNS, *STEPS]
+    unknown = [n for n in names if n not in RUNS and n not in STEPS]
+    if unknown:
+        ap.error(f"unknown names {unknown}")
+    if args.base is None:
+        for name in names:
+            print(f"{digest(harness, name)}  {name}", flush=True)
+        return 0
+    from pairs import load_base  # pairs imports this module
+
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = load_base(args.base, Path(tmp))
+        for name in names:
+            a, b = digest(base, name), digest(harness, name)
+            differ += a != b
+            print(f"{a}  {b}  {name}{'  <- differs' if a != b else ''}", flush=True)
+    print(f"{differ} of {len(names)} differ from {args.base}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

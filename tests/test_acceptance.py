@@ -111,7 +111,7 @@ def test_criterion_04_conservation_with_adaptation():
     for n in range(1, 201):
         u, _ = solver.step(f, u, scfg, fp)
         if n % cfg.adapt_every == 0:
-            f, u = adapt_mesh(f, u, crit, fp, cfg.min_level, cfg.max_level)
+            f, u = adapt_mesh(f, u, crit, fp)
         drift = np.array(
             [
                 abs(float(np.sum(f.volumes * u[:, 0])) - mass0) / mass0,

@@ -40,18 +40,19 @@ def relative_jump(b_i, neighbors, floor=0.0):
 class TestRelativeJump:
     def test_equal_neighbors(self):
         f = random_balanced(seed=3)
-        assert np.all(criteria.relative_jump_field(f, np.ones(f.nleaves)) == 0.0)
+        assert np.all(criteria._jump_field(f, np.ones(f.nleaves), 0.0) == 0.0)
 
     def test_hand_value(self):
-        # two walled cells, values 1 and 2: each sees |1 - 2| / 2
+        # two walled cells, values 1 and 2: each sees |1 - 2| / 2, and |1 - 2| without a floor
         f = new_uniform(Connectivity(2, (2, 1), (False, False)), level=0, b=0)
-        assert criteria.relative_jump_field(f, np.array([1.0, 2.0])).tolist() == [0.5, 0.5]
+        assert criteria._jump_field(f, np.array([1.0, 2.0]), 0.0).tolist() == [0.5, 0.5]
+        assert criteria._jump_field(f, np.array([1.0, 2.0])).tolist() == [1.0, 1.0]
 
     def test_bulk_matches_bruteforce(self):
         f = random_balanced(seed=3)
         rng = np.random.default_rng(1)
         vals = rng.uniform(0.5, 2.0, f.nleaves)
-        got = criteria.relative_jump_field(f, vals)
+        got = criteria._jump_field(f, vals, 0.0)
         nbrs = oracle_neighbors(f)
         for i in range(f.nleaves):
             nbr_vals = []
@@ -126,7 +127,7 @@ class TestMark:
     def test_one_sibling_above_keeps_group(self):
         f = new_uniform(conn2d(), level=1, b=2, min_level=0)
         vals = np.array([0.0, 0.9, 0.0, 0.0])
-        marks = mark(f, vals, xi=0.5, max_level=2)
+        marks = mark(f, vals, xi=0.5)
         assert marks[1] == REFINE
         assert np.all(marks[[0, 2, 3]] == KEEP)
 
@@ -137,9 +138,10 @@ class TestMark:
         assert np.all(marks == KEEP)
 
     def test_max_level_blocks_refine(self):
-        f = new_uniform(conn2d(), level=2, b=3, min_level=2)
+        # the forest's finest level b is the max level
+        f = new_uniform(conn2d(), level=2, b=2, min_level=2)
         vals = np.full(f.nleaves, 1.0)
-        marks = mark(f, vals, xi=0.5, max_level=2)
+        marks = mark(f, vals, xi=0.5)
         assert np.all(marks == KEEP)
 
     @staticmethod
@@ -179,8 +181,8 @@ class TestMark:
         # and without a value above xi, so that whole groups coarsen
         no_refine = np.where(vals > xi, 0.25 * xi, vals)
         for v in (vals, no_refine):
-            for floor, top in [(0, f.b), (1, 3), (2, f.b)]:
-                assert mark(f, v, xi, floor, top).tolist() == self.mark_oracle(f, v, xi, floor, top)
+            for floor in (0, 1, 2):
+                assert mark(f, v, xi, floor).tolist() == self.mark_oracle(f, v, xi, floor, f.b)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_refine_only_floor(self, seed):
@@ -192,9 +194,9 @@ class TestMark:
         no_refine = np.where(vals > xi, 0.25 * xi, vals)
         for v in (vals, no_refine):
             g = Forest(f.conn, f.b, f.min_level, f.tree, f.level, f.coords)
-            only = mark(g, v, xi, f.b, f.b)
+            only = mark(g, v, xi, f.b)
             assert "_sibling_starts" not in vars(g)
-            full = mark(f, v, xi, 0, f.b)
+            full = mark(f, v, xi, 0)
             assert (full == COARSEN).any() or v is vals
             assert only.tolist() == np.where(full == REFINE, REFINE, KEEP).tolist()
 
@@ -286,6 +288,6 @@ class TestFreshChildren:
         marks = np.full(f.nleaves, COARSEN, dtype=np.int8)
         marks[:4] = REFINE
         monkeypatch.setattr(harness, "mark", lambda *a: marks)
-        f4, _ = harness.adapt_mesh(f, np.ones((f.nleaves, 4)), Criterion("rho_gradient", 1.0), MILD, 0, 3)
+        f4, _ = harness.adapt_mesh(f, np.ones((f.nleaves, 4)), Criterion("rho_gradient", 1.0), MILD)
         # balance re-refines the two merged parents that face the fresh children
         assert f4.level.tolist() == [3] * 16 + [2] * 8 + [1]

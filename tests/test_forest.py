@@ -367,6 +367,25 @@ class TestAdapt:
         assert encoded == located and len(located) == dim + finer
 
     @pytest.mark.parametrize("dim", [2, 3])
+    def test_sibling_groups_found_on_the_old_forest_only(self, monkeypatch, dim):
+        # an adapt that refines and merges coarsens the forest it starts
+        # from, on the sibling groups its marks found, and then refines a
+        # forest that needs none: only the old forest works out sibling ids
+        derived = []
+        sibling_ids = Forest.__dict__["sibling_ids"].func
+        monkeypatch.setattr(Forest, "sibling_ids", property(lambda self: derived.append(self) or sibling_ids(self)))
+        f = new_uniform(conn2d() if dim == 2 else conn3d(), level=3, b=5)
+        m = 1 << dim
+        marks = marks_array(f, [(0, REFINE)] + [(f.nleaves - m + j, COARSEN) for j in range(m)])
+        f2, lmap = f.adapt(marks)
+        assert len(derived) == 1 and derived[0] is f
+        assert (f2.nleaves, f2.level.min(), f2.level.max()) == (f.nleaves, 2, 4)
+        u = np.random.default_rng(dim).random(f.nleaves)
+        f3, u3 = oracles.sequential_adapt(f, marks, u)
+        assert leaves_list(f2) == leaves_list(f3)
+        np.testing.assert_array_equal(lmap.project(u), u3)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_uniform_face_lists_locate_once_per_axis(self, monkeypatch, dim):
         # no leaf of a uniform forest has a finer neighbour, so no axis makes
         # a sub-face query

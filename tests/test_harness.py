@@ -10,12 +10,11 @@ from amrfv import eos, harness, solver, vtkio
 from amrfv.errors import ConfigError, EosError
 from amrfv.forest import REFINE, Connectivity, Forest, new_uniform
 from amrfv.harness import (
+    _error_norms,
     compression_rate,
     convergence_rate,
     default_config,
     init_case,
-    l1_error,
-    l2_error,
     load_config,
     run,
 )
@@ -78,6 +77,28 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError, match=named):
                 default_config("shock_tube", **bad)
+        # a value that is not finite, which fails no ``x <= 0`` check if NaN, and
+        # a negative output_every, which would dump after every step
+        nan, inf = float("nan"), float("inf")
+        fluids = default_config("shock_tube").fluids
+        for bad, named in (
+            (dict(t_end=inf), "t_end"),
+            (dict(t_end=nan), "t_end"),
+            (dict(output_every=-1), "output_every"),
+            (dict(xi=nan), "xi"),
+            (dict(xi=inf), "xi"),
+            (dict(tree_extent=nan), "tree_extent"),
+            (dict(tree_extent=inf), "tree_extent"),
+            (dict(gravity=nan), "gravity"),
+            (dict(weights=(1.0, nan, 1.0)), "weights"),
+            (dict(criterion="mixed", weights=(1.0, inf, 1.0)), "weights"),
+        ):
+            with pytest.raises(ConfigError, match=named):
+                default_config("shock_tube", **bad)
+        for name in ("p1_0", "rho1_0", "c1", "p2_0", "rho2_0", "c2", "theta"):
+            for value in (nan, inf):
+                with pytest.raises(ConfigError, match=name):
+                    replace(fluids, **{name: value})
         p = tmp_path / "bad.ini"
         p.write_text("[case]\nname = not_a_case\n")
         with pytest.raises(ConfigError):
@@ -116,6 +137,27 @@ class TestConfig:
             load_config(p)
         for word in named:
             assert word in str(err.value)
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("t_end = inf\n", "t_end"),
+            ("t_end = nan\n", "t_end"),
+            ("[run]\noutput_every = -1\n", "output_every"),
+            ("[criterion]\nxi = nan\n", "xi"),
+            ("[criterion]\nkind = mixed\nweights = 1 nan 1\n", "weights"),
+            ("[domain]\ntree_extent = nan\n", "tree_extent"),
+            ("[scheme]\ngravity = nan\n", "gravity"),
+            ("[fluids]\ntheta = nan\n", "theta"),
+            ("[fluids]\nc2 = inf\n", "c2"),
+        ],
+        ids=["t_end_inf", "t_end_nan", "output_every", "xi", "weights", "tree_extent", "gravity", "theta", "c2"],
+    )
+    def test_bad_values_rejected(self, tmp_path, body, named):
+        p = tmp_path / "bad.ini"
+        p.write_text("[case]\nname = smooth_advection\n" + body)
+        with pytest.raises(ConfigError, match=named):
+            load_config(p)
 
     def test_config_is_frozen(self):
         # sweep_config and criterion_obj are built once from the fields, so
@@ -293,8 +335,8 @@ class TestNormsAndRates:
         cfg = small_smooth()
         setup = init_case(cfg)
         exact = setup.exact_alpha(setup.forest.centers, 0.0)
-        assert l1_error(setup.forest, setup.field, cfg.fluids, exact) < 1e-12
-        assert l2_error(setup.forest, setup.field, cfg.fluids, exact) < 1e-12
+        l1, l2 = _error_norms(setup.forest, setup.field, cfg.fluids, exact)
+        assert l1 < 1e-12 and l2 < 1e-12
 
     def test_run_solves_the_closure_once_for_both_norms(self, monkeypatch):
         cfg = small_smooth()
@@ -304,16 +346,16 @@ class TestNormsAndRates:
         res = run(cfg, write_outputs=False)
         assert len(solves) == 1
         exact = init_case(cfg).exact_alpha(res.forest.centers, res.t)
-        assert res.l1_alpha == l1_error(res.forest, res.field, cfg.fluids, exact) > 0
-        assert res.l2_alpha == l2_error(res.forest, res.field, cfg.fluids, exact) > 0
+        l1, l2 = _error_norms(res.forest, res.field, cfg.fluids, exact)
+        assert res.l1_alpha == l1 > 0 and res.l2_alpha == l2 > 0
 
-    @pytest.mark.parametrize("norm", [l1_error, l2_error])
-    def test_zero_density_names_the_leaf(self, norm):
+    def test_zero_density_names_the_leaf(self):
+        # both norms come from one closure solve, which checks the density first
         setup = init_case(small_smooth())
         setup.field[5, 0] = 0.0
         exact = setup.exact_alpha(setup.forest.centers, 0.0)
         with pytest.raises(EosError) as err:
-            norm(setup.forest, setup.field, setup.fluids, exact)
+            _error_norms(setup.forest, setup.field, setup.fluids, exact)
         assert str(err.value) == f"non-positive or non-finite density at {setup.forest.leaf_label(5)}"
 
     def test_two_point_slope(self):
@@ -326,9 +368,9 @@ class TestNormsAndRates:
     def test_compression_rate(self):
         conn = Connectivity(2, (1, 1), (True, True))
         f = new_uniform(conn, level=3, b=3)
-        assert compression_rate(f, 3) == 1.0
+        assert compression_rate(f) == 1.0
         f2 = new_uniform(conn, level=2, b=3)
-        assert compression_rate(f2, 3) == 0.25
+        assert compression_rate(f2) == 0.25
 
 
 class TestRun:
@@ -483,7 +525,7 @@ class TestRun:
         monkeypatch.setattr(prof, "section", tracked)
         monkeypatch.setattr(Forest, "_face_rows", logged)
         monkeypatch.setattr(Forest, "locate", counted)
-        f2, _ = harness.adapt_mesh(f, u, cfg.criterion_obj, cfg.fluids, cfg.min_level, cfg.max_level, prof)
+        f2, _ = harness.adapt_mesh(f, u, cfg.criterion_obj, cfg.fluids, prof)
         harness._rebuild_comm(f2, prof, partition(f2, cfg.ranks))
         assert f2.nleaves != f.nleaves
         assert [(g is f2, p) for g, p in builds] == [(True, ("faces",))] * f2.dim
@@ -587,7 +629,7 @@ def _vtk_case(name):
     rng = np.random.default_rng(7)
     if name == "voxel_multi_tree":
         f = _refined(new_uniform(Connectivity(3, (2, 1, 2), (True, False, False), 0.37), level=1, b=4), [0, 9, 30])
-        ranks = None
+        ranks = np.zeros(f.nleaves, dtype=np.int64)
     elif name == "walled_two_tree_ranks":
         f = _refined(new_uniform(Connectivity(2, (2, 1), (False, False)), level=2, b=5), [5, 6, 17, 30])
         ranks = partition(f, 3).owner_of(np.arange(f.nleaves))
@@ -599,13 +641,13 @@ def _vtk_case(name):
             marks = np.zeros(f.nleaves, dtype=np.int8)
             marks[0] = REFINE
             f = f.refine(marks)[0]
-        ranks = None
+        ranks = np.zeros(f.nleaves, dtype=np.int64)
     elif name == "signed_velocities":
         f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=2, b=3)
         ranks = np.arange(f.nleaves) % 2
     else:
         f = new_uniform(Connectivity(2, (1, 1), (True, True)), level=0, b=0)
-        ranks = None
+        ranks = np.zeros(f.nleaves, dtype=np.int64)
     n = f.nleaves
     alpha = np.where(np.arange(n) % 2 == 0, 1e-7, rng.uniform(0.1, 0.9, n))
     vel = rng.normal(size=(n, f.dim)) * 10.0 ** rng.integers(-9, 3, size=(n, 1))
@@ -624,7 +666,7 @@ class TestVtk:
     def test_bytes_match_line_by_line_oracle(self, tmp_path, name):
         f, u, fp, ranks = _vtk_case(name)
         path = tmp_path / "case.vtk"
-        vtkio.write_vtk(f, u, fp, path, ranks=ranks)
+        vtkio.write_vtk(f, u, fp, path, ranks)
         assert path.read_bytes() == oracles.vtk_text(f, u, fp, ranks).encode()
 
     def test_cases_reach_the_formats_they_name(self):
@@ -652,7 +694,7 @@ class TestVtk:
         fp = default_config("smooth_advection").fluids
         u = eos.state_from_pressure_alpha(1e5, np.array([0.5]), np.array([1.0, 0.0]), fp)
         path = tmp_path / "one.vtk"
-        vtkio.write_vtk(f, u, fp, path)
+        vtkio.write_vtk(f, u, fp, path, np.zeros(1, dtype=np.int64))
         text = path.read_text()
         assert "POINTS 4 double" in text
         assert "CELLS 1 5" in text
@@ -663,7 +705,7 @@ class TestVtk:
         cfg = default_config("disk_advection", max_level=4, min_level=2)
         setup = init_case(cfg)
         path = tmp_path / "mesh.vtk"
-        vtkio.write_vtk(setup.forest, setup.field, cfg.fluids, path)
+        vtkio.write_vtk(setup.forest, setup.field, cfg.fluids, path, np.zeros(setup.forest.nleaves, dtype=np.int64))
         text = path.read_text()
         assert f"CELLS {setup.forest.nleaves} " in text
         assert f"POINTS {4 * setup.forest.nleaves} double" in text
@@ -676,7 +718,7 @@ class TestVtk:
             10.0, np.array([0.2, 0.4, 0.6, 0.8]), np.array([1.0, -1.0]), fp
         )
         path = tmp_path / "golden.vtk"
-        vtkio.write_vtk(f, u, fp, path)
+        vtkio.write_vtk(f, u, fp, path, np.zeros(f.nleaves, dtype=np.int64))
         golden = Path(__file__).parent / "data" / "golden_quad.vtk"
         assert path.read_text() == golden.read_text()
         # parse back cell data and compare against the source field

@@ -37,7 +37,7 @@ def adapt_with_marks(monkeypatch, f, u, marks):
     # criterion, which rejects a non-positive density, is skipped with the marks
     monkeypatch.setattr(harness, "evaluate", lambda *a: None)
     monkeypatch.setattr(harness, "mark", lambda *a: marks)
-    return harness.adapt_mesh(f, u, CRIT, MILD, f.min_level, f.b)
+    return harness.adapt_mesh(f, u, CRIT, MILD)
 
 
 def assert_same(fa, ua, fb, ub):

@@ -155,7 +155,7 @@ def test_closing_every_step_with_adapts_gives_the_bits_of_default_steps():
         u, _ = solver.step(f, u, scfg, setup.fluids, dt=dt)
         t, steps = t + dt, steps + 1
         if steps % cfg.adapt_every == 0:
-            f, u = harness.adapt_mesh(f, u, crit, setup.fluids, cfg.min_level, cfg.max_level)
+            f, u = harness.adapt_mesh(f, u, crit, setup.fluids)
     assert res.steps == steps > 3 and res.t == t and res.forest.nleaves == f.nleaves
     np.testing.assert_array_equal(res.field.view(np.int64), u.view(np.int64))
 
