@@ -349,13 +349,14 @@ class TestNormsAndRates:
         l1, l2 = _error_norms(res.forest, res.field, cfg.fluids, exact)
         assert res.l1_alpha == l1 > 0 and res.l2_alpha == l2 > 0
 
-    def test_zero_density_names_the_leaf(self):
+    @pytest.mark.parametrize("norm", [0, 1], ids=["l1_error", "l2_error"])
+    def test_zero_density_names_the_leaf(self, norm):
         # both norms come from one closure solve, which checks the density first
         setup = init_case(small_smooth())
         setup.field[5, 0] = 0.0
         exact = setup.exact_alpha(setup.forest.centers, 0.0)
         with pytest.raises(EosError) as err:
-            _error_norms(setup.forest, setup.field, setup.fluids, exact)
+            _error_norms(setup.forest, setup.field, setup.fluids, exact)[norm]
         assert str(err.value) == f"non-positive or non-finite density at {setup.forest.leaf_label(5)}"
 
     def test_two_point_slope(self):
