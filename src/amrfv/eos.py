@@ -214,16 +214,12 @@ def to_primitive(W, out=None):
 def from_primitive(V, out=None):
     """Primitive [m1, m2, u...] -> conservative [rho, rho Y, rho u...].
 
-    ``out`` may be ``V`` itself, which is then converted in place.
+    ``out`` must not overlap ``V``.
     """
     V = np.asarray(V, dtype=np.float64)
     W = np.empty_like(V) if out is None else out
-    # in place, rho needs an array of its own: its slot still holds m1
-    in_place = np.may_share_memory(W, V)
-    rho = np.add(V[..., 0], V[..., 1], out=None if in_place else W[..., 0])
+    rho = np.add(V[..., 0], V[..., 1], out=W[..., 0])
     W[..., 1] = V[..., 0]
-    if in_place:
-        W[..., 0] = rho
     np.multiply(V[..., 2:], rho[..., None], out=W[..., 2:])
     return W
 

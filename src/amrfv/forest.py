@@ -67,10 +67,7 @@ class Connectivity:
 
     @property
     def ntrees(self) -> int:
-        n = 1
-        for t in self.tree_dims:
-            n *= t
-        return n
+        return math.prod(self.tree_dims)
 
     @property
     def domain_extents(self) -> tuple[float, ...]:

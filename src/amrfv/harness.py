@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import configparser
 import logging
+import math
+import numbers
 import time
 from typing import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -93,6 +95,9 @@ class RunConfig:
         if unknown:
             known = list(_CASES[self.case].params)
             raise ConfigError(f"unknown [case] parameters {unknown} for {self.case}; known: {known}")
+        for key, value in self.case_params.items():
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"[case] {key} must be a finite real number, got {value!r}")
         # built once, so a bad [scheme] or [criterion] value fails here, not
         # mid-run; the config is frozen, so they never go stale
         scfg = SweepConfig(self.order, self.cfl, self.gravity, self.splitting)
@@ -114,15 +119,11 @@ def default_config(case: str, **overrides) -> RunConfig:
 
 
 def _parse_bools(text: str) -> tuple[bool, ...]:
-    out = []
-    for tok in text.replace(",", " ").split():
-        if tok.lower() in ("1", "true", "yes", "on"):
-            out.append(True)
-        elif tok.lower() in ("0", "false", "no", "off"):
-            out.append(False)
-        else:
-            raise ConfigError(f"cannot parse boolean {tok!r}")
-    return tuple(out)
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    try:
+        return tuple(states[tok.lower()] for tok in text.replace(",", " ").split())
+    except KeyError as exc:
+        raise ConfigError(f"cannot parse boolean {exc.args[0]!r}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -532,7 +533,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
                     f, fresh = f2, True
                     with prof.section("partition"):
                         pm = partition(f, cfg.ranks)
-            if cfg.output_every and nstep % cfg.output_every == 0:
+            if dumps:
                 dump(f"{nstep:04d}")
         dump("final")
     result = RunResult(cfg, f, u, t, nstep, prof, pm, artifacts=artifacts)
@@ -588,7 +589,6 @@ def converge_study(cfg: RunConfig, levels, orders=(1, 2)) -> dict:
                 max_level=lvl,
                 min_level=lvl,
                 splitting="strang" if order == 2 else "lie",
-                output_dir=cfg.output_dir,
             )
             res = run(c, write_outputs=False)
             errs1.append(res.l1_alpha)
@@ -612,7 +612,6 @@ def compare_amr_study(cfg: RunConfig, xi: float, compressions) -> list[dict]:
             cfg,
             xi=xi,
             min_level=cfg.max_level - comp,
-            output_dir=cfg.output_dir,
         )
         res = run(c, write_outputs=False)
         rows.append(

@@ -102,20 +102,14 @@ def _component_counts(pm: PartitionMap, a: np.ndarray, b: np.ndarray) -> np.ndar
 def balance_metrics(f: Forest, pm: PartitionMap) -> list[RankMetrics]:
     """Per-rank load, frontier-cell count and ratio, component count."""
     a, b = adjacency(f)
-    owner_a = pm.owner_of(a)
-    owner_b = pm.owner_of(b)
-    inner = owner_a == owner_b
+    inner = pm.owner_of(a) == pm.owner_of(b)
     comps = _component_counts(pm, a[inner], b[inner])
-    out = []
-    for r in range(pm.P):
-        lo_idx, hi_idx = pm.range(r)
-        n = hi_idx - lo_idx
-        frontier_cells = np.concatenate(
-            [a[(owner_a == r) & (owner_b != r)], b[(owner_b == r) & (owner_a != r)]]
-        )
-        frontier = len(np.unique(frontier_cells))
-        out.append(RankMetrics(r, n, frontier, frontier / n if n else 0.0, int(comps[r])))
-    return out
+    # a frontier cell is an end of a pair that joins two ranks, counted once for its owner
+    frontier = np.bincount(pm.owner_of(np.unique(np.concatenate([a[~inner], b[~inner]]))), minlength=pm.P)
+    return [
+        RankMetrics(r, n, k, k / n if n else 0.0, c)
+        for r, (n, k, c) in enumerate(zip(np.diff(pm.offsets).tolist(), frontier.tolist(), comps.tolist()))
+    ]
 
 
 def metrics_csv(metrics: list[RankMetrics]) -> str:

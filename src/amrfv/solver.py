@@ -39,15 +39,14 @@ Every block temporary of a step is carved from one flat buffer, the module's
 component count changes; each cell block hands its scratch back at its end.
 At order 2 on a uniform 2D mesh the buffer is 10.03 times the state in one
 block and 6.53 times it at 65,536 leaves in four, where only the face
-states, primitives, slopes, slope rows and the rows' dt times area span
-all leaves.  The kernels write into it through ``out=`` (``work=`` for the
-flux's scratch rows) with the same operations in the same order as into
-fresh arrays, so once the first sweep of a shape has sized the buffer a
-step allocates only its result and touches no fresh pages.  Nothing
-returned shares memory with the buffer: ``step`` and ``sweep`` return a
-fresh array or the caller's ``out=``, and a kernel called without
-``out=`` runs into fresh arrays.  There is one buffer per process, so two
-threads must not step at once.
+states, primitives, slopes and slope rows span all leaves.  The kernels
+write into it through ``out=`` (``work=`` for the flux's scratch rows) with
+the same operations in the same order as into fresh arrays, so once the
+first sweep of a shape has sized the buffer a step allocates only its result
+and touches no fresh pages.  Nothing returned shares memory with the buffer:
+``step`` and ``sweep`` return a fresh array or the caller's ``out=``, and a
+kernel called without ``out=`` runs into fresh arrays.  There is one buffer
+per process, so two threads must not step at once.
 """
 from __future__ import annotations
 
@@ -422,10 +421,12 @@ def sweep(
             for r0, r1, wall_lo, wall_hi in ranges:
                 with arena:
                     L, R = _ends(fl, flat, (k - 1) * n, r0, r1, wall_lo, wall_hi, normal, arena)
+                    F = flux[:, r0:r1]
                     riemann.suliciu_flux(
                         L[:ncomp].T, R[:ncomp].T, fp, L[ncomp], R[ncomp], L[ncomp + 1], R[ncomp + 1],
-                        out=flux[:, r0:r1].T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, r1 - r0), normal=normal,
+                        out=F.T, work=arena.take(riemann.FLUX_ROWS + 2 * ncomp, r1 - r0), normal=normal,
                     )
+                    F *= np.multiply(dt, fl.area[r0:r1], out=arena.take(r1 - r0))  # each row times dt area, once
         except VacuumError as exc:
             # a wall row joins its cell to itself: name the cell once
             row = r0 + exc.row
@@ -437,19 +438,15 @@ def sweep(
         # own head row), so no sign of a zero shows; the rows are in range,
         # and mode="clip" lets take fill ``dW`` without an intermediate copy
         out = np.empty((ncomp, n)).T if out is None else out
-        coef = np.multiply(dt, fl.area, out=arena.take(len(fl.lo)))
         for a, b, extra in cells:
             with arena:
                 dW, acc = arena.take(2, ncomp, b - a)
-                low = fl.low[a:b]
-                flux.take(low, axis=1, out=dW, mode="clip")
-                dW *= coef.take(low, out=arena.take(b - a), mode="clip")
+                flux.take(fl.low[a:b], axis=1, out=dW, mode="clip")
                 dW += 0.0
-                np.multiply(flux[:, a:b], coef[a:b], out=acc)
+                np.copyto(acc, flux[:, a:b])
                 for side, (at, later) in zip((dW, acc), extra):
                     if len(at):
                         terms = flux.take(later, axis=1)
-                        terms *= coef.take(later)
                         flat = (at + (b - a) * np.arange(ncomp)[:, None]).ravel()
                         np.add.at(side.reshape(-1), flat, terms.ravel())  # a cell's terms in row order
                 dW -= acc

@@ -36,11 +36,10 @@ def _boxes(f: Forest):
 
 
 def _cell_fields(u: np.ndarray, fp: FluidPair):
-    """rho, Y, alpha (as ``eos.solve_alpha``), p and velocity of state rows ``u``, one closure solve."""
+    """rho, Y, alpha, p and velocity of state rows ``u``."""
     rho = eos._check_density(u[:, 0])
     Y = u[:, 1] / rho
-    Yc, x1, _, p = eos._closure(rho, Y, fp)
-    return rho, Y, rho * Yc * fp.c1**2 / x1, p, u[:, 2:] / rho[:, None]
+    return rho, Y, eos.solve_alpha(rho, Y, fp), eos.mixture_pressure(rho, Y, fp), u[:, 2:] / rho[:, None]
 
 
 def write_vtk(f: Forest, u: np.ndarray, fp: FluidPair, path, ranks: np.ndarray) -> None:

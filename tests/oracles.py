@@ -543,8 +543,7 @@ def muscl_predict_columns(W, sigma, dx, dt, fp, V=None, normal=2):
         half = 0.5 * sigma[:, i] * dx
         np.subtract(V[:, i], half, out=WL[:, i])
         np.add(V[:, i], half, out=WR[:, i])
-    eos.from_primitive(WL, out=WL)
-    eos.from_primitive(WR, out=WR)
+    WL, WR = eos.from_primitive(WL), eos.from_primitive(WR)
 
     def bad(A):
         return (A[:, 0] <= 0) | (A[:, 1] <= 0) | (A[:, 1] >= A[:, 0])

@@ -1,3 +1,4 @@
+import configparser
 import time
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
@@ -99,6 +100,11 @@ class TestConfig:
             for value in (nan, inf):
                 with pytest.raises(ConfigError, match=name):
                     replace(fluids, **{name: value})
+        # a [case] value that is not a finite real number: NaN and infinities
+        # fail no comparison the samplers make, so a NaN radius drew no disk
+        for key, value in (("radius", nan), ("x0", inf), ("p", nan), ("uy", -inf), ("radius", "abc"), ("ux", True)):
+            with pytest.raises(ConfigError, match=rf"\[case\] {key} "):
+                default_config("disk_advection", case_params={key: value})
         p = tmp_path / "bad.ini"
         p.write_text("[case]\nname = not_a_case\n")
         with pytest.raises(ConfigError):
@@ -150,13 +156,33 @@ class TestConfig:
             ("[scheme]\ngravity = nan\n", "gravity"),
             ("[fluids]\ntheta = nan\n", "theta"),
             ("[fluids]\nc2 = inf\n", "c2"),
+            ("x0 = nan\n", r"\[case\] x0 "),
+            ("p = inf\n", r"\[case\] p "),
+            ("lambda = -inf\n", r"\[case\] lambda "),
+            ("uy = nan\n", r"\[case\] uy "),
         ],
-        ids=["t_end_inf", "t_end_nan", "output_every", "xi", "weights", "tree_extent", "gravity", "theta", "c2"],
+        ids=[
+            "t_end_inf", "t_end_nan", "output_every", "xi", "weights", "tree_extent", "gravity", "theta", "c2",
+            "case_x0_nan", "case_p_inf", "case_lambda_neg_inf", "case_uy_nan",
+        ],
     )
     def test_bad_values_rejected(self, tmp_path, body, named):
         p = tmp_path / "bad.ini"
         p.write_text("[case]\nname = smooth_advection\n" + body)
         with pytest.raises(ConfigError, match=named):
+            load_config(p)
+
+    @pytest.mark.parametrize("sep", [",", ", ", " "])
+    def test_periodic_tokens(self, tmp_path, sep):
+        # every token configparser reads as a boolean, as written and in mixed case
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        tokens = [t for s in states for t in (s, s.upper(), "".join(c.upper() if i % 2 else c for i, c in enumerate(s)))]
+        p = tmp_path / "periodic.ini"
+        for first, second in zip(tokens, tokens[1:] + tokens[:1]):
+            p.write_text(f"[case]\nname = smooth_advection\n[domain]\nperiodic = {first}{sep}{second}\n")
+            assert load_config(p).periodic == (states[first.lower()], states[second.lower()])
+        p.write_text(f"[case]\nname = smooth_advection\n[domain]\nperiodic = yes{sep}maybe\n")
+        with pytest.raises(ConfigError, match="'maybe'"):
             load_config(p)
 
     def test_config_is_frozen(self):

@@ -198,6 +198,24 @@ class TestBalanceMetrics:
                 assert comps < 1000
             assert metrics[r].components == comps
 
+    @pytest.mark.parametrize("P", range(1, 9))
+    def test_frontier_matches_bruteforce(self, P):
+        # a frontier cell has an oracle face neighbour that another rank owns
+        for seed in (P, 20 + P):
+            f = random_forest(seed=seed)
+            pm = partition(f, P)
+            owner = pm.owner_of(np.arange(f.nleaves)).tolist()
+            nbrs = oracle_neighbors(f)
+            frontier = [0] * P
+            for i in range(f.nleaves):
+                frontier[owner[i]] += any(
+                    owner[j] != owner[i] for axis in range(2) for side in (0, 1) for j in nbrs[i, axis, side] or ()
+                )
+            for m in balance_metrics(f, pm):
+                lo_idx, hi_idx = pm.range(m.rank)
+                assert (m.frontier, m.ratio) == (frontier[m.rank], frontier[m.rank] / (hi_idx - lo_idx))
+                assert type(m.frontier) is int and type(m.ratio) is float
+
     def test_frontier_ratio_monotone_in_p(self):
         f = uniform2d(5)
         ratios = []
