@@ -100,7 +100,7 @@ def cmd_bench_partition(args) -> int:
         print(
             f"P={P}: max frontier ratio {d['max_ratio']:.4f}  load spread {d['load_spread']}"
         )
-        (outdir / f"partition_P{P}.csv").write_text(metrics_csv(d["metrics"]))
+        (outdir / f"partition_P{P}.csv").write_text(metrics_csv(d["metrics"], d["ghosts"]))
     print(f"wrote {outdir}/partition_P*.csv")
     return 0
 

@@ -167,33 +167,36 @@ class FaceList:
     more: tuple[np.ndarray, np.ndarray]  # (low side, high side) rows past a cell side's first
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def blocks(self, count: int):
+    def blocks(self, count: int, ncomp: int = 1):
         """``(cells, ranges)`` of ``count`` nearly equal cell blocks (cached).
 
         Block j owns cells [a, b) and, in ``ranges``, head rows [a, b) and its
         tail slice (one range where they meet) as ``(r0, r1, wall_lo,
-        wall_hi)``, its wall rows counted from r0.  The lo cells of a block's
-        rows lie in the block, the hi cells anywhere.  ``cells[j]`` is ``(a,
-        b, more)``, where ``more`` holds, low side first, the ``(cell - a,
-        row)`` pairs of ``self.more`` whose cell lies in the block.
+        wall_hi)``, its wall rows counted from r0; one block takes them all
+        unsearched.  The lo cells of a block's rows lie in the block, the hi cells anywhere.
+        ``cells[j]`` is ``(a, b, more)``, where ``more`` holds, low side first,
+        ``(flat, rows)`` of the rows of ``self.more`` whose cell lies in the
+        block: ``flat`` indexes each row's ``(component, cell - a)`` slots in a
+        C-contiguous ``(ncomp, b - a)`` block, component-major.
         """
-        if count not in self._blocks:
-            n = len(self.low)
+        if (count, ncomp) not in self._blocks:
+            n, one, walls = len(self.low), count == 1, (self.wall_lo, self.wall_hi)
             cells = [j * n // count for j in range(count + 1)]
-            tail = (self.lo[n:].searchsorted(cells) + n).tolist()
+            tail = [n, len(self.lo)] if one else (self.lo[n:].searchsorted(cells) + n).tolist()
             ranges = []
             for a, b, ta, tb in zip(cells, cells[1:], tail, tail[1:]):
                 for r0, r1 in [(a, tb)] if b == ta else [(a, b), (ta, tb)]:
                     if r0 < r1:
-                        walls = (w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in (self.wall_lo, self.wall_hi))
-                        ranges.append((r0, r1, *walls))
+                        own = walls if one else (w[w.searchsorted(r0):w.searchsorted(r1)] - r0 for w in walls)
+                        ranges.append((r0, r1, *own))
+            slots = [(b - a) * np.arange(ncomp)[:, None] - a for a, b in zip(cells, cells[1:])]
             sides = []
             for ends, rows in zip((self.hi, self.lo), self.more):
                 at = ends.take(rows)
-                cut = at.searchsorted(cells).tolist()
-                sides.append([(at[i:j] - a, rows[i:j]) for a, i, j in zip(cells, cut, cut[1:])])
-            self._blocks[count] = list(zip(cells, cells[1:], zip(*sides))), ranges
-        return self._blocks[count]
+                cut = [0, len(rows)] if one else at.searchsorted(cells).tolist()
+                sides.append([((at[i:j] + s).ravel(), rows[i:j]) for s, i, j in zip(slots, cut, cut[1:])])
+            self._blocks[count, ncomp] = list(zip(cells, cells[1:], zip(*sides))), ranges
+        return self._blocks[count, ncomp]
 
     def fold(self, ufunc, out: np.ndarray, row_values: np.ndarray) -> np.ndarray:
         """``ufunc`` (an order-free one: max or min) of ``out`` and every row value of each cell, into ``out``."""
@@ -466,8 +469,9 @@ class Forest:
     def _finish_face_list(self, axis: int, head, fin, sub, wall_hi) -> FaceList:
         """Head and tail rows, areas, distances and cell sides of the rows ``_face_rows`` found.
 
-        A ContractError names the first leaf with a face neighbour two or more
-        levels away.
+        A cell's first low-side row is the least row whose hi end it is (a high wall's is a mirror, slot n), from
+        one ``np.minimum.at``; a stable argsort puts the few later rows in cell order.  A ContractError names the
+        first leaf with a face neighbour two or more levels away.
         """
         dim, n, m = self.dim, self.nleaves, 1 << (self.dim - 1)
 
@@ -496,16 +500,14 @@ class Forest:
             )
         area = near if dim == 2 else np.square(near, out=near)  # near ** (dim - 1)
 
-        # the low sides' rows, max(reach, 1) per cell, from one sort of the
-        # rows by (hi end, row) with the high walls last
-        key = hi << 32 | np.arange(len(hi))  # fewer than 2**31 leaves and 2**32 rows
-        key[wall_hi] = n << 32
-        key.sort()
-        key &= 0xFFFFFFFF
-        np.maximum(reach, 1, out=reach)
-        first = reach.cumsum() - reach
-        more = np.delete(key[: len(key) - len(wall_hi)], first), subs.ravel()
-        return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, key.take(first), more)
+        rows, ends = np.arange(len(hi)), hi.copy()
+        ends[wall_hi] = n
+        low = np.full(n + 1, len(hi))
+        np.minimum.at(low, ends, rows)
+        low[n] = len(hi)
+        later = (low.take(ends) < rows).nonzero()[0]
+        more = later.take(hi.take(later).argsort(kind="stable")), subs.ravel()
+        return FaceList(axis, lo, hi, area, dist, wall_lo, wall_hi, low[:n], more)
 
 
 def new_uniform(conn: Connectivity, level: int, b: int, min_level: int = 0) -> Forest:

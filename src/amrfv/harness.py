@@ -1,8 +1,9 @@
 """Case setup, time-loop orchestration, error norms (returned in ``RunResult``), profiling and studies.
 
-The run pipeline follows: (before a forest's first step: face lists -> ghost rebuild) -> compute dt -> step ->
-(every ``adapt_every`` steps: evaluate/mark -> adapt (coarsen, refine and 2:1 balance in one level-space step) ->
-project -> repartition, if the mesh changed) -> periodic output.  So nothing is built for a mesh that never steps.
+The run pipeline follows: (before a forest's first step: face lists) -> compute dt -> step -> (every
+``adapt_every`` steps: evaluate/mark -> adapt (coarsen, refine and 2:1 balance in one level-space step) -> project)
+-> periodic output, so nothing is built for a mesh that never steps.  The simulated ranks stay out of the loop: a
+forest is partitioned where a dump or the result reads it, and the report builds the final ghost layers once.
 A Strang step that no sync point (a dump or t_end) follows stays open: the next step runs its last x half sweep
 inside its own first one.  An adapt is no sync point: it marks and projects the open state, and the owed half sweep
 runs on the new forest.  dt is then at most 2 (bound - owed), so the merged sweep keeps the bound of the state it acts
@@ -39,7 +40,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PHASES = ("sweep", "slopes", "flux", "eos", "dt", "mark", "adapt", "partition", "faces", "ghost", "io")
+PHASES = ("sweep", "slopes", "flux", "eos", "dt", "mark", "adapt", "partition", "faces", "io")
 
 
 @dataclass(frozen=True)
@@ -443,15 +444,17 @@ def adapt_mesh(
     return f2, u
 
 
-def _rebuild_comm(f: Forest, prof: Profile, pm: PartitionMap) -> None:
-    """Build the face lists and ghost layers of a forest about to step, on its partition ``pm``."""
+def _rebuild_comm(f: Forest, prof: Profile) -> None:
+    """Build the face lists of a forest about to step, the only per-forest structure a sweep reads."""
     with prof.section("faces"):
         for axis in range(f.dim):
             f.face_list(axis)
-    with prof.section("ghost"):
-        pairs = adjacency(f)
-        for r in range(pm.P):
-            ghost_layer(f, pm, r, pairs=pairs)  # the simulated decomposition's ghost sets; no sweep reads them
+
+
+def _ghost_counts(f: Forest, pm: PartitionMap) -> list[int]:
+    """Each rank's ghost-layer size, from one ``ghost_layer`` call per rank, for the partition report."""
+    pairs = adjacency(f)
+    return [len(ghost_layer(f, pm, r, pairs=pairs).indices) for r in range(pm.P)]
 
 
 @dataclass
@@ -487,25 +490,31 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
     crit = cfg.criterion_obj if cfg.adaptive else None
     artifacts = []
 
+    def ranks() -> PartitionMap:  # f's partition, made on its first read
+        nonlocal pm
+        if pm is None:
+            with prof.section("partition"):
+                pm = partition(f, cfg.ranks)
+        return pm
+
     def dump(tag: str):
         if not write_outputs:
             return
+        owner = ranks().owner_of(np.arange(f.nleaves))
         with prof.section("io"):
             path = outdir / f"{cfg.case}_{tag}.vtk"
-            vtkio.write_vtk(f, u, fp, path, pm.owner_of(np.arange(f.nleaves)))
+            vtkio.write_vtk(f, u, fp, path, owner)
             artifacts.append(path)
 
-    t, nstep, fresh = 0.0, 0, True  # fresh: f's face lists and ghost layers are not built yet
+    t, nstep, fresh, pm = 0.0, 0, True, None  # fresh: f's face lists are not built yet; pm: f's partition
     owed, end = 0.0, cfg.t_end * (1.0 - 1e-14)  # owed: dt of the x half sweep an open step left out
     lone = pieces = 0  # owed half sweeps that ran outside a step, and the sweeps they took
-    # the wall spans every booked phase, from the first partition to the last dump
+    # the wall spans every booked phase, from the first dump to the final partition
     with prof.walltime():
-        with prof.section("partition"):
-            pm = partition(f, cfg.ranks)
         dump("0000")
         while t < end:
             if fresh:
-                _rebuild_comm(f, prof, pm)
+                _rebuild_comm(f, prof)
                 fresh = False
             try:
                 # the bound of the open state, which the merged sweep owed + dt/2 acts on
@@ -529,13 +538,12 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
                     f2, u = adapt_mesh(f, u, crit, fp, prof)
                 except ArithmeticError as exc:
                     raise _located("adapt", t, nstep, f, exc) from exc
-                if f2 is not f:  # the dumps and the result need the new mesh's partition
-                    f, fresh = f2, True
-                    with prof.section("partition"):
-                        pm = partition(f, cfg.ranks)
+                if f2 is not f:
+                    f, fresh, pm = f2, True, None
             if dumps:
                 dump(f"{nstep:04d}")
         dump("final")
+        ranks()  # the result's partition, where no dump made it
     result = RunResult(cfg, f, u, t, nstep, prof, pm, artifacts=artifacts)
     log.info(
         "%s: t=%.6g in %d steps, %d leaves; %d lone owed sweeps in %d pieces",
@@ -546,7 +554,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
     if write_outputs:
         # the reports come after the wall closes and are not booked
         (outdir / f"{cfg.case}_profile.csv").write_text(prof.csv())
-        (outdir / f"{cfg.case}_partition.csv").write_text(metrics_csv(balance_metrics(f, pm)))
+        (outdir / f"{cfg.case}_partition.csv").write_text(metrics_csv(balance_metrics(f, pm), _ghost_counts(f, pm)))
     return result
 
 
@@ -640,5 +648,6 @@ def bench_partition_study(cfg: RunConfig, rank_counts) -> dict:
             "max_ratio": max(m.ratio for m in metrics),
             "load_spread": max(m.leaves for m in metrics) - min(m.leaves for m in metrics),
             "metrics": metrics,
+            "ghosts": _ghost_counts(f, pm),
         }
     return out

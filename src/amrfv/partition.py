@@ -112,8 +112,8 @@ def balance_metrics(f: Forest, pm: PartitionMap) -> list[RankMetrics]:
     ]
 
 
-def metrics_csv(metrics: list[RankMetrics]) -> str:
-    lines = ["rank,leaves,frontier,ratio,components"]
-    for m in metrics:
-        lines.append(f"{m.rank},{m.leaves},{m.frontier},{m.ratio!r},{m.components}")
+def metrics_csv(metrics: list[RankMetrics], ghosts: list[int]) -> str:
+    lines = ["rank,leaves,frontier,ratio,components,ghosts"]
+    for m, g in zip(metrics, ghosts, strict=True):
+        lines.append(f"{m.rank},{m.leaves},{m.frontier},{m.ratio!r},{m.components},{g}")
     return "\n".join(lines) + "\n"

@@ -128,7 +128,7 @@ class _Arena:
         if end > len(self.buf):
             self.top = end
             return np.empty(shape, dtype)
-        view = self.buf[self.top:end].view(dtype)[:size].reshape(shape)
+        view = np.ndarray(shape, dtype, self.buf, 8 * self.top)
         self.views[at] = view, end
         self.top = end
         return view
@@ -152,9 +152,9 @@ _ARENA = _Arena()
 _BLOCK = 16384  # the most cells in a block of a sweep's phases
 
 
-def _blocks(fl):
-    """``fl.blocks`` for blocks of at most ``_BLOCK`` cells."""
-    return fl.blocks(-(-len(fl.low) // _BLOCK))
+def _blocks(fl, ncomp: int):
+    """``fl.blocks`` for blocks of at most ``_BLOCK`` cells of ``ncomp`` components."""
+    return fl.blocks(-(-len(fl.low) // _BLOCK), ncomp)
 
 
 def _arena(n: int, ncomp: int) -> _Arena:
@@ -192,7 +192,7 @@ def compute_dt(f: Forest, u: np.ndarray, cfg: SweepConfig, fp: FluidPair, prof=N
         arena = _arena(n, u.shape[1])
         rho = u[:, IRHO]
         imp, imp_max = arena.take(2, n)
-        for a, b, _ in _blocks(fls[0])[0]:
+        for a, b, _ in _blocks(fls[0], u.shape[1])[0]:
             with arena:
                 rows, r = arena.take(6, b - a), rho[a:b]
                 # a bad density gives a bad Y here, but the sound speed rejects it first
@@ -266,7 +266,7 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
     ncomp, n = Vt.shape
     arena = arena or _Arena()
     sigma = np.empty((ncomp, n)) if out is None else out.T
-    cells, ranges = _blocks(fl)
+    cells, ranges = _blocks(fl, ncomp)
     with arena:
         rows = arena.take(ncomp, len(fl.lo))
         for r0, r1, wall_lo, wall_hi in ranges:
@@ -282,10 +282,9 @@ def _minmod_sigma(f: Forest, axis: int, V: np.ndarray, out=None, arena=None) -> 
                 col = rows.take(fl.low[a:b], axis=1, out=smax, mode="clip")
                 np.minimum(rows[:, a:b], col, out=smin)
                 np.maximum(rows[:, a:b], col, out=smax)
-                for at, later in extra:
-                    if len(at):
+                for flat, later in extra:
+                    if len(later):
                         # ufunc.at on the flat block takes numpy's fast path
-                        flat = (at + (b - a) * np.arange(ncomp)[:, None]).ravel()
                         v = rows.take(later, axis=1).ravel()
                         np.minimum.at(smin.reshape(-1), flat, v)
                         np.maximum.at(smax.reshape(-1), flat, v)
@@ -374,7 +373,7 @@ def sweep(
     normal = IMX + axis
     arena = _arena(n, ncomp)
     fl = f.face_list(axis)
-    cells, ranges = _blocks(fl)
+    cells, ranges = _blocks(fl, ncomp)
 
     # phase A (per cell block [a, b)): columns a:b of each side of B hold the
     # face states of its cells, side 0 the left faces when k = order is 2,
@@ -444,11 +443,9 @@ def sweep(
                 flux.take(fl.low[a:b], axis=1, out=dW, mode="clip")
                 dW += 0.0
                 np.copyto(acc, flux[:, a:b])
-                for side, (at, later) in zip((dW, acc), extra):
-                    if len(at):
-                        terms = flux.take(later, axis=1)
-                        flat = (at + (b - a) * np.arange(ncomp)[:, None]).ravel()
-                        np.add.at(side.reshape(-1), flat, terms.ravel())  # a cell's terms in row order
+                for side, (flat, later) in zip((dW, acc), extra):
+                    if len(later):  # a cell's terms in row order
+                        np.add.at(side.reshape(-1), flat, flux.take(later, axis=1).ravel())
                 dW -= acc
                 dW /= f.volumes[a:b]
                 np.add(u.T[:, a:b], dW, out=out.T[:, a:b])

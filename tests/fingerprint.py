@@ -7,8 +7,8 @@ Run it from the repository root with the package on the path:
 Each line is ``<hash>  <name>``.  With ``--base REV`` each line is ``<REV's hash>  <this checkout's hash>
 <name>``: REV's package is exported with ``git archive`` (``pairs.load_base``), a name whose hashes differ is
 marked, and the script exits with status 1 if any does, so one command checks a change bit for bit.  A hash covers, in order: every face list
-the run builds (its axis and its per-row arrays, ``ROW_ARRAYS``, in build
-order) with the initial forest and field in their place (after the face
+the run builds (its axis, its per-row arrays ``ROW_ARRAYS``, then ``low`` and
+both ``more`` arrays, in build order) with the initial forest and field in their place (after the face
 lists of the pre-adapt), then the final forest and field, ``t``, the step count and the
 two alpha error norms.  A face list equal to the last one hashed on its
 axis is skipped, so rebuilding a mesh that did not change adds nothing, and
@@ -64,7 +64,7 @@ def _drop(x0, y0, radius):
     return dict(case="drop2d", t_end=1.7e-06, adapt_every=2, criterion="alpha_gradient", ranks=1, case_params=params)
 
 
-# the arrays of a face list, one entry per row; how the list reaches each cell's rows is not hashed
+# the arrays of a face list with one entry per row; ``fingerprint`` hashes its cell sides after them
 ROW_ARRAYS = ("lo", "hi", "area", "dist", "wall_lo", "wall_hi")
 
 RUNS = {
@@ -105,7 +105,8 @@ def fingerprint(hm, overrides: dict) -> str:
 
     def hashed(self, axis, *rows):
         fl = finish(self, axis, *rows)
-        data = [np.ascontiguousarray(getattr(fl, name)).tobytes() for name in ROW_ARRAYS]
+        arrays = [getattr(fl, name) for name in ROW_ARRAYS] + [fl.low, *fl.more]
+        data = [np.ascontiguousarray(a).tobytes() for a in arrays]
         if data != last.get(axis):
             last[axis] = data
             h.update(str(fl.axis).encode())

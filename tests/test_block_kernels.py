@@ -22,6 +22,8 @@ from amrfv.errors import EosError
 from amrfv.eos import FluidPair
 from amrfv.forest import KEEP, REFINE, Connectivity, new_uniform
 from amrfv.solver import SweepConfig
+from test_forest import fuzz_forests
+from test_leafmap import CONNECTIVITIES
 
 MILD = FluidPair(p1_0=1e5, rho1_0=1.0, c1=3.0, p2_0=1e5, rho2_0=2.0, c2=3.0)
 AIR_WATER = FluidPair(p1_0=1e5, rho1_0=1.0, c1=340.0, p2_0=1e5, rho2_0=1e3, c2=1500.0)
@@ -282,3 +284,42 @@ def test_blocks_give_the_bits_of_one_block(monkeypatch, case):
                 got, got_dt = solver.step(f, u, scfg, fp)
                 assert got_dt == dt
                 assert_bits(got, expected)
+
+
+@pytest.mark.parametrize("conn, b, min_level", list(CONNECTIVITIES.values()), ids=list(CONNECTIVITIES))
+def test_one_block_table_and_the_bits_of_several(monkeypatch, conn, b, min_level):
+    # one block is one range of every row with every wall and all of more;
+    # each block's fold indices address its (ncomp, b - a) block; a step cut
+    # into small blocks gives the bits of one block
+    (f,) = fuzz_forests(conn, b, min_level, seed=b + conn.ntrees, count=1)
+    n, ncomp = f.nleaves, f.dim + 2
+    for axis in range(f.dim):
+        fl = f.face_list(axis)
+        for nc in (1, ncomp):
+            cells, ((r0, r1, wall_lo, wall_hi),) = fl.blocks(1, nc)
+            assert (r0, r1) == (0, len(fl.lo))
+            np.testing.assert_array_equal(wall_lo, fl.wall_lo)
+            np.testing.assert_array_equal(wall_hi, fl.wall_hi)
+            ((a, b_end, more),) = cells
+            assert (a, b_end) == (0, n)
+            for (flat, rows), ends, every in zip(more, (fl.hi, fl.lo), fl.more):
+                np.testing.assert_array_equal(rows, every)
+                np.testing.assert_array_equal(flat, (ends[every] + n * np.arange(nc)[:, None]).ravel())
+        cells, _ = fl.blocks(5, ncomp)
+        for side, (ends, every) in enumerate(zip((fl.hi, fl.lo), fl.more)):
+            np.testing.assert_array_equal(np.concatenate([more[side][1] for _, _, more in cells]), every)
+            for a, b_end, more in cells:
+                flat, rows = more[side]
+                assert np.all((ends[rows] >= a) & (ends[rows] < b_end))
+                np.testing.assert_array_equal(flat, (ends[rows] - a + (b_end - a) * np.arange(ncomp)[:, None]).ravel())
+    assert fl.blocks(1) is fl.blocks(1, 1) and fl.blocks(1) is not fl.blocks(1, ncomp)
+    u = batch(np.random.default_rng(b), n, f.dim, MILD, "F")
+    for order in (1, 2):
+        scfg = SweepConfig(order=order, gravity=0.0 if all(conn.periodic) else 9.81)
+        monkeypatch.setattr(solver, "_BLOCK", n)
+        expected, dt = solver.step(f, u, scfg, MILD)
+        for block in (5, 37):
+            monkeypatch.setattr(solver, "_BLOCK", block)
+            got, got_dt = solver.step(f, u, scfg, MILD)
+            assert got_dt == dt
+            assert_bits(got, expected)

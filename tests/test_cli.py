@@ -72,7 +72,7 @@ class TestStudies:
         assert "P=4:" in out
         for P in (1, 2, 4):
             csv = (tmp_path / "out" / f"partition_P{P}.csv").read_text()
-            assert csv.splitlines()[0] == "rank,leaves,frontier,ratio,components"
+            assert csv.splitlines()[0] == "rank,leaves,frontier,ratio,components,ghosts"
 
     @pytest.mark.parametrize(
         "command, flag, value",

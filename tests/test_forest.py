@@ -10,6 +10,7 @@ from amrfv.partition import partition
 
 import oracles
 from oracles import PointerForest, face_neighbors
+from test_leafmap import CONNECTIVITIES
 
 
 def conn2d(trees=(1, 1), periodic=(False, False), extent=1.0):
@@ -745,3 +746,49 @@ class TestDump:
         rows = zip(f.tree.tolist(), f.level.tolist(), f.coords.tolist(), f.keys.tolist())
         text = "".join(f"{t} {lvl} {' '.join(map(str, c))} {k}\n" for t, lvl, c, k in rows)
         assert text == expected
+
+
+def fuzz_forests(conn, b, min_level, seed, count=3, rounds=4):
+    """Random balanced forests made by ``Forest.adapt`` from random Refine and Coarsen marks."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        f = new_uniform(conn, level=min_level + 1, b=b, min_level=min_level)
+        for _ in range(rounds):
+            marks = rng.choice([KEEP, REFINE, COARSEN], p=[0.4, 0.3, 0.3], size=f.nleaves).astype(np.int8)
+            f, _ = f.adapt(marks)
+        out.append(f)
+    return out
+
+
+def brute_force_sides(fl):
+    """``(low, more)`` of a face list, row by row: a cell's first low-side row is the first row whose hi end
+    is the cell (high walls excluded), or else the cell's low wall; the later rows of each side by cell, then row."""
+    n, nf = len(fl.low), len(fl.lo)
+    walls = set(fl.wall_lo.tolist()) | set(fl.wall_hi.tolist())
+    low_wall = dict(zip(fl.lo[fl.wall_lo].tolist(), fl.wall_lo.tolist()))
+    reach = [[] for _ in range(n)]
+    for row in range(nf):
+        if row not in walls:
+            reach[fl.hi[row]].append(row)
+    low = [rows[0] if rows else low_wall[i] for i, rows in enumerate(reach)]
+    later_low = [row for rows in reach for row in rows[1:]]
+    later_high = sorted((fl.lo[row], row) for row in range(n, nf) if row not in walls)
+    return low, (later_low, [row for _, row in later_high])
+
+
+class TestCellSides:
+    @pytest.mark.parametrize("conn, b, min_level", list(CONNECTIVITIES.values()), ids=list(CONNECTIVITIES))
+    def test_low_and_more_match_brute_force(self, conn, b, min_level):
+        hanging = walled = 0
+        for f in fuzz_forests(conn, b, min_level, seed=b + 7 * conn.dim + conn.ntrees):
+            for axis in range(f.dim):
+                fl = f.face_list(axis)
+                low, more = brute_force_sides(fl)
+                assert fl.low.dtype == np.int64 and fl.low.tolist() == low
+                for got, expected in zip(fl.more, more):
+                    assert got.dtype == np.int64 and got.tolist() == expected
+                hanging += len(more[0]) > 0 and len(more[1]) > 0
+                walled += len(fl.wall_lo) > 0
+        assert hanging > 0
+        assert walled > 0 or all(conn.periodic)

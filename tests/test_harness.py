@@ -526,7 +526,7 @@ class TestRun:
         setup = init_case(cfg)
         f, u = setup.forest, setup.field
         prof = harness.Profile()
-        harness._rebuild_comm(f, prof, partition(f, cfg.ranks))
+        harness._rebuild_comm(f, prof)
         for _ in range(2):
             u, _ = solver.step(f, u, cfg.sweep_config, cfg.fluids)
         phases, builds, queries = [], [], []
@@ -553,15 +553,14 @@ class TestRun:
         monkeypatch.setattr(Forest, "_face_rows", logged)
         monkeypatch.setattr(Forest, "locate", counted)
         f2, _ = harness.adapt_mesh(f, u, cfg.criterion_obj, cfg.fluids, prof)
-        harness._rebuild_comm(f2, prof, partition(f2, cfg.ranks))
+        harness._rebuild_comm(f2, prof)
         assert f2.nleaves != f.nleaves
         assert [(g is f2, p) for g, p in builds] == [(True, ("faces",))] * f2.dim
         assert len(queries) <= 2 * f2.dim
 
-    def test_only_a_forest_that_steps_builds_face_lists_and_ghosts(self, monkeypatch):
-        # six steps, each followed by an adapt: the fourth changes no leaf and
-        # the sixth, the last step's, makes a new mesh that never steps
-        cfg = default_config("disk_advection", max_level=6, min_level=3, adapt_every=1, t_end=0.02, ranks=4)
+    @staticmethod
+    def _logged_run(monkeypatch, cfg, write_outputs):
+        """Run ``cfg`` and log, in order, each adapt, face-list build, step, ghost layer, partition and dump."""
         events = []
         adapt, face_rows, step, init = Forest.adapt, Forest._face_rows, solver.step, harness.init_case
 
@@ -582,24 +581,73 @@ class TestRun:
         monkeypatch.setattr(solver, "step", logged("step", step))
         monkeypatch.setattr(harness, "ghost_layer", logged("ghost", harness.ghost_layer))
         monkeypatch.setattr(harness, "partition", logged("partition", harness.partition))
+        monkeypatch.setattr(vtkio, "write_vtk", logged("dump", vtkio.write_vtk))
         monkeypatch.setattr(harness, "init_case", fresh_init)
-        res = run(cfg, write_outputs=False)
+        return run(cfg, write_outputs=write_outputs), events
 
+    def test_only_a_forest_that_steps_builds_face_lists(self, monkeypatch, tmp_path):
+        # six steps, each followed by an adapt: the fourth changes no leaf and
+        # the sixth, the last step's, makes a new mesh that never steps; a
+        # stepping forest builds face lists and no ghost layer
+        cfg = default_config(
+            "disk_advection", max_level=6, min_level=3, adapt_every=1, t_end=0.02, ranks=4, output_dir=str(tmp_path)
+        )
+        res, events = self._logged_run(monkeypatch, cfg, False)
         kinds = [k for k, _, _ in events]
         adapts = [i for i, k in enumerate(kinds) if k == "adapt"]
         unchanged = [i for i in adapts if events[i][2] is events[i][1]]
         assert res.steps == len(adapts) == 6
-        assert kinds[adapts[-1]:] == ["adapt", "partition"]  # the last mesh is partitioned, never built
+        assert "ghost" not in kinds
+        assert kinds[adapts[-1]:] == ["adapt", "partition"]  # the last mesh is partitioned at the end, never built
         assert unchanged == adapts[3:4]
         assert res.forest is events[-1][1] is not events[adapts[-1]][1]
         for i in unchanged:  # the forest steps on with what it built
             assert kinds[i + 1 : adapts[adapts.index(i) + 1]] == ["step"]
         for i, (kind, f, _) in enumerate(events):  # each build is for the forest of the next step
-            if kind in ("faces", "ghost"):
+            if kind == "faces":
                 assert next(g for k, g, _ in events[i:] if k == "step") is f
         builds = [f for k, f, _ in events if k == "faces"]
         assert len(builds) == len({id(f) for f in builds}) * 2  # once per axis and stepping forest
         assert res.partition == partition(res.forest, cfg.ranks)
+
+        # with dumps at steps 2, 4 and 6, a forest is partitioned right before
+        # the first dump that shows it, never twice; the final dump shows the
+        # step-6 forest again, and only the report builds ghost layers, one
+        # per rank of the final forest, after the last dump
+        monkeypatch.undo()
+        res, events = self._logged_run(monkeypatch, replace(cfg, output_every=2), True)
+        kinds = [k for k, _, _ in events]
+        dumps = [(i, f) for i, (k, f, _) in enumerate(events) if k == "dump"]
+        assert len(dumps) == 5
+        new = [i - 1 for j, (i, f) in enumerate(dumps) if j == 0 or f is not dumps[j - 1][1]]
+        assert [i for i, k in enumerate(kinds) if k == "partition"] == new
+        assert len(new) < len(dumps)
+        assert [(i, f) for i, (k, f, _) in enumerate(events) if k == "ghost"] == [
+            (i, res.forest) for i in range(len(events) - cfg.ranks, len(events))
+        ]
+        assert dumps[-1][0] < len(events) - cfg.ranks
+        assert res.partition == partition(res.forest, cfg.ranks)
+
+    def test_partition_report_counts_ghosts(self, tmp_path):
+        # the report's ghosts column is each rank's ghost-layer size on the
+        # final forest, beside the metrics bench_partition_study reports too
+        from amrfv.partition import balance_metrics, ghost_layer, metrics_csv
+
+        cfg = default_config("disk_advection", max_level=5, min_level=3, t_end=0.05, ranks=3, output_dir=str(tmp_path))
+        for dumps in (0, 2):
+            res = run(replace(cfg, output_every=dumps))
+            pm = partition(res.forest, cfg.ranks)
+            assert res.partition == pm
+            ghosts = [len(ghost_layer(res.forest, pm, r).indices) for r in range(pm.P)]
+            text = (tmp_path / "disk_advection_partition.csv").read_text()
+            assert [int(line.split(",")[-1]) for line in text.splitlines()[1:]] == ghosts
+            assert min(ghosts) > 0 and text == metrics_csv(balance_metrics(res.forest, pm), ghosts)
+        assert run(cfg, write_outputs=False).partition == pm
+        study = harness.bench_partition_study(cfg, [1, 4])
+        f = init_case(cfg).forest
+        for P, d in study["ranks"].items():
+            assert d["ghosts"] == [len(ghost_layer(f, partition(f, P), r).indices) for r in range(P)]
+        assert study["ranks"][1]["ghosts"] == [0]
 
     def test_drop2d_gravity_smoke(self, tmp_path):
         # a few steps of the walled gravity case: liquid must gain downward

@@ -226,7 +226,9 @@ class TestBalanceMetrics:
 
     def test_csv_format(self):
         f = uniform2d(2)
-        text = metrics_csv(balance_metrics(f, partition(f, 2)))
+        pm = partition(f, 2)
+        text = metrics_csv(balance_metrics(f, pm), [len(ghost_layer(f, pm, r).indices) for r in range(2)])
         lines = text.strip().split("\n")
-        assert lines[0] == "rank,leaves,frontier,ratio,components"
+        assert lines[0] == "rank,leaves,frontier,ratio,components,ghosts"
         assert len(lines) == 3
+        assert all(line.endswith(",4") for line in lines[1:])  # the 4 cells across the cut
