@@ -490,20 +490,19 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunResult:
     crit = cfg.criterion_obj if cfg.adaptive else None
     artifacts = []
 
-    def ranks() -> PartitionMap:  # f's partition, made on its first read
+    def ranks():  # partitions f on the first read of pm
         nonlocal pm
         if pm is None:
             with prof.section("partition"):
                 pm = partition(f, cfg.ranks)
-        return pm
 
     def dump(tag: str):
         if not write_outputs:
             return
-        owner = ranks().owner_of(np.arange(f.nleaves))
+        ranks()
         with prof.section("io"):
             path = outdir / f"{cfg.case}_{tag}.vtk"
-            vtkio.write_vtk(f, u, fp, path, owner)
+            vtkio.write_vtk(f, u, fp, path, pm.owner_of(np.arange(f.nleaves)))
             artifacts.append(path)
 
     t, nstep, fresh, pm = 0.0, 0, True, None  # fresh: f's face lists are not built yet; pm: f's partition

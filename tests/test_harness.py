@@ -585,7 +585,7 @@ class TestRun:
         monkeypatch.setattr(harness, "init_case", fresh_init)
         return run(cfg, write_outputs=write_outputs), events
 
-    def test_only_a_forest_that_steps_builds_face_lists(self, monkeypatch, tmp_path):
+    def test_only_a_forest_that_steps_builds_face_lists_and_ghosts(self, monkeypatch, tmp_path):
         # six steps, each followed by an adapt: the fourth changes no leaf and
         # the sixth, the last step's, makes a new mesh that never steps; a
         # stepping forest builds face lists and no ghost layer
